@@ -55,7 +55,7 @@ def main():
     model_cfg = ModelConfig(
         n_layers=2, n_heads=2, model_dim=32, feature_dim=16, hidden_dim=32
     )
-    batch_cfg = BatchConfig(window_min=60, window_max=120, feature_dim=16)
+    batch_cfg = BatchConfig(window_min=60, window_max=120)
     train_cfg = TrainConfig(
         steps=args.steps, batch_size=8, learning_rate=3e-3,
         seed=args.train_seed, eval_interval=100, plateau_patience=10,

@@ -63,9 +63,7 @@ def main():
     model_cfg = ModelConfig(
         n_layers=2, n_heads=2, model_dim=32, feature_dim=16, hidden_dim=32
     )
-    batch_cfg = BatchConfig(
-        window_min=30, window_max=60, retain_p=0.8, feature_dim=16
-    )
+    batch_cfg = BatchConfig(window_min=30, window_max=60, retain_p=0.8)
     train_cfg = TrainConfig(
         steps=args.steps,
         batch_size=args.batch_size,

@@ -18,7 +18,6 @@ from .timeseries import (
     GCM,
     OBS,
     AlignedPair,
-    GeneralizedPoint,
     NormStats,
     PairedDataset,
     TimeSeries,
@@ -27,7 +26,6 @@ from .timeseries import (
     load_csv,
     load_paired,
     normalize,
-    to_generalized,
 )
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "GCM",
     "OBS",
     "AlignedPair",
-    "GeneralizedPoint",
     "NormStats",
     "PairedDataset",
     "TimeSeries",
@@ -47,6 +44,5 @@ __all__ = [
     "load_csv",
     "load_paired",
     "normalize",
-    "to_generalized",
     "__version__",
 ]

@@ -9,8 +9,9 @@ computed on whatever irregular grid survives.
 
 Features per point follow a local-expansion recipe around the nearest
 already-available point n(i): value difference delta, signed time offset
-dist, their ratio deriv (a finite-difference slope), the neighbour's value,
-and sinusoidal positional features of both times. For observed points n(i)
+dist, their ratio deriv (a finite-difference slope), and the neighbour's
+value and time (the model adds positional features of both times, see
+:func:`temporal_bc.model.embed`). For observed points n(i)
 is the nearest other point of the same series; for targets it is the latest
 earlier point among observed context and preceding targets, never a later
 target and never a model point.
@@ -18,7 +19,7 @@ target and never a model point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,23 +28,21 @@ from .timeseries import AlignedPair, PairedDataset, align
 
 _PRUNE_RETRIES = 100
 
+# series_id codes of the feature block
+SERIES_OBS = 1
+SERIES_GCM = 2
+
 
 @dataclass(frozen=True)
 class BatchConfig:
-    batch_size: int = 8
     retain_p: float = 0.5
     min_keep: int = 5
     window_min: int = 60
     window_max: int = 360
     margin: int = 5
-    feature_dim: int = 32
-    t_max: float = 10000.0
-    delta_t: float = 1.0
     ablate_gcm: bool = False
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if not 0.0 < self.retain_p <= 1.0:
             raise ConfigError("retain_p must be in (0, 1], got %r" % self.retain_p)
         if self.min_keep < 1:
@@ -54,10 +53,6 @@ class BatchConfig:
             raise ConfigError("window_min must be at least 2 * margin")
         if self.window_max < self.window_min:
             raise ConfigError("window_max must be >= window_min")
-        if self.feature_dim <= 0 or self.feature_dim % 2:
-            raise ConfigError("feature_dim must be a positive even number")
-        if self.t_max <= 0 or self.delta_t <= 0:
-            raise ConfigError("t_max and delta_t must be positive")
 
 
 @dataclass(frozen=True)
@@ -96,42 +91,6 @@ def draw_window(
     return WindowSpec(k=k, h=h, j=j)
 
 
-def positional_features(
-    t, d: int, t_max: float = 10000.0, delta_t: float = 1.0
-) -> np.ndarray:
-    """Sinusoidal features of continuous time: sin at even slots, cos at odd.
-
-    Slot pair l in 0..d/2-1 uses angle (t / delta_t) / (t_max / delta_t)^(2l/d).
-    Accepts a scalar or array of times; output has shape (..., d) in [-1, 1].
-    """
-    if d <= 0 or d % 2:
-        raise ConfigError("positional feature dim must be positive even, got %d" % d)
-    if t_max <= 0 or delta_t <= 0:
-        raise ConfigError("t_max and delta_t must be positive")
-    t = np.asarray(t, dtype=np.float64)
-    half = np.arange(d // 2)
-    rates = (t_max / delta_t) ** (2.0 * half / d)
-    angles = (t[..., None] / delta_t) / rates
-    out = np.empty(t.shape + (d,))
-    out[..., 0::2] = np.sin(angles)
-    out[..., 1::2] = np.cos(angles)
-    return out
-
-
-def closest_observed(target_t: float, observed_times, observed_values):
-    """Index, value and time of the observed point nearest to ``target_t``.
-
-    Equidistant neighbours resolve to the earlier time.
-    """
-    times = np.asarray(observed_times, dtype=np.float64)
-    values = np.asarray(observed_values, dtype=np.float64)
-    if len(times) == 0:
-        raise DataError("no observed points to anchor on")
-    dist = np.abs(times - float(target_t))
-    i = int(np.lexsort((times, dist))[0])
-    return i, float(values[i]), float(times[i])
-
-
 def prune_indices(
     n: int, retain_p: float, min_keep: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -153,35 +112,28 @@ def prune_indices(
     return np.arange(floor_keep)
 
 
-def prune(points, retain_p: float, min_keep: int, rng: np.random.Generator) -> list:
-    """Thin a point list, preserving order; see :func:`prune_indices`."""
-    keep = prune_indices(len(points), retain_p, min_keep, rng)
-    return [points[i] for i in keep]
-
-
 @dataclass(frozen=True)
 class FeatureBlock:
-    """Columnar per-point features in generalized order (GCM, OBS, targets).
+    """Columnar per-point features in model input order (GCM, OBS, targets).
 
-    pos_enc / closest_pos_enc have shape (N, d); the rest are length-N:
-    series_id (1=observation, 2=model), delta (value minus neighbour value),
-    dist (time minus neighbour time, signed), deriv (delta/dist, 0 when the
-    offset is 0), closest_value and closest_t (the neighbour itself).
+    Every array is length-N: series_id (SERIES_OBS or SERIES_GCM), delta
+    (value minus neighbour value), dist (time minus neighbour time, signed),
+    deriv (delta/dist, 0 when the offset is 0), closest_value and closest_t
+    (the neighbour itself).
     """
 
-    pos_enc: np.ndarray
     series_id: np.ndarray
     delta: np.ndarray
     dist: np.ndarray
     deriv: np.ndarray
     closest_value: np.ndarray
     closest_t: np.ndarray
-    closest_pos_enc: np.ndarray
 
 
 @dataclass(frozen=True)
 class TrainingExample:
-    """One pruned window in generalized coordinates, ready for the model.
+    """One pruned window, split into model block, observed context and
+    targets, with its per-point features.
 
     ``tgt_v`` is None for inference-time examples (single masked target).
     """
@@ -273,9 +225,8 @@ def compute_features(
     ctx_obs_v,
     tgt_t,
     tgt_v,
-    config: BatchConfig,
 ) -> FeatureBlock:
-    """Per-point features over the generalized order (GCM, OBS, targets)."""
+    """Per-point features over the model input order (GCM, OBS, targets)."""
     g = _nearest_within(np.asarray(ctx_gcm_t, float), np.asarray(ctx_gcm_v, float))
     o = _nearest_within(np.asarray(ctx_obs_t, float), np.asarray(ctx_obs_v, float))
     t = _target_features(
@@ -287,26 +238,19 @@ def compute_features(
     delta, dist, deriv, cv, ct = (
         np.concatenate([g[i], o[i], t[i]]) for i in range(5)
     )
-    all_t = np.concatenate([ctx_gcm_t, ctx_obs_t, tgt_t])
     series_id = np.concatenate(
         [
-            np.full(len(ctx_gcm_t), 2, dtype=np.int64),
-            np.full(len(ctx_obs_t) + len(tgt_t), 1, dtype=np.int64),
+            np.full(len(ctx_gcm_t), SERIES_GCM, dtype=np.int64),
+            np.full(len(ctx_obs_t) + len(tgt_t), SERIES_OBS, dtype=np.int64),
         ]
     )
     return FeatureBlock(
-        pos_enc=positional_features(
-            all_t, config.feature_dim, config.t_max, config.delta_t
-        ),
         series_id=series_id,
         delta=delta,
         dist=dist,
         deriv=deriv,
         closest_value=cv,
         closest_t=ct,
-        closest_pos_enc=positional_features(
-            ct, config.feature_dim, config.t_max, config.delta_t
-        ),
     )
 
 
@@ -329,7 +273,7 @@ def _example_from_window(
     gcm_t, gcm_v = gcm_t[keep_gcm], gcm_v[keep_gcm]
     if config.ablate_gcm:
         gcm_v = np.zeros_like(gcm_v)
-    features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v, config)
+    features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v)
     return TrainingExample(
         run_id=run_id,
         window=window,

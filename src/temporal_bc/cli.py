@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
+from . import __version__, gp, metrics
 from . import baselines as bl
-from . import gp, metrics
 from .batching import BatchConfig
 from .errors import ConfigError, DataError, NumericError, ToolkitError
 from .model import ModelConfig, load_checkpoint, save_checkpoint
@@ -40,8 +40,6 @@ from .timeseries import (
     write_obs_csv,
 )
 from .training import TrainConfig, train, write_metrics_csv
-
-__version__ = "0.1.0"
 
 logger = logging.getLogger(__name__)
 
@@ -250,7 +248,8 @@ def _cmd_train(args) -> int:
     if result.aborted:
         outputs.keep = True
         raise NumericError(
-            "training aborted on non-finite loss; last good checkpoint saved"
+            "training aborted on a non-finite loss or gradient; the checkpoint "
+            "holds the parameters from before that step"
         )
     return 0
 
@@ -295,10 +294,7 @@ def _cmd_sample(args) -> int:
     if run_id is None:
         samples = sample_all_runs(ckpt, dataset, sampler_config)
     else:
-        per_run = dataclasses.replace(
-            sampler_config, seed=sampler_config.seed ^ run_id
-        )
-        samples = {run_id: sample_trajectories(ckpt, dataset, run_id, per_run)}
+        samples = {run_id: sample_trajectories(ckpt, dataset, run_id, sampler_config)}
     _write_samples_csv(samples, outputs.path("samples.csv"))
     _write_manifest(
         out_dir,

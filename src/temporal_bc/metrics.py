@@ -26,6 +26,11 @@ _MSE_FLOOR = 1e-12
 _DAYS_PER_YEAR = 365
 
 
+def gaussian_nll_points(y, mu, sd):
+    """Per-point negative log density of ``y`` under N(mu, sd^2)."""
+    return 0.5 * LOG_2PI + np.log(sd) + (y - mu) ** 2 / (2.0 * sd**2)
+
+
 @dataclass(frozen=True)
 class HeatwaveStats:
     threshold: float
@@ -117,18 +122,11 @@ def pacf(values, max_lag: int = 14) -> np.ndarray:
     return out
 
 
-def five_year_means(series: TimeSeries) -> np.ndarray:
+def _five_year_means(values: np.ndarray) -> np.ndarray:
     """Means over consecutive five-year blocks (365-day years); a trailing
-    partial block is dropped. Needs at least one full block."""
+    partial block is dropped."""
     block = 5 * _DAYS_PER_YEAR
-    n_blocks = len(series) // block
-    if n_blocks < 1:
-        raise DataError(
-            "need at least %d days for a five-year mean, have %d"
-            % (block, len(series))
-        )
-    trimmed = series.values[: n_blocks * block]
-    return trimmed.reshape(n_blocks, block).mean(axis=1)
+    return values[: len(values) // block * block].reshape(-1, block).mean(axis=1)
 
 
 @dataclass
@@ -195,9 +193,7 @@ def score(
             raise DataError("predictive_std must match the candidate's shape")
         if np.any(sd <= 0):
             raise DataError("predictive_std must be positive")
-        loglik = float(
-            np.mean(-0.5 * LOG_2PI - np.log(sd) - resid**2 / (2.0 * sd**2))
-        )
+        loglik = -float(np.mean(gaussian_nll_points(o, c, sd)))
         sigma2 = float(np.mean(sd**2))
     else:
         sigma2 = mse
@@ -207,9 +203,7 @@ def score(
             logger.warning(
                 "MSE %g below floor %g; log likelihood is degenerate", mse, _MSE_FLOOR
             )
-        loglik = float(
-            np.mean(-0.5 * LOG_2PI - 0.5 * np.log(sigma2) - resid**2 / (2.0 * sigma2))
-        )
+        loglik = -float(np.mean(gaussian_nll_points(o, c, np.sqrt(sigma2))))
     report = ScoreReport(
         mse=mse, loglik=loglik, sigma2=sigma2, degenerate_variance=degenerate
     )
@@ -217,12 +211,7 @@ def score(
     if len(c) > max_lag and np.std(c) > 0 and np.std(o) > 0:
         report.pacf_candidate = pacf(c, max_lag)
         report.pacf_observed = pacf(o, max_lag)
-    block = 5 * _DAYS_PER_YEAR
-    if len(c) >= block:
-        report.five_year_candidate = (
-            c[: len(c) // block * block].reshape(-1, block).mean(axis=1)
-        )
-        report.five_year_observed = (
-            o[: len(o) // block * block].reshape(-1, block).mean(axis=1)
-        )
+    if len(c) >= 5 * _DAYS_PER_YEAR:
+        report.five_year_candidate = _five_year_means(c)
+        report.five_year_observed = _five_year_means(o)
     return report

@@ -1,4 +1,11 @@
-"""Attention model over generalized (time, series) points, Gaussian head.
+"""Attention model over the points of one example, with a Gaussian head.
+
+An example's points are its model block, its observed context and its
+targets, in that order. Each point enters as its local-expansion features
+(see :mod:`temporal_bc.batching`), a series one-hot and sinusoidal
+positional features of its own time and of its neighbour's time; the
+positional geometry (``feature_dim``, ``t_max``, ``delta_t``) lives in
+:class:`ModelConfig` alone.
 
 Two attention stacks run side by side. The main stack embeds each point's
 local-expansion features into queries, keys and values with two-layer
@@ -29,13 +36,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .batching import TrainingExample
-from .errors import ConfigError, DataError, NumericError
+from .batching import SERIES_GCM, SERIES_OBS, TrainingExample
+from .errors import ConfigError, DataError
+from .metrics import LOG_2PI
 from .timeseries import NormStats
 
-LOG_2PI = float(np.log(2.0 * np.pi))
-
-_SERIES_CODES = (1, 2)  # one-hot slots: observation, model
+_SERIES_CODES = (SERIES_OBS, SERIES_GCM)  # one-hot slots
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,28 @@ class ModelConfig:
     def qkv_in_dim(self) -> int:
         """point_dim + (delta, dist, deriv, closest_value) + closest point_dim."""
         return 2 * self.point_dim + 4
+
+
+def positional_features(
+    t, d: int, t_max: float = 10000.0, delta_t: float = 1.0
+) -> np.ndarray:
+    """Sinusoidal features of continuous time: sin at even slots, cos at odd.
+
+    Slot pair l in 0..d/2-1 uses angle (t / delta_t) / (t_max / delta_t)^(2l/d).
+    Accepts a scalar or array of times; output has shape (..., d) in [-1, 1].
+    """
+    if d <= 0 or d % 2:
+        raise ConfigError("positional feature dim must be positive even, got %d" % d)
+    if t_max <= 0 or delta_t <= 0:
+        raise ConfigError("t_max and delta_t must be positive")
+    t = np.asarray(t, dtype=np.float64)
+    half = np.arange(d // 2)
+    rates = (t_max / delta_t) ** (2.0 * half / d)
+    angles = (t[..., None] / delta_t) / rates
+    out = np.empty(t.shape + (d,))
+    out[..., 0::2] = np.sin(angles)
+    out[..., 1::2] = np.cos(angles)
+    return out
 
 
 def _mlp_shapes(d_in: int, d_hidden: int, d_out: int) -> dict:
@@ -153,18 +181,18 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
 
     Key/value inputs concatenate positional features, the series one-hot,
     (delta, dist, deriv, closest_value) and the neighbour's positional
-    features. Query inputs are identical except the value-bearing slots
-    (delta and deriv) are zeroed: a query may know where it sits and where
-    its anchor sits, but not what value it carries.
+    features, both positional blocks at ``config``'s geometry. Query inputs
+    are identical except the value-bearing slots (delta and deriv) are
+    zeroed: a query may know where it sits and where its anchor sits, but
+    not what value it carries.
     """
     f = example.features
     if f is None:
         raise DataError("example has no features; build it via make_batch")
-    if f.pos_enc.shape[1] != config.feature_dim:
-        raise ConfigError(
-            "example feature_dim %d does not match model feature_dim %d"
-            % (f.pos_enc.shape[1], config.feature_dim)
-        )
+    times = np.concatenate([example.ctx_gcm_t, example.ctx_obs_t, example.tgt_t])
+    geometry = (config.feature_dim, config.t_max, config.delta_t)
+    pos_enc = positional_features(times, *geometry)
+    closest_pos_enc = positional_features(f.closest_t, *geometry)
     n = len(f.series_id)
     n_tgt = example.n_tgt
     n_cond = n - n_tgt
@@ -176,13 +204,13 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
         # the neighbour n(i) is always same-series, so it reuses the one-hot
         return np.concatenate(
             [
-                f.pos_enc,
+                pos_enc,
                 onehot,
                 delta[:, None],
                 f.dist[:, None],
                 deriv[:, None],
                 f.closest_value[:, None],
-                f.closest_pos_enc,
+                closest_pos_enc,
                 onehot,
             ],
             axis=1,
@@ -190,7 +218,7 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
 
     kv_in = stack(f.delta, f.deriv)
     q_in = stack(np.zeros(n), np.zeros(n))
-    xqk_in = np.concatenate([f.pos_enc, onehot], axis=1)
+    xqk_in = np.concatenate([pos_enc, onehot], axis=1)
     values = np.concatenate(
         [
             example.ctx_gcm_v,
@@ -272,52 +300,6 @@ def gaussian_nll(mu: Tensor, sigma: Tensor, target_values: np.ndarray) -> Tensor
     return per_point.mean()
 
 
-@dataclass(frozen=True)
-class GaussianPrediction:
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.std)):
-            raise NumericError("non-finite prediction")
-        if self.std <= 0:
-            raise NumericError("predictive std must be positive")
-
-
-def predict(
-    example: TrainingExample, params: dict[str, Tensor], config: ModelConfig
-) -> list[GaussianPrediction]:
-    """Plain forward pass (no tape) returning per-target distributions."""
-    mu, sigma = forward(params, embed(example, config), config)
-    if not (np.all(np.isfinite(mu.data)) and np.all(np.isfinite(sigma.data))):
-        raise NumericError("model produced non-finite predictions")
-    if np.any(sigma.data < config.sigma_floor):
-        raise NumericError("predictive std fell below the configured floor")
-    return [
-        GaussianPrediction(float(m), float(s))
-        for m, s in zip(mu.data[:, 0], sigma.data[:, 0])
-    ]
-
-
-def nll(
-    predictions: list[GaussianPrediction], target_values, sigma_floor: float = 0.0
-) -> float:
-    """Mean negative log likelihood of values under per-point Gaussians."""
-    targets = np.asarray(target_values, dtype=np.float64)
-    if len(predictions) != len(targets):
-        raise DataError(
-            "got %d predictions for %d targets" % (len(predictions), len(targets))
-        )
-    if len(predictions) == 0:
-        raise DataError("nll of zero predictions is undefined")
-    mu = np.array([p.mean for p in predictions])
-    sd = np.array([p.std for p in predictions])
-    if np.any(sd < sigma_floor):
-        raise NumericError("predictive std below floor %r" % sigma_floor)
-    ll = -0.5 * LOG_2PI - np.log(sd) - (targets - mu) ** 2 / (2.0 * sd**2)
-    return float(-np.mean(ll))
-
-
 @dataclass
 class ModelCheckpoint:
     """Everything needed to resume or apply a model: architecture config,
@@ -377,9 +359,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
     try:
         config = ModelConfig(**payload["config"])
         stats = NormStats(**payload["norm_stats"])
-        raw_params = payload["params"]
-        meta = payload.get("meta", {})
-    except (KeyError, TypeError) as exc:
+        raw_params = dict(payload["params"])
+        meta = dict(payload.get("meta", {}))
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError("checkpoint %s has malformed fields: %s" % (path, exc))
     expected = param_shapes(config)
     missing = sorted(set(expected) - set(raw_params))
@@ -391,13 +373,16 @@ def load_checkpoint(path) -> ModelCheckpoint:
         )
     params = {}
     for name, spec in raw_params.items():
-        shape = tuple(spec["shape"])
-        if shape != expected[name]:
-            raise DataError(
-                "checkpoint %s: %s has shape %r, architecture wants %r"
-                % (path, name, shape, expected[name])
-            )
-        arr = np.array(spec["data"], dtype=np.float64).reshape(shape)
+        try:
+            shape = tuple(spec["shape"])
+            if shape != expected[name]:
+                raise DataError(
+                    "checkpoint %s: %s has shape %r, architecture wants %r"
+                    % (path, name, shape, expected[name])
+                )
+            arr = np.array(spec["data"], dtype=np.float64).reshape(shape)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError("checkpoint %s: %s is malformed: %r" % (path, name, exc))
         if not np.all(np.isfinite(arr)):
             raise DataError("checkpoint %s: %s contains non-finite values" % (path, name))
         params[name] = arr

@@ -16,13 +16,14 @@ density forecasts on a held-out stretch.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as tf_model
-from .batching import BatchConfig, TrainingExample, compute_features
+from .batching import TrainingExample, compute_features
 from .errors import ConfigError, DataError, NumericError
+from .metrics import gaussian_nll_points
 from .model import ModelCheckpoint
 from .rng import substream
 from .timeseries import OBS, PairedDataset, TimeSeries
@@ -51,15 +52,8 @@ class SamplerConfig:
             raise ConfigError("n_trajectories must be >= 1")
 
 
-def _feature_config(ckpt: ModelCheckpoint) -> BatchConfig:
-    cfg = ckpt.config
-    return BatchConfig(
-        feature_dim=cfg.feature_dim, t_max=cfg.t_max, delta_t=cfg.delta_t
-    )
-
-
 def build_inference_example(
-    obs_t, obs_v, gcm_t, gcm_v, target_t: float, feature_config: BatchConfig
+    obs_t, obs_v, gcm_t, gcm_v, target_t: float
 ) -> TrainingExample:
     """Single-masked-target example from explicit conditioning arrays."""
     obs_t = np.asarray(obs_t, dtype=np.float64)
@@ -67,9 +61,7 @@ def build_inference_example(
     gcm_t = np.asarray(gcm_t, dtype=np.float64)
     gcm_v = np.asarray(gcm_v, dtype=np.float64)
     tgt_t = np.array([float(target_t)])
-    features = compute_features(
-        gcm_t, gcm_v, obs_t, obs_v, tgt_t, None, feature_config
-    )
+    features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, None)
     return TrainingExample(
         run_id=-1,
         window=None,
@@ -83,26 +75,40 @@ def build_inference_example(
     )
 
 
-def _prepare(ckpt: ModelCheckpoint, dataset: PairedDataset, run_id: int, config):
-    """Normalized conditioning arrays plus the generation start day."""
+def _forecaster(
+    ckpt: ModelCheckpoint,
+    dataset: PairedDataset,
+    run_id: int,
+    config: SamplerConfig,
+    start_t: float,
+    n_days: int,
+):
+    """Normalized observations plus a one-day forecaster for one model run.
+
+    Checks that the run exists, that ``obs_window`` observed days precede
+    ``start_t`` and that the run covers [start_t - gcm_past, last day].
+    ``forecast(hist_t, hist_v, tau)`` conditions on the trailing
+    ``obs_window`` history points and the run's days in
+    [tau - gcm_past, tau + gcm_future) and returns the normalized (mean, std)
+    for day tau.
+    """
     if not 0 <= run_id < dataset.n_runs:
         raise DataError("run id %d out of range (0..%d)" % (run_id, dataset.n_runs - 1))
     stats = ckpt.norm_stats
-    obs = dataset.obs
     run = dataset.runs[run_id]
-    if len(obs) < config.obs_window:
-        raise DataError(
-            "need at least %d trailing observed days, have %d"
-            % (config.obs_window, len(obs))
-        )
-    obs_t = np.array(obs.times)
-    obs_v = (np.array(obs.values) - stats.mean) / stats.std
+    obs_t = np.array(dataset.obs.times)
+    obs_v = (np.array(dataset.obs.values) - stats.mean) / stats.std
     gcm_t = np.array(run.times)
     gcm_v = (np.array(run.values) - stats.mean) / stats.std
     if ckpt.meta.get("ablate_gcm", False):
         gcm_v = np.zeros_like(gcm_v)
-    start_t = float(obs_t[-1]) + 1.0
-    last_t = start_t + config.horizon - 1
+    n_past = int(np.count_nonzero(obs_t < start_t))
+    if n_past < config.obs_window:
+        raise DataError(
+            "not enough observed history before t=%r: need %d days, have %d"
+            % (start_t, config.obs_window, n_past)
+        )
+    last_t = start_t + n_days - 1
     if gcm_t[0] > start_t - config.gcm_past or gcm_t[-1] < last_t:
         raise DataError(
             "insufficient GCM coverage: need [%r, %r], run %d spans [%r, %r]"
@@ -111,11 +117,24 @@ def _prepare(ckpt: ModelCheckpoint, dataset: PairedDataset, run_id: int, config)
     if gcm_t[-1] < last_t + config.gcm_future - 1:
         logger.warning(
             "GCM run %d ends at t=%r; the future window truncates near the "
-            "end of the horizon",
+            "end of the stretch",
             run_id,
             float(gcm_t[-1]),
         )
-    return stats, obs_t, obs_v, gcm_t, gcm_v, start_t
+    params = tf_model.tensors_from_checkpoint(ckpt)
+
+    def forecast(hist_t, hist_v, tau: float) -> tuple[float, float]:
+        sel = (gcm_t >= tau - config.gcm_past) & (gcm_t < tau + config.gcm_future)
+        example = build_inference_example(
+            hist_t[-config.obs_window :],
+            hist_v[-config.obs_window :],
+            gcm_t[sel],
+            gcm_v[sel],
+            tau,
+        )
+        return _predict_one(params, example, ckpt.config)
+
+    return obs_t, obs_v, forecast
 
 
 def _predict_one(params, example, model_config):
@@ -131,30 +150,25 @@ def _predict_one(params, example, model_config):
 def sample_trajectories(
     ckpt: ModelCheckpoint, dataset: PairedDataset, run_id: int, config: SamplerConfig
 ) -> list[TimeSeries]:
-    """Generate ``n_trajectories`` independent series for one model run."""
-    stats, obs_t, obs_v, gcm_t, gcm_v, start_t = _prepare(
-        ckpt, dataset, run_id, config
+    """Generate ``n_trajectories`` independent series for one model run.
+
+    Run z draws from seed ``config.seed XOR z``, so every run of a dataset
+    gets its own stream from one sampler seed.
+    """
+    start_t = float(dataset.obs.times[-1]) + 1.0
+    obs_t, obs_v, forecast = _forecaster(
+        ckpt, dataset, run_id, config, start_t, config.horizon
     )
-    params = tf_model.tensors_from_checkpoint(ckpt)
-    fcfg = _feature_config(ckpt)
+    stats = ckpt.norm_stats
     out = []
     for traj in range(config.n_trajectories):
-        rng = substream(config.seed, "trajectory", traj)
+        rng = substream(config.seed ^ run_id, "trajectory", traj)
         hist_t = list(obs_t[-config.obs_window :])
         hist_v = list(obs_v[-config.obs_window :])
         values = np.empty(config.horizon)
         for step in range(config.horizon):
             tau = start_t + step
-            sel = (gcm_t >= tau - config.gcm_past) & (gcm_t < tau + config.gcm_future)
-            example = build_inference_example(
-                hist_t[-config.obs_window :],
-                hist_v[-config.obs_window :],
-                gcm_t[sel],
-                gcm_v[sel],
-                tau,
-                fcfg,
-            )
-            m, s = _predict_one(params, example, ckpt.config)
+            m, s = forecast(hist_t, hist_v, tau)
             value = m if config.deterministic else float(rng.normal(m, s))
             values[step] = value
             hist_t.append(tau)
@@ -167,12 +181,10 @@ def sample_trajectories(
 def sample_all_runs(
     ckpt: ModelCheckpoint, dataset: PairedDataset, config: SamplerConfig
 ) -> dict[int, list[TimeSeries]]:
-    """Trajectories for every run; run z uses seed ``config.seed XOR z``."""
-    result = {}
-    for z in range(dataset.n_runs):
-        run_config = replace(config, seed=config.seed ^ z)
-        result[z] = sample_trajectories(ckpt, dataset, z, run_config)
-    return result
+    """Trajectories for every run of the dataset, keyed by run id."""
+    return {
+        z: sample_trajectories(ckpt, dataset, z, config) for z in range(dataset.n_runs)
+    }
 
 
 @dataclass(frozen=True)
@@ -204,54 +216,27 @@ def predictive_nll(
     """Score one-step density forecasts for days start_t..start_t+n_days-1.
 
     The dataset's observation series must cover the evaluation stretch and
-    the ``obs_window`` days before it.
+    the ``obs_window`` days before it, and the run must cover the stretch
+    and the ``gcm_past`` days before it, as for :func:`sample_trajectories`.
     """
     config = config if config is not None else SamplerConfig()
     if n_days < 1:
         raise ConfigError("n_days must be >= 1")
+    start_t = float(start_t)
+    obs_t, obs_v, forecast = _forecaster(ckpt, dataset, run_id, config, start_t, n_days)
     stats = ckpt.norm_stats
-    obs = dataset.obs
-    run = dataset.runs[run_id] if 0 <= run_id < dataset.n_runs else None
-    if run is None:
-        raise DataError("run id %d out of range" % run_id)
-    obs_t = np.array(obs.times)
-    obs_v = (np.array(obs.values) - stats.mean) / stats.std
-    gcm_t = np.array(run.times)
-    gcm_v = (np.array(run.values) - stats.mean) / stats.std
-    if ckpt.meta.get("ablate_gcm", False):
-        gcm_v = np.zeros_like(gcm_v)
-    fcfg = _feature_config(ckpt)
-    params = tf_model.tensors_from_checkpoint(ckpt)
-
-    times = np.empty(n_days)
+    times = start_t + np.arange(n_days, dtype=np.float64)
     means = np.empty(n_days)
     stds = np.empty(n_days)
     nll = np.empty(n_days)
-    for i in range(n_days):
-        tau = float(start_t) + i
-        past = obs_t < tau
-        if past.sum() < config.obs_window:
-            raise DataError(
-                "not enough observed history before t=%r (need %d days)"
-                % (tau, config.obs_window)
-            )
+    for i, tau in enumerate(times):
         at = np.flatnonzero(np.abs(obs_t - tau) < 1e-9)
         if len(at) != 1:
-            raise DataError("no observation at evaluation day t=%r" % tau)
-        ctx_t = obs_t[past][-config.obs_window :]
-        ctx_v = obs_v[past][-config.obs_window :]
-        sel = (gcm_t >= tau - config.gcm_past) & (gcm_t < tau + config.gcm_future)
-        example = build_inference_example(ctx_t, ctx_v, gcm_t[sel], gcm_v[sel], tau, fcfg)
-        m_norm, s_norm = _predict_one(params, example, ckpt.config)
-        mean_c = m_norm * stats.std + stats.mean
-        std_c = s_norm * stats.std
-        truth = float(obs.values[at[0]])
-        times[i] = tau
-        means[i] = mean_c
-        stds[i] = std_c
-        nll[i] = (
-            0.5 * tf_model.LOG_2PI
-            + np.log(std_c)
-            + (truth - mean_c) ** 2 / (2.0 * std_c**2)
-        )
+            raise DataError("no observation at evaluation day t=%r" % float(tau))
+        past = obs_t < tau
+        m_norm, s_norm = forecast(obs_t[past], obs_v[past], float(tau))
+        means[i] = m_norm * stats.std + stats.mean
+        stds[i] = s_norm * stats.std
+        truth = float(dataset.obs.values[at[0]])
+        nll[i] = gaussian_nll_points(truth, means[i], stds[i])
     return PredictiveScore(times=times, means=means, stds=stds, nll=nll)

@@ -4,9 +4,8 @@ Times are real-valued day indices on a daily grid, values are daily-maximum
 temperatures in degrees Celsius (or z-scored units after :func:`normalize`).
 Observational and climate-model series share the immutable
 :class:`TimeSeries` container and are paired per location in
-:class:`PairedDataset`. Points from both series can be merged into a single
-sequence of generalized ``(time, series_id, value)`` coordinates, which is
-the representation the attention model consumes.
+:class:`PairedDataset`, and :func:`align` matches an observation series
+with one model run on their common days.
 """
 
 from __future__ import annotations
@@ -21,13 +20,6 @@ from .errors import DataError
 
 OBS = "OBS"
 GCM = "GCM"
-
-# series_id codes used in generalized coordinates
-SERIES_OBS = 1
-SERIES_GCM = 2
-
-#: sentinel for a target whose value is to be predicted
-MASKED = None
 
 _DAY_TOL = 1e-9
 
@@ -190,50 +182,6 @@ def align(dataset: PairedDataset, run_id: int) -> AlignedPair:
     if len(common) == 0:
         raise DataError("observation and run %d share no time stamps" % run_id)
     return AlignedPair(common, dataset.obs.values[idx_obs], run.values[idx_gcm])
-
-
-@dataclass(frozen=True)
-class GeneralizedPoint:
-    """One point of the merged sequence: time, series id, optional value.
-
-    ``value is None`` marks a prediction target whose observation is withheld.
-    """
-
-    t: float
-    series_id: int
-    value: float | None
-
-    def __post_init__(self):
-        if self.series_id not in (SERIES_OBS, SERIES_GCM):
-            raise DataError("series_id must be %d or %d" % (SERIES_OBS, SERIES_GCM))
-        if self.value is not None and not np.isfinite(self.value):
-            raise DataError("generalized point value must be finite or None")
-
-
-def to_generalized(
-    obs_slice: TimeSeries, gcm_slice: TimeSeries, target_times
-) -> list[GeneralizedPoint]:
-    """Merge both series with masked targets appended, in model input order.
-
-    Order: the full model-run block first, then observed points, then masked
-    targets. A target time that already appears among the observed points is
-    rejected, since its value would leak into the conditioning set.
-    """
-    target_times = np.atleast_1d(np.asarray(target_times, dtype=np.float64))
-    observed = set(float(t) for t in obs_slice.times)
-    for t in target_times:
-        if float(t) in observed:
-            raise DataError("target time %r is already observed" % float(t))
-    points = [
-        GeneralizedPoint(float(t), SERIES_GCM, float(v))
-        for t, v in zip(gcm_slice.times, gcm_slice.values)
-    ]
-    points += [
-        GeneralizedPoint(float(t), SERIES_OBS, float(v))
-        for t, v in zip(obs_slice.times, obs_slice.values)
-    ]
-    points += [GeneralizedPoint(float(t), SERIES_OBS, MASKED) for t in target_times]
-    return points
 
 
 def month_of(t: float, epoch: dt.date) -> int:

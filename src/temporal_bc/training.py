@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,20 +159,6 @@ def evaluate_nll(
     return total / n_points
 
 
-def batch_config_for(
-    model_config: ModelConfig, train_config: TrainConfig, base: BatchConfig | None = None
-) -> BatchConfig:
-    """Batch settings with feature geometry taken from the model config."""
-    base = base if base is not None else BatchConfig()
-    return replace(
-        base,
-        batch_size=train_config.batch_size,
-        feature_dim=model_config.feature_dim,
-        t_max=model_config.t_max,
-        delta_t=model_config.delta_t,
-    )
-
-
 def train(
     dataset: PairedDataset,
     model_config: ModelConfig,
@@ -185,7 +171,7 @@ def train(
     With ``checkpoint_dir`` set, an interim checkpoint is written every
     ``checkpoint_interval`` steps.
     """
-    bcfg = batch_config_for(model_config, train_config, batch_config)
+    bcfg = batch_config if batch_config is not None else BatchConfig()
     stats = NormStats.from_series(dataset.obs)
     pairs_full = []
     for z in range(dataset.n_runs):
@@ -241,8 +227,6 @@ def train(
     evals_since_best = 0
     stop_reason = "max_steps"
     aborted = False
-    last_good = {name: np.array(p.data, copy=True) for name, p in params.items()}
-    last_good_step = 0
 
     val0 = evaluate_nll(params, val_examples, model_config)
     rows.append(MetricsRow(step=0, train_nll=None, val_nll=val0))
@@ -254,22 +238,28 @@ def train(
         with Tape():
             loss = _batch_loss(params, batch, model_config)
             train_nll = float(loss.data)
-            if not np.isfinite(train_nll):
-                logger.warning(
-                    "non-finite loss at step %d; aborting with last good "
-                    "parameters from step %d",
-                    step,
-                    last_good_step,
+            finite = bool(np.isfinite(train_nll))
+            if finite:
+                backward(loss)
+                finite = all(
+                    p.grad is None or np.all(np.isfinite(p.grad))
+                    for p in params.values()
                 )
-                for name, p in params.items():
-                    p.data = last_good[name]
-                stop_reason = "non_finite_loss"
-                aborted = True
-                break
-            backward(loss)
+        if not finite:
+            # an update from a non-finite loss or gradient would poison the
+            # parameters, so training stops with those of the previous step
+            stop_reason = (
+                "non_finite_gradient" if np.isfinite(train_nll) else "non_finite_loss"
+            )
+            logger.warning(
+                "%s at step %d; stopping with the parameters from step %d",
+                stop_reason,
+                step,
+                step - 1,
+            )
+            aborted = True
+            break
         optimizer.step()
-        last_good = {name: np.array(p.data, copy=True) for name, p in params.items()}
-        last_good_step = step
 
         if (
             checkpoint_dir is not None

@@ -47,14 +47,13 @@ def _report(label: str, detail: str) -> None:
 
 
 def _tiny_example():
-    cfg = BatchConfig(window_min=10, window_max=20, margin=2, feature_dim=8)
     gcm_t = np.arange(6.0)
     gcm_v = np.array([0.3, -0.1, 0.4, 0.2, 0.0, 0.1])
     obs_t = np.array([0.0, 1.0, 3.0])
     obs_v = np.array([1.0, 2.0, 1.2])
     tgt_t = np.array([4.0, 5.0, 6.0])
     tgt_v = np.array([1.5, 2.5, 0.5])
-    features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v, cfg)
+    features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v)
     return TrainingExample(
         run_id=0, window=None, ctx_gcm_t=gcm_t, ctx_gcm_v=gcm_v,
         ctx_obs_t=obs_t, ctx_obs_v=obs_v, tgt_t=tgt_t, tgt_v=tgt_v,
@@ -286,9 +285,7 @@ def test_04_synthetic_pipeline_beats_mean_shift_baseline():
     model_config = ModelConfig(
         n_layers=2, n_heads=2, model_dim=32, feature_dim=16, hidden_dim=32
     )
-    batch_config = BatchConfig(
-        window_min=30, window_max=60, retain_p=0.8, feature_dim=16
-    )
+    batch_config = BatchConfig(window_min=30, window_max=60, retain_p=0.8)
     train_config = TrainConfig(
         steps=800, batch_size=8, learning_rate=3e-3, seed=3,
         eval_interval=100, plateau_patience=49,
@@ -362,7 +359,7 @@ def test_05_shifted_pair_model_beats_its_gcm_ablated_twin():
     model_config = ModelConfig(
         n_layers=2, n_heads=2, model_dim=32, feature_dim=16, hidden_dim=32
     )
-    batch_config = BatchConfig(window_min=60, window_max=120, feature_dim=16)
+    batch_config = BatchConfig(window_min=60, window_max=120)
     train_config = TrainConfig(
         steps=1000, batch_size=8, learning_rate=3e-3, seed=5,
         eval_interval=100, plateau_patience=10,
@@ -399,10 +396,7 @@ PIPELINE_CONFIG = {
         "n_layers": 1, "n_heads": 2, "model_dim": 8,
         "feature_dim": 8, "hidden_dim": 8,
     },
-    "batch": {
-        "window_min": 10, "window_max": 20, "margin": 2, "min_keep": 3,
-        "feature_dim": 8,
-    },
+    "batch": {"window_min": 10, "window_max": 20, "margin": 2, "min_keep": 3},
     "train": {"steps": 40, "batch_size": 2, "val_examples": 2},
 }
 

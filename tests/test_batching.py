@@ -4,28 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temporal_bc.batching import (
+    SERIES_GCM,
+    SERIES_OBS,
     BatchConfig,
-    closest_observed,
     compute_features,
     draw_window,
     make_batch,
-    positional_features,
-    prune,
     prune_indices,
 )
 from temporal_bc.errors import ConfigError, DataError
+from temporal_bc.model import positional_features
 from temporal_bc.timeseries import GCM, OBS, AlignedPair, PairedDataset, TimeSeries
 
 
 def tiny_config(**overrides):
     base = dict(
-        batch_size=4,
         retain_p=0.5,
         min_keep=3,
         window_min=10,
         window_max=20,
         margin=2,
-        feature_dim=8,
     )
     base.update(overrides)
     return BatchConfig(**base)
@@ -110,17 +108,20 @@ class TestPositionalFeatures:
 
 
 class TestClosestObserved:
+    """The neighbour n(i) that compute_features anchors each point on."""
+
     def test_plain_nearest(self):
-        i, v, t = closest_observed(2.2, [0.0, 2.0, 5.0], [10.0, 20.0, 50.0])
-        assert (i, v, t) == (1, 20.0, 2.0)
+        obs_t, obs_v = np.array([0.0, 2.0, 5.0, 5.5]), np.array([10.0, 20.0, 50.0, 55.0])
+        f = compute_features(np.array([0.0]), np.array([0.0]), obs_t, obs_v, np.array([6.0]), None)
+        # observed points anchor on their nearest other observed point
+        assert list(f.closest_t[1:5]) == [2.0, 0.0, 5.5, 5.0]
+        assert list(f.closest_value[1:5]) == [20.0, 10.0, 55.0, 50.0]
 
     def test_tie_goes_to_earlier(self):
-        i, v, t = closest_observed(3.0, [2.0, 4.0], [1.0, 9.0])
-        assert (i, v, t) == (0, 1.0, 2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            closest_observed(0.0, [], [])
+        obs_t, obs_v = np.array([2.0, 3.0, 4.0]), np.array([1.0, 5.0, 9.0])
+        f = compute_features(np.array([0.0]), np.array([0.0]), obs_t, obs_v, np.array([6.0]), None)
+        # t=3 sits one day from both neighbours and takes the earlier one
+        assert (f.closest_t[2], f.closest_value[2]) == (2.0, 1.0)
 
 
 class TestPrune:
@@ -152,24 +153,23 @@ class TestPrune:
     @settings(max_examples=60)
     def test_prune_is_ordered_subsequence(self, n, seed):
         rng = np.random.default_rng(seed)
-        points = list(range(n))
-        kept = prune(points, 0.5, 3, rng)
-        assert kept == sorted(kept)
-        assert set(kept) <= set(points)
+        kept = list(prune_indices(n, 0.5, 3, rng))
+        assert kept == sorted(set(kept))
+        assert set(kept) <= set(range(n))
         assert len(kept) >= min(3, n)
 
 
 class TestComputeFeatures:
     def test_hand_worked_example(self):
-        cfg = tiny_config()
         gcm_t = np.array([0.0, 1.0, 3.0])
         gcm_v = np.array([10.0, 11.0, 14.0])
         obs_t = np.array([0.0, 2.0])
         obs_v = np.array([5.0, 6.0])
         tgt_t = np.array([3.0, 5.0])
         tgt_v = np.array([7.0, 9.0])
-        f = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v, cfg)
-        assert list(f.series_id) == [2, 2, 2, 1, 1, 1, 1]
+        f = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v)
+        assert list(f.series_id) == [SERIES_GCM] * 3 + [SERIES_OBS] * 4
+        assert (SERIES_OBS, SERIES_GCM) == (1, 2)
         # model point 0 anchors right (t=1), point 1 ties -> earlier (t=0),
         # point 2 anchors left (t=1)
         assert list(f.closest_t[:3]) == [1.0, 0.0, 1.0]
@@ -185,52 +185,40 @@ class TestComputeFeatures:
         assert list(f.closest_value[5:]) == [6.0, 7.0]
         assert list(f.delta[5:]) == [1.0, 2.0]
         assert list(f.dist[5:]) == [1.0, 2.0]
-        assert f.pos_enc.shape == (7, cfg.feature_dim)
-        assert np.allclose(
-            f.closest_pos_enc[5], positional_features(2.0, cfg.feature_dim)
-        )
 
     def test_singleton_series_self_anchor(self):
-        cfg = tiny_config()
         f = compute_features(
             np.array([4.0]), np.array([2.0]),
             np.array([1.0]), np.array([3.0]),
             np.array([2.0]), np.array([5.0]),
-            cfg,
         )
         assert f.delta[0] == 0.0 and f.dist[0] == 0.0 and f.deriv[0] == 0.0
         assert f.closest_value[0] == 2.0
 
     def test_masked_single_target(self):
-        cfg = tiny_config()
         f = compute_features(
             np.array([0.0, 1.0]), np.array([1.0, 2.0]),
             np.array([0.0, 1.0]), np.array([3.0, 4.0]),
             np.array([2.0]), None,
-            cfg,
         )
         # masked target: delta measured from a zero placeholder value
         assert f.closest_value[-1] == 4.0
         assert f.delta[-1] == -4.0
 
     def test_masked_multi_target_rejected(self):
-        cfg = tiny_config()
         with pytest.raises(DataError, match="target values"):
             compute_features(
                 np.array([0.0]), np.array([1.0]),
                 np.array([0.0]), np.array([1.0]),
                 np.array([1.0, 2.0]), None,
-                cfg,
             )
 
     def test_targets_need_context(self):
-        cfg = tiny_config()
         with pytest.raises(DataError, match="context"):
             compute_features(
                 np.array([0.0]), np.array([1.0]),
                 np.array([]), np.array([]),
                 np.array([1.0]), np.array([2.0]),
-                cfg,
             )
 
 
@@ -320,7 +308,7 @@ class TestBatchConfigValidation:
             BatchConfig(retain_p=1.5)
         with pytest.raises(ConfigError):
             BatchConfig(window_max=10, window_min=60)
-        with pytest.raises(ConfigError):
-            BatchConfig(feature_dim=7)
+        with pytest.raises(TypeError):
+            BatchConfig(feature_dim=8)  # feature geometry belongs to ModelConfig
         with pytest.raises(ConfigError):
             BatchConfig(window_min=8, margin=5)

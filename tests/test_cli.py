@@ -6,10 +6,17 @@ import pytest
 
 from temporal_bc import cli
 from temporal_bc.cli import main
-from temporal_bc.model import load_checkpoint
+from temporal_bc.model import (
+    ModelConfig,
+    checkpoint_from_params,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from temporal_bc.timeseries import (
     GCM,
     OBS,
+    NormStats,
     TimeSeries,
     load_csv,
     write_gcm_csv,
@@ -23,10 +30,7 @@ TINY_CONFIG = {
         "n_layers": 1, "n_heads": 2, "model_dim": 8,
         "feature_dim": 8, "hidden_dim": 8,
     },
-    "batch": {
-        "window_min": 10, "window_max": 20, "margin": 2, "min_keep": 3,
-        "feature_dim": 8,
-    },
+    "batch": {"window_min": 10, "window_max": 20, "margin": 2, "min_keep": 3},
     "train": {"steps": 3, "batch_size": 2, "val_examples": 2},
 }
 
@@ -167,6 +171,52 @@ class TestTrainSample:
             "--out-dir", str(tmp_path / "t"), "--config", str(bad),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["feature_dim", "t_max", "delta_t", "batch_size"])
+    def test_batch_section_has_no_geometry_keys(self, tmp_path, key):
+        # feature geometry lives in "model" and the batch size in "train"
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY_CONFIG, "batch": {**TINY_CONFIG["batch"], key: 8}}))
+        code = main([
+            "train", "--obs", obs_path, "--gcm", gcm_path,
+            "--out-dir", str(tmp_path / "t"), "--config", str(bad),
+        ])
+        assert code == 2
+        assert not (tmp_path / "t" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda ckpt: ckpt["params"]["head.w1"].pop("shape"),
+            lambda ckpt: ckpt["params"]["head.w1"].pop("data"),
+            lambda ckpt: ckpt["params"]["head.w1"]["data"].__setitem__(0, "warm"),
+            lambda ckpt: ckpt["params"]["head.w1"]["data"].pop(),
+            lambda ckpt: ckpt.update(params=5),
+            lambda ckpt: ckpt.update(meta=5),
+            lambda ckpt: ckpt["config"].update(n_heads=3),
+        ],
+        ids=[
+            "no-shape", "no-data", "non-numeric-data", "short-data", "params-5",
+            "meta-5", "invalid-config",
+        ],
+    )
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, damage):
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config = ModelConfig(**TINY_CONFIG["model"])
+        params = init_params(config, np.random.default_rng(0))
+        ckpt_path = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint_from_params(config, params, NormStats(15.0, 3.0)), ckpt_path)
+        payload = json.loads(ckpt_path.read_text())
+        damage(payload)
+        ckpt_path.write_text(json.dumps(payload))
+        out = tmp_path / "samples"
+        code = main([
+            "sample", "--checkpoint", str(ckpt_path), "--obs", obs_path,
+            "--gcm", gcm_path, "--out-dir", str(out), "--horizon", "2",
+        ])
+        assert code == 3
+        assert not (out / "samples.csv").exists()
 
 
 class TestBaseline:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.metrics import (
     HeatwaveStats,
-    five_year_means,
     heatwave_count,
     pacf,
     qq,
@@ -178,19 +177,24 @@ class TestPacf:
 
 
 class TestFiveYearMeans:
+    """The five-year block means that score() attaches to its report."""
+
     def test_two_blocks(self):
         values = np.concatenate([np.ones(1825), 2.0 * np.ones(1825)])
-        got = five_year_means(daily(values))
-        assert np.allclose(got, [1.0, 2.0])
+        report = score(values, values[::-1])
+        assert np.allclose(report.five_year_candidate, [1.0, 2.0])
+        assert np.allclose(report.five_year_observed, [2.0, 1.0])
 
     def test_trailing_partial_block_dropped(self):
         values = np.concatenate([np.ones(1825), 99.0 * np.ones(100)])
-        got = five_year_means(daily(values))
-        assert np.allclose(got, [1.0])
+        report = score(values, values + 1.0)
+        assert np.allclose(report.five_year_candidate, [1.0])
+        assert np.allclose(report.five_year_observed, [2.0])
 
     def test_too_short_rejected(self):
-        with pytest.raises(DataError, match="five-year"):
-            five_year_means(daily(np.ones(1824)))
+        report = score(np.ones(1824), np.zeros(1824))
+        assert report.five_year_candidate is None
+        assert report.five_year_observed is None
 
 
 class TestScore:
@@ -234,6 +238,12 @@ class TestScore:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             score(np.ones(3), np.zeros(4))
+
+    def test_empty_rejected(self):
+        with pytest.raises(DataError, match="empty"):
+            score(np.ones(0), np.zeros(0))
+        with pytest.raises(DataError, match="empty"):
+            score(np.ones(0), np.zeros(0), predictive_std=np.ones(0))
 
     def test_attachments(self):
         rng = np.random.default_rng(8)

@@ -3,11 +3,11 @@ import pytest
 
 from temporal_bc import autodiff as ad
 from temporal_bc.autodiff import Tape, Tensor
+from temporal_bc import sampling
 from temporal_bc.batching import BatchConfig, TrainingExample, compute_features, make_batch
-from temporal_bc.errors import ConfigError, DataError
+from temporal_bc.errors import ConfigError, DataError, NumericError
+from temporal_bc.metrics import LOG_2PI, gaussian_nll_points
 from temporal_bc.model import (
-    LOG_2PI,
-    GaussianPrediction,
     ModelConfig,
     checkpoint_from_params,
     embed,
@@ -15,9 +15,8 @@ from temporal_bc.model import (
     gaussian_nll,
     init_params,
     load_checkpoint,
-    nll,
     param_shapes,
-    predict,
+    positional_features,
     save_checkpoint,
     tensors_from_checkpoint,
 )
@@ -28,13 +27,10 @@ TINY = ModelConfig(
 )
 
 
-def build_example(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v, feature_dim=8):
-    cfg = BatchConfig(
-        window_min=10, window_max=20, margin=2, feature_dim=feature_dim
-    )
+def build_example(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v):
     arrays = [np.asarray(a, dtype=float) for a in (gcm_t, gcm_v, obs_t, obs_v, tgt_t)]
     tv = None if tgt_v is None else np.asarray(tgt_v, dtype=float)
-    features = compute_features(*arrays, tv, cfg)
+    features = compute_features(*arrays, tv)
     return TrainingExample(
         run_id=0,
         window=None,
@@ -94,10 +90,25 @@ class TestEmbed:
         # first anchor: last observed value; then each previous target value
         assert list(emb.anchors[:, 0]) == [1.2, 1.5, 2.5]
 
-    def test_feature_dim_mismatch_rejected(self):
+    def test_positional_blocks_follow_the_model_geometry(self):
         ex = default_example()
-        with pytest.raises(ConfigError, match="feature_dim"):
-            embed(ex, ModelConfig(n_layers=1, n_heads=2, model_dim=8, feature_dim=16))
+        times = np.concatenate([ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t])
+        for config in (
+            TINY,
+            ModelConfig(n_layers=1, n_heads=2, model_dim=8, feature_dim=16),
+            ModelConfig(n_layers=1, n_heads=2, model_dim=8, t_max=500.0, delta_t=2.0),
+        ):
+            emb = embed(ex, config)
+            d = config.feature_dim
+            geometry = (d, config.t_max, config.delta_t)
+            assert emb.kv_in.shape == (ex.n_points, config.qkv_in_dim)
+            # own time at the front, the neighbour's time after the scalars
+            assert np.array_equal(emb.kv_in[:, :d], positional_features(times, *geometry))
+            assert np.array_equal(
+                emb.kv_in[:, d + 6 : 2 * d + 6],
+                positional_features(ex.features.closest_t, *geometry),
+            )
+            assert np.array_equal(emb.xqk_in[:, :d], emb.kv_in[:, :d])
 
 
 class TestForward:
@@ -222,36 +233,34 @@ class TestLikelihood:
         assert out.data == pytest.approx(expected, abs=1e-12)
 
     def test_nll_helper_agrees(self):
-        preds = [GaussianPrediction(0.0, 1.0), GaussianPrediction(1.0, 2.0)]
-        got = nll(preds, [0.0, 2.0])
-        expected = np.mean(
-            [
-                0.5 * LOG_2PI,
-                0.5 * LOG_2PI + np.log(2.0) + 1.0 / 8.0,
-            ]
-        )
+        # the NumPy per-point form, by hand and against the autodiff form
+        got = gaussian_nll_points(np.array([0.0, 2.0]), np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        expected = [0.5 * LOG_2PI, 0.5 * LOG_2PI + np.log(2.0) + 1.0 / 8.0]
         assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_nll_validates(self):
-        with pytest.raises(DataError):
-            nll([GaussianPrediction(0.0, 1.0)], [0.0, 1.0])
-        with pytest.raises(DataError):
-            nll([], [])
+        rng = np.random.default_rng(1)
+        mu = rng.normal(size=(6, 1))
+        sd = np.abs(rng.normal(size=(6, 1))) + 0.5
+        y = rng.normal(size=(6, 1))
+        autodiff_form = gaussian_nll(Tensor(mu), Tensor(sd), y).data
+        assert autodiff_form == pytest.approx(np.mean(gaussian_nll_points(y, mu, sd)), abs=1e-12)
 
 
 class TestPredict:
     def test_returns_distributions(self):
         ex = default_example()
         params = init_params(TINY, np.random.default_rng(5))
-        preds = predict(ex, params, TINY)
-        assert len(preds) == 3
-        assert all(p.std >= TINY.sigma_floor for p in preds)
+        mu, sigma = forward(params, embed(ex, TINY), TINY)
+        assert mu.shape == sigma.shape == (3, 1)
+        assert np.all(np.isfinite(mu.data))
+        assert np.all(sigma.data >= TINY.sigma_floor)
 
     def test_prediction_validation(self):
-        with pytest.raises(Exception):
-            GaussianPrediction(np.nan, 1.0)
-        with pytest.raises(Exception):
-            GaussianPrediction(0.0, 0.0)
+        # the sampler's one-target prediction rejects non-finite output
+        ex = default_example()
+        params = init_params(TINY, np.random.default_rng(5))
+        params["head.b2"] = Tensor(np.array([np.nan, 0.0]))
+        with pytest.raises(NumericError, match="non-finite"):
+            sampling._predict_one(params, ex, TINY)
 
 
 class TestMakeBatchIntegration:
@@ -259,10 +268,7 @@ class TestMakeBatchIntegration:
         rng = np.random.default_rng(11)
         t = np.arange(64.0)
         pair = AlignedPair(t, rng.normal(size=64), rng.normal(size=64))
-        cfg = BatchConfig(
-            batch_size=2, window_min=10, window_max=20, margin=2,
-            min_keep=3, feature_dim=TINY.feature_dim,
-        )
+        cfg = BatchConfig(window_min=10, window_max=20, margin=2, min_keep=3)
         params = init_params(TINY, rng)
         for ex in make_batch([pair], 4, rng, cfg):
             mu, sigma = forward(params, embed(ex, TINY), TINY)
@@ -292,13 +298,13 @@ class TestCheckpoint:
     def test_round_trip_preserves_predictions(self, tmp_path):
         ex = default_example()
         params = trained_like_params(seed=17)
-        before = predict(ex, params, TINY)
+        mu_a, sigma_a = forward(params, embed(ex, TINY), TINY)
         ckpt = checkpoint_from_params(TINY, params, NormStats(0.0, 1.0))
         save_checkpoint(ckpt, tmp_path / "c.json")
-        back = tensors_from_checkpoint(load_checkpoint(tmp_path / "c.json"))
-        after = predict(ex, back, TINY)
-        for a, b in zip(before, after):
-            assert a.mean == b.mean and a.std == b.std
+        back = load_checkpoint(tmp_path / "c.json")
+        mu_b, sigma_b = forward(tensors_from_checkpoint(back), embed(ex, back.config), back.config)
+        assert np.array_equal(mu_a.data, mu_b.data)
+        assert np.array_equal(sigma_a.data, sigma_b.data)
 
     def test_missing_param_rejected(self, tmp_path):
         import json
@@ -353,6 +359,14 @@ class TestConfigValidation:
     def test_head_divisibility(self):
         with pytest.raises(ConfigError, match="multiple"):
             ModelConfig(n_heads=3, model_dim=64)
+
+    def test_feature_geometry(self):
+        with pytest.raises(ConfigError, match="feature_dim"):
+            ModelConfig(feature_dim=7)
+        with pytest.raises(ConfigError, match="t_max"):
+            ModelConfig(t_max=0.0)
+        with pytest.raises(ConfigError, match="t_max"):
+            ModelConfig(delta_t=-1.0)
 
     def test_param_shapes_cover_init(self):
         shapes = param_shapes(TINY)

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from temporal_bc import sampling
 from temporal_bc.autodiff import Tensor
-from temporal_bc.batching import BatchConfig
+from temporal_bc.batching import SERIES_GCM, SERIES_OBS
 from temporal_bc.errors import ConfigError, DataError
+from temporal_bc.metrics import LOG_2PI
 from temporal_bc.model import (
-    LOG_2PI,
     ModelConfig,
     checkpoint_from_params,
     init_params,
@@ -53,14 +55,22 @@ def value_sensitive_checkpoint(dataset, meta=None, seed=1):
 
 class TestBuildInferenceExample:
     def test_single_masked_target(self):
-        fcfg = BatchConfig(feature_dim=8)
         ex = build_inference_example(
-            [0.0, 1.0], [1.0, 2.0], [0.0, 1.0, 2.0], [0.1, 0.2, 0.3], 2.0, fcfg
+            [0.0, 1.0], [1.0, 2.0], [0.0, 1.0, 2.0], [0.1, 0.2, 0.3], 2.0
         )
         assert ex.tgt_v is None
         assert ex.n_tgt == 1
         assert ex.run_id == -1
         assert ex.features.closest_value[-1] == 2.0  # anchors on last obs
+
+    def test_ordering_gcm_then_obs_then_masked(self):
+        ex = build_inference_example(
+            [0.0, 1.0], [1.0, 2.0], [0.0, 1.0, 2.0], [5.0, 6.0, 7.0], 2.5
+        )
+        # model block first, then observed context, then the masked target
+        assert list(ex.features.series_id) == [SERIES_GCM] * 3 + [SERIES_OBS] * 3
+        assert list(ex.ctx_gcm_v) + list(ex.ctx_obs_v) == [5.0, 6.0, 7.0, 1.0, 2.0]
+        assert list(ex.tgt_t) == [2.5] and ex.tgt_v is None
 
 
 class TestSampleTrajectories:
@@ -189,17 +199,21 @@ class TestSampleTrajectories:
 
 class TestSampleAllRuns:
     def test_runs_use_xored_seeds(self):
-        ds = make_dataset(n_runs=3, seed=5)
+        # three copies of one run: run z must draw what run 0 draws from
+        # seed 12 XOR z
+        one = make_dataset(seed=5)
+        ds = PairedDataset(one.obs, one.runs * 3)
         ckpt = value_sensitive_checkpoint(ds)
         cfg = SamplerConfig(horizon=3, n_trajectories=2, seed=12)
         per_run = sample_all_runs(ckpt, ds, cfg)
         assert sorted(per_run) == [0, 1, 2]
         for z in range(3):
-            expected = sample_trajectories(
-                ckpt, ds, z, SamplerConfig(horizon=3, n_trajectories=2, seed=12 ^ z)
-            )
+            for ta, tb in zip(per_run[z], sample_trajectories(ckpt, ds, z, cfg)):
+                assert np.array_equal(ta.values, tb.values)
+            expected = sample_trajectories(ckpt, ds, 0, replace(cfg, seed=12 ^ z))
             for ta, tb in zip(per_run[z], expected):
                 assert np.array_equal(ta.values, tb.values)
+        assert not np.array_equal(per_run[0][0].values, per_run[1][0].values)
 
 
 class TestPredictiveNll:
@@ -242,6 +256,31 @@ class TestPredictiveNll:
             predictive_nll(ckpt, ds, 0, 90.0, 0)
         with pytest.raises(DataError, match="range"):
             predictive_nll(ckpt, ds, 9, 90.0, 1)
+
+    def test_needs_gcm_coverage(self):
+        # the run starts 20 days before the stretch, short of gcm_past = 60
+        rng = np.random.default_rng(0)
+        obs = TimeSeries(np.arange(200.0), rng.normal(size=200), OBS)
+        gcm = TimeSeries(np.arange(130.0, 300.0), rng.normal(size=170), GCM)
+        ds = PairedDataset(obs, (gcm,))
+        ckpt = anchor_checkpoint(ds)
+        with pytest.raises(DataError, match="coverage"):
+            predictive_nll(ckpt, ds, 0, start_t=150.0, n_days=10)
+        # and it must last until the stretch's final day
+        short = make_dataset(n_obs=200, n_gcm=160)
+        with pytest.raises(DataError, match="coverage"):
+            predictive_nll(ckpt, short, 0, start_t=150.0, n_days=20)
+
+    def test_scores_the_sampler_window(self):
+        # teacher forcing from the end of the record is the sampler's first day
+        full = make_dataset(n_obs=120, n_runs=2, seed=3)
+        ds = PairedDataset(full.obs.window(0, 99), full.runs)
+        ckpt = value_sensitive_checkpoint(ds)
+        cfg = SamplerConfig(horizon=1, n_trajectories=1, deterministic=True)
+        for z in range(2):
+            (first,) = sample_trajectories(ckpt, ds, z, cfg)
+            score = predictive_nll(ckpt, full, z, start_t=100.0, n_days=3, config=cfg)
+            assert first.values[0] == score.means[0]
 
 
 class TestSamplerConfigValidation:

@@ -18,7 +18,6 @@ from temporal_bc.timeseries import (
     load_paired,
     month_of,
     normalize,
-    to_generalized,
     write_gcm_csv,
     write_obs_csv,
 )
@@ -134,20 +133,6 @@ class TestPairedDataset:
         ds = PairedDataset(obs, (series([0.0, 0.0], tag=GCM),))
         with pytest.raises(DataError, match="range"):
             align(ds, 3)
-
-
-class TestGeneralized:
-    def test_ordering_gcm_then_obs_then_masked(self):
-        obs = series([1.0, 2.0])
-        gcm = series([5.0, 6.0, 7.0], tag=GCM)
-        pts = to_generalized(obs, gcm, [2.0, 3.0])
-        # targets at already-observed times are leakage
-        with pytest.raises(DataError, match="observed"):
-            to_generalized(obs, gcm, [1.0])
-        pts = to_generalized(obs, gcm, [2.5, 3.0])
-        assert [p.series_id for p in pts] == [2, 2, 2, 1, 1, 1, 1]
-        assert [p.value for p in pts[:5]] == [5.0, 6.0, 7.0, 1.0, 2.0]
-        assert pts[5].value is None and pts[6].value is None
 
 
 class TestMonthOf:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,7 @@ from temporal_bc.training import (
 TINY_MODEL = ModelConfig(
     n_layers=1, n_heads=2, model_dim=8, feature_dim=8, hidden_dim=8
 )
-TINY_BATCH = BatchConfig(
-    window_min=10, window_max=20, margin=2, min_keep=3, feature_dim=8
-)
+TINY_BATCH = BatchConfig(window_min=10, window_max=20, margin=2, min_keep=3)
 
 
 def toy_dataset(n=200, bias=2.0, noise=0.3, seed=0):
@@ -180,6 +180,36 @@ class TestTrain:
         assert result.metrics[-1].step == 2
         for arr in result.checkpoint.params.values():
             assert np.all(np.isfinite(arr))
+
+    def test_abort_on_non_finite_gradient(self, monkeypatch):
+        ds = toy_dataset()
+        seen = {"steps": 0}
+        real_loss, real_backward = training._batch_loss, training.backward
+
+        def capture(params, batch, config):
+            seen["params"] = params
+            return real_loss(params, batch, config)
+
+        def poisoned(loss):
+            real_backward(loss)
+            seen["steps"] += 1
+            if seen["steps"] == 3:  # finite loss, NaN gradient
+                head = seen["params"]["head.b2"]
+                head.grad = np.full_like(head.grad, np.nan)
+
+        monkeypatch.setattr(training, "_batch_loss", capture)
+        monkeypatch.setattr(training, "backward", poisoned)
+        cfg = TrainConfig(steps=20, batch_size=2, val_examples=4, seed=9)
+        result = train(ds, TINY_MODEL, cfg, TINY_BATCH)
+        monkeypatch.undo()
+        assert result.aborted
+        assert result.stop_reason == "non_finite_gradient"
+        assert result.metrics[-1].step == 2
+        # the checkpoint holds exactly the parameters after step 2
+        two_steps = train(ds, TINY_MODEL, replace(cfg, steps=2), TINY_BATCH)
+        for name, arr in result.checkpoint.params.items():
+            assert np.all(np.isfinite(arr)), name
+            assert np.array_equal(arr, two_steps.checkpoint.params[name]), name
 
     def test_interim_checkpoints_written(self, tmp_path):
         ds = toy_dataset()
