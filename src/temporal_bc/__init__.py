@@ -22,10 +22,8 @@ from .timeseries import (
     PairedDataset,
     TimeSeries,
     align,
-    denormalize,
     load_csv,
     load_paired,
-    normalize,
 )
 
 __all__ = [
@@ -40,9 +38,7 @@ __all__ = [
     "PairedDataset",
     "TimeSeries",
     "align",
-    "denormalize",
     "load_csv",
     "load_paired",
-    "normalize",
     "__version__",
 ]

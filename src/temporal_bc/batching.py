@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .timeseries import AlignedPair, PairedDataset, align
+from .timeseries import AlignedPair
 
 _PRUNE_RETRIES = 100
 
@@ -288,23 +288,20 @@ def _example_from_window(
 
 
 def make_batch(
-    dataset: PairedDataset | list[AlignedPair],
+    pairs: list[AlignedPair],
     batch_size: int,
     rng: np.random.Generator,
     config: BatchConfig,
     min_prediction_index: int | None = None,
 ) -> list[TrainingExample]:
-    """Draw a batch of pruned window examples.
+    """Draw a batch of pruned window examples from ``pairs``, one aligned
+    (observation, run) pair per run id.
 
     Per example the randomness is consumed in a fixed order: run choice,
     window (k, h, j), then pruning of observed context, targets and the
     model block. ``min_prediction_index`` (1-based, applied to j) restricts
     targets to a held-out tail via bounded rejection.
     """
-    if isinstance(dataset, PairedDataset):
-        pairs = [align(dataset, z) for z in range(dataset.n_runs)]
-    else:
-        pairs = list(dataset)
     if not pairs:
         raise DataError("no aligned run data to draw from")
     examples = []

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime as dt
 import hashlib
@@ -25,19 +24,28 @@ import numpy as np
 from . import __version__, gp, metrics
 from . import baselines as bl
 from .batching import BatchConfig
-from .errors import ConfigError, DataError, NumericError, ToolkitError
+from .errors import (
+    ConfigError,
+    DataError,
+    NumericError,
+    ToolkitError,
+    check_field_types,
+)
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .sampling import SamplerConfig, sample_all_runs, sample_trajectories
 from .timeseries import (
     GCM,
     OBS,
-    PairedDataset,
     TimeSeries,
-    _fmt,
+    common_grid,
     load_csv,
     load_paired,
+    load_samples_csv,
+    write_csv,
     write_gcm_csv,
+    write_json,
     write_obs_csv,
+    write_samples_csv,
 )
 from .training import TrainConfig, train, write_metrics_csv
 
@@ -55,7 +63,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir, command, settings, seeds, inputs, outputs) -> None:
+def _write_manifest(outputs: "_Outputs", command, settings, seeds, inputs) -> None:
     manifest = {
         "command": command,
         "config_hash": hashlib.sha256(
@@ -66,12 +74,10 @@ def _write_manifest(out_dir, command, settings, seeds, inputs, outputs) -> None:
             name: {"path": str(path), "sha256": _sha256(path)}
             for name, path in inputs.items()
         },
-        "outputs": sorted(outputs),
+        "outputs": sorted(outputs.names),
         "version": __version__,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_json(os.path.join(outputs.out_dir, "manifest.json"), manifest)
 
 
 def _parse_epoch(raw: str) -> dt.date:
@@ -102,32 +108,29 @@ def _apply_section(default, section: dict | None, name: str):
         return default
     if not isinstance(section, dict):
         raise ConfigError("config section %r must be an object" % name)
-    known = {f.name for f in dataclasses.fields(default)}
-    unknown = sorted(set(section) - known)
-    if unknown:
-        raise ConfigError("config section %r has unknown keys %s" % (name, unknown))
     try:
+        check_field_types(type(default), section)
         return dataclasses.replace(default, **section)
     except (TypeError, ValueError) as exc:
         raise ConfigError("config section %r is invalid: %s" % (name, exc))
-
-
-def _ensure_out_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 _ACTIVE_OUTPUTS: list["_Outputs"] = []
 
 
 class _Outputs:
-    """Track files written by a command so failures can clean them up.
+    """Create a command's output directory and track the files written there
+    so failures can clean them up.
 
     ``keep = True`` marks outputs that must survive an error exit (for
     example the last good checkpoint of an aborted training run).
     """
 
     def __init__(self, out_dir: str):
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("cannot create output directory %s: %s" % (out_dir, exc))
         self.out_dir = out_dir
         self.names: list[str] = []
         self.keep = False
@@ -157,8 +160,7 @@ def _build_kernel(args) -> gp.Kernel:
 
 
 def _cmd_synth(args) -> int:
-    out_dir = _ensure_out_dir(args.out_dir)
-    outputs = _Outputs(out_dir)
+    outputs = _Outputs(args.out_dir)
     kernel = _build_kernel(args)
     if args.n_days < 2:
         raise ConfigError("n-days must be >= 2")
@@ -187,13 +189,9 @@ def _cmd_synth(args) -> int:
         "start_day": args.start_day,
         "seed": args.seed,
     }
-    with open(outputs.path("truth.json"), "w", encoding="utf-8") as handle:
-        json.dump(truth, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    _write_manifest(
-        out_dir, "synth", truth, {"seed": args.seed}, {}, outputs.names
-    )
-    print("wrote %d-day pair with %d run(s) to %s" % (args.n_days, args.n_runs, out_dir))
+    write_json(outputs.path("truth.json"), truth)
+    _write_manifest(outputs, "synth", truth, {"seed": args.seed}, {})
+    print("wrote %d-day pair with %d run(s) to %s" % (args.n_days, args.n_runs, args.out_dir))
     return 0
 
 
@@ -213,10 +211,9 @@ def _cmd_train(args) -> int:
         batch_config = dataclasses.replace(batch_config, ablate_gcm=True)
 
     dataset = load_paired(args.obs, args.gcm, location_id=args.location_id)
-    out_dir = _ensure_out_dir(args.out_dir)
-    outputs = _Outputs(out_dir)
+    outputs = _Outputs(args.out_dir)
     result = train(
-        dataset, model_config, train_config, batch_config, checkpoint_dir=out_dir
+        dataset, model_config, train_config, batch_config, checkpoint_dir=args.out_dir
     )
     for path in result.interim_checkpoints:
         outputs.names.append(os.path.basename(path))
@@ -228,12 +225,11 @@ def _cmd_train(args) -> int:
         "train": dataclasses.asdict(train_config),
     }
     _write_manifest(
-        out_dir,
+        outputs,
         "train",
         settings,
         {"seed": train_config.seed},
         {"obs": args.obs, "gcm": args.gcm},
-        outputs.names,
     )
     final = result.metrics[-1]
     print(
@@ -263,17 +259,6 @@ def _parse_run(raw: str) -> int | None:
         raise ConfigError("--run must be an integer or 'all', got %r" % raw)
 
 
-def _write_samples_csv(samples: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("run,trajectory,t,value\n")
-        for run_id in sorted(samples):
-            for traj_id, series in enumerate(samples[run_id]):
-                for t, v in zip(series.times, series.values):
-                    handle.write(
-                        "%d,%d,%s,%s\n" % (run_id, traj_id, _fmt(t), _fmt(v))
-                    )
-
-
 def _cmd_sample(args) -> int:
     cfg = _load_config_file(args.config)
     sampler_config = _apply_section(SamplerConfig(), cfg.get("sampler"), "sampler")
@@ -289,25 +274,23 @@ def _cmd_sample(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_paired(args.obs, args.gcm)
     run_id = _parse_run(args.run)
-    out_dir = _ensure_out_dir(args.out_dir)
-    outputs = _Outputs(out_dir)
+    outputs = _Outputs(args.out_dir)
     if run_id is None:
         samples = sample_all_runs(ckpt, dataset, sampler_config)
     else:
         samples = {run_id: sample_trajectories(ckpt, dataset, run_id, sampler_config)}
-    _write_samples_csv(samples, outputs.path("samples.csv"))
+    write_samples_csv(samples, outputs.path("samples.csv"))
     _write_manifest(
-        out_dir,
+        outputs,
         "sample",
         dataclasses.asdict(sampler_config),
         {"seed": sampler_config.seed},
         {"checkpoint": args.checkpoint, "obs": args.obs, "gcm": args.gcm},
-        outputs.names,
     )
     n_series = sum(len(v) for v in samples.values())
     print(
         "sampled %d trajectories x %d days across %d run(s) into %s"
-        % (n_series, sampler_config.horizon, len(samples), out_dir)
+        % (n_series, sampler_config.horizon, len(samples), args.out_dir)
     )
     return 0
 
@@ -319,8 +302,7 @@ def _cmd_baseline(args) -> int:
     obs = load_csv(args.obs, OBS)
     runs = load_csv(args.gcm, GCM)
     monthly = not args.no_monthly
-    out_dir = _ensure_out_dir(args.out_dir)
-    outputs = _Outputs(out_dir)
+    outputs = _Outputs(args.out_dir)
     corrected = []
     for run in runs:
         obs_ref = obs.window(args.ref_start, args.ref_end)
@@ -340,30 +322,16 @@ def _cmd_baseline(args) -> int:
         "epoch": args.epoch,
         "monthly": monthly,
     }
-    _write_manifest(
-        out_dir,
-        "baseline",
-        settings,
-        {},
-        {"obs": args.obs, "gcm": args.gcm},
-        outputs.names,
-    )
-    print("wrote %s correction for %d run(s) to %s" % (args.method, len(runs), out_dir))
+    inputs = {"obs": args.obs, "gcm": args.gcm}
+    _write_manifest(outputs, "baseline", settings, {}, inputs)
+    print("wrote %s correction for %d run(s) to %s" % (args.method, len(runs), args.out_dir))
     return 0
-
-
-def _common_values(a: TimeSeries, b: TimeSeries):
-    """Values of both series on their common time grid."""
-    common, ia, ib = np.intersect1d(a.times, b.times, return_indices=True)
-    if len(common) == 0:
-        raise DataError("series share no time stamps")
-    return common, a.values[ia], b.values[ib]
 
 
 def _cmd_eval(args) -> int:
     candidate = load_csv(args.candidate, OBS)
     observed = load_csv(args.observed, OBS)
-    common, cand_v, obs_v = _common_values(candidate, observed)
+    common, cand_v, obs_v = common_grid(candidate, observed)
     report = metrics.score(cand_v, obs_v)
     cand_series = TimeSeries(common, cand_v)
     obs_series = TimeSeries(common, obs_v)
@@ -374,8 +342,7 @@ def _cmd_eval(args) -> int:
         if hw_obs.count == 0
         else metrics.relative_heatwave_error(hw_cand.count, hw_obs.count)
     )
-    out_dir = _ensure_out_dir(args.out_dir)
-    outputs = _Outputs(out_dir)
+    outputs = _Outputs(args.out_dir)
     payload = report.to_dict()
     payload.update(
         {
@@ -386,35 +353,27 @@ def _cmd_eval(args) -> int:
             "relative_heatwave_error_pct": rel,
         }
     )
-    with open(outputs.path("report.json"), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    with open(outputs.path("qq.csv"), "w", encoding="utf-8") as handle:
-        handle.write("prob,observed,candidate\n")
-        probs = np.linspace(0.0, 1.0, len(report.quantile_pairs))
-        for p, (qo, qc) in zip(probs, report.quantile_pairs):
-            handle.write("%s,%s,%s\n" % (_fmt(p), _fmt(qo), _fmt(qc)))
-    with open(outputs.path("pacf.csv"), "w", encoding="utf-8") as handle:
-        handle.write("lag,observed,candidate\n")
-        if report.pacf_candidate is not None:
-            for lag, (po, pc) in enumerate(
-                zip(report.pacf_observed, report.pacf_candidate), start=1
-            ):
-                handle.write("%d,%s,%s\n" % (lag, _fmt(po), _fmt(pc)))
-    with open(outputs.path("heatwave.csv"), "w", encoding="utf-8") as handle:
-        handle.write("series,run_length\n")
-        for length in hw_obs.run_lengths:
-            handle.write("observed,%d\n" % length)
-        for length in hw_cand.run_lengths:
-            handle.write("candidate,%d\n" % length)
-    settings = {"threshold": args.threshold}
+    write_json(outputs.path("report.json"), payload)
+    probs = np.linspace(0.0, 1.0, len(report.quantile_pairs))
+    qq_rows = zip(probs, *report.quantile_pairs.T)
+    write_csv(outputs.path("qq.csv"), ("prob", "observed", "candidate"), qq_rows)
+    pacf_rows = ()
+    if report.pacf_candidate is not None:
+        lags = range(1, len(report.pacf_candidate) + 1)
+        pacf_rows = zip(lags, report.pacf_observed, report.pacf_candidate)
+    write_csv(outputs.path("pacf.csv"), ("lag", "observed", "candidate"), pacf_rows)
+    write_csv(
+        outputs.path("heatwave.csv"),
+        ("series", "run_length"),
+        [("observed", n) for n in hw_obs.run_lengths]
+        + [("candidate", n) for n in hw_cand.run_lengths],
+    )
     _write_manifest(
-        out_dir,
+        outputs,
         "eval",
-        settings,
+        {"threshold": args.threshold},
         {},
         {"candidate": args.candidate, "observed": args.observed},
-        outputs.names,
     )
     print(
         "eval over %d days: mse %.6g, loglik %.6g, heatwaves %d vs %d observed"
@@ -423,55 +382,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _read_samples_csv(path) -> dict[int, dict[int, TimeSeries]]:
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError("cannot open %s: %s" % (path, exc))
-    rows: dict[int, dict[int, list[tuple[float, float]]]] = {}
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["run", "trajectory", "t", "value"]:
-            raise DataError("%s: expected header run,trajectory,t,value" % path)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError("%s:%d: expected 4 columns" % (path, line_no))
-            try:
-                run, traj = int(row[0]), int(row[1])
-                t, v = float(row[2]), float(row[3])
-            except ValueError:
-                raise DataError("%s:%d: malformed row" % (path, line_no))
-            rows.setdefault(run, {}).setdefault(traj, []).append((t, v))
-    out: dict[int, dict[int, TimeSeries]] = {}
-    for run, trajs in rows.items():
-        out[run] = {}
-        for traj, pairs in trajs.items():
-            out[run][traj] = TimeSeries(
-                np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]), OBS
-            )
-    return out
-
-
-def _read_run_csv(path) -> dict[int, TimeSeries]:
-    runs = load_csv(path, GCM)
-    return {run_id: series for run_id, series in enumerate(runs)}
-
-
 def _ensemble_stats(trajs: dict[int, TimeSeries]):
     """Common grid plus per-point ensemble mean and floored std."""
-    times = None
-    for series in trajs.values():
-        times = series.times if times is None else np.intersect1d(times, series.times)
-    if times is None or len(times) == 0:
-        raise DataError("trajectories share no time stamps")
-    stack = []
-    for series in trajs.values():
-        _, _, idx = np.intersect1d(times, series.times, return_indices=True)
-        stack.append(series.values[idx])
-    arr = np.vstack(stack)
+    times, *values = common_grid(*trajs.values())
+    arr = np.vstack(values)
     mean = arr.mean(axis=0)
     std = np.maximum(arr.std(axis=0), _ENSEMBLE_STD_FLOOR)
     return times, mean, std
@@ -479,39 +393,42 @@ def _ensemble_stats(trajs: dict[int, TimeSeries]):
 
 def _cmd_report(args) -> int:
     observed = load_csv(args.observed, OBS)
-    samples = _read_samples_csv(args.samples)
+    samples = load_samples_csv(args.samples)
+    inputs = {"observed": args.observed, "samples": args.samples}
     baseline_series = {}
     for spec in args.baseline or []:
         if "=" not in spec:
             raise ConfigError("--baseline expects name=path, got %r" % spec)
         name, path = spec.split("=", 1)
-        baseline_series[name] = (_read_run_csv(path), path)
+        if name in baseline_series:
+            raise ConfigError("--baseline name %r is given twice" % name)
+        baseline_series[name] = load_csv(path, GCM)
+        inputs["baseline:%s" % name] = path
 
-    out_dir = _ensure_out_dir(args.out_dir)
-    outputs = _Outputs(out_dir)
-    count_rows: list[tuple[str, str, str, int]] = []
+    outputs = _Outputs(args.out_dir)
+    count_rows: list[tuple[str, int, int | None, int]] = []
     summary: dict[str, dict] = {}
 
-    def obs_on(times) -> TimeSeries:
-        common, io, _ = np.intersect1d(observed.times, times, return_indices=True)
-        if len(common) != len(times):
+    def obs_on(series: TimeSeries) -> TimeSeries:
+        common, obs_v, _ = common_grid(observed, series)
+        if len(common) != len(series):
             raise DataError(
                 "observed record does not cover the evaluation stretch "
-                "(%d of %d days present)" % (len(common), len(times))
+                "(%d of %d days present)" % (len(common), len(series))
             )
-        return TimeSeries(common, observed.values[io])
+        return TimeSeries(common, obs_v)
 
     model_runs = {}
     for run_id in sorted(samples):
         times, ens_mean, ens_std = _ensemble_stats(samples[run_id])
-        obs_slice = obs_on(times)
+        obs_slice = obs_on(TimeSeries(times, ens_mean))
         hw_obs = metrics.heatwave_count(obs_slice, args.threshold)
         traj_counts = {}
         rels = []
         for traj_id in sorted(samples[run_id]):
             hw = metrics.heatwave_count(samples[run_id][traj_id], args.threshold)
             traj_counts[traj_id] = hw.count
-            count_rows.append(("model", str(run_id), str(traj_id), hw.count))
+            count_rows.append(("model", run_id, traj_id, hw.count))
             if hw_obs.count > 0:
                 rels.append(
                     metrics.relative_heatwave_error(hw.count, hw_obs.count)
@@ -527,13 +444,13 @@ def _cmd_report(args) -> int:
     summary["model"] = _summarize(model_runs)
 
     baseline_results = {}
-    for name, (runs, _path) in baseline_series.items():
+    for name, runs in baseline_series.items():
         per_run = {}
-        for run_id, series in sorted(runs.items()):
-            obs_slice = obs_on(series.times)
+        for run_id, series in enumerate(runs):
+            obs_slice = obs_on(series)
             hw_obs = metrics.heatwave_count(obs_slice, args.threshold)
             hw = metrics.heatwave_count(series, args.threshold)
-            count_rows.append((name, str(run_id), "", hw.count))
+            count_rows.append((name, run_id, None, hw.count))
             rep = metrics.score(series.values, obs_slice.values)
             per_run[run_id] = {
                 "mse": rep.mse,
@@ -556,33 +473,21 @@ def _cmd_report(args) -> int:
         },
         "summary": summary,
     }
-    with open(outputs.path("report.json"), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    with open(outputs.path("heatwave_counts.csv"), "w", encoding="utf-8") as handle:
-        handle.write("method,run,trajectory,count\n")
-        for method, run, traj, count in count_rows:
-            handle.write("%s,%s,%s,%d\n" % (method, run, traj, count))
-    with open(outputs.path("summary.csv"), "w", encoding="utf-8") as handle:
-        handle.write("method,mse,loglik,relative_heatwave_error_pct\n")
-        for method in summary:
-            row = summary[method]
-            handle.write(
-                "%s,%s,%s,%s\n"
-                % (
-                    method,
-                    _fmt(row["mse"]),
-                    _fmt(row["loglik"]),
-                    "" if row["relative_heatwave_error_pct"] is None
-                    else _fmt(row["relative_heatwave_error_pct"]),
-                )
-            )
-    inputs = {"observed": args.observed, "samples": args.samples}
-    for name, (_runs, path) in baseline_series.items():
-        inputs["baseline:%s" % name] = path
-    _write_manifest(
-        out_dir, "report", {"threshold": args.threshold}, {}, inputs, outputs.names
+    write_json(outputs.path("report.json"), payload)
+    write_csv(
+        outputs.path("heatwave_counts.csv"),
+        ("method", "run", "trajectory", "count"),
+        count_rows,
     )
+    write_csv(
+        outputs.path("summary.csv"),
+        ("method", "mse", "loglik", "relative_heatwave_error_pct"),
+        [
+            (method, row["mse"], row["loglik"], row["relative_heatwave_error_pct"])
+            for method, row in summary.items()
+        ],
+    )
+    _write_manifest(outputs, "report", {"threshold": args.threshold}, {}, inputs)
     for method, row in summary.items():
         print(
             "%s: mse %.4f, loglik %.4f, heatwave rel err %s"

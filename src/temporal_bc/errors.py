@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the type check of
+config values read from a file.
 
 The command-line layer maps these onto process exit codes:
 ConfigError -> 2, DataError -> 3, NumericError -> 4.
 """
+
+import typing
 
 
 class ToolkitError(Exception):
@@ -19,3 +22,23 @@ class DataError(ToolkitError):
 
 class NumericError(ToolkitError):
     """Numerical failure: non-finite loss, Cholesky breakdown, bad shapes."""
+
+
+def check_field_types(cls, values: dict) -> None:
+    """Raise TypeError unless every key names a field of dataclass ``cls`` and
+    every value has that field's declared type.
+
+    Types match exactly, so an int field takes no float or bool and a bool
+    field takes only a bool; a float field also takes an int, and an
+    ``X | None`` field also takes None.
+    """
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(values) - set(hints))
+    if unknown:
+        raise TypeError("unknown keys %s" % unknown)
+    for name, value in values.items():
+        declared = typing.get_args(hints[name]) or (hints[name],)
+        int_for_float = type(value) is int and float in declared
+        if type(value) not in declared and not int_for_float:
+            names = ["null" if t is type(None) else t.__name__ for t in declared]
+            raise TypeError("%s must be %s, got %r" % (name, " or ".join(names), value))

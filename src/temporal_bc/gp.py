@@ -1,9 +1,9 @@
-"""Gaussian-process synthetic data: kernels, sampling, posterior conditioning.
+"""Gaussian-process synthetic data: kernels and sampling.
 
 This module builds the (pseudo-observation, pseudo-model) pairs used for
 controlled experiments: both series come from one latent GP draw, with a
 known constant bias, known temporal misalignment, and i.i.d. noise layered on
-top. It also provides exact GP posterior conditioning for sanity studies.
+top.
 """
 
 from __future__ import annotations
@@ -237,23 +237,3 @@ def make_run_ensemble(
         )
     return obs, runs
 
-
-def gp_posterior(
-    kernel: Kernel, train_times, train_values, test_times, noise_var: float = 0.0
-):
-    """Exact Gaussian conditioning; returns (mean, covariance) at test times."""
-    tr = np.asarray(train_times, dtype=np.float64)
-    y = np.asarray(train_values, dtype=np.float64)
-    te = np.asarray(test_times, dtype=np.float64)
-    if len(tr) == 0:
-        raise DataError("posterior needs at least one training point")
-    if noise_var < 0:
-        raise ConfigError("noise_var must be nonnegative")
-    k_train = gram(kernel, tr) + noise_var * np.eye(len(tr))
-    chol = _cholesky_with_jitter(k_train)
-    k_cross = gram(kernel, tr, te)
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y))
-    mean = k_cross.T @ alpha
-    v = np.linalg.solve(chol, k_cross)
-    cov = gram(kernel, te) - v.T @ v
-    return mean, cov

@@ -37,9 +37,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .batching import SERIES_GCM, SERIES_OBS, TrainingExample
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types
 from .metrics import LOG_2PI
-from .timeseries import NormStats
+from .timeseries import NormStats, write_json
 
 _SERIES_CODES = (SERIES_OBS, SERIES_GCM)  # one-hot slots
 
@@ -343,9 +343,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
         },
         "meta": ckpt.meta,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
@@ -357,7 +355,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
     except json.JSONDecodeError as exc:
         raise DataError("checkpoint %s is not valid JSON: %s" % (path, exc))
     try:
-        config = ModelConfig(**payload["config"])
+        raw_config = dict(payload["config"])
+        check_field_types(ModelConfig, raw_config)
+        config = ModelConfig(**raw_config)
         stats = NormStats(**payload["norm_stats"])
         raw_params = dict(payload["params"])
         meta = dict(payload.get("meta", {}))

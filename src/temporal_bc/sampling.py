@@ -97,9 +97,9 @@ def _forecaster(
     stats = ckpt.norm_stats
     run = dataset.runs[run_id]
     obs_t = np.array(dataset.obs.times)
-    obs_v = (np.array(dataset.obs.values) - stats.mean) / stats.std
+    obs_v = stats.to_z(dataset.obs.values)
     gcm_t = np.array(run.times)
-    gcm_v = (np.array(run.values) - stats.mean) / stats.std
+    gcm_v = stats.to_z(run.values)
     if ckpt.meta.get("ablate_gcm", False):
         gcm_v = np.zeros_like(gcm_v)
     n_past = int(np.count_nonzero(obs_t < start_t))
@@ -112,7 +112,7 @@ def _forecaster(
     if gcm_t[0] > start_t - config.gcm_past or gcm_t[-1] < last_t:
         raise DataError(
             "insufficient GCM coverage: need [%r, %r], run %d spans [%r, %r]"
-            % (start_t - config.gcm_past, last_t, run_id, gcm_t[0], gcm_t[-1])
+            % (start_t - config.gcm_past, last_t, run_id, *gcm_t[[0, -1]].tolist())
         )
     if gcm_t[-1] < last_t + config.gcm_future - 1:
         logger.warning(
@@ -159,7 +159,6 @@ def sample_trajectories(
     obs_t, obs_v, forecast = _forecaster(
         ckpt, dataset, run_id, config, start_t, config.horizon
     )
-    stats = ckpt.norm_stats
     out = []
     for traj in range(config.n_trajectories):
         rng = substream(config.seed ^ run_id, "trajectory", traj)
@@ -174,7 +173,7 @@ def sample_trajectories(
             hist_t.append(tau)
             hist_v.append(value)
         times = start_t + np.arange(config.horizon, dtype=np.float64)
-        out.append(TimeSeries(times, values * stats.std + stats.mean, OBS))
+        out.append(TimeSeries(times, ckpt.norm_stats.from_z(values), OBS))
     return out
 
 
@@ -235,7 +234,7 @@ def predictive_nll(
             raise DataError("no observation at evaluation day t=%r" % float(tau))
         past = obs_t < tau
         m_norm, s_norm = forecast(obs_t[past], obs_v[past], float(tau))
-        means[i] = m_norm * stats.std + stats.mean
+        means[i] = stats.from_z(m_norm)
         stds[i] = s_norm * stats.std
         truth = float(dataset.obs.values[at[0]])
         nll[i] = gaussian_nll_points(truth, means[i], stds[i])

@@ -1,17 +1,22 @@
-"""Core time-series containers, CSV ingestion and normalization.
+"""Core time-series containers, normalization and the artefact file formats.
 
 Times are real-valued day indices on a daily grid, values are daily-maximum
-temperatures in degrees Celsius (or z-scored units after :func:`normalize`).
-Observational and climate-model series share the immutable
-:class:`TimeSeries` container and are paired per location in
-:class:`PairedDataset`, and :func:`align` matches an observation series
-with one model run on their common days.
+temperatures in degrees Celsius (or z-scored units after
+:meth:`NormStats.to_z`). Observational and climate-model series share the
+immutable :class:`TimeSeries` container and are paired per location in
+:class:`PairedDataset`, and :func:`common_grid` matches series on their
+common days.
+
+It also owns every file format the pipeline stages exchange: the OBS, GCM
+and samples CSV files, the cells of every CSV table and the JSON layout.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,22 +98,18 @@ class NormStats:
     def from_series(cls, series: TimeSeries) -> "NormStats":
         if len(series) == 0:
             raise DataError("cannot compute normalization stats of empty series")
-        std = float(np.std(series.values))
-        if std <= 0:
+        # np.std of equal values can round to a tiny positive number
+        if np.ptp(series.values) == 0:
             raise DataError("series is constant; z-scoring undefined")
-        return cls(float(np.mean(series.values)), std)
+        return cls(float(np.mean(series.values)), float(np.std(series.values)))
 
+    def to_z(self, values):
+        """z-scores of natural-unit values (array or float)."""
+        return (values - self.mean) / self.std
 
-def normalize(series: TimeSeries, stats: NormStats) -> TimeSeries:
-    return TimeSeries(
-        series.times, (series.values - stats.mean) / stats.std, series.source_tag
-    )
-
-
-def denormalize(series: TimeSeries, stats: NormStats) -> TimeSeries:
-    return TimeSeries(
-        series.times, series.values * stats.std + stats.mean, series.source_tag
-    )
+    def from_z(self, z):
+        """Natural-unit values of z-scores (array or float)."""
+        return z * self.std + self.mean
 
 
 @dataclass(frozen=True)
@@ -171,17 +172,25 @@ class AlignedPair:
         )
 
 
+def common_grid(*series: TimeSeries) -> tuple[np.ndarray, ...]:
+    """Times shared by every series, then each series' values on them.
+
+    Times match exactly. Raises DataError when the series share no time.
+    """
+    times = series[0].times
+    for other in series[1:]:
+        times = np.intersect1d(times, other.times, assume_unique=True)
+    if len(times) == 0:
+        raise DataError("series share no time stamps")
+    # each series' times are strictly increasing, so this finds exact matches
+    return (times, *(s.values[np.searchsorted(s.times, times)] for s in series))
+
+
 def align(dataset: PairedDataset, run_id: int) -> AlignedPair:
     """Intersect the observational grid with one run's grid (exact times)."""
     if not 0 <= run_id < dataset.n_runs:
         raise DataError("run id %d out of range (0..%d)" % (run_id, dataset.n_runs - 1))
-    run = dataset.runs[run_id]
-    common, idx_obs, idx_gcm = np.intersect1d(
-        dataset.obs.times, run.times, return_indices=True
-    )
-    if len(common) == 0:
-        raise DataError("observation and run %d share no time stamps" % run_id)
-    return AlignedPair(common, dataset.obs.values[idx_obs], run.values[idx_gcm])
+    return AlignedPair(*common_grid(dataset.obs, dataset.runs[run_id]))
 
 
 def month_of(t: float, epoch: dt.date) -> int:
@@ -190,9 +199,30 @@ def month_of(t: float, epoch: dt.date) -> int:
     return moment.month
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal string that round-trips the float64 exactly."""
-    return repr(float(x))
+def _fmt(x) -> str:
+    """One CSV cell: a float as the shortest decimal string that round-trips
+    the float64 exactly, an int as ``%d``, None as an empty cell and a string
+    as it is."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, (int, np.integer)):
+        return "%d" % x
+    return "" if x is None else x
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line, then one line per row of cells (see :func:`_fmt`)."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(map(_fmt, row)) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON artefact: one-space indent, sorted keys, trailing newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
 
 
 def _parse_float(raw: str, path, line_no: int, column: str) -> float:
@@ -200,9 +230,69 @@ def _parse_float(raw: str, path, line_no: int, column: str) -> float:
         val = float(raw)
     except ValueError:
         raise DataError("%s:%d: bad %s value %r" % (path, line_no, column, raw))
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise DataError("%s:%d: non-finite %s value %r" % (path, line_no, column, raw))
     return val
+
+
+def _parse_id(raw: str, path, line_no: int, column: str) -> int:
+    try:
+        val = int(raw)
+    except ValueError:
+        raise DataError("%s:%d: bad %s id %r" % (path, line_no, column, raw))
+    if val < 0:
+        raise DataError("%s:%d: %s id must be nonnegative" % (path, line_no, column))
+    return val
+
+
+def _read_series(path, header: list[str], source_tag: str) -> dict:
+    """Read a CSV file with exactly the columns ``header`` into series.
+
+    ``t`` and ``value`` are finite floats and every other column is a
+    non-negative integer id. Rows are grouped by their id tuple, in order of
+    first appearance, into a :class:`TimeSeries` each; an OBS file has the
+    single key ``()``. Every error names the file, and the line where there
+    is one.
+    """
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError("cannot open %s: %s" % (path, exc))
+    t_col, v_col = header.index("t"), header.index("value")
+    id_cols = [(i, name) for i, name in enumerate(header) if name not in ("t", "value")]
+    n_cols = len(header)
+    groups: dict[tuple, tuple[list, list]] = {}
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            found = next(reader)
+        except StopIteration:
+            raise DataError("%s: empty file, expected header %s" % (path, header))
+        if [h.strip() for h in found] != header:
+            raise DataError(
+                "%s:1: expected header %s, got %s" % (path, ",".join(header), found)
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != n_cols:
+                raise DataError("%s:%d: expected %d columns" % (path, line_no, n_cols))
+            key = tuple([_parse_id(row[i], path, line_no, name) for i, name in id_cols])
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ([], [])
+            group[0].append(_parse_float(row[t_col], path, line_no, "t"))
+            group[1].append(_parse_float(row[v_col], path, line_no, "value"))
+    if not groups:
+        raise DataError("%s: no data rows" % path)
+    out = {}
+    for key, (times, values) in groups.items():
+        where = "".join(": %s %d" % (name, k) for (_, name), k in zip(id_cols, key))
+        try:
+            out[key] = TimeSeries(np.array(times), np.array(values), source_tag)
+        except DataError as exc:
+            raise DataError("%s%s: %s" % (path, where, exc))
+    return out
 
 
 def _check_daily(times: np.ndarray, path, what: str) -> None:
@@ -225,75 +315,22 @@ def load_csv(path, source_tag: str):
     :class:`TimeSeries` (run ids must be exactly 0..R-1) for GCM input.
     Each series must sit on a contiguous daily grid.
     """
-    if source_tag not in (OBS, GCM):
+    if source_tag == OBS:
+        series = _read_series(path, ["t", "value"], OBS)[()]
+        _check_daily(series.times, path, "observation series")
+        return series
+    if source_tag != GCM:
         raise DataError("source_tag must be %s or %s" % (OBS, GCM))
-    expected = ["t", "value"] if source_tag == OBS else ["t", "run", "value"]
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError("cannot open %s: %s" % (path, exc))
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("%s: empty file, expected header %s" % (path, expected))
-        if [h.strip() for h in header] != expected:
-            raise DataError(
-                "%s:1: expected header %s, got %s" % (path, ",".join(expected), header)
-            )
-        if source_tag == OBS:
-            times, values = [], []
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise DataError("%s:%d: expected 2 columns" % (path, line_no))
-                times.append(_parse_float(row[0], path, line_no, "t"))
-                values.append(_parse_float(row[1], path, line_no, "value"))
-            if not times:
-                raise DataError("%s: no data rows" % path)
-            try:
-                series = TimeSeries(np.array(times), np.array(values), OBS)
-            except DataError as exc:
-                raise DataError("%s: %s" % (path, exc))
-            _check_daily(series.times, path, "observation series")
-            return series
-        by_run: dict[int, list[tuple[float, float]]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError("%s:%d: expected 3 columns" % (path, line_no))
-            t = _parse_float(row[0], path, line_no, "t")
-            try:
-                run = int(row[1])
-            except ValueError:
-                raise DataError("%s:%d: bad run id %r" % (path, line_no, row[1]))
-            if run < 0:
-                raise DataError("%s:%d: run id must be nonnegative" % (path, line_no))
-            v = _parse_float(row[2], path, line_no, "value")
-            by_run.setdefault(run, []).append((t, v))
-        if not by_run:
-            raise DataError("%s: no data rows" % path)
-        if sorted(by_run) != list(range(len(by_run))):
-            raise DataError(
-                "%s: run ids must be dense 0..R-1, got %s" % (path, sorted(by_run))
-            )
-        runs = []
-        for run in range(len(by_run)):
-            pairs = by_run[run]
-            try:
-                series = TimeSeries(
-                    np.array([p[0] for p in pairs]),
-                    np.array([p[1] for p in pairs]),
-                    GCM,
-                )
-            except DataError as exc:
-                raise DataError("%s: run %d: %s" % (path, run, exc))
-            _check_daily(series.times, path, "run %d" % run)
-            runs.append(series)
-        return runs
+    by_run = _read_series(path, ["t", "run", "value"], GCM)
+    if sorted(by_run) != [(z,) for z in range(len(by_run))]:
+        raise DataError(
+            "%s: run ids must be dense 0..R-1, got %s"
+            % (path, sorted(z for (z,) in by_run))
+        )
+    runs = [by_run[(z,)] for z in range(len(by_run))]
+    for z, series in enumerate(runs):
+        _check_daily(series.times, path, "run %d" % z)
+    return runs
 
 
 def load_paired(obs_path, gcm_path, location_id: str = "") -> PairedDataset:
@@ -303,16 +340,41 @@ def load_paired(obs_path, gcm_path, location_id: str = "") -> PairedDataset:
     return PairedDataset(obs, tuple(runs), location_id)
 
 
+def load_samples_csv(path) -> dict[int, dict[int, TimeSeries]]:
+    """Read a samples file (``run,trajectory,t,value``) as
+    ``{run: {trajectory: series}}``, both in order of first appearance."""
+    by_key = _read_series(path, ["run", "trajectory", "t", "value"], OBS)
+    out: dict[int, dict[int, TimeSeries]] = {}
+    for (run, traj), series in by_key.items():
+        out.setdefault(run, {})[traj] = series
+    return out
+
+
 def write_obs_csv(series: TimeSeries, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("t,value\n")
-        for t, v in zip(series.times, series.values):
-            handle.write("%s,%s\n" % (_fmt(t), _fmt(v)))
+    write_csv(path, ("t", "value"), zip(series.times.tolist(), series.values.tolist()))
 
 
 def write_gcm_csv(runs, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("t,run,value\n")
-        for run_id, series in enumerate(runs):
-            for t, v in zip(series.times, series.values):
-                handle.write("%s,%d,%s\n" % (_fmt(t), run_id, _fmt(v)))
+    write_csv(
+        path,
+        ("t", "run", "value"),
+        (
+            (t, run_id, v)
+            for run_id, series in enumerate(runs)
+            for t, v in zip(series.times.tolist(), series.values.tolist())
+        ),
+    )
+
+
+def write_samples_csv(samples: dict[int, list[TimeSeries]], path) -> None:
+    """Write ``{run: [trajectory series]}`` as a samples file, runs in order."""
+    write_csv(
+        path,
+        ("run", "trajectory", "t", "value"),
+        (
+            (run_id, traj_id, t, v)
+            for run_id in sorted(samples)
+            for traj_id, series in enumerate(samples[run_id])
+            for t, v in zip(series.times.tolist(), series.values.tolist())
+        ),
+    )

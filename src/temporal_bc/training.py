@@ -23,7 +23,7 @@ from .batching import BatchConfig, TrainingExample, make_batch
 from .errors import ConfigError, DataError
 from .model import ModelCheckpoint, ModelConfig
 from .rng import substream
-from .timeseries import NormStats, PairedDataset, align
+from .timeseries import NormStats, PairedDataset, align, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -117,17 +117,11 @@ class TrainResult:
 
 
 def write_metrics_csv(rows: list[MetricsRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("step,train_nll,val_nll\n")
-        for row in rows:
-            handle.write(
-                "%d,%s,%s\n"
-                % (
-                    row.step,
-                    "" if row.train_nll is None else repr(float(row.train_nll)),
-                    "" if row.val_nll is None else repr(float(row.val_nll)),
-                )
-            )
+    write_csv(
+        path,
+        ("step", "train_nll", "val_nll"),
+        [(row.step, row.train_nll, row.val_nll) for row in rows],
+    )
 
 
 def _batch_loss(params, batch: list[TrainingExample], config: ModelConfig):
@@ -178,9 +172,7 @@ def train(
         pair = align(dataset, z)
         pairs_full.append(
             type(pair)(
-                pair.times,
-                (pair.obs_values - stats.mean) / stats.std,
-                (pair.gcm_values - stats.mean) / stats.std,
+                pair.times, stats.to_z(pair.obs_values), stats.to_z(pair.gcm_values)
             )
         )
     n = len(pairs_full[0])

@@ -14,7 +14,14 @@ from temporal_bc.batching import (
 )
 from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.model import positional_features
-from temporal_bc.timeseries import GCM, OBS, AlignedPair, PairedDataset, TimeSeries
+from temporal_bc.timeseries import (
+    GCM,
+    OBS,
+    AlignedPair,
+    PairedDataset,
+    TimeSeries,
+    align,
+)
 
 
 def tiny_config(**overrides):
@@ -263,7 +270,8 @@ class TestMakeBatch:
         obs = TimeSeries(t, rng.normal(size=64), OBS)
         runs = tuple(TimeSeries(t, rng.normal(size=64), GCM) for _ in range(3))
         ds = PairedDataset(obs, runs)
-        batch = make_batch(ds, 32, np.random.default_rng(0), tiny_config())
+        pairs = [align(ds, z) for z in range(ds.n_runs)]
+        batch = make_batch(pairs, 32, np.random.default_rng(0), tiny_config())
         seen = {ex.run_id for ex in batch}
         assert seen <= {0, 1, 2}
         assert len(seen) > 1

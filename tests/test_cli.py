@@ -218,6 +218,46 @@ class TestTrainSample:
         assert code == 3
         assert not (out / "samples.csv").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, code",
+        [
+            ("train", "steps", 2.5, 2),
+            ("sampler", "n_trajectories", 2.0, 2),
+            ("sampler", "deterministic", "no", 2),
+            ("checkpoint", "n_layers", 2.0, 3),
+        ],
+        ids=[
+            "train-steps-2.5", "sampler-n_trajectories-2.0",
+            "sampler-deterministic-no", "checkpoint-n_layers-2.0",
+        ],
+    )
+    def test_mistyped_value_is_rejected(self, tmp_path, section, key, value, code):
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config = ModelConfig(**{**TINY_CONFIG["model"], "n_layers": 2})
+        params = init_params(config, np.random.default_rng(0))
+        ckpt_path = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint_from_params(config, params, NormStats(15.0, 3.0)), ckpt_path)
+        settings = dict(TINY_CONFIG)
+        if section == "checkpoint":
+            payload = json.loads(ckpt_path.read_text())
+            payload["config"][key] = value
+            ckpt_path.write_text(json.dumps(payload))
+        else:
+            settings[section] = {**settings.get(section, {}), key: value}
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(settings))
+        out = tmp_path / "out"
+        common = [
+            "--obs", obs_path, "--gcm", gcm_path, "--config", str(config_file),
+            "--out-dir", str(out),
+        ]
+        if section == "train":
+            argv = ["train", *common]
+        else:
+            argv = ["sample", "--checkpoint", str(ckpt_path), *common, "--horizon", "2"]
+        assert main(argv) == code
+        assert not out.exists() or os.listdir(out) == []
+
 
 class TestBaseline:
     def test_golden_eqm_bytes(self, tmp_path):
@@ -389,6 +429,34 @@ class TestReport:
         ])
         assert code == 3
 
+    def test_duplicate_baseline_name_is_config_error(self, tmp_path):
+        self._write_inputs(tmp_path)
+        corrected = tmp_path / "corrected.csv"
+        code = main([
+            "report", "--observed", str(tmp_path / "observed.csv"),
+            "--samples", str(tmp_path / "samples.csv"),
+            "--baseline", "eqm=%s" % corrected, "--baseline", "eqm=%s" % corrected,
+            "--threshold", "25.0", "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "r" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "row", ["0,0,451.0,nan", "0,-1,451.0,20.0"], ids=["nan-value", "negative-id"]
+    )
+    def test_bad_samples_row_names_file_and_line(self, tmp_path, capsys, row):
+        self._write_inputs(tmp_path)
+        bad = tmp_path / "bad_samples.csv"
+        bad.write_text("run,trajectory,t,value\n0,0,450.0,20.0\n%s\n" % row)
+        code = main([
+            "report", "--observed", str(tmp_path / "observed.csv"),
+            "--samples", str(bad),
+            "--threshold", "25.0", "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 3
+        assert "%s:3:" % bad in capsys.readouterr().err
+        assert not (tmp_path / "r" / "report.json").exists()
+
     def test_bad_baseline_spec(self, tmp_path):
         self._write_inputs(tmp_path)
         code = main([
@@ -408,6 +476,13 @@ class TestErrorHandling:
             "--out-dir", str(tmp_path / "out"),
         ])
         assert code == 3
+
+    def test_unusable_out_dir_is_config_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code = main(["synth", "--out-dir", str(blocker), "--n-days", "10"])
+        assert code == 2
+        assert blocker.read_text() == "not a directory"
 
     def test_bad_epoch_is_config_error(self, tmp_path):
         code = main([

@@ -3,7 +3,6 @@ import pytest
 
 from temporal_bc.errors import ConfigError, NumericError
 from temporal_bc.gp import (
-    gp_posterior,
     gram,
     make_run_ensemble,
     make_shifted_pair,
@@ -195,40 +194,6 @@ class TestRunEnsemble:
     def test_run_count_validated(self):
         with pytest.raises(ConfigError):
             make_run_ensemble(rbf(1.0), np.arange(10.0), n_runs=0)
-
-
-class TestPosterior:
-    def test_interpolates_training_points(self):
-        t = np.array([0.0, 1.0, 2.0, 3.0])
-        y = np.array([0.3, -0.2, 0.5, 0.1])
-        mu, cov = gp_posterior(rbf(1.5), t, y, t)
-        assert np.allclose(mu, y, atol=1e-4)
-        assert np.all(np.diag(cov) < 1e-4)
-
-    def test_reverts_to_prior_far_away(self):
-        t = np.array([0.0, 1.0])
-        y = np.array([5.0, 5.0])
-        mu, cov = gp_posterior(rbf(1.0), t, y, np.array([500.0]))
-        assert abs(mu[0]) < 1e-6
-        assert cov[0, 0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_noise_inflates_variance(self):
-        t = np.arange(5.0)
-        y = np.sin(t)
-        _, cov_clean = gp_posterior(rbf(2.0), t, y, t, noise_var=1e-8)
-        _, cov_noisy = gp_posterior(rbf(2.0), t, y, t, noise_var=0.5)
-        assert np.all(np.diag(cov_noisy) > np.diag(cov_clean))
-
-    def test_midpoint_between_symmetric_points(self):
-        # symmetry: posterior mean halfway between two equal values equals
-        # their common value scaled by the cross-correlation profile
-        t = np.array([-1.0, 1.0])
-        y = np.array([2.0, 2.0])
-        mu, _ = gp_posterior(rbf(2.0), t, y, np.array([0.0]), noise_var=1e-10)
-        k = np.exp(-1.0 / 8.0)
-        k12 = np.exp(-4.0 / 8.0)
-        expected = 2.0 * (2.0 * k / (1.0 + k12))
-        assert mu[0] == pytest.approx(expected, abs=1e-6)
 
 
 class TestJitter:

@@ -13,13 +13,14 @@ from temporal_bc.timeseries import (
     PairedDataset,
     TimeSeries,
     align,
-    denormalize,
     load_csv,
     load_paired,
+    load_samples_csv,
     month_of,
-    normalize,
+    write_csv,
     write_gcm_csv,
     write_obs_csv,
+    write_samples_csv,
 )
 
 
@@ -68,14 +69,16 @@ class TestTimeSeries:
 class TestNormalization:
     def test_identity_stats(self):
         ts = series([1.0, 2.0, 3.0])
-        out = normalize(ts, NormStats(0.0, 1.0))
-        assert np.array_equal(out.values, ts.values)
+        out = NormStats(0.0, 1.0).to_z(ts.values)
+        assert np.array_equal(out, ts.values)
 
     def test_round_trip(self):
         ts = series([14.2, 18.9, 23.4, 7.7])
         stats = NormStats.from_series(ts)
-        back = denormalize(normalize(ts, stats), stats)
-        assert np.allclose(back.values, ts.values, atol=1e-12)
+        back = stats.from_z(stats.to_z(ts.values))
+        assert np.allclose(back, ts.values, atol=1e-12)
+        # scalars take the same expressions as arrays
+        assert stats.from_z(stats.to_z(ts.values[1])) == back[1]
 
     @given(
         st.lists(
@@ -86,19 +89,21 @@ class TestNormalization:
     )
     def test_round_trip_property(self, values):
         ts = series(values)
-        std = float(np.std(ts.values))
-        if std <= 0:
-            return
+        if np.ptp(ts.values) == 0:
+            return  # constant: rejected, see test_zero_variance_rejected
         stats = NormStats.from_series(ts)
-        back = denormalize(normalize(ts, stats), stats)
-        assert np.allclose(back.values, ts.values, atol=1e-12)
-        normed = normalize(ts, stats)
-        assert abs(float(np.mean(normed.values))) < 1e-9
-        assert float(np.std(normed.values)) == pytest.approx(1.0)
+        back = stats.from_z(stats.to_z(ts.values))
+        assert np.allclose(back, ts.values, atol=1e-12)
+        normed = stats.to_z(ts.values)
+        assert abs(float(np.mean(normed))) < 1e-9
+        assert float(np.std(normed)) == pytest.approx(1.0)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DataError, match="constant"):
             NormStats.from_series(series([5.0, 5.0, 5.0]))
+        # equal values whose computed std rounds to 3.6e-15, not 0
+        with pytest.raises(DataError, match="constant"):
+            NormStats.from_series(series([22.225760508338645] * 3))
 
     def test_nonpositive_std_rejected(self):
         with pytest.raises(DataError, match="positive"):
@@ -215,3 +220,14 @@ class TestCsv:
         write_obs_csv(ts, tmp_path / "o.csv")
         back = load_csv(tmp_path / "o.csv", OBS)
         assert np.array_equal(back.values, vals)
+        samples = {1: [ts, TimeSeries(np.arange(3.0) + 0.5, -vals)], 0: [ts]}
+        write_samples_csv(samples, tmp_path / "s.csv")
+        back = load_samples_csv(tmp_path / "s.csv")
+        assert list(back) == [0, 1] and list(back[1]) == [0, 1]
+        assert np.array_equal(back[1][1].times, np.arange(3.0) + 0.5)
+        assert np.array_equal(back[1][1].values, -vals)
+        assert np.array_equal(back[0][0].values, vals)
+        rows = [(None, 7, vals[0]), ("x", np.int64(2), None)]
+        write_csv(tmp_path / "c.csv", ("a", "b", "c"), rows)
+        expected = "a,b,c\n,7,%r\nx,2,\n" % float(vals[0])
+        assert (tmp_path / "c.csv").read_text() == expected
