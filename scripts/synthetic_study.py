@@ -104,7 +104,8 @@ def main():
         config=sampler_cfg,
     )
 
-    corrected = baselines.mean_shift(
+    corrected = baselines.correct(
+        "mean",
         obs_train,
         pair.gcm.window(0, args.n_train - 1),
         pair.gcm.window(args.n_train, args.n_train + args.n_gen - 1),

@@ -30,8 +30,6 @@ from .timeseries import TimeSeries, month_of
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("mean", "meanvar", "eqm", "ecbc")
-
 
 def _groups(times: np.ndarray, epoch: dt.date, monthly: bool) -> dict[int, np.ndarray]:
     """Month -> index array (whole series under key 0 when not monthly)."""
@@ -41,132 +39,52 @@ def _groups(times: np.ndarray, epoch: dt.date, monthly: bool) -> dict[int, np.nd
     return {int(m): np.flatnonzero(keys == m) for m in np.unique(keys)}
 
 
-def _matched_groups(obs_ref, gcm_ref, gcm_proj, epoch, monthly):
-    og = _groups(obs_ref.times, epoch, monthly)
-    gg = _groups(gcm_ref.times, epoch, monthly)
-    pg = _groups(gcm_proj.times, epoch, monthly)
-    for m in sorted(pg):
-        if m not in og or m not in gg:
-            raise DataError(
-                "projection month %d has no reference data "
-                "(observed: %s, model: %s)" % (m, m in og, m in gg)
-            )
-    return og, gg, pg
+# Each mapping takes one month's reference observations, reference model
+# values and projection values and returns the corrected projection values.
 
 
-def mean_shift(
-    obs_ref: TimeSeries,
-    gcm_ref: TimeSeries,
-    gcm_proj: TimeSeries,
-    epoch: dt.date,
-    monthly: bool = True,
-) -> TimeSeries:
-    og, gg, pg = _matched_groups(obs_ref, gcm_ref, gcm_proj, epoch, monthly)
-    out = np.array(gcm_proj.values)
-    for m, idx in pg.items():
-        shift = float(
-            np.mean(obs_ref.values[og[m]]) - np.mean(gcm_ref.values[gg[m]])
-        )
-        out[idx] += shift
-    return TimeSeries(gcm_proj.times, out, gcm_proj.source_tag)
+def _mean(month, obs_ref, gcm_ref, proj):
+    return proj + float(np.mean(obs_ref) - np.mean(gcm_ref))
 
 
-def mean_var_shift(
-    obs_ref: TimeSeries,
-    gcm_ref: TimeSeries,
-    gcm_proj: TimeSeries,
-    epoch: dt.date,
-    monthly: bool = True,
-) -> TimeSeries:
-    og, gg, pg = _matched_groups(obs_ref, gcm_ref, gcm_proj, epoch, monthly)
-    out = np.array(gcm_proj.values)
-    for m, idx in pg.items():
-        mean_o = float(np.mean(obs_ref.values[og[m]]))
-        mean_g = float(np.mean(gcm_ref.values[gg[m]]))
-        std_o = float(np.std(obs_ref.values[og[m]]))
-        std_g = float(np.std(gcm_ref.values[gg[m]]))
-        if std_g == 0.0:
-            raise DataError("reference model month %d has zero variance" % m)
-        out[idx] = (out[idx] - mean_g) * (std_o / std_g) + mean_o
-    return TimeSeries(gcm_proj.times, out, gcm_proj.source_tag)
+def _meanvar(month, obs_ref, gcm_ref, proj):
+    std_g = float(np.std(gcm_ref))
+    if std_g == 0.0:
+        raise DataError("reference model month %d has zero variance" % month)
+    scale = float(np.std(obs_ref)) / std_g
+    return (proj - float(np.mean(gcm_ref))) * scale + float(np.mean(obs_ref))
 
 
-def _eqm_values(obs_ref_v, gcm_ref_v, proj_v) -> np.ndarray:
-    sorted_obs = np.sort(obs_ref_v)
-    sorted_gcm = np.sort(gcm_ref_v)
-    idx = np.searchsorted(sorted_gcm, proj_v, side="left")
+def _eqm(month, obs_ref, gcm_ref, proj):
+    sorted_obs = np.sort(obs_ref)
+    sorted_gcm = np.sort(gcm_ref)
+    idx = np.searchsorted(sorted_gcm, proj, side="left")
     idx = np.minimum(idx, len(sorted_gcm) - 1)
     idx = np.minimum(idx, len(sorted_obs) - 1)
     return sorted_obs[idx]
 
 
-def eqm(
-    obs_ref: TimeSeries,
-    gcm_ref: TimeSeries,
-    gcm_proj: TimeSeries,
-    epoch: dt.date,
-    monthly: bool = True,
-) -> TimeSeries:
-    og, gg, pg = _matched_groups(obs_ref, gcm_ref, gcm_proj, epoch, monthly)
-    out = np.array(gcm_proj.values)
-    for m, idx in pg.items():
-        out[idx] = _eqm_values(
-            obs_ref.values[og[m]], gcm_ref.values[gg[m]], out[idx]
+def _ecbc(month, obs_ref, gcm_ref, proj):
+    """The eqm values put in the observed month's rank order (ties broken by
+    time). A month whose day count differs from the observed month's is
+    trimmed to the shorter count from the tail, with a logged warning."""
+    n = min(len(obs_ref), len(proj))
+    if len(obs_ref) != len(proj):
+        logger.warning(
+            "month %d: %d observed reference days vs %d projection days; "
+            "trimming to %d",
+            month,
+            len(obs_ref),
+            len(proj),
+            n,
         )
-    return TimeSeries(gcm_proj.times, out, gcm_proj.source_tag)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[np.argsort(obs_ref[:n], kind="stable")] = np.arange(n)
+    return np.sort(_eqm(month, obs_ref, gcm_ref, proj)[:n])[ranks]
 
 
-def _stable_ranks(values: np.ndarray) -> np.ndarray:
-    """Rank of each element, ties resolved by position (time order)."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.int64)
-    ranks[order] = np.arange(len(values))
-    return ranks
-
-
-def ecbc(
-    obs_ref: TimeSeries,
-    gcm_ref: TimeSeries,
-    gcm_proj: TimeSeries,
-    epoch: dt.date,
-    monthly: bool = True,
-) -> TimeSeries:
-    """Quantile-map, then reorder each month to the observed rank sequence.
-
-    Needs equal per-month day counts between the observed reference and the
-    projection; a mismatch is trimmed to the shorter count from the tail
-    (with a logged warning), so the output may omit trailing surplus days.
-    """
-    base = eqm(obs_ref, gcm_ref, gcm_proj, epoch, monthly)
-    og = _groups(obs_ref.times, epoch, monthly)
-    pg = _groups(gcm_proj.times, epoch, monthly)
-    out = np.full(len(gcm_proj), np.nan)
-    keep = np.zeros(len(gcm_proj), dtype=bool)
-    for m, idx in pg.items():
-        template = obs_ref.values[og[m]]
-        n = min(len(template), len(idx))
-        if len(template) != len(idx):
-            logger.warning(
-                "month %d: %d observed reference days vs %d projection days; "
-                "trimming to %d",
-                m,
-                len(template),
-                len(idx),
-                n,
-            )
-        idx_kept = idx[:n]
-        ranks = _stable_ranks(template[:n])
-        out[idx_kept] = np.sort(base.values[idx_kept])[ranks]
-        keep[idx_kept] = True
-    return TimeSeries(gcm_proj.times[keep], out[keep], gcm_proj.source_tag)
-
-
-_DISPATCH = {
-    "mean": mean_shift,
-    "meanvar": mean_var_shift,
-    "eqm": eqm,
-    "ecbc": ecbc,
-}
+_MAPPINGS = {"mean": _mean, "meanvar": _meanvar, "eqm": _eqm, "ecbc": _ecbc}
+METHODS = tuple(_MAPPINGS)
 
 
 def correct(
@@ -177,10 +95,33 @@ def correct(
     epoch: dt.date,
     monthly: bool = True,
 ) -> TimeSeries:
-    """Dispatch by method name; see the module docstring for the catalogue."""
-    if method not in _DISPATCH:
+    """Correct ``gcm_proj`` by one of :data:`METHODS`, learnt per month from
+    the reference pair; see the module docstring for the catalogue.
+
+    Every projection month needs reference data from both series. ``ecbc``
+    may omit trailing days of a month (see :func:`_ecbc`).
+    """
+    if method not in _MAPPINGS:
         raise ConfigError("unknown baseline %r (choose from %s)" % (method, METHODS))
     for name, series in (("obs_ref", obs_ref), ("gcm_ref", gcm_ref), ("gcm_proj", gcm_proj)):
         if len(series) == 0:
             raise DataError("%s is empty" % name)
-    return _DISPATCH[method](obs_ref, gcm_ref, gcm_proj, epoch, monthly)
+    og = _groups(obs_ref.times, epoch, monthly)
+    gg = _groups(gcm_ref.times, epoch, monthly)
+    pg = _groups(gcm_proj.times, epoch, monthly)
+    for m in pg:
+        if m not in og or m not in gg:
+            raise DataError(
+                "projection month %d has no reference data "
+                "(observed: %s, model: %s)" % (m, m in og, m in gg)
+            )
+    mapping = _MAPPINGS[method]
+    out = np.empty(len(gcm_proj))
+    keep = np.zeros(len(gcm_proj), dtype=bool)
+    for m, idx in pg.items():
+        values = mapping(
+            m, obs_ref.values[og[m]], gcm_ref.values[gg[m]], gcm_proj.values[idx]
+        )
+        out[idx[: len(values)]] = values
+        keep[idx[: len(values)]] = True
+    return TimeSeries(gcm_proj.times[keep], out[keep], gcm_proj.source_tag)

@@ -102,6 +102,13 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
+def _apply_flags(config, args, keys):
+    """Replace the fields of ``config`` named in ``keys`` whose command-line
+    flag was given (each flag's default is None)."""
+    given = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return dataclasses.replace(config, **given)
+
+
 def _apply_section(default, section: dict | None, name: str):
     """Overlay a config-file section onto a dataclass of defaults."""
     if section is None:
@@ -199,16 +206,11 @@ def _cmd_train(args) -> int:
     cfg = _load_config_file(args.config)
     model_config = _apply_section(ModelConfig(), cfg.get("model"), "model")
     batch_config = _apply_section(BatchConfig(), cfg.get("batch"), "batch")
+    batch_config = _apply_flags(batch_config, args, ("ablate_gcm",))
     train_config = _apply_section(TrainConfig(), cfg.get("train"), "train")
-    overrides = {}
-    for key in ("steps", "batch_size", "learning_rate", "seed"):
-        flag = getattr(args, key)
-        if flag is not None:
-            overrides[key] = flag
-    if overrides:
-        train_config = dataclasses.replace(train_config, **overrides)
-    if args.ablate_gcm:
-        batch_config = dataclasses.replace(batch_config, ablate_gcm=True)
+    train_config = _apply_flags(
+        train_config, args, ("steps", "batch_size", "learning_rate", "seed")
+    )
 
     dataset = load_paired(args.obs, args.gcm, location_id=args.location_id)
     outputs = _Outputs(args.out_dir)
@@ -262,14 +264,9 @@ def _parse_run(raw: str) -> int | None:
 def _cmd_sample(args) -> int:
     cfg = _load_config_file(args.config)
     sampler_config = _apply_section(SamplerConfig(), cfg.get("sampler"), "sampler")
-    overrides = {"horizon": args.horizon}
-    if args.n_trajectories is not None:
-        overrides["n_trajectories"] = args.n_trajectories
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.deterministic:
-        overrides["deterministic"] = True
-    sampler_config = dataclasses.replace(sampler_config, **overrides)
+    sampler_config = _apply_flags(
+        sampler_config, args, ("horizon", "n_trajectories", "seed", "deterministic")
+    )
 
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_paired(args.obs, args.gcm)
@@ -337,11 +334,7 @@ def _cmd_eval(args) -> int:
     obs_series = TimeSeries(common, obs_v)
     hw_cand = metrics.heatwave_count(cand_series, args.threshold)
     hw_obs = metrics.heatwave_count(obs_series, args.threshold)
-    rel = (
-        None
-        if hw_obs.count == 0
-        else metrics.relative_heatwave_error(hw_cand.count, hw_obs.count)
-    )
+    rel = metrics.relative_heatwave_error(hw_cand.count, hw_obs.count)
     outputs = _Outputs(args.out_dir)
     payload = report.to_dict()
     payload.update(
@@ -409,58 +402,45 @@ def _cmd_report(args) -> int:
     count_rows: list[tuple[str, int, int | None, int]] = []
     summary: dict[str, dict] = {}
 
-    def obs_on(series: TimeSeries) -> TimeSeries:
-        common, obs_v, _ = common_grid(observed, series)
-        if len(common) != len(series):
+    def score_run(candidate: TimeSeries, counts, predictive_std=None) -> dict:
+        """Score one run's candidate series against the observed record on
+        the candidate's days, with ``counts`` its heatwave count(s)."""
+        common, obs_v, _ = common_grid(observed, candidate)
+        if len(common) != len(candidate):
             raise DataError(
                 "observed record does not cover the evaluation stretch "
-                "(%d of %d days present)" % (len(common), len(series))
+                "(%d of %d days present)" % (len(common), len(candidate))
             )
-        return TimeSeries(common, obs_v)
+        hw_obs = metrics.heatwave_count(TimeSeries(common, obs_v), args.threshold)
+        rep = metrics.score(candidate.values, obs_v, predictive_std=predictive_std)
+        return {
+            "mse": rep.mse,
+            "loglik": rep.loglik,
+            "observed_heatwave_count": hw_obs.count,
+            "relative_heatwave_error_pct": metrics.relative_heatwave_error(
+                counts, hw_obs.count
+            ),
+        }
 
     model_runs = {}
     for run_id in sorted(samples):
         times, ens_mean, ens_std = _ensemble_stats(samples[run_id])
-        obs_slice = obs_on(TimeSeries(times, ens_mean))
-        hw_obs = metrics.heatwave_count(obs_slice, args.threshold)
-        traj_counts = {}
-        rels = []
-        for traj_id in sorted(samples[run_id]):
-            hw = metrics.heatwave_count(samples[run_id][traj_id], args.threshold)
-            traj_counts[traj_id] = hw.count
-            count_rows.append(("model", run_id, traj_id, hw.count))
-            if hw_obs.count > 0:
-                rels.append(
-                    metrics.relative_heatwave_error(hw.count, hw_obs.count)
-                )
-        rep = metrics.score(ens_mean, obs_slice.values, predictive_std=ens_std)
-        model_runs[run_id] = {
-            "mse": rep.mse,
-            "loglik": rep.loglik,
-            "trajectory_heatwave_counts": traj_counts,
-            "observed_heatwave_count": hw_obs.count,
-            "relative_heatwave_error_pct": None if not rels else float(np.mean(rels)),
+        counts = {
+            traj_id: metrics.heatwave_count(series, args.threshold).count
+            for traj_id, series in sorted(samples[run_id].items())
         }
+        count_rows += [("model", run_id, traj_id, n) for traj_id, n in counts.items()]
+        row = score_run(TimeSeries(times, ens_mean), list(counts.values()), ens_std)
+        model_runs[run_id] = {**row, "trajectory_heatwave_counts": counts}
     summary["model"] = _summarize(model_runs)
 
     baseline_results = {}
     for name, runs in baseline_series.items():
         per_run = {}
         for run_id, series in enumerate(runs):
-            obs_slice = obs_on(series)
-            hw_obs = metrics.heatwave_count(obs_slice, args.threshold)
-            hw = metrics.heatwave_count(series, args.threshold)
-            count_rows.append((name, run_id, None, hw.count))
-            rep = metrics.score(series.values, obs_slice.values)
-            per_run[run_id] = {
-                "mse": rep.mse,
-                "loglik": rep.loglik,
-                "heatwave_count": hw.count,
-                "observed_heatwave_count": hw_obs.count,
-                "relative_heatwave_error_pct": None
-                if hw_obs.count == 0
-                else metrics.relative_heatwave_error(hw.count, hw_obs.count),
-            }
+            count = metrics.heatwave_count(series, args.threshold).count
+            count_rows.append((name, run_id, None, count))
+            per_run[run_id] = {**score_run(series, count), "heatwave_count": count}
         baseline_results[name] = per_run
         summary[name] = _summarize(per_run)
 
@@ -555,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--ablate-gcm", action="store_true")
+    p.add_argument("--ablate-gcm", action="store_true", default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sample", help="generate corrected trajectories")
@@ -564,11 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gcm", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=int)
     p.add_argument("--n-trajectories", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--run", default="all")
-    p.add_argument("--deterministic", action="store_true")
+    p.add_argument("--deterministic", action="store_true", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("baseline", help="apply a classical correction method")

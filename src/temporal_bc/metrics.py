@@ -48,7 +48,7 @@ def heatwave_count(series: TimeSeries, threshold: float) -> HeatwaveStats:
     """Count maximal runs of >= 3 consecutive days strictly above threshold."""
     if len(series) == 0:
         raise DataError("cannot count heatwaves of an empty series")
-    if not series.is_daily():
+    if series.non_daily_step() is not None:
         raise DataError("heatwave counting needs a contiguous daily grid")
     above = np.concatenate([[False], series.values > threshold, [False]]).astype(int)
     edges = np.diff(above)
@@ -60,11 +60,17 @@ def heatwave_count(series: TimeSeries, threshold: float) -> HeatwaveStats:
     )
 
 
-def relative_heatwave_error(candidate_count: int, observed_count: int) -> float:
-    """100 * |candidate - observed| / observed, in percent."""
-    if observed_count <= 0:
-        raise DataError("observed heatwave count must be positive")
-    return 100.0 * abs(candidate_count - observed_count) / observed_count
+def relative_heatwave_error(candidate_counts, observed_count: int) -> float | None:
+    """Mean over the candidate counts of 100 * |candidate - observed| / observed,
+    in percent, or None when the observed count is 0.
+
+    ``candidate_counts`` holds one count per trajectory, or is a single count
+    for a deterministic series.
+    """
+    if observed_count == 0:
+        return None
+    counts = np.ravel(candidate_counts).tolist()
+    return float(np.mean([100.0 * abs(c - observed_count) / observed_count for c in counts]))
 
 
 def qq(series_a, series_b, n_quantiles: int = 101) -> np.ndarray:
@@ -75,8 +81,8 @@ def qq(series_a, series_b, n_quantiles: int = 101) -> np.ndarray:
     """
     if n_quantiles < 2:
         raise ConfigError("n_quantiles must be >= 2")
-    a = np.asarray(getattr(series_a, "values", series_a), dtype=np.float64)
-    b = np.asarray(getattr(series_b, "values", series_b), dtype=np.float64)
+    a = np.asarray(series_a, dtype=np.float64)
+    b = np.asarray(series_b, dtype=np.float64)
     if len(a) == 0 or len(b) == 0:
         raise DataError("qq needs nonempty series")
     probs = np.linspace(0.0, 1.0, n_quantiles)
@@ -89,7 +95,7 @@ def pacf(values, max_lag: int = 14) -> np.ndarray:
     Works from the biased sample autocorrelation; the series must be longer
     than max_lag and non-constant.
     """
-    x = np.asarray(getattr(values, "values", values), dtype=np.float64)
+    x = np.asarray(values, dtype=np.float64)
     if max_lag < 1:
         raise ConfigError("max_lag must be >= 1")
     n = len(x)
@@ -176,8 +182,8 @@ def score(
     and equal to the MSE (floored at 1e-12 with a logged warning, since a
     perfect match makes the density degenerate).
     """
-    c = np.asarray(getattr(candidate, "values", candidate), dtype=np.float64)
-    o = np.asarray(getattr(observed, "values", observed), dtype=np.float64)
+    c = np.asarray(candidate, dtype=np.float64)
+    o = np.asarray(observed, dtype=np.float64)
     if len(c) != len(o):
         raise DataError(
             "candidate has %d points, observed has %d" % (len(c), len(o))

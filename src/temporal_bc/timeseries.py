@@ -74,11 +74,11 @@ class TimeSeries:
         keep = (self.times >= t_start) & (self.times <= t_end)
         return TimeSeries(self.times[keep], self.values[keep], self.source_tag)
 
-    def is_daily(self, tol: float = _DAY_TOL) -> bool:
-        """True when consecutive times differ by exactly one day."""
-        if len(self) < 2:
-            return True
-        return bool(np.all(np.abs(np.diff(self.times) - 1.0) <= tol))
+    def non_daily_step(self) -> int | None:
+        """Position of the first time whose step to the next is not one day,
+        or None on a contiguous daily grid."""
+        bad = np.abs(np.diff(self.times) - 1.0) > _DAY_TOL
+        return int(np.argmax(bad)) if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,15 @@ class NormStats:
     def from_series(cls, series: TimeSeries) -> "NormStats":
         if len(series) == 0:
             raise DataError("cannot compute normalization stats of empty series")
-        # np.std of equal values can round to a tiny positive number
-        if np.ptp(series.values) == 0:
-            raise DataError("series is constant; z-scoring undefined")
-        return cls(float(np.mean(series.values)), float(np.std(series.values)))
+        mean, std = float(np.mean(series.values)), float(np.std(series.values))
+        # np.std of equal values can round to a tiny positive number, and
+        # values a few ulps apart give z-scores far from mean 0 and std 1
+        if np.ptp(series.values) == 0 or std <= 1e-6 * abs(mean):
+            raise DataError(
+                "series is (nearly) constant: std %r is at most 1e-6 of |mean| %r; "
+                "z-scoring undefined" % (std, abs(mean))
+            )
+        return cls(mean, std)
 
     def to_z(self, values):
         """z-scores of natural-unit values (array or float)."""
@@ -195,7 +200,12 @@ def align(dataset: PairedDataset, run_id: int) -> AlignedPair:
 
 def month_of(t: float, epoch: dt.date) -> int:
     """Calendar month (1..12) of day index ``t`` counted from ``epoch``."""
-    moment = dt.datetime.combine(epoch, dt.time()) + dt.timedelta(days=float(t))
+    try:
+        moment = dt.datetime.combine(epoch, dt.time()) + dt.timedelta(days=float(t))
+    except OverflowError:
+        raise DataError(
+            "day %r counted from epoch %s is outside the calendar" % (float(t), epoch)
+        )
     return moment.month
 
 
@@ -295,17 +305,15 @@ def _read_series(path, header: list[str], source_tag: str) -> dict:
     return out
 
 
-def _check_daily(times: np.ndarray, path, what: str) -> None:
-    if len(times) > 1:
-        gaps = np.diff(times)
-        bad = np.abs(gaps - 1.0) > _DAY_TOL
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise DataError(
-                "%s: %s has a non-daily step of %r days after t=%r "
-                "(missing days are rejected, not imputed)"
-                % (path, what, float(gaps[i]), float(times[i]))
-            )
+def _check_daily(series: TimeSeries, path, what: str) -> None:
+    i = series.non_daily_step()
+    if i is not None:
+        t = series.times
+        raise DataError(
+            "%s: %s has a non-daily step of %r days after t=%r "
+            "(missing days are rejected, not imputed)"
+            % (path, what, float(t[i + 1] - t[i]), float(t[i]))
+        )
 
 
 def load_csv(path, source_tag: str):
@@ -317,7 +325,7 @@ def load_csv(path, source_tag: str):
     """
     if source_tag == OBS:
         series = _read_series(path, ["t", "value"], OBS)[()]
-        _check_daily(series.times, path, "observation series")
+        _check_daily(series, path, "observation series")
         return series
     if source_tag != GCM:
         raise DataError("source_tag must be %s or %s" % (OBS, GCM))
@@ -329,7 +337,7 @@ def load_csv(path, source_tag: str):
         )
     runs = [by_run[(z,)] for z in range(len(by_run))]
     for z, series in enumerate(runs):
-        _check_daily(series.times, path, "run %d" % z)
+        _check_daily(series, path, "run %d" % z)
     return runs
 
 

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temporal_bc.baselines import (
-    METHODS,
-    correct,
-    ecbc,
-    eqm,
-    mean_shift,
-    mean_var_shift,
-)
+from temporal_bc.baselines import METHODS, correct
 from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.timeseries import GCM, OBS, TimeSeries
 
@@ -51,7 +44,7 @@ class TestMeanShift:
         o = obs(t, 15.0 + rng.normal(size=31))
         g = gcm(t, 12.0 + rng.normal(size=31))
         proj = gcm(t + 365.0, rng.normal(size=31))  # January one year later
-        got = mean_shift(o, g, proj, EPOCH)
+        got = correct("mean", o, g, proj, EPOCH)
         c = np.mean(o.values) - np.mean(g.values)
         assert np.allclose(got.values, proj.values + c, atol=1e-10)
 
@@ -61,7 +54,7 @@ class TestMeanShift:
         t = np.arange(31.0)
         o = obs(t, rng.normal(size=31))
         g = gcm(t, rng.normal(size=31))
-        got = mean_shift(o, g, g, EPOCH)
+        got = correct("mean", o, g, g, EPOCH)
         c = got.values[0] - g.values[0]
 
         def sse(offset):
@@ -74,7 +67,7 @@ class TestMeanShift:
         t = np.arange(59.0)  # Jan + Feb
         o_v = np.where(t < 31, 10.0, 20.0)
         g_v = np.where(t < 31, 7.0, 25.0)
-        got = mean_shift(obs(t, o_v), gcm(t, g_v), gcm(t, g_v), EPOCH)
+        got = correct("mean", obs(t, o_v), gcm(t, g_v), gcm(t, g_v), EPOCH)
         assert np.allclose(got.values[:31], 10.0, atol=1e-10)
         assert np.allclose(got.values[31:], 20.0, atol=1e-10)
 
@@ -82,7 +75,7 @@ class TestMeanShift:
         t = np.arange(40.0)
         o = obs(t, np.full(40, 5.0))
         g = gcm(t, np.full(40, 1.0))
-        got = mean_shift(o, g, g, EPOCH, monthly=False)
+        got = correct("mean", o, g, g, EPOCH, monthly=False)
         assert np.allclose(got.values, 5.0, atol=1e-12)
 
 
@@ -92,7 +85,7 @@ class TestMeanVarShift:
         t = np.arange(59.0)
         o = obs(t, np.concatenate([5 + 2 * rng.normal(size=31), 9 + 0.5 * rng.normal(size=28)]))
         g = gcm(t, np.concatenate([1 + 4 * rng.normal(size=31), 2 + 3 * rng.normal(size=28)]))
-        got = mean_var_shift(o, g, g, EPOCH)
+        got = correct("meanvar", o, g, g, EPOCH)
         for sl in (slice(0, 31), slice(31, 59)):
             assert np.mean(got.values[sl]) == pytest.approx(np.mean(o.values[sl]), abs=1e-10)
             assert np.std(got.values[sl]) == pytest.approx(np.std(o.values[sl]), abs=1e-10)
@@ -102,7 +95,7 @@ class TestMeanVarShift:
         o_v = np.linspace(0.0, 3.0, 31)
         g_v = np.linspace(10.0, 16.0, 31)
         proj_v = np.full(31, 13.0)
-        got = mean_var_shift(obs(t, o_v), gcm(t, g_v), gcm(t, proj_v), EPOCH)
+        got = correct("meanvar", obs(t, o_v), gcm(t, g_v), gcm(t, proj_v), EPOCH)
         expected = (13.0 - np.mean(g_v)) * (np.std(o_v) / np.std(g_v)) + np.mean(o_v)
         assert np.allclose(got.values, expected, atol=1e-12)
 
@@ -111,7 +104,7 @@ class TestMeanVarShift:
         o = obs(t, np.linspace(0, 1, 31))
         g = gcm(t, np.full(31, 4.0))
         with pytest.raises(DataError, match="zero variance"):
-            mean_var_shift(o, g, g, EPOCH)
+            correct("meanvar", o, g, g, EPOCH)
 
 
 class TestEqm:
@@ -121,7 +114,7 @@ class TestEqm:
         g = gcm(t, [1.0, 2.0, 3.0])
         proj_t = np.arange(5.0)
         proj = gcm(proj_t, [2.0, 0.5, 3.5, 1.0, 2.5])
-        got = eqm(o, g, proj, EPOCH, monthly=False)
+        got = correct("eqm", o, g, proj, EPOCH, monthly=False)
         # first reference-model value >= v picks the target quantile:
         # 2.0 -> slot 1 -> 20; 0.5 -> slot 0 -> 10; 3.5 -> clamp -> 30;
         # 1.0 -> slot 0 -> 10; 2.5 -> slot 2 -> 30
@@ -132,7 +125,7 @@ class TestEqm:
         t = np.arange(31.0)
         o = obs(t, rng.normal(size=31))
         g = gcm(t, 5.0 + 2.0 * rng.normal(size=31))
-        got = eqm(o, g, g, EPOCH)
+        got = correct("eqm", o, g, g, EPOCH)
         assert np.array_equal(np.sort(got.values), np.sort(o.values))
 
     def test_agrees_with_naive_loop(self):
@@ -141,7 +134,7 @@ class TestEqm:
         o_v = rng.normal(size=31)
         g_v = rng.normal(size=31)
         proj_v = rng.normal(size=31)
-        got = eqm(obs(t, o_v), gcm(t, g_v), gcm(t, proj_v), EPOCH)
+        got = correct("eqm", obs(t, o_v), gcm(t, g_v), gcm(t, proj_v), EPOCH)
         assert np.array_equal(got.values, naive_eqm(o_v, g_v, proj_v))
 
     def test_unequal_reference_lengths_clamp(self):
@@ -150,7 +143,7 @@ class TestEqm:
         o = obs(np.arange(3.0), [10.0, 20.0, 30.0])
         g = gcm(np.arange(5.0), [1.0, 2.0, 3.0, 4.0, 5.0])
         proj = gcm(np.arange(3.0), [4.5, 5.5, 0.0])
-        got = eqm(o, g, proj, EPOCH)
+        got = correct("eqm", o, g, proj, EPOCH)
         assert list(got.values) == [30.0, 30.0, 10.0]
 
     @given(
@@ -163,8 +156,8 @@ class TestEqm:
         n = len(proj_v)
         t_o = np.arange(float(len(o_v)))
         t_g = np.arange(float(len(g_v)))
-        got = eqm(
-            obs(t_o, o_v), gcm(t_g, g_v), gcm(np.arange(float(n)), proj_v),
+        got = correct(
+            "eqm", obs(t_o, o_v), gcm(t_g, g_v), gcm(np.arange(float(n)), proj_v),
             EPOCH, monthly=False,
         )
         order = np.argsort(proj_v, kind="stable")
@@ -182,7 +175,7 @@ class TestEcbc:
         o_v = rng.normal(size=31)
         o = obs(t, o_v)
         g = gcm(t, rng.normal(size=31))
-        got = ecbc(o, g, g, EPOCH)
+        got = correct("ecbc", o, g, g, EPOCH)
         ranks_obs = np.argsort(np.argsort(o_v, kind="stable"))
         ranks_out = np.argsort(np.argsort(got.values, kind="stable"))
         assert np.array_equal(ranks_out, ranks_obs)
@@ -197,8 +190,8 @@ class TestEcbc:
         o = obs(t, o_v)
         g = gcm(t, rng.normal(size=31))
         proj = gcm(t, rng.normal(size=31))
-        base = eqm(o, g, proj, EPOCH)
-        got = ecbc(o, g, proj, EPOCH)
+        base = correct("eqm", o, g, proj, EPOCH)
+        got = correct("ecbc", o, g, proj, EPOCH)
         order = np.argsort(o_v, kind="stable")
         ranks = np.empty(31, dtype=int)
         ranks[order] = np.arange(31)
@@ -211,8 +204,8 @@ class TestEcbc:
         o = obs(t, rng.normal(size=31))
         g = gcm(t, rng.normal(size=31))
         proj = gcm(t, rng.normal(size=31))
-        base = eqm(o, g, proj, EPOCH)
-        got = ecbc(o, g, proj, EPOCH)
+        base = correct("eqm", o, g, proj, EPOCH)
+        got = correct("ecbc", o, g, proj, EPOCH)
         assert np.array_equal(np.sort(got.values), np.sort(base.values))
 
     def test_constant_template_keeps_sorted_time_order(self):
@@ -220,7 +213,7 @@ class TestEcbc:
         o = obs(t, np.full(31, 7.0))
         g = gcm(t, np.linspace(0, 1, 31))
         proj = gcm(t, np.linspace(1, 0, 31))
-        got = ecbc(o, g, proj, EPOCH)
+        got = correct("ecbc", o, g, proj, EPOCH)
         # all template ranks tie; stable ranking is 0..n-1, i.e. ascending
         assert np.all(np.diff(got.values) >= 0)
 
@@ -233,8 +226,8 @@ class TestEcbc:
         o = obs(t, rng.normal(size=31))
         g = gcm(t, rng.normal(size=31))
         v = rng.normal(size=31)
-        got_a = ecbc(o, g, gcm(t, v), EPOCH)
-        got_b = ecbc(o, g, gcm(t, v[rng.permutation(31)]), EPOCH)
+        got_a = correct("ecbc", o, g, gcm(t, v), EPOCH)
+        got_b = correct("ecbc", o, g, gcm(t, v[rng.permutation(31)]), EPOCH)
         assert np.allclose(got_a.values, got_b.values, atol=1e-12)
 
     def test_day_count_mismatch_trims_tail(self, caplog):
@@ -248,7 +241,7 @@ class TestEcbc:
         proj = gcm(proj_t, rng.normal(size=31))
         short_o = obs(t_ref[:20], o.values[:20])
         with caplog.at_level(logging.WARNING):
-            got = ecbc(short_o, g, proj, EPOCH)
+            got = correct("ecbc", short_o, g, proj, EPOCH)
         assert len(got) == 20
         assert np.array_equal(got.times, proj_t[:20])
         assert any("trimming" in r.message for r in caplog.records)
@@ -257,20 +250,6 @@ class TestEcbc:
 class TestCorrectDispatch:
     def test_methods_tuple(self):
         assert METHODS == ("mean", "meanvar", "eqm", "ecbc")
-
-    def test_dispatch_matches_direct_calls(self):
-        rng = np.random.default_rng(9)
-        t = np.arange(31.0)
-        o = obs(t, rng.normal(size=31))
-        g = gcm(t, rng.normal(size=31))
-        proj = gcm(t, rng.normal(size=31))
-        for name, fn in (
-            ("mean", mean_shift), ("meanvar", mean_var_shift),
-            ("eqm", eqm), ("ecbc", ecbc),
-        ):
-            a = correct(name, o, g, proj, EPOCH)
-            b = fn(o, g, proj, EPOCH)
-            assert np.array_equal(a.values, b.values)
 
     def test_unknown_method(self):
         t = np.arange(3.0)
@@ -285,4 +264,4 @@ class TestCorrectDispatch:
         g = gcm(jan, np.ones(31))
         proj = gcm(feb, np.ones(28))
         with pytest.raises(DataError, match="month"):
-            mean_shift(o, g, proj, EPOCH)
+            correct("mean", o, g, proj, EPOCH)

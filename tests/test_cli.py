@@ -21,9 +21,13 @@ from temporal_bc.timeseries import (
     load_csv,
     write_gcm_csv,
     write_obs_csv,
+    write_samples_csv,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# above and below a heatwave threshold of 10
+H, L = 11.0, 0.0
 
 TINY_CONFIG = {
     "model": {
@@ -218,6 +222,23 @@ class TestTrainSample:
         assert code == 3
         assert not (out / "samples.csv").exists()
 
+    def test_sampler_horizon_comes_from_config(self, tmp_path):
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config = ModelConfig(**TINY_CONFIG["model"])
+        params = init_params(config, np.random.default_rng(0))
+        ckpt_path = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint_from_params(config, params, NormStats(15.0, 3.0)), ckpt_path)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"sampler": {"horizon": 4}}))
+        code = main([
+            "sample", "--checkpoint", str(ckpt_path), "--obs", obs_path,
+            "--gcm", gcm_path, "--config", str(config_file),
+            "--out-dir", str(tmp_path / "s"), "--n-trajectories", "2",
+        ])
+        assert code == 0
+        lines = (tmp_path / "s" / "samples.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 4
+
     @pytest.mark.parametrize(
         "section, key, value, code",
         [
@@ -360,6 +381,28 @@ class TestEval:
         assert len(pacf_lines) == 15
         assert (tmp_path / "eval" / "heatwave.csv").exists()
 
+    def test_relative_heatwave_error(self, tmp_path):
+        # threshold 10: observed has 2 heatwaves, the candidate 3 -> 50 %
+        t = np.arange(16.0)
+        observed = [H, H, H, L, H, H, H, L, L, L, L, L, L, L, L, L]
+        candidate = [H, H, H, L, H, H, H, L, H, H, H, L, L, L, L, L]
+        for name, obs_v in (("two", observed), ("none", [L] * 16)):
+            write_obs_csv(TimeSeries(t, obs_v, OBS), tmp_path / "observed.csv")
+            write_obs_csv(TimeSeries(t, candidate, OBS), tmp_path / "candidate.csv")
+            code = main([
+                "eval", "--candidate", str(tmp_path / "candidate.csv"),
+                "--observed", str(tmp_path / "observed.csv"),
+                "--threshold", "10.0", "--out-dir", str(tmp_path / name),
+            ])
+            assert code == 0
+        report = json.loads((tmp_path / "two" / "report.json").read_text())
+        assert report["heatwave_observed"] == 2
+        assert report["heatwave_candidate"] == 3
+        assert report["relative_heatwave_error_pct"] == 50.0
+        report = json.loads((tmp_path / "none" / "report.json").read_text())
+        assert report["heatwave_observed"] == 0
+        assert report["relative_heatwave_error_pct"] is None
+
     def test_disjoint_series_is_data_error(self, tmp_path):
         t = np.arange(10.0)
         write_obs_csv(TimeSeries(t, np.ones(10), OBS), tmp_path / "a.csv")
@@ -415,6 +458,52 @@ class TestReport:
         counts = (tmp_path / "report" / "heatwave_counts.csv").read_text().splitlines()
         # 2 runs x 2 trajectories for the model, 2 runs for the baseline
         assert len(counts) == 1 + 4 + 2
+
+    def test_relative_heatwave_error(self, tmp_path):
+        # threshold 10, observed count 2: trajectories with 1 and 2
+        # heatwaves give 50 % and 0 %, so the run reads their mean, 25 %;
+        # the baseline has 3 heatwaves, 50 %
+        t = np.arange(16.0)
+        observed = [H, H, H, L, H, H, H, L, L, L, L, L, L, L, L, L]
+        traj_0 = [H, H, H, L, L, L, L, L, L, L, L, L, L, L, L, L]
+        traj_1 = [L, L, L, L, H, H, H, L, H, H, H, L, L, L, L, L]
+        corrected = [H, H, H, L, H, H, H, L, H, H, H, L, L, L, L, L]
+        write_samples_csv(
+            {0: [TimeSeries(t, traj_0, OBS), TimeSeries(t, traj_1, OBS)]},
+            tmp_path / "samples.csv",
+        )
+        write_gcm_csv([TimeSeries(t, corrected, GCM)], tmp_path / "corrected.csv")
+        for name, obs_v in (("two", observed), ("none", [L] * 16)):
+            write_obs_csv(TimeSeries(t, obs_v, OBS), tmp_path / "observed.csv")
+            code = main([
+                "report", "--observed", str(tmp_path / "observed.csv"),
+                "--samples", str(tmp_path / "samples.csv"),
+                "--baseline", "eqm=%s" % (tmp_path / "corrected.csv"),
+                "--threshold", "10.0", "--out-dir", str(tmp_path / name),
+            ])
+            assert code == 0
+
+        report = json.loads((tmp_path / "two" / "report.json").read_text())
+        model_run = report["model"]["per_run"]["0"]
+        assert model_run["trajectory_heatwave_counts"] == {"0": 1, "1": 2}
+        assert model_run["observed_heatwave_count"] == 2
+        assert model_run["relative_heatwave_error_pct"] == 25.0
+        baseline_run = report["baselines"]["eqm"]["per_run"]["0"]
+        assert baseline_run["heatwave_count"] == 3
+        assert baseline_run["relative_heatwave_error_pct"] == 50.0
+        assert report["summary"]["model"]["relative_heatwave_error_pct"] == 25.0
+        assert report["summary"]["eqm"]["relative_heatwave_error_pct"] == 50.0
+        rows = (tmp_path / "two" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[-1] for row in rows] == [
+            "relative_heatwave_error_pct", "25.0", "50.0",
+        ]
+
+        report = json.loads((tmp_path / "none" / "report.json").read_text())
+        assert report["model"]["per_run"]["0"]["relative_heatwave_error_pct"] is None
+        assert report["baselines"]["eqm"]["per_run"]["0"]["relative_heatwave_error_pct"] is None
+        assert report["summary"]["model"]["relative_heatwave_error_pct"] is None
+        rows = (tmp_path / "none" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[-1] for row in rows[1:]] == ["", ""]
 
     def test_observed_must_cover_samples(self, tmp_path):
         self._write_inputs(tmp_path)
@@ -524,6 +613,27 @@ class TestErrorHandling:
             "--epoch", "2001-01-01",
         ])
         assert code == 3
+        assert not (out / "corrected.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "day, epoch", [(1e12, "2001-01-01"), (1.0, "9999-12-31")],
+        ids=["day-1e12", "epoch-9999-12-31"],
+    )
+    def test_day_outside_the_calendar_is_data_error(self, tmp_path, capsys, day, epoch):
+        write_obs_csv(TimeSeries([day], [1.0], OBS), tmp_path / "o.csv")
+        write_gcm_csv([TimeSeries([day], [2.0], GCM)], tmp_path / "g.csv")
+        out = tmp_path / "out"
+        code = main([
+            "baseline", "--method", "mean",
+            "--obs", str(tmp_path / "o.csv"), "--gcm", str(tmp_path / "g.csv"),
+            "--out-dir", str(out),
+            "--ref-start", "0", "--ref-end", "2e12",
+            "--proj-start", "0", "--proj-end", "2e12",
+            "--epoch", epoch,
+        ])
+        assert code == 3
+        assert "outside the calendar" in capsys.readouterr().err
         assert not (out / "corrected.csv").exists()
         assert not (out / "manifest.json").exists()
 

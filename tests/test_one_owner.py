@@ -1,0 +1,47 @@
+"""Each decision below has one owner in the package source.
+
+Each pattern marks the one place that decides a file format, a constant or
+a rule; a second match means a second copy of that decision has appeared,
+which should call the owner instead.
+"""
+
+import glob
+import os
+import re
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "temporal_bc")
+
+OWNED = {
+    # timeseries.write_json
+    "json-layout": re.escape("json.dump("),
+    # timeseries._read_series
+    "csv-reader": re.escape("csv.reader("),
+    # timeseries.common_grid
+    "time-grid-intersection": re.escape("np.intersect1d("),
+    # timeseries._fmt
+    "float-cell-format": re.escape("repr(float("),
+    # metrics
+    "log-2pi": re.escape("LOG_2PI ="),
+    # TimeSeries.non_daily_step
+    "daily-grid-rule": r"[<>]=?\s*_DAY_TOL\b",
+    # baselines._groups, the one caller of month_of
+    "calendar-month-grouping": r"(?<!def )\bmonth_of\(",
+}
+
+
+def _matches(pattern: str) -> list[str]:
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if re.search(pattern, line):
+                    found.append("%s:%d" % (os.path.basename(path), line_no))
+    return found
+
+
+@pytest.mark.parametrize("decision", sorted(OWNED))
+def test_decision_has_one_owner(decision):
+    found = _matches(OWNED[decision])
+    assert len(found) == 1, "%s found at %s" % (decision, found)

@@ -34,7 +34,7 @@ class TestTimeSeries:
         ts = series([1.0, 2.0, 3.0])
         assert len(ts) == 3
         assert ts.source_tag == OBS
-        assert ts.is_daily()
+        assert ts.non_daily_step() is None
 
     def test_arrays_are_read_only(self):
         ts = series([1.0, 2.0])
@@ -89,8 +89,9 @@ class TestNormalization:
     )
     def test_round_trip_property(self, values):
         ts = series(values)
-        if np.ptp(ts.values) == 0:
-            return  # constant: rejected, see test_zero_variance_rejected
+        mean, std = float(np.mean(ts.values)), float(np.std(ts.values))
+        if np.ptp(ts.values) == 0 or std <= 1e-6 * abs(mean):
+            return  # (nearly) constant: rejected, see test_zero_variance_rejected
         stats = NormStats.from_series(ts)
         back = stats.from_z(stats.to_z(ts.values))
         assert np.allclose(back, ts.values, atol=1e-12)
@@ -104,6 +105,9 @@ class TestNormalization:
         # equal values whose computed std rounds to 3.6e-15, not 0
         with pytest.raises(DataError, match="constant"):
             NormStats.from_series(series([22.225760508338645] * 3))
+        # values one ulp apart: std 2.05e-15, z-scores [0, 0, 1.732]
+        with pytest.raises(DataError, match="constant"):
+            NormStats.from_series(series([22.2, 22.2, np.nextafter(22.2, 30.0)]))
 
     def test_nonpositive_std_rejected(self):
         with pytest.raises(DataError, match="positive"):
