@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericError
 
-_MASK_FILL = -1e30  # additive surrogate for -inf; exact zeros after softmax
+MASK_FILL = -1e30  # additive surrogate for -inf; exact zeros after softmax
 
 
 class Tape:
@@ -46,7 +46,7 @@ class Tape:
 class Tensor:
     """Dense float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -279,12 +279,14 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
+    # the rule captures the result array, never ``out``: out -> rule -> out
+    # would be a reference cycle that keeps the whole graph alive
+    y = np.exp(a.data)
 
     def backward_fn(g):
-        _accumulate(a, g * out.data)
+        _accumulate(a, g * y)
 
-    return _record(out, (a,), backward_fn)
+    return _record(Tensor(y), (a,), backward_fn)
 
 
 def log(a: Tensor) -> Tensor:
@@ -297,12 +299,12 @@ def log(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data))
+    y = np.tanh(a.data)  # captured instead of the result Tensor, as in exp
 
     def backward_fn(g):
-        _accumulate(a, g * (1.0 - out.data**2))
+        _accumulate(a, g * (1.0 - y**2))
 
-    return _record(out, (a,), backward_fn)
+    return _record(Tensor(y), (a,), backward_fn)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -324,7 +326,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     than NaN.
     """
     m = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
-    z = np.where(m, _MASK_FILL, logits.data)
+    z = np.where(m, MASK_FILL, logits.data)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.where(m, 0.0, np.exp(z))
     denom = e.sum(axis=-1, keepdims=True)
@@ -339,27 +341,100 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     return _record(out, (logits,), backward_fn)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head dot-product attention as one op.
+
+    ``q`` is (n, d) and ``k`` and ``v`` are (m, d), split into ``n_heads``
+    heads of d / n_heads columns each. Head h computes
+    ``softmax(q_h @ k_h.T + bias) @ v_h`` with no scale factor, and the heads'
+    outputs sit side by side in the (n, d) result. ``bias`` is (n, m), 0 where
+    a query may attend to a key and ``MASK_FILL`` where it may not. Blocked
+    positions get weight exactly 0.0, and a row with every position blocked
+    yields zeros rather than NaN.
+
+    Output and gradients are equal, bit for bit, to the per-head composition
+    of :func:`index`, :func:`transpose_last_two`, :func:`matmul`,
+    :func:`masked_softmax` and :func:`concat`: each head computes the same
+    products on the same operand views, and gradients reach q, k and v in the
+    order that composition's backward sweep adds them. It records one tape
+    node where the composition records 7 * n_heads + 1.
+    """
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise NumericError(
+            "attention needs 2-D q, k, v, got %r, %r, %r" % (q.shape, k.shape, v.shape)
+        )
+    d = q.shape[1]
+    if k.shape != v.shape or k.shape[1] != d or bias.shape != (q.shape[0], k.shape[0]):
+        raise NumericError(
+            "attention shape mismatch: q %r, k %r, v %r, bias %r"
+            % (q.shape, k.shape, v.shape, bias.shape)
+        )
+    if n_heads < 1 or d % n_heads:
+        raise NumericError("attention width %d does not split into %d heads" % (d, n_heads))
+    width = d // n_heads
+    heads = [slice(h * width, (h + 1) * width) for h in range(n_heads)]
+    out = np.empty((q.shape[0], d))
+    weights = []
+    for c in heads:
+        w = q.data[:, c] @ k.data[:, c].T
+        w += bias
+        top = w.max(axis=-1, keepdims=True)
+        # in a row with every position blocked, top is about MASK_FILL; the
+        # floor makes that row's exponents exp(MASK_FILL / 2) = 0 too
+        np.maximum(top, 0.5 * MASK_FILL, out=top)
+        w -= top
+        np.exp(w, out=w)
+        denom = w.sum(axis=-1, keepdims=True)
+        w /= np.where(denom == 0.0, 1.0, denom)
+        out[:, c] = w @ v.data[:, c]
+        weights.append(w)
+
+    def backward_fn(g):
+        gq, gk, gv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
+        for c, w in zip(reversed(heads), reversed(weights)):
+            gh = g[:, c]
+            gv[:, c] += w.T @ gh
+            gw = gh @ v.data[:, c].T
+            gw -= (gw * w).sum(axis=-1, keepdims=True)
+            gw *= w
+            gk[:, c] += (q.data[:, c].T @ gw).T
+            gq[:, c] += gw @ k.data[:, c]
+        # v, then k, then q: the order in which the composition's sweep adds
+        # them, which fixes the rounding when q, k and v are one tensor
+        _accumulate(v, gv)
+        _accumulate(k, gk)
+        _accumulate(q, gq)
+
+    return _record(Tensor(out), (q, k, v), backward_fn)
+
+
 def backward(loss: Tensor) -> dict:
     """Reverse sweep from a scalar loss recorded on the active tape.
 
     Returns a map from each leaf tensor (requires_grad inputs that are not
-    themselves op results) to its gradient; gradients are also left on the
-    ``.grad`` attribute of every reachable tensor. ``loss.grad`` ends as 1.
+    themselves op results) to its gradient, which is also left on the leaf's
+    ``.grad``. Gradients are delivered on leaves only: once a node's rule has
+    run, the sweep drops the node's ``.grad``, rule and parents, so
+    intermediates are freed during the sweep and a tape is swept once.
+    ``loss.grad`` ends as 1.
     """
     tape = Tape._active
     if tape is None:
         raise NumericError("backward requires an active Tape")
     if loss.data.size != 1:
         raise NumericError("loss must be scalar, got shape %r" % (loss.shape,))
-    loss.grad = np.ones_like(loss.data)
+    loss.grad = seed = np.ones_like(loss.data)
     leaves: dict[int, Tensor] = {}
     for node in reversed(tape.nodes):
-        if node.grad is None or node._backward is None:
+        grad, rule, parents = node.grad, node._backward, node._parents
+        node.grad, node._backward, node._parents = None, None, ()
+        if grad is None or rule is None:
             continue
-        node._backward(node.grad)
-        for parent in node._parents:
+        rule(grad)
+        for parent in parents:
             if parent.requires_grad and parent._backward is None:
                 leaves[id(parent)] = parent
+    loss.grad = seed
     return {leaf: leaf.grad for leaf in leaves.values() if leaf.grad is not None}
 
 

@@ -95,7 +95,7 @@ def _load_config_file(path) -> dict:
             cfg = json.load(handle)
     except OSError as exc:
         raise ConfigError("cannot open config %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     if not isinstance(cfg, dict):
         raise ConfigError("config %s must hold a JSON object" % path)

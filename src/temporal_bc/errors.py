@@ -5,6 +5,7 @@ The command-line layer maps these onto process exit codes:
 ConfigError -> 2, DataError -> 3, NumericError -> 4.
 """
 
+import math
 import typing
 
 
@@ -30,7 +31,8 @@ def check_field_types(cls, values: dict) -> None:
 
     Types match exactly, so an int field takes no float or bool and a bool
     field takes only a bool; a float field also takes an int, and an
-    ``X | None`` field also takes None.
+    ``X | None`` field also takes None. A float must be finite: JSON readers
+    accept NaN and Infinity, and no field has a use for them.
     """
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(values) - set(hints))
@@ -42,3 +44,5 @@ def check_field_types(cls, values: dict) -> None:
         if type(value) not in declared and not int_for_float:
             names = ["null" if t is type(None) else t.__name__ for t in declared]
             raise TypeError("%s must be %s, got %r" % (name, " or ".join(names), value))
+        if type(value) is float and not math.isfinite(value):
+            raise TypeError("%s must be finite, got %r" % (name, value))

@@ -91,16 +91,29 @@ def gram(kernel: Kernel, times_a, times_b=None) -> np.ndarray:
         for op in kernel.operands:
             out *= gram(op, ta, tb)
         return out
-    r = np.abs(ta[:, None] - tb[None, :])
-    if kernel.kind == RBF:
-        return np.exp(-(r**2) / (2.0 * kernel.lengthscale**2))
-    if kernel.kind == PERIODIC:
-        s = np.sin(np.pi * r) / kernel.period
-        return np.exp(-0.5 * s**2 / kernel.lengthscale**2)
-    # rational quadratic
-    return (1.0 + r**2 / (2.0 * kernel.alpha * kernel.lengthscale**2)) ** (
-        -kernel.alpha
-    )
+    # every step works in place on the one buffer of distances: an n x n
+    # temporary per step would cost more than the arithmetic
+    r = ta[:, None] - tb[None, :]
+    np.abs(r, out=r)
+    if kernel.kind == RBF:  # exp(-r^2 / (2 l^2))
+        np.square(r, out=r)
+        np.negative(r, out=r)
+        r /= 2.0 * kernel.lengthscale**2
+        return np.exp(r, out=r)
+    if kernel.kind == PERIODIC:  # exp(-0.5 (sin(pi r) / p)^2 / l^2)
+        r *= np.pi
+        np.sin(r, out=r)
+        r /= kernel.period
+        np.square(r, out=r)
+        r *= -0.5
+        r /= kernel.lengthscale**2
+        return np.exp(r, out=r)
+    # rational quadratic: (1 + r^2 / (2 alpha l^2))^(-alpha)
+    np.square(r, out=r)
+    r /= 2.0 * kernel.alpha * kernel.lengthscale**2
+    r += 1.0
+    r **= -kernel.alpha
+    return r
 
 
 def _cholesky_with_jitter(k_matrix: np.ndarray) -> np.ndarray:
@@ -109,11 +122,13 @@ def _cholesky_with_jitter(k_matrix: np.ndarray) -> np.ndarray:
     Starts at 1e-10 and multiplies by 10 until 1e-4; beyond that the matrix
     is treated as genuinely non-PSD.
     """
-    eye = np.eye(len(k_matrix))
+    diagonal = np.diag_indices(len(k_matrix))
     jitter = _JITTER_START
     while jitter <= _JITTER_MAX:
+        jittered = k_matrix.copy()
+        jittered[diagonal] += jitter
         try:
-            return np.linalg.cholesky(k_matrix + jitter * eye)
+            return np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericError(

@@ -15,7 +15,9 @@ stack builds queries and keys from positional features alone and its values
 from the raw series value, so it can mix values across time guided purely by
 position; its value map is shared across layers. Attention weights are a
 masked softmax of plain query-key dot products (no scale factor), split over
-heads along the feature axis.
+heads along the feature axis. Each layer's attention is one
+:func:`temporal_bc.autodiff.attention` op, one tape node, and the mask enters
+it as an additive bias that :func:`forward` builds once for every layer.
 
 Conditioning points (model block and observed context) attend freely to each
 other; each target attends to the conditioning points and to strictly
@@ -245,16 +247,9 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     )
 
 
-def _attention_layer(q, k, v, blocked, params, prefix, config) -> Tensor:
+def _attention_layer(q, k, v, bias, params, prefix, config) -> Tensor:
     """Head-split dot-product attention followed by the layer's output map."""
-    d_head = config.model_dim // config.n_heads
-    outs = []
-    for h in range(config.n_heads):
-        cols = slice(h * d_head, (h + 1) * d_head)
-        qh, kh, vh = q[:, cols], k[:, cols], v[:, cols]
-        weights = ad.masked_softmax(qh @ ad.transpose_last_two(kh), blocked)
-        outs.append(weights @ vh)
-    return _mlp(ad.concat(outs, axis=-1), params, prefix)
+    return _mlp(ad.attention(q, k, v, bias, config.n_heads), params, prefix)
 
 
 def forward(
@@ -263,6 +258,7 @@ def forward(
     """Per-target (mu, sigma), each of shape (n_targets, 1)."""
     if emb.n_targets == 0:
         raise DataError("example has no targets")
+    bias = np.where(emb.blocked, ad.MASK_FILL, 0.0)  # one mask bias for every layer
     q = _mlp(Tensor(emb.q_in), params, "q")
     k = _mlp(Tensor(emb.kv_in), params, "k")
     v = _mlp(Tensor(emb.kv_in), params, "v")
@@ -270,7 +266,7 @@ def forward(
     for layer in range(config.n_layers):
         if layer > 0:
             q = k = v = out
-        out = _attention_layer(q, k, v, emb.blocked, params, "layer%d.out" % layer, config)
+        out = _attention_layer(q, k, v, bias, params, "layer%d.out" % layer, config)
 
     xq = _mlp(Tensor(emb.xqk_in), params, "xq")
     xk = _mlp(Tensor(emb.xqk_in), params, "xk")
@@ -280,7 +276,7 @@ def forward(
         if layer > 0:
             xq = xk = xout
         xout = _attention_layer(
-            xq, xk, xv, emb.blocked, params, "layer%d.xout" % layer, config
+            xq, xk, xv, bias, params, "layer%d.xout" % layer, config
         )
 
     tail = emb.n_conditioning
@@ -352,7 +348,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
             payload = json.load(handle)
     except OSError as exc:
         raise DataError("cannot open checkpoint %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError("checkpoint %s is not valid JSON: %s" % (path, exc))
     try:
         raw_config = dict(payload["config"])

@@ -275,24 +275,26 @@ def _read_series(path, header: list[str], source_tag: str) -> dict:
     with handle:
         reader = csv.reader(handle)
         try:
-            found = next(reader)
-        except StopIteration:
-            raise DataError("%s: empty file, expected header %s" % (path, header))
-        if [h.strip() for h in found] != header:
-            raise DataError(
-                "%s:1: expected header %s, got %s" % (path, ",".join(header), found)
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_cols:
-                raise DataError("%s:%d: expected %d columns" % (path, line_no, n_cols))
-            key = tuple([_parse_id(row[i], path, line_no, name) for i, name in id_cols])
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = ([], [])
-            group[0].append(_parse_float(row[t_col], path, line_no, "t"))
-            group[1].append(_parse_float(row[v_col], path, line_no, "value"))
+            found = next(reader, None)
+            if found is None:
+                raise DataError("%s: empty file, expected header %s" % (path, header))
+            if [h.strip() for h in found] != header:
+                raise DataError(
+                    "%s:1: expected header %s, got %s" % (path, ",".join(header), found)
+                )
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != n_cols:
+                    raise DataError("%s:%d: expected %d columns" % (path, line_no, n_cols))
+                key = tuple([_parse_id(row[i], path, line_no, name) for i, name in id_cols])
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = ([], [])
+                group[0].append(_parse_float(row[t_col], path, line_no, "t"))
+                group[1].append(_parse_float(row[v_col], path, line_no, "value"))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError("%s: not readable as CSV text: %s" % (path, exc))
     if not groups:
         raise DataError("%s: no data rows" % path)
     out = {}
@@ -354,6 +356,7 @@ def load_samples_csv(path) -> dict[int, dict[int, TimeSeries]]:
     by_key = _read_series(path, ["run", "trajectory", "t", "value"], OBS)
     out: dict[int, dict[int, TimeSeries]] = {}
     for (run, traj), series in by_key.items():
+        _check_daily(series, path, "run %d trajectory %d" % (run, traj))
         out.setdefault(run, {})[traj] = series
     return out
 

@@ -74,6 +74,7 @@ def test_01_every_op_and_the_full_nll_pass_gradient_checks():
     mask = rng.random((4, 6)) < 0.3
     mask[:, -1] = False
     w_fixed = Tensor(rng.standard_normal((4, 6)))
+    mask_bias = np.where(mask, ad.MASK_FILL, 0.0)
     fancy = np.array([0, 2, 2, 1])
 
     op_checks = [
@@ -97,6 +98,9 @@ def test_01_every_op_and_the_full_nll_pass_gradient_checks():
         ("softplus", lambda x: ad.softplus(x).sum(), [T(3, 3)]),
         ("masked_softmax",
          lambda x: (ad.masked_softmax(x, mask) * w_fixed).sum(), [T(4, 6)]),
+        ("attention",
+         lambda x, y, z: (ad.attention(x, y, z, mask_bias, 2) * w_fixed).sum(),
+         [T(4, 6), T(6, 6), T(6, 6)]),
     ]
     failures = []
     worst = 0.0

@@ -1,11 +1,17 @@
 """Gradient correctness of every op against central finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from temporal_bc import autodiff as ad
+from temporal_bc import model, training
 from temporal_bc.autodiff import Tape, Tensor, backward, gradcheck
+from temporal_bc.batching import BatchConfig
 from temporal_bc.errors import NumericError
+from temporal_bc.timeseries import GCM, OBS, PairedDataset, TimeSeries
 
 TOL = 1e-4
 
@@ -232,3 +238,183 @@ def test_composite_expression_grad(rng):
         return (w @ z).mean() + ad.softplus(z).sum()
 
     assert gradcheck(f, [a, b], tol=TOL).passed
+
+
+def _attention_by_heads(q, k, v, blocked, n_heads):
+    """The per-head composition that ``attention`` fuses: its oracle."""
+    width = q.shape[1] // n_heads
+    outs = []
+    for h in range(n_heads):
+        cols = slice(h * width, (h + 1) * width)
+        qh, kh, vh = q[:, cols], k[:, cols], v[:, cols]
+        outs.append(ad.masked_softmax(qh @ ad.transpose_last_two(kh), blocked) @ vh)
+    return ad.concat(outs, axis=-1)
+
+
+def _attention_and_grads(attend, qkv, downstream):
+    """Output data and q/k/v gradients of ``(attend(q, k, v) * downstream).sum()``."""
+    for t in qkv:
+        t.requires_grad, t.grad = True, None
+    with Tape():
+        out = attend(*qkv)
+        backward((out * Tensor(downstream)).sum())
+    return [out.data] + [t.grad for t in qkv]
+
+
+@pytest.mark.parametrize("sharing", ["distinct", "q_is_k", "q_is_k_is_v"])
+def test_attention_equals_per_head_composition_bit_for_bit(rng, sharing):
+    n, n_heads = 9, 3
+    blocked = rng.random((n, n)) < 0.4
+    blocked[:, 0] = False
+    bias = np.where(blocked, ad.MASK_FILL, 0.0)
+    downstream = rng.standard_normal((n, 6))
+    data = [rng.standard_normal((n, 6)) for _ in range(3)]
+    if sharing == "q_is_k":
+        data[1] = data[0]
+    elif sharing == "q_is_k_is_v":
+        data[1] = data[2] = data[0]
+
+    def inputs():
+        leaves = {}
+        return [leaves.setdefault(id(x), Tensor(x)) for x in data]
+
+    fused = _attention_and_grads(
+        lambda q, k, v: ad.attention(q, k, v, bias, n_heads), inputs(), downstream
+    )
+    oracle = _attention_and_grads(
+        lambda q, k, v: _attention_by_heads(q, k, v, blocked, n_heads), inputs(), downstream
+    )
+    for got, want in zip(fused, oracle):
+        assert np.array_equal(got, want)
+
+
+def test_attention_fully_blocked_row_gives_zeros(rng):
+    n = 5
+    blocked = np.zeros((n, n), dtype=bool)
+    blocked[2] = True
+    qkv = [rng.standard_normal((n, 4)) for _ in range(3)]
+    downstream = rng.standard_normal((n, 4))
+
+    def run(blocked):
+        bias = np.where(blocked, ad.MASK_FILL, 0.0)
+        return _attention_and_grads(
+            lambda q, k, v: ad.attention(q, k, v, bias, 2),
+            [Tensor(x) for x in qkv],
+            downstream,
+        )
+
+    out, gq, gk, gv = run(blocked)
+    assert all(np.isfinite(x).all() for x in (out, gq, gk, gv))
+    assert np.all(out[2] == 0.0) and np.all(gq[2] == 0.0)
+    # with every row blocked, nothing flows either way
+    for x in run(np.ones((n, n), dtype=bool)):
+        assert np.all(x == 0.0)
+
+
+def test_attention_grad(rng):
+    blocked = rng.random((4, 5)) < 0.3
+    blocked[:, -1] = False
+    bias = np.where(blocked, ad.MASK_FILL, 0.0)
+    q, k, v = make(rng, 4, 6), make(rng, 5, 6), make(rng, 5, 6)
+    w = Tensor(rng.standard_normal((4, 6)))
+    report = gradcheck(lambda x, y, z: (ad.attention(x, y, z, bias, 2) * w).sum(), [q, k, v])
+    assert report.passed
+
+
+def test_attention_shape_errors(rng):
+    bias = np.zeros((3, 3))
+    with pytest.raises(NumericError, match="heads"):
+        ad.attention(make(rng, 3, 4), make(rng, 3, 4), make(rng, 3, 4), bias, 3)
+    with pytest.raises(NumericError, match="mismatch"):
+        ad.attention(make(rng, 3, 4), make(rng, 3, 4), make(rng, 3, 4), np.zeros((3, 2)), 2)
+
+
+def _train_one_step(monkeypatch, attention_layer):
+    """One training step of a tiny two-layer model under ``gc.disable()``.
+
+    Returns the parameter gradients Adam saw, the number of tape nodes that
+    still hold a rule, parents or a gradient after ``backward``, and the
+    number of tape nodes still alive once ``train`` has returned.
+    """
+    rng = np.random.default_rng(3)
+    t = np.arange(200.0)
+    signal = 10.0 + 3.0 * np.sin(2.0 * np.pi * t / 30.0)
+    dataset = PairedDataset(
+        TimeSeries(t, signal + 2.0 + 0.3 * rng.normal(size=200), OBS),
+        (TimeSeries(t, signal + 0.3 * rng.normal(size=200), GCM),),
+    )
+    seen = {"grads": {}, "refs": [], "stale": 0}
+    real_backward, real_step = training.backward, training.Adam.step
+
+    def watched_backward(loss):
+        nodes = Tape._active.nodes
+        leaves = real_backward(loss)
+        seen["refs"] += [weakref.ref(node) for node in nodes]
+        seen["stale"] += sum(
+            node._backward is not None
+            or bool(node._parents)
+            or (node.grad is not None and node is not loss)
+            for node in nodes
+        )
+        return leaves
+
+    def watched_step(self):
+        seen["grads"] = {name: p.grad.copy() for name, p in self.params.items()}
+        real_step(self)
+
+    monkeypatch.setattr(training, "backward", watched_backward)
+    monkeypatch.setattr(training.Adam, "step", watched_step)
+    monkeypatch.setattr(model, "_attention_layer", attention_layer)
+    config = model.ModelConfig(n_layers=2, n_heads=2, model_dim=8, feature_dim=8, hidden_dim=8)
+    gc.disable()
+    try:
+        training.train(
+            dataset,
+            config,
+            training.TrainConfig(steps=1, batch_size=2, val_examples=2, seed=5),
+            BatchConfig(window_min=10, window_max=20, margin=2, min_keep=3),
+        )
+        alive = sum(ref() is not None for ref in seen["refs"])
+    finally:
+        gc.enable()
+    assert seen["refs"], "the step recorded no tape"
+    return seen["grads"], seen["stale"], alive
+
+
+def test_training_step_frees_its_graph_without_the_cycle_collector(monkeypatch):
+    grads, stale, alive = _train_one_step(monkeypatch, model._attention_layer)
+    assert stale == 0, "%d tape nodes kept a rule, parents or gradient" % stale
+    assert alive == 0, "%d tape nodes outlived the step" % alive
+
+    # the per-head composition the fused op replaced gives the same gradients
+    def attention_by_heads(q, k, v, bias, params, prefix, config):
+        out = _attention_by_heads(q, k, v, bias == ad.MASK_FILL, config.n_heads)
+        return model._mlp(out, params, prefix)
+
+    monkeypatch.undo()
+    reference, _, _ = _train_one_step(monkeypatch, attention_by_heads)
+    assert grads.keys() == reference.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], reference[name]), name
+
+
+def test_an_unswept_tape_frees_its_graph_without_the_cycle_collector(rng):
+    # a backward rule that captures its own result Tensor makes a reference
+    # cycle; without a backward sweep to cut it, the graph would wait for gc
+    x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    mask = np.eye(3, dtype=bool)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            y = ad.exp(x) + ad.log(ad.softplus(x)) - ad.tanh(x) * x / 2.0
+            y = ad.masked_softmax(y @ ad.transpose_last_two(y), mask) + ad.attention(
+                y, y, y, np.where(mask, ad.MASK_FILL, 0.0), 1
+            )
+            ad.concat([y[0:1], y.sum(axis=0, keepdims=True)]).mean()
+        refs = [weakref.ref(node) for node in tape.nodes]
+        del tape, y
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert len(refs) == 17
+    assert alive == 0, "%d of %d tape nodes outlived their tape" % (alive, len(refs))

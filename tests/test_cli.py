@@ -246,10 +246,14 @@ class TestTrainSample:
             ("sampler", "n_trajectories", 2.0, 2),
             ("sampler", "deterministic", "no", 2),
             ("checkpoint", "n_layers", 2.0, 3),
+            ("train", "learning_rate", float("nan"), 2),
+            ("train", "early_stop_nll", float("inf"), 2),
+            ("checkpoint", "t_max", float("inf"), 3),
         ],
         ids=[
             "train-steps-2.5", "sampler-n_trajectories-2.0",
             "sampler-deterministic-no", "checkpoint-n_layers-2.0",
+            "train-learning_rate-nan", "train-early_stop_nll-inf", "checkpoint-t_max-inf",
         ],
     )
     def test_mistyped_value_is_rejected(self, tmp_path, section, key, value, code):
@@ -545,6 +549,22 @@ class TestReport:
         assert code == 3
         assert "%s:3:" % bad in capsys.readouterr().err
         assert not (tmp_path / "r" / "report.json").exists()
+
+    def test_samples_off_the_daily_grid_name_file_run_and_trajectory(self, tmp_path, capsys):
+        write_obs_csv(TimeSeries(np.arange(4.0), np.full(4, 20.0), OBS), tmp_path / "o.csv")
+        samples = tmp_path / "gappy_samples.csv"
+        samples.write_text(
+            "run,trajectory,t,value\n0,1,0.0,20.0\n0,1,1.0,20.0\n0,1,3.0,20.0\n"
+        )
+        out = tmp_path / "r"
+        code = main([
+            "report", "--observed", str(tmp_path / "o.csv"), "--samples", str(samples),
+            "--threshold", "25.0", "--out-dir", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "%s: run 0 trajectory 1 has a non-daily step" % samples in err
+        assert not out.exists() or os.listdir(out) == []
 
     def test_bad_baseline_spec(self, tmp_path):
         self._write_inputs(tmp_path)
