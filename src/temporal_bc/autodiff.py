@@ -307,6 +307,58 @@ def tanh(a: Tensor) -> Tensor:
     return _record(Tensor(y), (a,), backward_fn)
 
 
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The two-layer perceptron ``tanh(x @ w1 + b1) @ w2 + b2`` as one op.
+
+    Output and gradients are equal, bit for bit, to the composition of
+    :func:`matmul`, :func:`add`, :func:`tanh`, :func:`matmul` and :func:`add`:
+    the rule evaluates the same expressions in the order that composition's
+    backward sweep does. It records one tape node where the composition
+    records five, keeps only the hidden activations, and skips ``x``'s
+    product when ``x`` needs no gradient.
+    """
+    y = np.tanh(np.matmul(x.data, w1.data) + b1.data)
+    out = Tensor(np.matmul(y, w2.data) + b2.data)
+
+    def backward_fn(g):
+        _accumulate(b2, _unbroadcast(g, b2.shape))
+        _accumulate(w2, _unbroadcast(np.matmul(np.swapaxes(y, -1, -2), g), w2.shape))
+        g = np.matmul(g, np.swapaxes(w2.data, -1, -2)) * (1.0 - y**2)
+        _accumulate(b1, _unbroadcast(g, b1.shape))
+        if x.requires_grad:
+            _accumulate(x, _unbroadcast(np.matmul(g, np.swapaxes(w1.data, -1, -2)), x.shape))
+        _accumulate(w1, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w1.shape))
+
+    return _record(out, (x, w1, b1, w2, b2), backward_fn)
+
+
+def gaussian_nll(mu: Tensor, sigma: Tensor, y: np.ndarray, offset: float) -> Tensor:
+    """Mean over points of ``log sigma + (y - mu)^2 / (2 sigma^2) + offset``.
+
+    ``y`` is a plain array of ``mu``'s shape. Output and gradients are equal,
+    bit for bit, to the composition ``(log(sigma) + (r * r) / (sigma * sigma
+    * 2.0) + offset).mean()`` with ``r = y - mu``: the rule repeats that
+    composition's backward sums, such as ``g * sigma + g * sigma`` for
+    ``sigma * sigma``, in its order. It records one tape node where the
+    composition records nine.
+    """
+    r = y - mu.data
+    r2 = r * r
+    s2 = sigma.data * sigma.data * 2.0
+    out = Tensor(np.mean(np.log(sigma.data) + r2 / s2 + offset))
+
+    def backward_fn(g):
+        g = np.broadcast_to(g, r.shape).copy() / r.size
+        g_r2 = g / s2
+        g_s = -g * r2 / (s2**2) * 2.0
+        _accumulate(sigma, g_s * sigma.data)
+        _accumulate(sigma, g_s * sigma.data)
+        _accumulate(sigma, g / sigma.data)
+        _accumulate(mu, -(g_r2 * r + g_r2 * r))
+
+    return _record(out, (mu, sigma), backward_fn)
+
+
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed stably for large |x|."""
     out = Tensor(np.logaddexp(0.0, a.data))

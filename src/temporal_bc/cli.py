@@ -1,9 +1,12 @@
 """Command-line pipeline: synth, train, sample, baseline, eval, report.
 
 Every command writes its artifacts plus a ``manifest.json`` recording the
-resolved-settings hash, seeds, sha256 digests of the inputs and the relative
-output paths, so identical invocations are byte-for-byte reproducible and
-auditable. On failure, partially written outputs are removed.
+resolved-settings hash, seeds, sha256 digests of the inputs, the relative
+output paths and the numeric environment (Python, NumPy and BLAS versions
+and the BLAS/OpenMP thread settings, which can change the bits of training
+and synthesis), so identical invocations in one environment are
+byte-for-byte reproducible and auditable. On failure, partially written
+outputs are removed.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
 """
@@ -17,6 +20,7 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 
 import numpy as np
@@ -53,6 +57,14 @@ logger = logging.getLogger(__name__)
 
 _DEFAULT_EPOCH = "1948-01-01"
 _ENSEMBLE_STD_FLOOR = 1e-6
+# the thread-count variables a BLAS or OpenMP runtime reads when NumPy loads
+_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
 
 
 def _sha256(path) -> str:
@@ -61,6 +73,22 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _numeric_environment() -> dict:
+    """Python, NumPy and BLAS versions plus the BLAS/OpenMP thread settings,
+    which decide the bits of every matrix product."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_id = "%s %s" % (blas.get("name"), blas.get("version"))
+    except (TypeError, KeyError):  # NumPy before 1.25 has no dict form
+        blas_id = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_id,
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+    }
 
 
 def _write_manifest(outputs: "_Outputs", command, settings, seeds, inputs) -> None:
@@ -76,6 +104,7 @@ def _write_manifest(outputs: "_Outputs", command, settings, seeds, inputs) -> No
         },
         "outputs": sorted(outputs.names),
         "version": __version__,
+        "environment": _numeric_environment(),
     }
     write_json(os.path.join(outputs.out_dir, "manifest.json"), manifest)
 
@@ -375,13 +404,22 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _ensemble_stats(trajs: dict[int, TimeSeries]):
-    """Common grid plus per-point ensemble mean and floored std."""
-    times, *values = common_grid(*trajs.values())
-    arr = np.vstack(values)
+def _ensemble_stats(trajs: dict[int, TimeSeries], path, run_id: int):
+    """Days plus per-day ensemble mean and floored std of one run's
+    trajectories, which must all cover the same days."""
+    (first_id, first), *rest = trajs.items()
+    for traj_id, series in rest:
+        if not np.array_equal(series.times, first.times):
+            raise DataError(
+                "%s: run %d trajectories %d and %d cover different days "
+                "(t=%g..%g and t=%g..%g)"
+                % (path, run_id, first_id, traj_id, first.times[0], first.times[-1],
+                   series.times[0], series.times[-1])
+            )
+    arr = np.vstack([series.values for series in trajs.values()])
     mean = arr.mean(axis=0)
     std = np.maximum(arr.std(axis=0), _ENSEMBLE_STD_FLOOR)
-    return times, mean, std
+    return first.times, mean, std
 
 
 def _cmd_report(args) -> int:
@@ -424,7 +462,7 @@ def _cmd_report(args) -> int:
 
     model_runs = {}
     for run_id in sorted(samples):
-        times, ens_mean, ens_std = _ensemble_stats(samples[run_id])
+        times, ens_mean, ens_std = _ensemble_stats(samples[run_id], args.samples, run_id)
         counts = {
             traj_id: metrics.heatwave_count(series, args.threshold).count
             for traj_id, series in sorted(samples[run_id].items())

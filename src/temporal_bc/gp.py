@@ -94,12 +94,11 @@ def gram(kernel: Kernel, times_a, times_b=None) -> np.ndarray:
     # every step works in place on the one buffer of distances: an n x n
     # temporary per step would cost more than the arithmetic
     r = ta[:, None] - tb[None, :]
-    np.abs(r, out=r)
-    if kernel.kind == RBF:  # exp(-r^2 / (2 l^2))
+    if kernel.kind == RBF:  # exp(-r^2 / (2 l^2)); the square needs no abs
         np.square(r, out=r)
-        np.negative(r, out=r)
-        r /= 2.0 * kernel.lengthscale**2
+        r /= -2.0 * kernel.lengthscale**2
         return np.exp(r, out=r)
+    np.abs(r, out=r)
     if kernel.kind == PERIODIC:  # exp(-0.5 (sin(pi r) / p)^2 / l^2)
         r *= np.pi
         np.sin(r, out=r)
@@ -120,15 +119,17 @@ def _cholesky_with_jitter(k_matrix: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with an escalating diagonal jitter.
 
     Starts at 1e-10 and multiplies by 10 until 1e-4; beyond that the matrix
-    is treated as genuinely non-PSD.
+    is treated as genuinely non-PSD. Each attempt writes the jittered
+    diagonal into ``k_matrix`` itself, which costs no second n x n matrix;
+    the caller's matrix is left with the last attempt's diagonal.
     """
     diagonal = np.diag_indices(len(k_matrix))
+    original = k_matrix[diagonal]
     jitter = _JITTER_START
     while jitter <= _JITTER_MAX:
-        jittered = k_matrix.copy()
-        jittered[diagonal] += jitter
+        k_matrix[diagonal] = original + jitter
         try:
-            return np.linalg.cholesky(jittered)
+            return np.linalg.cholesky(k_matrix)
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericError(

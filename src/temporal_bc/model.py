@@ -18,6 +18,9 @@ masked softmax of plain query-key dot products (no scale factor), split over
 heads along the feature axis. Each layer's attention is one
 :func:`temporal_bc.autodiff.attention` op, one tape node, and the mask enters
 it as an additive bias that :func:`forward` builds once for every layer.
+Each two-layer perceptron is likewise one :func:`temporal_bc.autodiff.mlp`
+node, and :func:`gaussian_nll` one :func:`temporal_bc.autodiff.gaussian_nll`
+node.
 
 Conditioning points (model block and observed context) attend freely to each
 other; each target attends to the conditioning points and to strictly
@@ -154,8 +157,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Tens
 
 
 def _mlp(x: Tensor, params: dict, prefix: str) -> Tensor:
-    hidden = ad.tanh(x @ params[prefix + ".w1"] + params[prefix + ".b1"])
-    return hidden @ params[prefix + ".w2"] + params[prefix + ".b2"]
+    return ad.mlp(x, *(params[prefix + name] for name in (".w1", ".b1", ".w2", ".b2")))
 
 
 @dataclass(frozen=True)
@@ -288,12 +290,8 @@ def forward(
 
 def gaussian_nll(mu: Tensor, sigma: Tensor, target_values: np.ndarray) -> Tensor:
     """Mean negative log density of the targets under N(mu, sigma^2)."""
-    y = Tensor(np.asarray(target_values, dtype=np.float64).reshape(mu.shape))
-    resid = y - mu
-    per_point = (
-        ad.log(sigma) + (resid * resid) / (sigma * sigma * 2.0) + 0.5 * LOG_2PI
-    )
-    return per_point.mean()
+    y = np.asarray(target_values, dtype=np.float64).reshape(mu.shape)
+    return ad.gaussian_nll(mu, sigma, y, 0.5 * LOG_2PI)
 
 
 @dataclass

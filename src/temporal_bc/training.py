@@ -66,7 +66,13 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard adaptive-moment optimizer over a named parameter dict."""
+    """Standard adaptive-moment optimizer over a named parameter dict.
+
+    The parameters and both moments each live in one flat float64 buffer,
+    and every parameter's ``data`` is rebound to a view into the parameter
+    buffer, so one update over the buffers moves every parameter. The
+    update is elementwise, so it equals a per-parameter update bit for bit.
+    """
 
     def __init__(
         self,
@@ -82,18 +88,35 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.data = np.concatenate([p.data.ravel() for p in params.values()])
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        self._slices = []
+        start = 0
+        for p in params.values():
+            block = slice(start, start + p.data.size)
+            p.data = self.data[block].reshape(p.data.shape)
+            self._slices.append(block)
+            start = block.stop
 
-    def step(self) -> None:
+    def gradient(self) -> np.ndarray:
+        """Every parameter's gradient in one flat vector, zeros where none."""
+        grad = np.zeros_like(self.data)
+        for p, block in zip(self.params.values(), self._slices):
+            if p.grad is not None:
+                grad[block] = p.grad.ravel()
+        return grad
+
+    def step(self, grad: np.ndarray | None = None) -> None:
+        """One update from ``grad``, by default :meth:`gradient`."""
+        if grad is None:
+            grad = self.gradient()
         self.t += 1
-        for name, p in self.params.items():
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * grad
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * grad**2
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
-            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad**2
+        m_hat = self.m / (1 - self.beta1**self.t)
+        v_hat = self.v / (1 - self.beta2**self.t)
+        self.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -233,10 +256,8 @@ def train(
             finite = bool(np.isfinite(train_nll))
             if finite:
                 backward(loss)
-                finite = all(
-                    p.grad is None or np.all(np.isfinite(p.grad))
-                    for p in params.values()
-                )
+                grad = optimizer.gradient()
+                finite = bool(np.all(np.isfinite(grad)))
         if not finite:
             # an update from a non-finite loss or gradient would poison the
             # parameters, so training stops with those of the previous step
@@ -251,7 +272,7 @@ def train(
             )
             aborted = True
             break
-        optimizer.step()
+        optimizer.step(grad)
 
         if (
             checkpoint_dir is not None

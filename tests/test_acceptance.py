@@ -76,6 +76,7 @@ def test_01_every_op_and_the_full_nll_pass_gradient_checks():
     w_fixed = Tensor(rng.standard_normal((4, 6)))
     mask_bias = np.where(mask, ad.MASK_FILL, 0.0)
     fancy = np.array([0, 2, 2, 1])
+    nll_targets = np.array([[0.3], [-1.2], [0.8], [2.0]])
 
     op_checks = [
         ("add", lambda x, y: (x + y).sum(), [T(3, 4), T(3, 4)]),
@@ -101,6 +102,10 @@ def test_01_every_op_and_the_full_nll_pass_gradient_checks():
         ("attention",
          lambda x, y, z: (ad.attention(x, y, z, mask_bias, 2) * w_fixed).sum(),
          [T(4, 6), T(6, 6), T(6, 6)]),
+        ("mlp", lambda x, *p: (ad.mlp(x, *p) * w_fixed).sum(),
+         [T(4, 3), T(3, 5), T(5), T(5, 6), T(6)]),
+        ("gaussian_nll", lambda m, s: ad.gaussian_nll(m, s, nll_targets, 0.9),
+         [T(4, 1), Tpos(4, 1)]),
     ]
     failures = []
     worst = 0.0

@@ -251,14 +251,14 @@ def _attention_by_heads(q, k, v, blocked, n_heads):
     return ad.concat(outs, axis=-1)
 
 
-def _attention_and_grads(attend, qkv, downstream):
-    """Output data and q/k/v gradients of ``(attend(q, k, v) * downstream).sum()``."""
-    for t in qkv:
+def _value_and_grads(f, leaves, downstream):
+    """Output data and leaf gradients of ``(f(*leaves) * downstream).sum()``."""
+    for t in leaves:
         t.requires_grad, t.grad = True, None
     with Tape():
-        out = attend(*qkv)
+        out = f(*leaves)
         backward((out * Tensor(downstream)).sum())
-    return [out.data] + [t.grad for t in qkv]
+    return [out.data] + [t.grad for t in leaves]
 
 
 @pytest.mark.parametrize("sharing", ["distinct", "q_is_k", "q_is_k_is_v"])
@@ -278,10 +278,10 @@ def test_attention_equals_per_head_composition_bit_for_bit(rng, sharing):
         leaves = {}
         return [leaves.setdefault(id(x), Tensor(x)) for x in data]
 
-    fused = _attention_and_grads(
+    fused = _value_and_grads(
         lambda q, k, v: ad.attention(q, k, v, bias, n_heads), inputs(), downstream
     )
-    oracle = _attention_and_grads(
+    oracle = _value_and_grads(
         lambda q, k, v: _attention_by_heads(q, k, v, blocked, n_heads), inputs(), downstream
     )
     for got, want in zip(fused, oracle):
@@ -297,7 +297,7 @@ def test_attention_fully_blocked_row_gives_zeros(rng):
 
     def run(blocked):
         bias = np.where(blocked, ad.MASK_FILL, 0.0)
-        return _attention_and_grads(
+        return _value_and_grads(
             lambda q, k, v: ad.attention(q, k, v, bias, 2),
             [Tensor(x) for x in qkv],
             downstream,
@@ -329,6 +329,68 @@ def test_attention_shape_errors(rng):
         ad.attention(make(rng, 3, 4), make(rng, 3, 4), make(rng, 3, 4), np.zeros((3, 2)), 2)
 
 
+def _mlp_by_ops(x, w1, b1, w2, b2):
+    """The composition that ``mlp`` fuses: its oracle."""
+    return ad.tanh(x @ w1 + b1) @ w2 + b2
+
+
+@pytest.mark.parametrize("case", ["x_needs_grad", "x_is_constant", "x_shared"])
+def test_mlp_equals_composition_bit_for_bit(rng, case):
+    x = rng.standard_normal((7, 5))
+    weights = [rng.standard_normal(shape) for shape in ((5, 4), (4,), (4, 3), (3,))]
+    downstream = rng.standard_normal((7, 3))
+
+    def run(perceptron):
+        leaves = [Tensor(w) for w in weights]
+        if case == "x_is_constant":
+            return _value_and_grads(lambda *p: perceptron(Tensor(x), *p), leaves, downstream)
+        if case == "x_needs_grad":
+            return _value_and_grads(perceptron, [Tensor(x)] + leaves, downstream)
+        # x and the weights each feed two perceptrons and one other op
+        return _value_and_grads(
+            lambda x, *p: perceptron(x, *p) * perceptron(ad.tanh(x), *p) + x[:, :3],
+            [Tensor(x)] + leaves,
+            downstream,
+        )
+
+    fused, oracle = run(ad.mlp), run(_mlp_by_ops)
+    assert len(fused) == len(oracle)
+    for got, want in zip(fused, oracle):
+        assert np.array_equal(got, want)
+
+
+def _gaussian_nll_by_ops(mu, sigma, y, offset):
+    """The composition that ``gaussian_nll`` fuses: its oracle."""
+    resid = Tensor(y) - mu
+    return (ad.log(sigma) + (resid * resid) / (sigma * sigma * 2.0) + offset).mean()
+
+
+@pytest.mark.parametrize("case", ["leaves", "shared"])
+def test_gaussian_nll_equals_composition_bit_for_bit(rng, case):
+    n = 6
+    y = rng.standard_normal((n, 1))
+    raw = rng.standard_normal((n, 2))
+    weights = Tensor(rng.standard_normal((n, 1)))
+
+    def run(nll):
+        if case == "leaves":
+            leaves = [Tensor(raw[:, :1]), Tensor(np.abs(raw[:, 1:]) + 0.5)]
+            return _value_and_grads(lambda m, s: nll(m, s, y, 0.9), leaves, np.array(1.7))
+
+        # mu and sigma come from one leaf, and sigma feeds one more op that
+        # the sweep reaches first, so the order of its sums matters
+        def f(z):
+            sigma = ad.softplus(z[:, 1:2]) + Tensor(np.array(1e-3))
+            return nll(z[:, 0:1] * 3.0, sigma, y, 0.9) + (sigma * weights).sum()
+
+        return _value_and_grads(f, [Tensor(raw)], np.array(1.7))
+
+    fused, oracle = run(ad.gaussian_nll), run(_gaussian_nll_by_ops)
+    assert len(fused) == len(oracle)
+    for got, want in zip(fused, oracle):
+        assert np.array_equal(got, want)
+
+
 def _train_one_step(monkeypatch, attention_layer):
     """One training step of a tiny two-layer model under ``gc.disable()``.
 
@@ -358,9 +420,9 @@ def _train_one_step(monkeypatch, attention_layer):
         )
         return leaves
 
-    def watched_step(self):
+    def watched_step(self, grad=None):
         seen["grads"] = {name: p.grad.copy() for name, p in self.params.items()}
-        real_step(self)
+        real_step(self, grad)
 
     monkeypatch.setattr(training, "backward", watched_backward)
     monkeypatch.setattr(training.Adam, "step", watched_step)

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -78,6 +79,18 @@ class TestSynth:
         assert manifest["command"] == "synth"
         assert manifest["seeds"] == {"seed": 7}
         assert manifest["outputs"] == ["gcm.csv", "obs.csv", "truth.json"]
+
+    def test_manifest_records_the_numeric_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert main(["synth", "--out-dir", str(tmp_path / "s"), "--n-days", "10"]) == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["blas"]  # the BLAS name and version
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert env["threads"]["OMP_NUM_THREADS"] is None
 
     def test_byte_identical_across_invocations(self, tmp_path):
         args = ["--n-days", "40", "--noise-std", "0.3", "--seed", "5"]
@@ -564,6 +577,25 @@ class TestReport:
         assert code == 3
         err = capsys.readouterr().err
         assert "%s: run 0 trajectory 1 has a non-daily step" % samples in err
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_trajectories_on_different_days_name_file_run_and_trajectories(
+        self, tmp_path, capsys
+    ):
+        t = np.arange(10.0)
+        write_obs_csv(TimeSeries(t, np.full(10, 20.0), OBS), tmp_path / "o.csv")
+        samples = tmp_path / "ragged_samples.csv"
+        # trajectory 0 on days 0-8, trajectory 1 on days 0-9
+        short, full = TimeSeries(t[:9], np.full(9, 20.0)), TimeSeries(t, np.full(10, 21.0))
+        write_samples_csv({0: [short, full]}, samples)
+        out = tmp_path / "r"
+        code = main([
+            "report", "--observed", str(tmp_path / "o.csv"), "--samples", str(samples),
+            "--threshold", "25.0", "--out-dir", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "%s: run 0 trajectories 0 and 1 cover different days" % samples in err
         assert not out.exists() or os.listdir(out) == []
 
     def test_bad_baseline_spec(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from temporal_bc.errors import ConfigError, NumericError
 from temporal_bc.gp import (
+    _cholesky_with_jitter,
     gram,
     make_run_ensemble,
     make_shifted_pair,
@@ -12,6 +13,7 @@ from temporal_bc.gp import (
     rbf,
     sample_gp,
 )
+from temporal_bc.rng import substream
 
 
 class TestKernels:
@@ -206,3 +208,62 @@ class TestJitter:
             sample_gp(rbf(1.0), t, seed=0)
         except NumericError:
             pass
+
+
+def _reference_gram(kernel, t):
+    """The kernel formulas written out, one out-of-place step at a time."""
+    if kernel.kind == "product":
+        out = np.ones((len(t), len(t)))
+        for op in kernel.operands:
+            out = out * _reference_gram(op, t)
+        return out
+    r = np.abs(t[:, None] - t[None, :])
+    ell = kernel.lengthscale
+    if kernel.kind == "rbf":
+        return np.exp(-np.square(r) / (2.0 * ell**2))
+    if kernel.kind == "periodic":
+        return np.exp(-0.5 * np.square(np.sin(np.pi * r) / kernel.period) / ell**2)
+    return (1.0 + np.square(r) / (2.0 * kernel.alpha * ell**2)) ** -kernel.alpha
+
+
+def _reference_cholesky(k_matrix):
+    """The jitter ladder on a fresh copy of the matrix per attempt."""
+    jitter = 1e-10
+    while True:
+        jittered = k_matrix.copy()
+        jittered[np.diag_indices(len(k_matrix))] += jitter
+        try:
+            return np.linalg.cholesky(jittered), jitter
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+
+
+class TestBitsOfTheSetUp:
+    """gram and the jitter ladder work in place; the bits must not move."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            rbf(2.0),
+            rbf(10.0),
+            periodic(0.7, period=1.3),
+            rational_quadratic(1.5, alpha=2.0),
+            product(rbf(3.0), periodic(1.0, 1.0)),
+        ],
+        ids=["rbf", "rbf_long", "periodic", "rational_quadratic", "product"],
+    )
+    @pytest.mark.parametrize("n_days, shift", [(300, 0.37), (1200, 0.0)])
+    def test_draw_equals_the_out_of_place_reference(self, kernel, n_days, shift):
+        pair = make_shifted_pair(kernel, np.arange(float(n_days)), time_shift=shift, seed=5)
+        g = gram(kernel, pair.latent_times)
+        assert np.array_equal(g, _reference_gram(kernel, pair.latent_times))
+        chol, _ = _reference_cholesky(g)
+        rng = substream(5, "latent")
+        assert np.array_equal(pair.latent_values, chol @ rng.standard_normal(len(g)))
+
+    def test_forced_jitter_retry(self):
+        # eigenvalues 2 - 1e-8 and -1e-8: jitters up to 1e-8 cannot rescue it
+        k_matrix = np.ones((2, 2)) - 1e-8 * np.eye(2)
+        want, jitter = _reference_cholesky(k_matrix)
+        assert jitter > 1e-9
+        assert np.array_equal(_cholesky_with_jitter(k_matrix.copy()), want)

@@ -277,6 +277,27 @@ class TestMakeBatchIntegration:
             assert np.all(sigma.data >= TINY.sigma_floor)
 
 
+class TestTapeSize:
+    def test_one_example_records_24_nodes_at_paper_study_geometry(self):
+        # the geometry of acceptance test 04 and the benchmark's paper-study
+        config = ModelConfig(
+            n_layers=2, n_heads=2, model_dim=32, feature_dim=16, hidden_dim=32
+        )
+        rng = np.random.default_rng(5)
+        t = np.arange(200.0)
+        pair = AlignedPair(t, rng.normal(size=200), rng.normal(size=200))
+        batch_config = BatchConfig(window_min=30, window_max=60, retain_p=0.8)
+        (example,) = make_batch([pair], 1, rng, batch_config)
+        params = init_params(config, rng)
+        with Tape() as tape:
+            mu, sigma = forward(params, embed(example, config), config)
+            gaussian_nll(mu, sigma, example.tgt_v)
+        # 11 perceptrons, 4 attention layers, the head's two slices and
+        # concat, mu's slice and anchor, sigma's slice, softplus and floor,
+        # and the NLL
+        assert len(tape.nodes) == 24
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(TINY, np.random.default_rng(13))

@@ -66,6 +66,34 @@ class TestAdam:
         assert p.data[0] == pytest.approx(-0.1, abs=1e-4)
 
 
+    def test_flat_update_equals_per_parameter_update_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        shapes = {"w": (3, 4), "b": (4,), "s": (), "idle": (2, 2)}
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        params = {name: Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
+        opt = Adam(params, learning_rate=0.05, beta1=0.8, beta2=0.99, eps=1e-6)
+        # the per-parameter update, written out
+        want = {name: a.copy() for name, a in start.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t in range(1, 7):
+            grads = {name: rng.standard_normal(shapes[name]) for name in ("w", "b", "s")}
+            for name, p in params.items():
+                p.grad = grads.get(name)  # "idle" has no gradient
+            opt.step()
+            for name, shape in shapes.items():
+                g = grads.get(name, np.zeros(shape))
+                m[name] = 0.8 * m[name] + (1 - 0.8) * g
+                v[name] = 0.99 * v[name] + (1 - 0.99) * g**2
+                m_hat = m[name] / (1 - 0.8**t)
+                v_hat = v[name] / (1 - 0.99**t)
+                want[name] = want[name] - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-6)
+            for name, p in params.items():
+                assert np.array_equal(p.data, want[name]), (t, name)
+                assert np.shares_memory(p.data, opt.data), name
+        assert np.array_equal(params["idle"].data, start["idle"])
+
+
 class TestTrainConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ConfigError):
