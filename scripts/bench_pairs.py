@@ -1,0 +1,140 @@
+"""Paired benchmark runs of two checkouts: per-pair values, medians, wins.
+
+Runs ``perfbench/run.py --trace 0`` from a base checkout and a changed
+checkout once per seed, alternating which side runs first, so slow and fast
+stretches of a shared host fall on both sides alike. For every end-to-end
+metric of ``BENCHMARK.json`` it prints each pair's values, each side's
+median and quartiles, how many pairs the change wins, and whether the
+change's median beats the base's by more than the base's interquartile
+range. Every timed metric is printed a second time unscaled, from the
+``notes`` of each run's ``.perfbench/results/*.json``: the scaled figures
+divide by a reference kernel's speed in the same process, and that kernel's
+speed can differ between the two checkouts' processes.
+
+Run from the repository root, with both checkouts holding ``perfbench/``:
+
+    python scripts/bench_pairs.py --base ../parent --change . \\
+        --workload wide --seeds 901-910 --seconds 40 --save pairs.json
+
+``--seeds`` takes a comma-separated list of seeds and ``a-b`` ranges.
+``run.py`` pins every BLAS thread count to 1 itself. The exit code is 0 when
+every run passed its checks with no failed operation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+UNSCALED = re.compile(r"unscaled ([-+0-9.eE]+)")
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, type=Path, help="checkout compared against")
+    p.add_argument("--change", required=True, type=Path, help="checkout under test")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", required=True, type=parse_seeds)
+    p.add_argument("--seconds", type=int, default=40)
+    p.add_argument("--save", type=Path, help="write every run's record here (JSON)")
+    return p.parse_args(argv)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced benchmark run: its metrics, scaled and unscaled."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]  # fmt: skip
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit("%s: run.py printed nothing\n%s" % (checkout, proc.stderr))
+    result = json.loads(lines[-1])
+    record_path = checkout / ".perfbench" / "results" / (
+        "%s-seed%d-trace0.json" % (workload, seed)
+    )
+    notes = json.loads(record_path.read_text(encoding="utf-8"))["notes"]
+    unscaled = {}
+    for name, note in notes.items():
+        found = UNSCALED.search(note)
+        if found:
+            unscaled[name] = float(found.group(1))
+    return {
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "unscaled": unscaled,
+        "reference": notes.get("reference"),
+    }
+
+
+def summarise(name: str, better: str, base: list, change: list) -> None:
+    base, change = np.asarray(base), np.asarray(change)
+    sign = 1.0 if better == "lower" else -1.0
+    wins = int(np.sum(sign * (change - base) < 0))
+    b25, b50, b75 = np.percentile(base, [25, 50, 75])
+    c25, c50, c75 = np.percentile(change, [25, 50, 75])
+    gap = sign * (b50 - c50)
+    rel = (c50 - b50) / b50 if b50 else float("nan")
+    pairs = ", ".join("%.4g->%.4g" % pair for pair in zip(base, change))
+    print("%s: %s" % (name, pairs))
+    print(
+        "  median %.4g -> %.4g (%+.1f%%), base IQR [%.4g, %.4g], change IQR "
+        "[%.4g, %.4g]; change wins %d of %d; gain beyond base IQR: %s"
+        % (b50, c50, 100.0 * rel, b25, b75, c25, c75, wins, len(base),
+           "yes" if gap > b75 - b25 else "no")  # fmt: skip
+    )
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = spec["end_to_end"]
+    runs = {"base": [], "change": []}
+    for i, seed in enumerate(args.seeds):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            checkout = args.base if side == "base" else args.change
+            record = run_once(checkout, args.workload, seed, args.seconds)
+            record["seed"] = seed
+            runs[side].append(record)
+            print("# seed %d %s done (correct %s, first %s)"
+                  % (seed, side, record["correct"], order[0]), file=sys.stderr)  # fmt: skip
+    if args.save:
+        args.save.write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
+
+    def series(key: str, name: str) -> tuple[list, list]:
+        return tuple([r[key][name] for r in runs[side]] for side in ("base", "change"))
+
+    ok = {side: all(r["correct"] and r["failed"] == 0 for r in rs) for side, rs in runs.items()}
+    print("# %s, seeds %s, %d s requested; pairs are base->change"
+          % (args.workload, args.seeds, args.seconds))  # fmt: skip
+    print("# every run correct: base %s, change %s" % (ok["base"], ok["change"]))
+    for m in metrics:
+        summarise(m["name"], m["better"], *series("metrics", m["name"]))
+    print("# unscaled CPU time (run.py notes)")
+    for m in metrics:
+        if all(m["name"] in r["unscaled"] for rs in runs.values() for r in rs):
+            summarise(m["name"] + " unscaled", m["better"], *series("unscaled", m["name"]))
+    print("# reference kernel per pair: %s" % "; ".join(
+        "%s | %s" % (b["reference"], c["reference"])
+        for b, c in zip(runs["base"], runs["change"])
+    ))  # fmt: skip
+    return 0 if all(ok.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

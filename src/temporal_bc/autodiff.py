@@ -43,6 +43,11 @@ class Tape:
         return False
 
 
+def recording() -> bool:
+    """True while a :class:`Tape` is active, i.e. while ops record gradients."""
+    return Tape._active is not None
+
+
 class Tensor:
     """Dense float64 array with optional gradient tracking."""
 

@@ -30,6 +30,14 @@ the concatenated outputs of both stacks to a per-target (mean, std); the
 mean is an offset from the nearest earlier available value and the std goes
 through a softplus plus a hard floor. The head's final layer starts at zero,
 so an untrained model predicts exactly that nearest value.
+
+The head reads the target rows only. A forward that records a tape
+(training) still computes every row of every layer, so training's rounding
+stays that of the full computation. A forward with no tape (sampling,
+held-out scoring, validation) runs the last layer of each stack on the
+target queries alone, against the keys and values of every point; its
+(mean, std) match the taped forward's to rounding (about 1e-15), not bit for
+bit.
 """
 
 from __future__ import annotations
@@ -194,9 +202,12 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     if f is None:
         raise DataError("example has no features; build it via make_batch")
     times = np.concatenate([example.ctx_gcm_t, example.ctx_obs_t, example.tgt_t])
-    geometry = (config.feature_dim, config.t_max, config.delta_t)
-    pos_enc = positional_features(times, *geometry)
-    closest_pos_enc = positional_features(f.closest_t, *geometry)
+    # neighbour times are point times, and GCM and observed days coincide, so
+    # the features (elementwise in t) are evaluated once per distinct time
+    distinct = np.unique(np.concatenate([times, f.closest_t]))
+    enc = positional_features(distinct, config.feature_dim, config.t_max, config.delta_t)
+    pos_enc = enc[np.searchsorted(distinct, times)]
+    closest_pos_enc = enc[np.searchsorted(distinct, f.closest_t)]
     n = len(f.series_id)
     n_tgt = example.n_tgt
     n_cond = n - n_tgt
@@ -234,8 +245,7 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
 
     allowed = np.zeros((n, n), dtype=bool)
     allowed[:, :n_cond] = True
-    for p in range(n_tgt):
-        allowed[n_cond + p, n_cond : n_cond + p] = True
+    allowed[n_cond:, n_cond:] = np.tril(np.ones((n_tgt, n_tgt), dtype=bool), -1)
     return EmbeddedExample(
         q_in=q_in,
         kv_in=kv_in,
@@ -257,32 +267,38 @@ def _attention_layer(q, k, v, bias, params, prefix, config) -> Tensor:
 def forward(
     params: dict[str, Tensor], emb: EmbeddedExample, config: ModelConfig
 ) -> tuple[Tensor, Tensor]:
-    """Per-target (mu, sigma), each of shape (n_targets, 1)."""
+    """Per-target (mu, sigma), each of shape (n_targets, 1).
+
+    While a tape records, every layer computes every row, as training's
+    gradients need. With no tape the head's rows are all that is read, so the
+    last layer of each stack computes the target rows alone; keys and values
+    keep every row.
+    """
     if emb.n_targets == 0:
         raise DataError("example has no targets")
+    cut = 0 if ad.recording() else emb.n_conditioning
     bias = np.where(emb.blocked, ad.MASK_FILL, 0.0)  # one mask bias for every layer
     q = _mlp(Tensor(emb.q_in), params, "q")
     k = _mlp(Tensor(emb.kv_in), params, "k")
     v = _mlp(Tensor(emb.kv_in), params, "v")
-    out = None
-    for layer in range(config.n_layers):
-        if layer > 0:
-            q = k = v = out
-        out = _attention_layer(q, k, v, bias, params, "layer%d.out" % layer, config)
-
     xq = _mlp(Tensor(emb.xqk_in), params, "xq")
     xk = _mlp(Tensor(emb.xqk_in), params, "xk")
     xv = _mlp(Tensor(emb.xv_in), params, "xv")
-    xout = None
+    out = xout = None
     for layer in range(config.n_layers):
         if layer > 0:
+            q = k = v = out
             xq = xk = xout
+        if layer == config.n_layers - 1 and cut:
+            q, xq, bias = q[cut:], xq[cut:], bias[cut:]
+        out = _attention_layer(q, k, v, bias, params, "layer%d.out" % layer, config)
         xout = _attention_layer(
             xq, xk, xv, bias, params, "layer%d.xout" % layer, config
         )
 
-    tail = emb.n_conditioning
-    raw = _mlp(ad.concat([out[tail:], xout[tail:]], axis=-1), params, "head")
+    if not cut:  # every row was computed; the head reads the targets'
+        out, xout = out[emb.n_conditioning :], xout[emb.n_conditioning :]
+    raw = _mlp(ad.concat([out, xout], axis=-1), params, "head")
     mu = raw[:, 0:1] + Tensor(emb.anchors)
     sigma = ad.softplus(raw[:, 1:2]) + Tensor(np.array(config.sigma_floor))
     return mu, sigma
@@ -357,6 +373,13 @@ def load_checkpoint(path) -> ModelCheckpoint:
         meta = dict(payload.get("meta", {}))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError("checkpoint %s has malformed fields: %s" % (path, exc))
+    window_max = meta.get("window_max")  # read by the sampler
+    if window_max is not None and (
+        isinstance(window_max, bool) or not isinstance(window_max, (int, float))
+    ):
+        raise DataError(
+            "checkpoint %s: meta window_max must be a number, got %r" % (path, window_max)
+        )
     expected = param_shapes(config)
     missing = sorted(set(expected) - set(raw_params))
     extra = sorted(set(raw_params) - set(expected))

@@ -90,7 +90,8 @@ def _forecaster(
     ``forecast(hist_t, hist_v, tau)`` conditions on the trailing
     ``obs_window`` history points and the run's days in
     [tau - gcm_past, tau + gcm_future) and returns the normalized (mean, std)
-    for day tau.
+    for day tau. Logs a warning when either window is longer than the
+    longest training window the checkpoint records (``meta["window_max"]``).
     """
     if not 0 <= run_id < dataset.n_runs:
         raise DataError("run id %d out of range (0..%d)" % (run_id, dataset.n_runs - 1))
@@ -120,6 +121,17 @@ def _forecaster(
             "end of the stretch",
             run_id,
             float(gcm_t[-1]),
+        )
+    window_max = ckpt.meta.get("window_max")  # absent in older checkpoints
+    if window_max is not None and max(
+        config.obs_window, config.gcm_past + config.gcm_future
+    ) > window_max:
+        logger.warning(
+            "sampler window (obs_window %d, gcm_past + gcm_future %d) exceeds the "
+            "longest training window (%d days); predictions may degrade",
+            config.obs_window,
+            config.gcm_past + config.gcm_future,
+            window_max,
         )
     params = tf_model.tensors_from_checkpoint(ckpt)
 

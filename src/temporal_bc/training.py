@@ -232,6 +232,10 @@ def train(
             "seed": train_config.seed,
             "ablate_gcm": bcfg.ablate_gcm,
             "n_train_points": n_train,
+            "window_min": bcfg.window_min,
+            "window_max": bcfg.window_max,
+            "margin": bcfg.margin,
+            "retain_p": bcfg.retain_p,
         }
         meta.update(meta_extra)
         return tf_model.checkpoint_from_params(model_config, params, stats, meta)

@@ -1,10 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from temporal_bc import autodiff as ad
 from temporal_bc.autodiff import Tape, Tensor
 from temporal_bc import sampling
-from temporal_bc.batching import BatchConfig, TrainingExample, compute_features, make_batch
+from temporal_bc.batching import (
+    SERIES_GCM,
+    SERIES_OBS,
+    BatchConfig,
+    TrainingExample,
+    compute_features,
+    make_batch,
+)
 from temporal_bc.errors import ConfigError, DataError, NumericError
 from temporal_bc.metrics import LOG_2PI, gaussian_nll_points
 from temporal_bc.model import (
@@ -20,11 +29,40 @@ from temporal_bc.model import (
     save_checkpoint,
     tensors_from_checkpoint,
 )
+from temporal_bc.sampling import SamplerConfig
 from temporal_bc.timeseries import AlignedPair, NormStats
 
 TINY = ModelConfig(
     n_layers=2, n_heads=2, model_dim=8, feature_dim=8, hidden_dim=8
 )
+# the benchmark's two geometries: model, training batches, sampler windows
+GEOMETRIES = {
+    "paper-study": (
+        ModelConfig(n_layers=2, n_heads=2, model_dim=32, feature_dim=16, hidden_dim=32),
+        BatchConfig(window_min=30, window_max=60, retain_p=0.8),
+        SamplerConfig(obs_window=30, gcm_past=30, gcm_future=30),
+    ),
+    "default": (ModelConfig(), BatchConfig(), SamplerConfig()),
+}
+
+
+def geometry_examples(geometry, n_batch=4, seed=17):
+    """Training examples of the geometry plus one sampler-style example."""
+    _, batch_config, sampler = GEOMETRIES[geometry]
+    rng = np.random.default_rng(seed)
+    t = np.arange(800.0)
+    pair = AlignedPair(t, rng.normal(size=800), rng.normal(size=800))
+    examples = make_batch([pair], n_batch, rng, batch_config)
+    day = 500
+    tau = t[day]
+    obs = slice(day - sampler.obs_window, day)
+    gcm = (t >= tau - sampler.gcm_past) & (t < tau + sampler.gcm_future)
+    examples.append(
+        sampling.build_inference_example(
+            t[obs], pair.obs_values[obs], t[gcm], pair.gcm_values[gcm], tau
+        )
+    )
+    return examples
 
 
 def build_example(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v):
@@ -110,6 +148,66 @@ class TestEmbed:
             )
             assert np.array_equal(emb.xqk_in[:, :d], emb.kv_in[:, :d])
 
+    @pytest.mark.parametrize(
+        "n_gcm, n_obs, n_tgt", [(6, 3, 1), (6, 3, 3), (0, 2, 4), (1, 1, 7), (40, 20, 25)]
+    )
+    def test_target_mask_equals_the_loop_built_mask(self, n_gcm, n_obs, n_tgt):
+        rng = np.random.default_rng(n_gcm + n_obs + n_tgt)
+        ex = build_example(
+            gcm_t=np.arange(float(n_gcm)),
+            gcm_v=rng.normal(size=n_gcm),
+            obs_t=np.arange(float(n_obs)),
+            obs_v=rng.normal(size=n_obs),
+            tgt_t=n_obs + np.arange(float(n_tgt)),
+            tgt_v=rng.normal(size=n_tgt),
+        )
+        emb = embed(ex, TINY)
+        n_cond = n_gcm + n_obs
+        n = n_cond + n_tgt
+        allowed = np.zeros((n, n), dtype=bool)
+        allowed[:, :n_cond] = True
+        for p in range(n_tgt):
+            allowed[n_cond + p, n_cond : n_cond + p] = True
+        assert emb.blocked.dtype == bool
+        assert np.array_equal(emb.blocked, ~allowed)
+
+    @pytest.mark.parametrize("geometry", ["paper-study", "default"])
+    def test_inputs_equal_one_positional_call_per_time_block(self, geometry):
+        # embed evaluates positional features once per distinct time; the
+        # features are elementwise in t, so its inputs must equal, bit for
+        # bit, those built from one call on the point times and one on the
+        # neighbour times
+        config = GEOMETRIES[geometry][0]
+        for ex in geometry_examples(geometry):
+            emb = embed(ex, config)
+            q_in, kv_in, xqk_in = _two_call_inputs(ex, config)
+            assert np.array_equal(emb.q_in, q_in)
+            assert np.array_equal(emb.kv_in, kv_in)
+            assert np.array_equal(emb.xqk_in, xqk_in)
+
+
+def _two_call_inputs(ex, config):
+    """q_in, kv_in and xqk_in as built with one positional call on the point
+    times and one on the neighbour times."""
+    f = ex.features
+    times = np.concatenate([ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t])
+    geometry = (config.feature_dim, config.t_max, config.delta_t)
+    pos_enc = positional_features(times, *geometry)
+    closest_pos_enc = positional_features(f.closest_t, *geometry)
+    n = len(times)
+    onehot = np.stack([f.series_id == SERIES_OBS, f.series_id == SERIES_GCM], axis=1)
+    onehot = onehot.astype(float)
+
+    def stack(delta, deriv):
+        scalars = np.stack([delta, f.dist, deriv, f.closest_value], axis=1)
+        return np.concatenate([pos_enc, onehot, scalars, closest_pos_enc, onehot], axis=1)
+
+    return (
+        stack(np.zeros(n), np.zeros(n)),
+        stack(f.delta, f.deriv),
+        np.concatenate([pos_enc, onehot], axis=1),
+    )
+
 
 class TestForward:
     def test_initial_mean_equals_anchor_exactly(self):
@@ -140,9 +238,9 @@ class TestForward:
         assert np.allclose(sigma.data, TINY.sigma_floor, atol=1e-12)
 
 
-def trained_like_params(seed=3):
+def trained_like_params(seed=3, config=TINY):
     """Random params with a non-zero head so predictions actually move."""
-    params = init_params(TINY, np.random.default_rng(seed))
+    params = init_params(config, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 100)
     params["head.w2"] = Tensor(0.3 * rng.standard_normal(params["head.w2"].shape))
     params["head.b2"] = Tensor(0.1 * rng.standard_normal(params["head.b2"].shape))
@@ -298,6 +396,50 @@ class TestTapeSize:
         assert len(tape.nodes) == 24
 
 
+class TestInferenceRows:
+    """With no tape, the last layer of each stack computes the target rows only."""
+
+    @pytest.mark.parametrize("geometry", ["paper-study", "default"])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_untaped_forward_matches_the_taped_forward(self, geometry, n_layers):
+        config = replace(GEOMETRIES[geometry][0], n_layers=n_layers)
+        params = trained_like_params(seed=n_layers, config=config)
+        examples = geometry_examples(geometry, n_batch=2)
+        assert examples[0].n_tgt > 1 and examples[-1].n_tgt == 1
+        for ex in examples:
+            emb = embed(ex, config)
+            with Tape():
+                mu_taped, sigma_taped = forward(params, emb, config)
+            mu, sigma = forward(params, emb, config)
+            assert mu.shape == sigma.shape == (ex.n_tgt, 1)
+            np.testing.assert_allclose(mu.data, mu_taped.data, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(sigma.data, sigma_taped.data, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_only_the_last_layer_drops_conditioning_queries(self, monkeypatch, n_layers):
+        config = replace(GEOMETRIES["paper-study"][0], n_layers=n_layers)
+        params = init_params(config, np.random.default_rng(0))
+        ex = geometry_examples("paper-study", n_batch=1)[0]
+        emb = embed(ex, config)
+        n = ex.n_points
+        calls = []
+        real = ad.attention
+
+        def spy(q, k, v, bias, n_heads):
+            calls.append((q.shape[0], k.shape[0], v.shape[0], bias.shape))
+            return real(q, k, v, bias, n_heads)
+
+        monkeypatch.setattr(ad, "attention", spy)
+        with Tape():
+            forward(params, emb, config)
+        assert calls == [(n, n, n, (n, n))] * (2 * n_layers)
+        del calls[:]
+        forward(params, emb, config)
+        full = [(n, n, n, (n, n))] * (2 * (n_layers - 1))
+        last = [(ex.n_tgt, n, n, (ex.n_tgt, n))] * 2
+        assert calls == full + last
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(TINY, np.random.default_rng(13))
@@ -365,6 +507,16 @@ class TestCheckpoint:
         payload["params"]["head.b2"]["data"] = [0.0, None]
         path.write_text(json.dumps(payload).replace("null", "NaN"))
         with pytest.raises(DataError, match="non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("window_max", ["360", True, [360]])
+    def test_non_numeric_window_max_rejected(self, tmp_path, window_max):
+        params = init_params(TINY, np.random.default_rng(0))
+        meta = {"window_max": window_max}
+        ckpt = checkpoint_from_params(TINY, params, NormStats(0.0, 1.0), meta=meta)
+        path = tmp_path / "c.json"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(DataError, match="window_max"):
             load_checkpoint(path)
 
     def test_garbage_file_rejected(self, tmp_path):

@@ -12,6 +12,8 @@ from temporal_bc.model import (
     ModelConfig,
     checkpoint_from_params,
     init_params,
+    load_checkpoint,
+    save_checkpoint,
 )
 from temporal_bc.rng import substream
 from temporal_bc.sampling import (
@@ -281,6 +283,43 @@ class TestPredictiveNll:
             (first,) = sample_trajectories(ckpt, ds, z, cfg)
             score = predictive_nll(ckpt, full, z, start_t=100.0, n_days=3, config=cfg)
             assert first.values[0] == score.means[0]
+
+
+class TestTrainedWindowWarning:
+    """The sampler warns when its windows are longer than any training window."""
+
+    def _warnings(self, caplog, ckpt, config):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="temporal_bc.sampling"):
+            trajs = sample_trajectories(ckpt, make_dataset(), 0, config)
+        assert all(np.all(np.isfinite(traj.values)) for traj in trajs)
+        return [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
+    def test_one_warning_when_a_window_exceeds_window_max(self, caplog):
+        ds = make_dataset()
+        ckpt = anchor_checkpoint(ds, meta={"window_max": 60})
+        for config in (
+            SamplerConfig(obs_window=61, gcm_past=30, gcm_future=30, horizon=3),
+            SamplerConfig(obs_window=30, gcm_past=30, gcm_future=31, horizon=3),
+        ):
+            (message,) = self._warnings(caplog, ckpt, config)
+            assert "exceeds the longest training window (60 days)" in message
+
+    def test_no_warning_within_window_max(self, caplog):
+        ds = make_dataset()
+        ckpt = anchor_checkpoint(ds, meta={"window_max": 60})
+        config = SamplerConfig(obs_window=60, gcm_past=30, gcm_future=30, horizon=3)
+        assert self._warnings(caplog, ckpt, config) == []
+
+    def test_legacy_checkpoint_samples_without_warning(self, caplog, tmp_path):
+        # written before checkpoints recorded their window geometry
+        ds = make_dataset()
+        path = tmp_path / "legacy.json"
+        save_checkpoint(anchor_checkpoint(ds, meta={"seed": 3, "ablate_gcm": False}), path)
+        ckpt = load_checkpoint(path)
+        assert "window_max" not in ckpt.meta
+        config = SamplerConfig(obs_window=90, gcm_past=60, gcm_future=120, horizon=3)
+        assert self._warnings(caplog, ckpt, config) == []
 
 
 class TestSamplerConfigValidation:

@@ -152,6 +152,14 @@ class TestTrain:
         assert result.checkpoint.norm_stats.std == stats.std
         assert result.checkpoint.meta["n_train_points"] == 180
 
+    def test_checkpoint_records_the_training_window_geometry(self):
+        result = train(
+            toy_dataset(), TINY_MODEL, TrainConfig(steps=2, val_examples=4), TINY_BATCH
+        )
+        meta = result.checkpoint.meta
+        assert (meta["window_min"], meta["window_max"]) == (10, 20)
+        assert (meta["margin"], meta["retain_p"]) == (2, TINY_BATCH.retain_p)
+
     def test_loss_improves_on_toy_problem(self):
         ds = toy_dataset(n=300, seed=4)
         cfg = TrainConfig(
