@@ -4,12 +4,15 @@ Runs ``perfbench/run.py --trace 0`` from a base checkout and a changed
 checkout once per seed, alternating which side runs first, so slow and fast
 stretches of a shared host fall on both sides alike. For every end-to-end
 metric of ``BENCHMARK.json`` it prints each pair's values, each side's
-median and quartiles, how many pairs the change wins, and whether the
+median and quartiles, how many pairs the change wins, whether the
 change's median beats the base's by more than the base's interquartile
-range. Every timed metric is printed a second time unscaled, from the
-``notes`` of each run's ``.perfbench/results/*.json``: the scaled figures
-divide by a reference kernel's speed in the same process, and that kernel's
-speed can differ between the two checkouts' processes.
+range, and whether it is worse than the base's by more than the metric's
+relative ``bound`` in ``BENCHMARK.json``. Every timed metric is printed a
+second time unscaled, from the ``notes`` of each run's
+``.perfbench/results/*.json``: the scaled figures divide by a reference
+kernel's speed in the same process, and that kernel's speed can differ
+between the two checkouts' processes. The last line names every median,
+scaled or unscaled, that is worse beyond its bound.
 
 Run from the repository root, with both checkouts holding ``perfbench/``:
 
@@ -81,7 +84,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     }
 
 
-def summarise(name: str, better: str, base: list, change: list) -> None:
+def summarise(name: str, better: str, bound: float, base: list, change: list) -> bool:
+    """Print one metric's pairs and medians; True if the change's median is
+    worse than the base's by more than ``bound`` (relative)."""
     base, change = np.asarray(base), np.asarray(change)
     sign = 1.0 if better == "lower" else -1.0
     wins = int(np.sum(sign * (change - base) < 0))
@@ -89,14 +94,18 @@ def summarise(name: str, better: str, base: list, change: list) -> None:
     c25, c50, c75 = np.percentile(change, [25, 50, 75])
     gap = sign * (b50 - c50)
     rel = (c50 - b50) / b50 if b50 else float("nan")
+    worse = -gap / abs(b50) > bound if b50 else False
     pairs = ", ".join("%.4g->%.4g" % pair for pair in zip(base, change))
     print("%s: %s" % (name, pairs))
     print(
         "  median %.4g -> %.4g (%+.1f%%), base IQR [%.4g, %.4g], change IQR "
-        "[%.4g, %.4g]; change wins %d of %d; gain beyond base IQR: %s"
+        "[%.4g, %.4g]; change wins %d of %d; gain beyond base IQR: %s; "
+        "worse beyond the %g%% bound: %s"
         % (b50, c50, 100.0 * rel, b25, b75, c25, c75, wins, len(base),
-           "yes" if gap > b75 - b25 else "no")  # fmt: skip
+           "yes" if gap > b75 - b25 else "no", 100.0 * bound,
+           "YES" if worse else "no")  # fmt: skip
     )
+    return worse
 
 
 def main(argv=None) -> int:
@@ -123,12 +132,18 @@ def main(argv=None) -> int:
     print("# %s, seeds %s, %d s requested; pairs are base->change"
           % (args.workload, args.seeds, args.seconds))  # fmt: skip
     print("# every run correct: base %s, change %s" % (ok["base"], ok["change"]))
+    worse = []
     for m in metrics:
-        summarise(m["name"], m["better"], *series("metrics", m["name"]))
+        if summarise(m["name"], m["better"], m["bound"], *series("metrics", m["name"])):
+            worse.append(m["name"])
     print("# unscaled CPU time (run.py notes)")
     for m in metrics:
+        name = m["name"] + " unscaled"
         if all(m["name"] in r["unscaled"] for rs in runs.values() for r in rs):
-            summarise(m["name"] + " unscaled", m["better"], *series("unscaled", m["name"]))
+            if summarise(name, m["better"], m["bound"], *series("unscaled", m["name"])):
+                worse.append(name)
+    print("# medians worse than the base's beyond their bound: %s"
+          % (", ".join(worse) or "none"))  # fmt: skip
     print("# reference kernel per pair: %s" % "; ".join(
         "%s | %s" % (b["reference"], c["reference"])
         for b, c in zip(runs["base"], runs["change"])

@@ -185,19 +185,11 @@ class _Outputs:
                 os.remove(target)
 
 
-def _build_kernel(args) -> gp.Kernel:
-    if args.kernel == "rbf":
-        return gp.rbf(args.lengthscale)
-    if args.kernel == "periodic":
-        return gp.periodic(args.lengthscale, args.period)
-    if args.kernel == "rational_quadratic":
-        return gp.rational_quadratic(args.lengthscale, args.alpha)
-    raise ConfigError("unknown kernel %r" % args.kernel)
-
-
 def _cmd_synth(args) -> int:
     outputs = _Outputs(args.out_dir)
-    kernel = _build_kernel(args)
+    kernel = gp.Kernel(
+        args.kernel, lengthscale=args.lengthscale, period=args.period, alpha=args.alpha
+    )
     if args.n_days < 2:
         raise ConfigError("n-days must be >= 2")
     times = args.start_day + np.arange(args.n_days, dtype=np.float64)
@@ -241,7 +233,7 @@ def _cmd_train(args) -> int:
         train_config, args, ("steps", "batch_size", "learning_rate", "seed")
     )
 
-    dataset = load_paired(args.obs, args.gcm, location_id=args.location_id)
+    dataset = load_paired(args.obs, args.gcm)
     outputs = _Outputs(args.out_dir)
     result = train(
         dataset, model_config, train_config, batch_config, checkpoint_dir=args.out_dir
@@ -549,11 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-days", type=int, default=1000)
     p.add_argument("--n-runs", type=int, default=1)
     p.add_argument("--start-day", type=float, default=0.0)
-    p.add_argument(
-        "--kernel",
-        choices=("rbf", "periodic", "rational_quadratic"),
-        default="rbf",
-    )
+    p.add_argument("--kernel", choices=gp.KINDS, default=gp.RBF)
     p.add_argument("--lengthscale", type=float, default=10.0)
     p.add_argument("--period", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
@@ -568,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gcm", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config")
-    p.add_argument("--location-id", default="")
     p.add_argument("--steps", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)

@@ -19,9 +19,8 @@ from .timeseries import GCM, OBS, TimeSeries
 RBF = "rbf"
 PERIODIC = "periodic"
 RATIONAL_QUADRATIC = "rational_quadratic"
-PRODUCT = "product"
 
-_KINDS = (RBF, PERIODIC, RATIONAL_QUADRATIC, PRODUCT)
+KINDS = (RBF, PERIODIC, RATIONAL_QUADRATIC)
 
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
@@ -36,7 +35,6 @@ class Kernel:
     - rbf:                  exp(-r^2 / (2 l^2))
     - periodic:             exp(-0.5 (sin(pi r) / gamma)^2 / l^2)
     - rational_quadratic:   (1 + r^2 / (2 alpha l^2))^(-alpha)
-    - product:              elementwise product of the operand kernels
 
     The periodic form keeps gamma under the sine as written in the source
     convention, so the function has unit period in r regardless of gamma;
@@ -47,23 +45,16 @@ class Kernel:
     lengthscale: float = 1.0
     period: float = 1.0
     alpha: float = 1.0
-    operands: tuple["Kernel", ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ConfigError("unknown kernel kind %r" % (self.kind,))
-        if self.kind == PRODUCT:
-            if len(self.operands) < 2:
-                raise ConfigError("product kernel needs at least two operands")
-        else:
-            if self.operands:
-                raise ConfigError("%s kernel takes no operands" % self.kind)
-            if self.lengthscale <= 0:
-                raise ConfigError("lengthscale must be positive")
-            if self.kind == PERIODIC and self.period <= 0:
-                raise ConfigError("period must be positive")
-            if self.kind == RATIONAL_QUADRATIC and self.alpha <= 0:
-                raise ConfigError("alpha must be positive")
+        if self.lengthscale <= 0:
+            raise ConfigError("lengthscale must be positive")
+        if self.kind == PERIODIC and self.period <= 0:
+            raise ConfigError("period must be positive")
+        if self.kind == RATIONAL_QUADRATIC and self.alpha <= 0:
+            raise ConfigError("alpha must be positive")
 
 
 def rbf(lengthscale: float = 1.0) -> Kernel:
@@ -78,19 +69,10 @@ def rational_quadratic(lengthscale: float = 1.0, alpha: float = 1.0) -> Kernel:
     return Kernel(RATIONAL_QUADRATIC, lengthscale=lengthscale, alpha=alpha)
 
 
-def product(*kernels: Kernel) -> Kernel:
-    return Kernel(PRODUCT, operands=tuple(kernels))
-
-
 def gram(kernel: Kernel, times_a, times_b=None) -> np.ndarray:
     """Gram matrix K[i, j] = k(times_a[i], times_b[j])."""
     ta = np.asarray(times_a, dtype=np.float64)
     tb = ta if times_b is None else np.asarray(times_b, dtype=np.float64)
-    if kernel.kind == PRODUCT:
-        out = np.ones((len(ta), len(tb)))
-        for op in kernel.operands:
-            out *= gram(op, ta, tb)
-        return out
     # every step works in place on the one buffer of distances: an n x n
     # temporary per step would cost more than the arithmetic
     r = ta[:, None] - tb[None, :]
@@ -166,8 +148,17 @@ class SyntheticPair:
     latent_values: np.ndarray
 
 
-def _latent_on_union(kernel, times, time_shift, seed):
-    """Latent draw on the union of the grid and its shifted copy."""
+def _draw(kernel, times, mean_bias, time_shift, noise_std, seed, gcm_keys):
+    """One latent draw, the observations and one model series per GCM key.
+
+    The latent is drawn on the union of the grid and its shifted copy. The
+    observations read it at t + time_shift and add ``mean_bias``; each model
+    series reads it at t. Every series adds i.i.d. noise from its own
+    substream ``(seed, "noise", *key)``, with key ``("obs",)`` for the
+    observations and each of ``gcm_keys`` for the model series.
+    """
+    if noise_std < 0:
+        raise ConfigError("noise_std must be nonnegative")
     times = np.asarray(times, dtype=np.float64)
     if len(times) == 0:
         raise DataError("need at least one time stamp")
@@ -180,7 +171,14 @@ def _latent_on_union(kernel, times, time_shift, seed):
         idx_base = np.searchsorted(grid, times)
         idx_shift = np.searchsorted(grid, shifted)
     latent = sample_gp(kernel, grid, substream(int(seed), "latent"))
-    return grid, latent, idx_base, idx_shift
+
+    def noise(*key):
+        draw = substream(int(seed), "noise", *key).standard_normal(len(times))
+        return noise_std * draw
+
+    runs = [TimeSeries(times, latent[idx_base] + noise(*key), GCM) for key in gcm_keys]
+    obs = TimeSeries(times, latent[idx_shift] + mean_bias + noise("obs"), OBS)
+    return grid, latent, obs, runs
 
 
 def make_shifted_pair(
@@ -192,23 +190,12 @@ def make_shifted_pair(
     seed: int = 0,
 ) -> SyntheticPair:
     """Draw one latent series and derive a biased, shifted, noisy pair."""
-    if noise_std < 0:
-        raise ConfigError("noise_std must be nonnegative")
-    times = np.asarray(times, dtype=np.float64)
-    grid, latent, idx_base, idx_shift = _latent_on_union(
-        kernel, times, time_shift, seed
-    )
-    rng_gcm = substream(int(seed), "noise", "gcm")
-    rng_obs = substream(int(seed), "noise", "obs")
-    gcm_values = latent[idx_base] + noise_std * rng_gcm.standard_normal(len(times))
-    obs_values = (
-        latent[idx_shift]
-        + mean_bias
-        + noise_std * rng_obs.standard_normal(len(times))
+    grid, latent, obs, (gcm,) = _draw(
+        kernel, times, mean_bias, time_shift, noise_std, seed, [("gcm",)]
     )
     return SyntheticPair(
-        obs=TimeSeries(times, obs_values, OBS),
-        gcm=TimeSeries(times, gcm_values, GCM),
+        obs=obs,
+        gcm=gcm,
         true_mean_bias=float(mean_bias),
         true_time_shift=float(time_shift),
         noise_std=float(noise_std),
@@ -229,27 +216,8 @@ def make_run_ensemble(
     """Shared latent draw with one model-noise realization per run."""
     if n_runs < 1:
         raise ConfigError("n_runs must be at least 1")
-    if noise_std < 0:
-        raise ConfigError("noise_std must be nonnegative")
-    times = np.asarray(times, dtype=np.float64)
-    grid, latent, idx_base, idx_shift = _latent_on_union(
-        kernel, times, time_shift, seed
-    )
-    rng_obs = substream(int(seed), "noise", "obs")
-    obs = TimeSeries(
-        times,
-        latent[idx_shift] + mean_bias + noise_std * rng_obs.standard_normal(len(times)),
-        OBS,
-    )
-    runs = []
-    for z in range(n_runs):
-        rng_z = substream(int(seed), "noise", "gcm", z)
-        runs.append(
-            TimeSeries(
-                times,
-                latent[idx_base] + noise_std * rng_z.standard_normal(len(times)),
-                GCM,
-            )
-        )
+    _, _, obs, runs = _draw(
+        kernel, times, mean_bias, time_shift, noise_std, seed,
+        [("gcm", z) for z in range(n_runs)],
+    )  # fmt: skip
     return obs, runs
-

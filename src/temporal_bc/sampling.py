@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError, NumericError
 from .metrics import gaussian_nll_points
 from .model import ModelCheckpoint
 from .rng import substream
-from .timeseries import OBS, PairedDataset, TimeSeries
+from .timeseries import OBS, PairedDataset, TimeSeries, common_grid
 
 logger = logging.getLogger(__name__)
 
@@ -237,17 +237,20 @@ def predictive_nll(
     obs_t, obs_v, forecast = _forecaster(ckpt, dataset, run_id, config, start_t, n_days)
     stats = ckpt.norm_stats
     times = start_t + np.arange(n_days, dtype=np.float64)
+    try:
+        found, truth, _ = common_grid(dataset.obs, TimeSeries(times, times))
+    except DataError:  # not one evaluation day is observed
+        found = ()
+    if len(found) < n_days:
+        missing = np.setdiff1d(times, found)[0]
+        raise DataError("no observation at evaluation day t=%r" % float(missing))
     means = np.empty(n_days)
     stds = np.empty(n_days)
     nll = np.empty(n_days)
     for i, tau in enumerate(times):
-        at = np.flatnonzero(np.abs(obs_t - tau) < 1e-9)
-        if len(at) != 1:
-            raise DataError("no observation at evaluation day t=%r" % float(tau))
         past = obs_t < tau
         m_norm, s_norm = forecast(obs_t[past], obs_v[past], float(tau))
         means[i] = stats.from_z(m_norm)
         stds[i] = s_norm * stats.std
-        truth = float(dataset.obs.values[at[0]])
-        nll[i] = gaussian_nll_points(truth, means[i], stds[i])
+        nll[i] = gaussian_nll_points(float(truth[i]), means[i], stds[i])
     return PredictiveScore(times=times, means=means, stds=stds, nll=nll)

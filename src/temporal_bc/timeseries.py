@@ -127,7 +127,6 @@ class PairedDataset:
 
     obs: TimeSeries
     runs: tuple[TimeSeries, ...]
-    location_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "runs", tuple(self.runs))
@@ -343,11 +342,11 @@ def load_csv(path, source_tag: str):
     return runs
 
 
-def load_paired(obs_path, gcm_path, location_id: str = "") -> PairedDataset:
+def load_paired(obs_path, gcm_path) -> PairedDataset:
     """Assemble a :class:`PairedDataset` from an OBS and a GCM csv file."""
     obs = load_csv(obs_path, OBS)
     runs = load_csv(gcm_path, GCM)
-    return PairedDataset(obs, tuple(runs), location_id)
+    return PairedDataset(obs, tuple(runs))
 
 
 def load_samples_csv(path) -> dict[int, dict[int, TimeSeries]]:

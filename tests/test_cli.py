@@ -5,7 +5,7 @@ import platform
 import numpy as np
 import pytest
 
-from temporal_bc import cli
+from temporal_bc import cli, gp
 from temporal_bc.cli import main
 from temporal_bc.model import (
     ModelConfig,
@@ -100,6 +100,30 @@ class TestSynth:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("kind", gp.KINDS)
+    def test_each_kernel_writes_the_direct_draw(self, tmp_path, kind):
+        out = str(tmp_path / kind)
+        assert main([
+            "synth", "--out-dir", out, "--n-days", "60", "--n-runs", "2",
+            "--kernel", kind, "--lengthscale", "3.0", "--period", "1.7",
+            "--alpha", "2.5", "--mean-bias", "1.0", "--time-shift", "0.9",
+            "--noise-std", "0.3", "--start-day", "5", "--seed", "9",
+        ]) == 0
+        kernel = gp.Kernel(kind, lengthscale=3.0, period=1.7, alpha=2.5)
+        obs, runs = gp.make_run_ensemble(
+            kernel, 5.0 + np.arange(60.0), mean_bias=1.0, time_shift=0.9,
+            noise_std=0.3, n_runs=2, seed=9,
+        )
+        got_obs = load_csv(os.path.join(out, "obs.csv"), OBS)
+        got_runs = load_csv(os.path.join(out, "gcm.csv"), GCM)
+        assert np.array_equal(got_obs.times, obs.times)
+        assert np.array_equal(got_obs.values, obs.values)
+        assert len(got_runs) == 2
+        for got, want in zip(got_runs, runs):
+            assert np.array_equal(got.values, want.values)
+        truth = json.loads((tmp_path / kind / "truth.json").read_text())
+        assert truth["kernel"] == kind
 
     def test_bias_is_recovered_in_the_data(self, tmp_path):
         out = str(tmp_path / "s")

@@ -8,7 +8,6 @@ from temporal_bc.gp import (
     make_run_ensemble,
     make_shifted_pair,
     periodic,
-    product,
     rational_quadratic,
     rbf,
     sample_gp,
@@ -53,12 +52,6 @@ class TestKernels:
         g_rbf = gram(rbf(1.0), t)
         assert np.allclose(g_rq, g_rbf, atol=1e-6)
 
-    def test_product_is_elementwise(self):
-        t = np.array([0.0, 1.0, 2.5])
-        k = product(rbf(3.0), periodic(1.0, 1.0))
-        g = gram(k, t)
-        assert np.allclose(g, gram(rbf(3.0), t) * gram(periodic(1.0, 1.0), t))
-
     def test_rectangular_gram(self):
         g = gram(rbf(1.0), np.array([0.0, 1.0, 2.0]), np.array([0.5]))
         assert g.shape == (3, 1)
@@ -73,8 +66,6 @@ class TestKernels:
             rational_quadratic(1.0, alpha=0.0)
         with pytest.raises(ConfigError):
             periodic(1.0, period=-2.0)
-        with pytest.raises(ConfigError):
-            product(rbf(1.0))
 
 
 class TestSampleGp:
@@ -212,11 +203,6 @@ class TestJitter:
 
 def _reference_gram(kernel, t):
     """The kernel formulas written out, one out-of-place step at a time."""
-    if kernel.kind == "product":
-        out = np.ones((len(t), len(t)))
-        for op in kernel.operands:
-            out = out * _reference_gram(op, t)
-        return out
     r = np.abs(t[:, None] - t[None, :])
     ell = kernel.lengthscale
     if kernel.kind == "rbf":
@@ -248,9 +234,8 @@ class TestBitsOfTheSetUp:
             rbf(10.0),
             periodic(0.7, period=1.3),
             rational_quadratic(1.5, alpha=2.0),
-            product(rbf(3.0), periodic(1.0, 1.0)),
         ],
-        ids=["rbf", "rbf_long", "periodic", "rational_quadratic", "product"],
+        ids=["rbf", "rbf_long", "periodic", "rational_quadratic"],
     )
     @pytest.mark.parametrize("n_days, shift", [(300, 0.37), (1200, 0.0)])
     def test_draw_equals_the_out_of_place_reference(self, kernel, n_days, shift):

@@ -28,6 +28,12 @@ OWNED = {
     "daily-grid-rule": r"[<>]=?\s*_DAY_TOL\b",
     # baselines._groups, the one caller of month_of
     "calendar-month-grouping": r"(?<!def )\bmonth_of\(",
+    # gp._draw: the observation and model-run noise of synthetic pairs
+    "synthetic-noise-recipe": r"substream\(.*\"noise\"",
+    # gp.KINDS: every list or branch over kernel names holds this one
+    "kernel-names": r"[\"']rational_quadratic[\"']",
+    # timeseries._DAY_TOL: days match exactly or within this one tolerance
+    "day-tolerance": r"\b1e-9\b",
 }
 
 

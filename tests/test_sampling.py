@@ -242,8 +242,11 @@ class TestPredictiveNll:
     def test_needs_observation_at_each_day(self):
         ds = make_dataset(n_obs=100)
         ckpt = anchor_checkpoint(ds)
-        with pytest.raises(DataError, match="no observation"):
-            predictive_nll(ckpt, ds, 0, start_t=95.0, n_days=20)
+        # the first unobserved day is named, whether some days are observed
+        # or none
+        for start_t in (95.0, 100.0):
+            with pytest.raises(DataError, match=r"no observation .* t=100\.0$"):
+                predictive_nll(ckpt, ds, 0, start_t=start_t, n_days=20)
 
     def test_needs_enough_history(self):
         ds = make_dataset(n_obs=100)

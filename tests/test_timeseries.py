@@ -214,8 +214,7 @@ class TestCsv:
     def test_load_paired(self, tmp_path):
         write_obs_csv(series([1.0, 2.0, 3.0]), tmp_path / "obs.csv")
         write_gcm_csv([series([4.0, 5.0, 6.0], tag=GCM)], tmp_path / "gcm.csv")
-        ds = load_paired(tmp_path / "obs.csv", tmp_path / "gcm.csv", "site-a")
-        assert ds.location_id == "site-a"
+        ds = load_paired(tmp_path / "obs.csv", tmp_path / "gcm.csv")
         assert ds.n_runs == 1
 
     def test_float_round_trip_is_exact(self, tmp_path):
