@@ -7,12 +7,16 @@ metric of ``BENCHMARK.json`` it prints each pair's values, each side's
 median and quartiles, how many pairs the change wins, whether the
 change's median beats the base's by more than the base's interquartile
 range, and whether it is worse than the base's by more than the metric's
-relative ``bound`` in ``BENCHMARK.json``. Every timed metric is printed a
-second time unscaled, from the ``notes`` of each run's
+relative ``bound`` in ``BENCHMARK.json``. That last verdict reads
+"unresolved" instead of "no" where the base's interquartile range,
+relative to its median, is wider than the bound and not every change run
+beats every base run. Every timed metric is printed a second time
+unscaled, from the ``notes`` of each run's
 ``.perfbench/results/*.json``: the scaled figures divide by a reference
 kernel's speed in the same process, and that kernel's speed can differ
 between the two checkouts' processes. The last line names every median,
-scaled or unscaled, that is worse beyond its bound.
+scaled or unscaled, that is worse beyond its bound, and every one that is
+unresolved.
 
 Run from the repository root, with both checkouts holding ``perfbench/``:
 
@@ -84,9 +88,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     }
 
 
-def summarise(name: str, better: str, bound: float, base: list, change: list) -> bool:
-    """Print one metric's pairs and medians; True if the change's median is
-    worse than the base's by more than ``bound`` (relative)."""
+def summarise(name: str, better: str, bound: float, base: list, change: list) -> str:
+    """Print one metric's pairs and medians and return its verdict: "YES"
+    if the change's median is worse than the base's by more than ``bound``
+    (relative), else "unresolved" if the base's interquartile range is
+    wider than ``bound`` relative to its median and not every change run
+    beats every base run, else "no"."""
     base, change = np.asarray(base), np.asarray(change)
     sign = 1.0 if better == "lower" else -1.0
     wins = int(np.sum(sign * (change - base) < 0))
@@ -95,6 +102,9 @@ def summarise(name: str, better: str, bound: float, base: list, change: list) ->
     gap = sign * (b50 - c50)
     rel = (c50 - b50) / b50 if b50 else float("nan")
     worse = -gap / abs(b50) > bound if b50 else False
+    spread = (b75 - b25) / abs(b50) > bound if b50 else False
+    all_beat = np.max(sign * change) < np.min(sign * base)
+    verdict = "YES" if worse else "unresolved" if spread and not all_beat else "no"
     pairs = ", ".join("%.4g->%.4g" % pair for pair in zip(base, change))
     print("%s: %s" % (name, pairs))
     print(
@@ -102,10 +112,9 @@ def summarise(name: str, better: str, bound: float, base: list, change: list) ->
         "[%.4g, %.4g]; change wins %d of %d; gain beyond base IQR: %s; "
         "worse beyond the %g%% bound: %s"
         % (b50, c50, 100.0 * rel, b25, b75, c25, c75, wins, len(base),
-           "yes" if gap > b75 - b25 else "no", 100.0 * bound,
-           "YES" if worse else "no")  # fmt: skip
+           "yes" if gap > b75 - b25 else "no", 100.0 * bound, verdict)  # fmt: skip
     )
-    return worse
+    return verdict
 
 
 def main(argv=None) -> int:
@@ -132,22 +141,24 @@ def main(argv=None) -> int:
     print("# %s, seeds %s, %d s requested; pairs are base->change"
           % (args.workload, args.seeds, args.seconds))  # fmt: skip
     print("# every run correct: base %s, change %s" % (ok["base"], ok["change"]))
-    worse = []
+    verdicts = {"YES": [], "unresolved": [], "no": []}
     for m in metrics:
-        if summarise(m["name"], m["better"], m["bound"], *series("metrics", m["name"])):
-            worse.append(m["name"])
+        verdict = summarise(m["name"], m["better"], m["bound"], *series("metrics", m["name"]))
+        verdicts[verdict].append(m["name"])
     print("# unscaled CPU time (run.py notes)")
     for m in metrics:
         name = m["name"] + " unscaled"
         if all(m["name"] in r["unscaled"] for rs in runs.values() for r in rs):
-            if summarise(name, m["better"], m["bound"], *series("unscaled", m["name"])):
-                worse.append(name)
-    print("# medians worse than the base's beyond their bound: %s"
-          % (", ".join(worse) or "none"))  # fmt: skip
+            verdict = summarise(name, m["better"], m["bound"], *series("unscaled", m["name"]))
+            verdicts[verdict].append(name)
     print("# reference kernel per pair: %s" % "; ".join(
         "%s | %s" % (b["reference"], c["reference"])
         for b, c in zip(runs["base"], runs["change"])
     ))  # fmt: skip
+    print("# medians worse than the base's beyond their bound: %s; unresolved "
+          "(base spread wider than the bound): %s"
+          % (", ".join(verdicts["YES"]) or "none",
+             ", ".join(verdicts["unresolved"]) or "none"))  # fmt: skip
     return 0 if all(ok.values()) else 1
 
 

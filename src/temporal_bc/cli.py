@@ -1,4 +1,11 @@
-"""Command-line pipeline: synth, train, sample, baseline, eval, report.
+"""Command-line pipeline: synth, train, sample, baseline, report.
+
+``report`` is the one scoring command. It scores each run of the model's
+samples (by its ensemble mean and spread) and each run of every baseline
+against the observed record, and writes per run the MSE, log likelihood
+and heatwave-count error. It also scores every series on its own, each
+model trajectory and each baseline run, and writes its QQ pairs, PACF and
+heatwave run lengths against the observed record on the same days.
 
 Every command writes its artifacts plus a ``manifest.json`` recording the
 resolved-settings hash, seeds, sha256 digests of the inputs, the relative
@@ -19,6 +26,7 @@ import datetime as dt
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -57,6 +65,10 @@ logger = logging.getLogger(__name__)
 
 _DEFAULT_EPOCH = "1948-01-01"
 _ENSEMBLE_STD_FLOOR = 1e-6
+# report's QQ pairs sit at this many evenly spaced probabilities, its PACF
+# at lags 1.._MAX_LAG
+_N_QUANTILES = 101
+_MAX_LAG = 14
 # the thread-count variables a BLAS or OpenMP runtime reads when NumPy loads
 _THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -107,6 +119,18 @@ def _write_manifest(outputs: "_Outputs", command, settings, seeds, inputs) -> No
         "environment": _numeric_environment(),
     }
     write_json(os.path.join(outputs.out_dir, "manifest.json"), manifest)
+
+
+def _finite_float(raw: str) -> float:
+    """The argparse type of every real-valued flag: NaN and infinity exit 2
+    with a usage message, as they do in a config file."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not a number" % raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("%r is not a finite number" % raw)
+    return value
 
 
 def _parse_epoch(raw: str) -> dt.date:
@@ -346,56 +370,6 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    candidate = load_csv(args.candidate, OBS)
-    observed = load_csv(args.observed, OBS)
-    common, cand_v, obs_v = common_grid(candidate, observed)
-    report = metrics.score(cand_v, obs_v)
-    cand_series = TimeSeries(common, cand_v)
-    obs_series = TimeSeries(common, obs_v)
-    hw_cand = metrics.heatwave_count(cand_series, args.threshold)
-    hw_obs = metrics.heatwave_count(obs_series, args.threshold)
-    rel = metrics.relative_heatwave_error(hw_cand.count, hw_obs.count)
-    outputs = _Outputs(args.out_dir)
-    payload = report.to_dict()
-    payload.update(
-        {
-            "threshold": args.threshold,
-            "n_days": len(common),
-            "heatwave_candidate": hw_cand.count,
-            "heatwave_observed": hw_obs.count,
-            "relative_heatwave_error_pct": rel,
-        }
-    )
-    write_json(outputs.path("report.json"), payload)
-    probs = np.linspace(0.0, 1.0, len(report.quantile_pairs))
-    qq_rows = zip(probs, *report.quantile_pairs.T)
-    write_csv(outputs.path("qq.csv"), ("prob", "observed", "candidate"), qq_rows)
-    pacf_rows = ()
-    if report.pacf_candidate is not None:
-        lags = range(1, len(report.pacf_candidate) + 1)
-        pacf_rows = zip(lags, report.pacf_observed, report.pacf_candidate)
-    write_csv(outputs.path("pacf.csv"), ("lag", "observed", "candidate"), pacf_rows)
-    write_csv(
-        outputs.path("heatwave.csv"),
-        ("series", "run_length"),
-        [("observed", n) for n in hw_obs.run_lengths]
-        + [("candidate", n) for n in hw_cand.run_lengths],
-    )
-    _write_manifest(
-        outputs,
-        "eval",
-        {"threshold": args.threshold},
-        {},
-        {"candidate": args.candidate, "observed": args.observed},
-    )
-    print(
-        "eval over %d days: mse %.6g, loglik %.6g, heatwaves %d vs %d observed"
-        % (len(common), report.mse, report.loglik, hw_cand.count, hw_obs.count)
-    )
-    return 0
-
-
 def _ensemble_stats(trajs: dict[int, TimeSeries], path, run_id: int):
     """Days plus per-day ensemble mean and floored std of one run's
     trajectories, which must all cover the same days."""
@@ -414,10 +388,31 @@ def _ensemble_stats(trajs: dict[int, TimeSeries], path, run_id: int):
     return first.times, mean, std
 
 
+def _series_rows(tables: dict, key: tuple, candidate, observed, run_lengths) -> None:
+    """Append one scored series' rows to ``tables``: its QQ pairs and PACF
+    against the observed values on the same days, and its heatwave run
+    lengths, each row led by ``key`` (method, run, trajectory). A series of
+    ``_MAX_LAG`` days or fewer, or one that is constant or whose observed
+    values are, gets no PACF rows."""
+    probs = np.linspace(0.0, 1.0, _N_QUANTILES)
+    pairs = metrics.qq(observed, candidate, _N_QUANTILES)
+    tables["qq"] += [(*key, p, o, c) for p, (o, c) in zip(probs, pairs)]
+    if len(candidate) > _MAX_LAG and np.std(candidate) > 0 and np.std(observed) > 0:
+        lags = range(1, _MAX_LAG + 1)
+        both = zip(lags, metrics.pacf(observed, _MAX_LAG), metrics.pacf(candidate, _MAX_LAG))
+        tables["pacf"] += [(*key, lag, o, c) for lag, o, c in both]
+    tables["runs"] += [(*key, n) for n in run_lengths]
+
+
 def _cmd_report(args) -> int:
+    if args.samples is None and not args.baseline:
+        raise ConfigError("report needs --samples, --baseline or both")
     observed = load_csv(args.observed, OBS)
-    samples = load_samples_csv(args.samples)
-    inputs = {"observed": args.observed, "samples": args.samples}
+    inputs = {"observed": args.observed}
+    samples = {}
+    if args.samples is not None:
+        samples = load_samples_csv(args.samples)
+        inputs["samples"] = args.samples
     baseline_series = {}
     for spec in args.baseline or []:
         if "=" not in spec:
@@ -425,16 +420,22 @@ def _cmd_report(args) -> int:
         name, path = spec.split("=", 1)
         if name in baseline_series:
             raise ConfigError("--baseline name %r is given twice" % name)
+        if name in ("model", "observed"):
+            raise ConfigError("--baseline name %r is reserved" % name)
         baseline_series[name] = load_csv(path, GCM)
         inputs["baseline:%s" % name] = path
 
     outputs = _Outputs(args.out_dir)
     count_rows: list[tuple[str, int, int | None, int]] = []
+    tables: dict[str, list[tuple]] = {"qq": [], "pacf": [], "runs": []}
+    observed_spans = set()
     summary: dict[str, dict] = {}
 
-    def score_run(candidate: TimeSeries, counts, predictive_std=None) -> dict:
+    def score_run(run_id: int, candidate: TimeSeries, counts, predictive_std=None):
         """Score one run's candidate series against the observed record on
-        the candidate's days, with ``counts`` its heatwave count(s)."""
+        the candidate's days, with ``counts`` its heatwave count(s). Returns
+        the run's report row and the observed values on those days, and
+        writes the observed heatwave run lengths once per run and span."""
         common, obs_v, _ = common_grid(observed, candidate)
         if len(common) != len(candidate):
             raise DataError(
@@ -442,8 +443,12 @@ def _cmd_report(args) -> int:
                 "(%d of %d days present)" % (len(common), len(candidate))
             )
         hw_obs = metrics.heatwave_count(TimeSeries(common, obs_v), args.threshold)
+        span = (run_id, common[0], len(common))
+        if span not in observed_spans:
+            observed_spans.add(span)
+            tables["runs"] += [("observed", run_id, None, n) for n in hw_obs.run_lengths]
         rep = metrics.score(candidate.values, obs_v, predictive_std=predictive_std)
-        return {
+        row = {
             "mse": rep.mse,
             "loglik": rep.loglik,
             "observed_heatwave_count": hw_obs.count,
@@ -451,38 +456,50 @@ def _cmd_report(args) -> int:
                 counts, hw_obs.count
             ),
         }
+        return row, obs_v
 
     model_runs = {}
     for run_id in sorted(samples):
-        times, ens_mean, ens_std = _ensemble_stats(samples[run_id], args.samples, run_id)
-        counts = {
-            traj_id: metrics.heatwave_count(series, args.threshold).count
-            for traj_id, series in sorted(samples[run_id].items())
+        trajs = samples[run_id]
+        times, ens_mean, ens_std = _ensemble_stats(trajs, args.samples, run_id)
+        stats = {
+            traj_id: metrics.heatwave_count(series, args.threshold)
+            for traj_id, series in sorted(trajs.items())
         }
+        counts = {traj_id: hw.count for traj_id, hw in stats.items()}
         count_rows += [("model", run_id, traj_id, n) for traj_id, n in counts.items()]
-        row = score_run(TimeSeries(times, ens_mean), list(counts.values()), ens_std)
+        row, obs_v = score_run(
+            run_id, TimeSeries(times, ens_mean), list(counts.values()), ens_std
+        )
+        for traj_id, hw in stats.items():
+            key = ("model", run_id, traj_id)
+            _series_rows(tables, key, trajs[traj_id].values, obs_v, hw.run_lengths)
         model_runs[run_id] = {**row, "trajectory_heatwave_counts": counts}
-    summary["model"] = _summarize(model_runs)
+    if samples:
+        summary["model"] = _summarize(model_runs)
 
     baseline_results = {}
     for name, runs in baseline_series.items():
         per_run = {}
         for run_id, series in enumerate(runs):
-            count = metrics.heatwave_count(series, args.threshold).count
-            count_rows.append((name, run_id, None, count))
-            per_run[run_id] = {**score_run(series, count), "heatwave_count": count}
+            hw = metrics.heatwave_count(series, args.threshold)
+            count_rows.append((name, run_id, None, hw.count))
+            row, obs_v = score_run(run_id, series, hw.count)
+            _series_rows(tables, (name, run_id, None), series.values, obs_v, hw.run_lengths)
+            per_run[run_id] = {**row, "heatwave_count": hw.count}
         baseline_results[name] = per_run
         summary[name] = _summarize(per_run)
 
     payload = {
         "threshold": args.threshold,
-        "model": {"per_run": {str(k): v for k, v in model_runs.items()}},
         "baselines": {
             name: {"per_run": {str(k): v for k, v in per.items()}}
             for name, per in baseline_results.items()
         },
         "summary": summary,
     }
+    if samples:
+        payload["model"] = {"per_run": {str(k): v for k, v in model_runs.items()}}
     write_json(outputs.path("report.json"), payload)
     write_csv(
         outputs.path("heatwave_counts.csv"),
@@ -497,6 +514,10 @@ def _cmd_report(args) -> int:
             for method, row in summary.items()
         ],
     )
+    key = ("method", "run", "trajectory")
+    write_csv(outputs.path("qq.csv"), key + ("prob", "observed", "candidate"), tables["qq"])
+    write_csv(outputs.path("pacf.csv"), key + ("lag", "observed", "candidate"), tables["pacf"])
+    write_csv(outputs.path("heatwave_runs.csv"), key + ("run_length",), tables["runs"])
     _write_manifest(outputs, "report", {"threshold": args.threshold}, {}, inputs)
     for method, row in summary.items():
         print(
@@ -540,14 +561,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n-days", type=int, default=1000)
     p.add_argument("--n-runs", type=int, default=1)
-    p.add_argument("--start-day", type=float, default=0.0)
+    p.add_argument("--start-day", type=_finite_float, default=0.0)
     p.add_argument("--kernel", choices=gp.KINDS, default=gp.RBF)
-    p.add_argument("--lengthscale", type=float, default=10.0)
-    p.add_argument("--period", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--mean-bias", type=float, default=0.0)
-    p.add_argument("--time-shift", type=float, default=0.0)
-    p.add_argument("--noise-std", type=float, default=0.0)
+    p.add_argument("--lengthscale", type=_finite_float, default=10.0)
+    p.add_argument("--period", type=_finite_float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
+    p.add_argument("--mean-bias", type=_finite_float, default=0.0)
+    p.add_argument("--time-shift", type=_finite_float, default=0.0)
+    p.add_argument("--noise-std", type=_finite_float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
@@ -558,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--steps", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--learning-rate", type=_finite_float)
     p.add_argument("--seed", type=int)
     p.add_argument("--ablate-gcm", action="store_true", default=None)
     p.set_defaults(func=_cmd_train)
@@ -581,26 +602,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True)
     p.add_argument("--gcm", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--ref-start", type=float, required=True)
-    p.add_argument("--ref-end", type=float, required=True)
-    p.add_argument("--proj-start", type=float, required=True)
-    p.add_argument("--proj-end", type=float, required=True)
+    p.add_argument("--ref-start", type=_finite_float, required=True)
+    p.add_argument("--ref-end", type=_finite_float, required=True)
+    p.add_argument("--proj-start", type=_finite_float, required=True)
+    p.add_argument("--proj-end", type=_finite_float, required=True)
     p.add_argument("--epoch", default=_DEFAULT_EPOCH)
     p.add_argument("--no-monthly", action="store_true")
     p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("eval", help="score a corrected series against observations")
-    p.add_argument("--candidate", required=True)
+    p = sub.add_parser(
+        "report", help="score model samples and baseline runs against observations"
+    )
     p.add_argument("--observed", required=True)
-    p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("report", help="summary table and heatwave distributions")
-    p.add_argument("--observed", required=True)
-    p.add_argument("--samples", required=True)
+    p.add_argument("--samples")
     p.add_argument("--baseline", action="append", metavar="NAME=PATH")
-    p.add_argument("--threshold", type=float, required=True)
+    p.add_argument("--threshold", type=_finite_float, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_report)
     return parser

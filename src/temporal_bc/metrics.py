@@ -1,4 +1,4 @@
-"""Evaluation statistics: heatwave runs, QQ pairs, PACF, scores, trends.
+"""Evaluation statistics: heatwave runs, QQ pairs, PACF and scores.
 
 A heatwave is a maximal run of at least three consecutive days strictly
 above a threshold; counting requires a contiguous daily grid. The score
@@ -11,7 +11,7 @@ per point (probabilistic candidates) or taken constant and equal to the MSE
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ logger = logging.getLogger(__name__)
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 _MSE_FLOOR = 1e-12
-_DAYS_PER_YEAR = 365
 
 
 def gaussian_nll_points(y, mu, sd):
@@ -128,13 +127,6 @@ def pacf(values, max_lag: int = 14) -> np.ndarray:
     return out
 
 
-def _five_year_means(values: np.ndarray) -> np.ndarray:
-    """Means over consecutive five-year blocks (365-day years); a trailing
-    partial block is dropped."""
-    block = 5 * _DAYS_PER_YEAR
-    return values[: len(values) // block * block].reshape(-1, block).mean(axis=1)
-
-
 @dataclass
 class ScoreReport:
     """Headline comparison of a candidate series against observations."""
@@ -143,38 +135,9 @@ class ScoreReport:
     loglik: float
     sigma2: float
     degenerate_variance: bool = False
-    quantile_pairs: np.ndarray | None = None
-    pacf_candidate: np.ndarray | None = None
-    pacf_observed: np.ndarray | None = None
-    five_year_candidate: np.ndarray | None = None
-    five_year_observed: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        def listify(arr):
-            return None if arr is None else [float(x) for x in np.ravel(arr)]
-
-        return {
-            "mse": self.mse,
-            "loglik": self.loglik,
-            "sigma2": self.sigma2,
-            "degenerate_variance": self.degenerate_variance,
-            "quantile_pairs": None
-            if self.quantile_pairs is None
-            else [[float(a), float(b)] for a, b in self.quantile_pairs],
-            "pacf_candidate": listify(self.pacf_candidate),
-            "pacf_observed": listify(self.pacf_observed),
-            "five_year_candidate": listify(self.five_year_candidate),
-            "five_year_observed": listify(self.five_year_observed),
-        }
 
 
-def score(
-    candidate,
-    observed,
-    predictive_std=None,
-    n_quantiles: int = 101,
-    max_lag: int = 14,
-) -> ScoreReport:
+def score(candidate, observed, predictive_std=None) -> ScoreReport:
     """MSE and Gaussian log likelihood of a candidate against observations.
 
     With ``predictive_std`` given (per-point), the log likelihood treats the
@@ -210,14 +173,6 @@ def score(
                 "MSE %g below floor %g; log likelihood is degenerate", mse, _MSE_FLOOR
             )
         loglik = -float(np.mean(gaussian_nll_points(o, c, np.sqrt(sigma2))))
-    report = ScoreReport(
+    return ScoreReport(
         mse=mse, loglik=loglik, sigma2=sigma2, degenerate_variance=degenerate
     )
-    report.quantile_pairs = qq(o, c, n_quantiles)
-    if len(c) > max_lag and np.std(c) > 0 and np.std(o) > 0:
-        report.pacf_candidate = pacf(c, max_lag)
-        report.pacf_observed = pacf(o, max_lag)
-    if len(c) >= 5 * _DAYS_PER_YEAR:
-        report.five_year_candidate = _five_year_means(c)
-        report.five_year_observed = _five_year_means(o)
-    return report

@@ -187,6 +187,12 @@ def train(
 
     With ``checkpoint_dir`` set, an interim checkpoint is written every
     ``checkpoint_interval`` steps.
+
+    The returned checkpoint holds the parameters of the last step run (of
+    the step before, on an abort), not those with the best validation NLL.
+    Its ``meta["best_val_nll"]`` is the best validation NLL seen, which may
+    belong to earlier parameters: a plateau stop comes ``plateau_patience``
+    evaluations after the best one.
     """
     bcfg = batch_config if batch_config is not None else BatchConfig()
     stats = NormStats.from_series(dataset.obs)

@@ -417,6 +417,9 @@ COMPARED_ARTEFACTS = (
     ("report", "report.json"),
     ("report", "summary.csv"),
     ("report", "heatwave_counts.csv"),
+    ("report", "qq.csv"),
+    ("report", "pacf.csv"),
+    ("report", "heatwave_runs.csv"),
 )
 
 

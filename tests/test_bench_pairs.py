@@ -1,0 +1,74 @@
+"""The verdicts of scripts/bench_pairs.py, on made-up runs (no subprocess)."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_pairs.py")
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TIGHT = [10.0, 10.1, 9.9, 10.0, 10.05, 9.95, 10.0, 10.1, 9.9, 10.0]
+# interquartile range 8.5..14 around a median of 11, wider than a 25 % bound
+WIDE = [8.0, 14.0, 9.0, 15.0, 8.5, 14.5, 11.0, 11.0, 8.0, 16.0]
+
+
+@pytest.mark.parametrize(
+    "better, base, change, verdict",
+    [
+        ("lower", TIGHT, [v * 1.1 for v in TIGHT], "no"),
+        ("lower", TIGHT, [v * 1.3 for v in TIGHT], "YES"),
+        ("lower", WIDE, [v * 1.1 for v in WIDE], "unresolved"),
+        ("lower", WIDE, [v * 1.5 for v in WIDE], "YES"),
+        # every change run beats every base run
+        ("lower", WIDE, [v / 3.0 for v in WIDE], "no"),
+        ("higher", WIDE, [v * 3.0 for v in WIDE], "no"),
+        ("higher", WIDE, [v * 0.95 for v in WIDE], "unresolved"),
+    ],
+    ids=["tight-within", "tight-beyond", "wide-within", "wide-beyond",
+         "wide-all-better", "higher-all-better", "higher-wide-within"],  # fmt: skip
+)
+def test_summarise_verdict(bench_pairs, capsys, better, base, change, verdict):
+    assert bench_pairs.summarise("m", better, 0.25, base, change) == verdict
+    assert capsys.readouterr().out.rstrip().endswith("bound: %s" % verdict)
+
+
+def test_last_line_names_worse_and_unresolved_medians(
+    bench_pairs, tmp_path, monkeypatch, capsys
+):
+    spec = {"end_to_end": [
+        {"name": name, "better": "lower", "bound": 0.25}
+        for name in ("steady", "worse", "noisy")
+    ]}  # fmt: skip
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    base = {"steady": TIGHT, "worse": TIGHT, "noisy": WIDE}
+    change = {"steady": TIGHT, "worse": [2 * v for v in TIGHT], "noisy": WIDE[::-1]}
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = base if checkout == tmp_path / "base" else change
+        i = sum(1 for c in calls if c == checkout)
+        calls.append(checkout)
+        values = {name: side[name][i] for name in side}
+        return {"correct": True, "failed": 0, "metrics": values, "unscaled": values,
+                "reference": "ref"}  # fmt: skip
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    code = bench_pairs.main([
+        "--base", str(tmp_path / "base"), "--change", str(tmp_path),
+        "--workload", "w", "--seeds", "1-10",
+    ])  # fmt: skip
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "# medians worse than the base's beyond their bound: worse, worse unscaled; "
+        "unresolved (base spread wider than the bound): noisy, noisy unscaled"
+    )

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import platform
@@ -5,7 +6,7 @@ import platform
 import numpy as np
 import pytest
 
-from temporal_bc import cli, gp
+from temporal_bc import cli, gp, metrics
 from temporal_bc.cli import main
 from temporal_bc.model import (
     ModelConfig,
@@ -52,6 +53,17 @@ def write_pair(dirpath, n_obs=450, n_gcm=480, seed=0):
     write_obs_csv(obs, obs_path)
     write_gcm_csv([run], gcm_path)
     return obs_path, gcm_path
+
+
+def read_table(path):
+    """A report table's header, and its value rows as arrays grouped by
+    their (method, run, trajectory) key."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    groups = {}
+    for line in lines[1:]:
+        method, run, traj, *cells = line.split(",")
+        groups.setdefault((method, run, traj), []).append([float(c) for c in cells])
+    return lines[0], {key: np.array(rows) for key, rows in groups.items()}
 
 
 @pytest.fixture
@@ -396,66 +408,6 @@ class TestBaseline:
         assert code == 0
 
 
-class TestEval:
-    def test_happy_path(self, tmp_path):
-        rng = np.random.default_rng(0)
-        t = np.arange(200.0)
-        obs_v = 15.0 + 5.0 * np.sin(2 * np.pi * t / 50.0) + rng.normal(size=200)
-        cand_v = obs_v + 0.5 * rng.normal(size=200)
-        write_obs_csv(TimeSeries(t, obs_v, OBS), tmp_path / "observed.csv")
-        write_obs_csv(TimeSeries(t, cand_v, OBS), tmp_path / "candidate.csv")
-        out = str(tmp_path / "eval")
-        code = main([
-            "eval", "--candidate", str(tmp_path / "candidate.csv"),
-            "--observed", str(tmp_path / "observed.csv"),
-            "--threshold", "18.0", "--out-dir", out,
-        ])
-        assert code == 0
-        report = json.loads((tmp_path / "eval" / "report.json").read_text())
-        assert report["n_days"] == 200
-        assert report["mse"] > 0
-        assert "heatwave_observed" in report
-        qq_lines = (tmp_path / "eval" / "qq.csv").read_text().splitlines()
-        assert qq_lines[0] == "prob,observed,candidate"
-        assert len(qq_lines) == 102
-        pacf_lines = (tmp_path / "eval" / "pacf.csv").read_text().splitlines()
-        assert len(pacf_lines) == 15
-        assert (tmp_path / "eval" / "heatwave.csv").exists()
-
-    def test_relative_heatwave_error(self, tmp_path):
-        # threshold 10: observed has 2 heatwaves, the candidate 3 -> 50 %
-        t = np.arange(16.0)
-        observed = [H, H, H, L, H, H, H, L, L, L, L, L, L, L, L, L]
-        candidate = [H, H, H, L, H, H, H, L, H, H, H, L, L, L, L, L]
-        for name, obs_v in (("two", observed), ("none", [L] * 16)):
-            write_obs_csv(TimeSeries(t, obs_v, OBS), tmp_path / "observed.csv")
-            write_obs_csv(TimeSeries(t, candidate, OBS), tmp_path / "candidate.csv")
-            code = main([
-                "eval", "--candidate", str(tmp_path / "candidate.csv"),
-                "--observed", str(tmp_path / "observed.csv"),
-                "--threshold", "10.0", "--out-dir", str(tmp_path / name),
-            ])
-            assert code == 0
-        report = json.loads((tmp_path / "two" / "report.json").read_text())
-        assert report["heatwave_observed"] == 2
-        assert report["heatwave_candidate"] == 3
-        assert report["relative_heatwave_error_pct"] == 50.0
-        report = json.loads((tmp_path / "none" / "report.json").read_text())
-        assert report["heatwave_observed"] == 0
-        assert report["relative_heatwave_error_pct"] is None
-
-    def test_disjoint_series_is_data_error(self, tmp_path):
-        t = np.arange(10.0)
-        write_obs_csv(TimeSeries(t, np.ones(10), OBS), tmp_path / "a.csv")
-        write_obs_csv(TimeSeries(t + 100.0, np.ones(10), OBS), tmp_path / "b.csv")
-        code = main([
-            "eval", "--candidate", str(tmp_path / "a.csv"),
-            "--observed", str(tmp_path / "b.csv"),
-            "--threshold", "0.0", "--out-dir", str(tmp_path / "out"),
-        ])
-        assert code == 3
-
-
 class TestReport:
     def _write_inputs(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -499,6 +451,81 @@ class TestReport:
         counts = (tmp_path / "report" / "heatwave_counts.csv").read_text().splitlines()
         # 2 runs x 2 trajectories for the model, 2 runs for the baseline
         assert len(counts) == 1 + 4 + 2
+        _, qq_rows = read_table(tmp_path / "report" / "qq.csv")
+        assert {key: len(rows) for key, rows in qq_rows.items()} == {
+            ("model", "0", "0"): 101, ("model", "0", "1"): 101,
+            ("model", "1", "0"): 101, ("model", "1", "1"): 101,
+            ("eqm", "0", ""): 101, ("eqm", "1", ""): 101,
+        }
+        # 10-day series are too short for 14 PACF lags
+        pacf_lines = (tmp_path / "report" / "pacf.csv").read_text().splitlines()
+        assert pacf_lines == ["method,run,trajectory,lag,observed,candidate"]
+
+    def test_every_series_gets_qq_pacf_and_run_lengths(self, tmp_path):
+        rng = np.random.default_rng(0)
+        t = np.arange(200.0)
+        obs_v = 15.0 + 5.0 * np.sin(2 * np.pi * t / 50.0) + rng.normal(size=200)
+        write_obs_csv(TimeSeries(t, obs_v, OBS), tmp_path / "observed.csv")
+        # baseline run 0 tracks the observations, run 1 is constant
+        runs = [obs_v + 0.5 * rng.normal(size=200), np.full(200, 18.5)]
+        write_gcm_csv([TimeSeries(t, v, GCM) for v in runs], tmp_path / "corrected.csv")
+        trajs = [obs_v + rng.normal(size=200) for _ in range(2)]
+        write_samples_csv(
+            {0: [TimeSeries(t, v, OBS) for v in trajs]}, tmp_path / "samples.csv"
+        )
+        out = tmp_path / "report"
+        for argv in (
+            ["--samples", str(tmp_path / "samples.csv")],
+            [],  # baseline only
+        ):
+            code = main([
+                "report", "--observed", str(tmp_path / "observed.csv"), *argv,
+                "--baseline", "eqm=%s" % (tmp_path / "corrected.csv"),
+                "--threshold", "18.0", "--out-dir", str(out),
+            ])
+            assert code == 0
+            candidates = {("eqm", "0", ""): runs[0], ("eqm", "1", ""): runs[1]}
+            if argv:
+                candidates.update({("model", "0", str(k)): v for k, v in enumerate(trajs)})
+            header, qq_rows = read_table(out / "qq.csv")
+            assert header == "method,run,trajectory,prob,observed,candidate"
+            assert set(qq_rows) == set(candidates)
+            header, pacf_rows = read_table(out / "pacf.csv")
+            assert header == "method,run,trajectory,lag,observed,candidate"
+            # the constant run gets no PACF rows
+            assert set(pacf_rows) == set(candidates) - {("eqm", "1", "")}
+            header, run_rows = read_table(out / "heatwave_runs.csv")
+            assert header == "method,run,trajectory,run_length"
+            # one observed set per run, however many methods score it
+            assert set(run_rows) == set(candidates) | {("observed", "0", ""), ("observed", "1", "")}
+            for key, cand in candidates.items():
+                assert np.array_equal(qq_rows[key][:, 0], np.linspace(0.0, 1.0, 101))
+                assert np.array_equal(qq_rows[key][:, 1:], metrics.qq(obs_v, cand, 101))
+                if key in pacf_rows:
+                    assert np.array_equal(pacf_rows[key][:, 0], np.arange(1.0, 15.0))
+                    assert np.array_equal(pacf_rows[key][:, 1], metrics.pacf(obs_v, 14))
+                    assert np.array_equal(pacf_rows[key][:, 2], metrics.pacf(cand, 14))
+                expected = metrics.heatwave_count(TimeSeries(t, cand), 18.0).run_lengths
+                assert np.array_equal(run_rows[key][:, 0], expected)
+            observed_runs = metrics.heatwave_count(TimeSeries(t, obs_v), 18.0).run_lengths
+            for run in ("0", "1"):
+                assert np.array_equal(run_rows[("observed", run, "")][:, 0], observed_runs)
+
+        report = json.loads((out / "report.json").read_text())
+        assert "model" not in report
+        assert set(report["summary"]) == {"eqm"}
+        assert len((out / "summary.csv").read_text().splitlines()) == 2
+
+    def test_neither_samples_nor_baseline_is_config_error(self, tmp_path, capsys):
+        self._write_inputs(tmp_path)
+        out = tmp_path / "r"
+        code = main([
+            "report", "--observed", str(tmp_path / "observed.csv"),
+            "--threshold", "25.0", "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert "--samples, --baseline or both" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_relative_heatwave_error(self, tmp_path):
         # threshold 10, observed count 2: trajectories with 1 and 2
@@ -552,12 +579,16 @@ class TestReport:
         write_obs_csv(
             TimeSeries(short_t, np.full(5, 20.0), OBS), tmp_path / "short.csv"
         )
-        code = main([
-            "report", "--observed", str(tmp_path / "short.csv"),
-            "--samples", str(tmp_path / "samples.csv"),
-            "--threshold", "25.0", "--out-dir", str(tmp_path / "r"),
-        ])
-        assert code == 3
+        for candidate in (
+            ["--samples", str(tmp_path / "samples.csv")],
+            ["--baseline", "eqm=%s" % (tmp_path / "corrected.csv")],
+        ):
+            code = main([
+                "report", "--observed", str(tmp_path / "short.csv"), *candidate,
+                "--threshold", "25.0", "--out-dir", str(tmp_path / "r"),
+            ])
+            assert code == 3
+            assert os.listdir(tmp_path / "r") == []
 
     def test_duplicate_baseline_name_is_config_error(self, tmp_path):
         self._write_inputs(tmp_path)
@@ -570,6 +601,18 @@ class TestReport:
         ])
         assert code == 2
         assert not (tmp_path / "r" / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["model", "observed"])
+    def test_reserved_baseline_name_is_config_error(self, tmp_path, name):
+        self._write_inputs(tmp_path)
+        code = main([
+            "report", "--observed", str(tmp_path / "observed.csv"),
+            "--samples", str(tmp_path / "samples.csv"),
+            "--baseline", "%s=%s" % (name, tmp_path / "corrected.csv"),
+            "--threshold", "25.0", "--out-dir", str(tmp_path / "r"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "row", ["0,0,451.0,nan", "0,-1,451.0,20.0"], ids=["nan-value", "negative-id"]
@@ -712,6 +755,28 @@ class TestErrorHandling:
         assert "outside the calendar" in capsys.readouterr().err
         assert not (out / "corrected.csv").exists()
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_real_valued_flags_reject_non_finite_values(self, capsys, raw):
+        # every real-valued flag, so a new one that accepts NaN fails here
+        commands = [
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ][0].choices
+        flags = [
+            (command, action.option_strings[0])
+            for command, sub in commands.items()
+            for action in sub._actions
+            if action.type in (float, cli._finite_float)
+        ]
+        assert len(flags) >= 13
+        for command, flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "%s=%s" % (flag, raw)])
+            assert exc.value.code == 2, (command, flag)
+            err = capsys.readouterr().err
+            assert err.startswith("usage: temporal-bc %s" % command), (command, flag)
+            assert "argument %s: %r is not a finite number" % (flag, raw) in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -173,27 +173,6 @@ class TestPacf:
         assert np.all(np.abs(phi) <= 1.0 + 1e-9)
 
 
-class TestFiveYearMeans:
-    """The five-year block means that score() attaches to its report."""
-
-    def test_two_blocks(self):
-        values = np.concatenate([np.ones(1825), 2.0 * np.ones(1825)])
-        report = score(values, values[::-1])
-        assert np.allclose(report.five_year_candidate, [1.0, 2.0])
-        assert np.allclose(report.five_year_observed, [2.0, 1.0])
-
-    def test_trailing_partial_block_dropped(self):
-        values = np.concatenate([np.ones(1825), 99.0 * np.ones(100)])
-        report = score(values, values + 1.0)
-        assert np.allclose(report.five_year_candidate, [1.0])
-        assert np.allclose(report.five_year_observed, [2.0])
-
-    def test_too_short_rejected(self):
-        report = score(np.ones(1824), np.zeros(1824))
-        assert report.five_year_candidate is None
-        assert report.five_year_observed is None
-
-
 class TestScore:
     def test_unit_mse_constant_variance_loglik(self):
         o = np.zeros(100)
@@ -241,39 +220,6 @@ class TestScore:
             score(np.ones(0), np.zeros(0))
         with pytest.raises(DataError, match="empty"):
             score(np.ones(0), np.zeros(0), predictive_std=np.ones(0))
-
-    def test_attachments(self):
-        rng = np.random.default_rng(8)
-        o = rng.normal(size=2000)
-        c = o + 0.5 * rng.normal(size=2000)
-        report = score(c, o, n_quantiles=21, max_lag=5)
-        assert report.quantile_pairs.shape == (21, 2)
-        assert report.pacf_candidate.shape == (5,)
-        assert report.pacf_observed.shape == (5,)
-        assert len(report.five_year_candidate) == 1  # 2000 // 1825 blocks
-        short_report = score(rng.normal(size=1000), rng.normal(size=1000), max_lag=5)
-        assert short_report.five_year_candidate is None
-        long_report = score(
-            rng.normal(size=4000), rng.normal(size=4000), max_lag=5
-        )
-        assert len(long_report.five_year_candidate) == 2
-
-    def test_short_series_skips_pacf(self):
-        report = score(np.arange(5.0), np.arange(5.0) + 1.0, max_lag=14)
-        assert report.pacf_candidate is None
-        assert report.quantile_pairs is not None
-
-    def test_to_dict_is_json_ready(self):
-        import json
-
-        rng = np.random.default_rng(9)
-        o = rng.normal(size=2000)
-        report = score(o + 1.0, o, max_lag=3)
-        payload = report.to_dict()
-        text = json.dumps(payload)
-        back = json.loads(text)
-        assert back["mse"] == report.mse
-        assert len(back["quantile_pairs"]) == 101
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=40))
     @settings(max_examples=50)

@@ -34,6 +34,8 @@ OWNED = {
     "kernel-names": r"[\"']rational_quadratic[\"']",
     # timeseries._DAY_TOL: days match exactly or within this one tolerance
     "day-tolerance": r"\b1e-9\b",
+    # cli._cmd_report's score_run: report is the one scoring command
+    "score-call": re.escape("metrics.score("),
 }
 
 
