@@ -12,33 +12,3 @@ synthetic experiments.
 """
 
 __version__ = "0.1.0"
-
-from .errors import ConfigError, DataError, NumericError, ToolkitError
-from .timeseries import (
-    GCM,
-    OBS,
-    AlignedPair,
-    NormStats,
-    PairedDataset,
-    TimeSeries,
-    align,
-    load_csv,
-    load_paired,
-)
-
-__all__ = [
-    "ConfigError",
-    "DataError",
-    "NumericError",
-    "ToolkitError",
-    "GCM",
-    "OBS",
-    "AlignedPair",
-    "NormStats",
-    "PairedDataset",
-    "TimeSeries",
-    "align",
-    "load_csv",
-    "load_paired",
-    "__version__",
-]

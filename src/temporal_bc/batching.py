@@ -27,6 +27,10 @@ from .errors import ConfigError, DataError
 from .timeseries import AlignedPair
 
 _PRUNE_RETRIES = 100
+# the prediction index lies at least this many steps inside each window edge
+MARGIN = 5
+# pruning keeps at least this many points of each block (all, if it has fewer)
+MIN_KEEP = 5
 
 # series_id codes of the feature block
 SERIES_OBS = 1
@@ -36,21 +40,15 @@ SERIES_GCM = 2
 @dataclass(frozen=True)
 class BatchConfig:
     retain_p: float = 0.5
-    min_keep: int = 5
     window_min: int = 60
     window_max: int = 360
-    margin: int = 5
     ablate_gcm: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.retain_p <= 1.0:
             raise ConfigError("retain_p must be in (0, 1], got %r" % self.retain_p)
-        if self.min_keep < 1:
-            raise ConfigError("min_keep must be >= 1")
-        if self.margin < 1:
-            raise ConfigError("margin must be >= 1")
-        if self.window_min < 2 * self.margin:
-            raise ConfigError("window_min must be at least 2 * margin")
+        if self.window_min < 2 * MARGIN:
+            raise ConfigError("window_min must be at least %d" % (2 * MARGIN))
         if self.window_max < self.window_min:
             raise ConfigError("window_max must be >= window_min")
 
@@ -69,16 +67,12 @@ class WindowSpec:
 
 
 def draw_window(
-    n: int,
-    rng: np.random.Generator,
-    window_min: int = 60,
-    window_max: int = 360,
-    margin: int = 5,
+    n: int, rng: np.random.Generator, window_min: int = 60, window_max: int = 360
 ) -> WindowSpec:
     """Uniform window and prediction-index draw over a length-n series.
 
     k ~ U{1..n-window_max}, h ~ U{k+window_min..k+window_max},
-    j ~ U{k+margin..h-margin}.
+    j ~ U{k+MARGIN..h-MARGIN}.
     """
     if n <= window_max:
         raise DataError(
@@ -87,24 +81,18 @@ def draw_window(
         )
     k = int(rng.integers(1, n - window_max + 1))
     h = k + int(rng.integers(window_min, window_max + 1))
-    j = int(rng.integers(k + margin, h - margin + 1))
+    j = int(rng.integers(k + MARGIN, h - MARGIN + 1))
     return WindowSpec(k=k, h=h, j=j)
 
 
-def prune_indices(
-    n: int, retain_p: float, min_keep: int, rng: np.random.Generator
-) -> np.ndarray:
+def prune_indices(n: int, retain_p: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices of the surviving points after independent thinning.
 
     Each index survives with probability retain_p; a draw keeping fewer than
-    min(min_keep, n) points is redrawn (bounded, then the first points are
+    min(MIN_KEEP, n) points is redrawn (bounded, then the first points are
     kept deterministically).
     """
-    if not 0.0 < retain_p <= 1.0:
-        raise ConfigError("retain_p must be in (0, 1], got %r" % retain_p)
-    if min_keep < 1:
-        raise ConfigError("min_keep must be >= 1")
-    floor_keep = min(min_keep, n)
+    floor_keep = min(MIN_KEEP, n)
     for _ in range(_PRUNE_RETRIES):
         keep = np.flatnonzero(rng.random(n) < retain_p)
         if len(keep) >= floor_keep:
@@ -165,6 +153,11 @@ class TrainingExample:
         return self.n_gcm + self.n_obs + self.n_tgt
 
 
+def _slope(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Finite-difference slope delta/dist, 0 where the offset is 0."""
+    return np.where(dist != 0.0, delta / np.where(dist != 0.0, dist, 1.0), 0.0)
+
+
 def _nearest_within(times: np.ndarray, values: np.ndarray):
     """Closest-other-point features inside one fully observed series.
 
@@ -189,7 +182,7 @@ def _nearest_within(times: np.ndarray, values: np.ndarray):
     ct = times[neighbour]
     delta = values - cv
     dist = times - ct
-    deriv = np.where(dist != 0.0, delta / np.where(dist != 0.0, dist, 1.0), 0.0)
+    deriv = _slope(delta, dist)
     return delta, dist, deriv, cv, ct
 
 
@@ -214,7 +207,7 @@ def _target_features(tgt_t, tgt_v, ctx_obs_t, ctx_obs_v):
     vals = np.zeros(n) if tgt_v is None else tgt_v
     delta = vals - cv
     dist = tgt_t - ct
-    deriv = np.where(dist != 0.0, delta / np.where(dist != 0.0, dist, 1.0), 0.0)
+    deriv = _slope(delta, dist)
     return delta, dist, deriv, cv, ct
 
 
@@ -265,9 +258,9 @@ def _example_from_window(
     tgt_v = pair.obs_values[tgt]
     gcm_t = pair.times[window.k - 1 : window.h]
     gcm_v = pair.gcm_values[window.k - 1 : window.h]
-    keep_obs = prune_indices(len(obs_t), config.retain_p, config.min_keep, rng)
-    keep_tgt = prune_indices(len(tgt_t), config.retain_p, config.min_keep, rng)
-    keep_gcm = prune_indices(len(gcm_t), config.retain_p, config.min_keep, rng)
+    keep_obs = prune_indices(len(obs_t), config.retain_p, rng)
+    keep_tgt = prune_indices(len(tgt_t), config.retain_p, rng)
+    keep_gcm = prune_indices(len(gcm_t), config.retain_p, rng)
     obs_t, obs_v = obs_t[keep_obs], obs_v[keep_obs]
     tgt_t, tgt_v = tgt_t[keep_tgt], tgt_v[keep_tgt]
     gcm_t, gcm_v = gcm_t[keep_gcm], gcm_v[keep_gcm]
@@ -310,9 +303,7 @@ def make_batch(
         pair = pairs[z]
         window = None
         for _ in range(10_000):
-            candidate = draw_window(
-                len(pair), rng, config.window_min, config.window_max, config.margin
-            )
+            candidate = draw_window(len(pair), rng, config.window_min, config.window_max)
             if min_prediction_index is None or candidate.j >= min_prediction_index:
                 window = candidate
                 break

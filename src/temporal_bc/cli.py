@@ -64,6 +64,9 @@ from .training import TrainConfig, train, write_metrics_csv
 logger = logging.getLogger(__name__)
 
 _DEFAULT_EPOCH = "1948-01-01"
+# the sections of a --config file; train and sample read one file, and each
+# takes the sections it does not use
+_CONFIG_SECTIONS = ("model", "batch", "train", "sampler")
 _ENSEMBLE_STD_FLOOR = 1e-6
 # report's QQ pairs sit at this many evenly spaced probabilities, its PACF
 # at lags 1.._MAX_LAG
@@ -152,6 +155,12 @@ def _load_config_file(path) -> dict:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     if not isinstance(cfg, dict):
         raise ConfigError("config %s must hold a JSON object" % path)
+    unknown = sorted(set(cfg) - set(_CONFIG_SECTIONS))
+    if unknown:
+        raise ConfigError(
+            "config %s has unknown sections %s; the sections are %s"
+            % (path, unknown, ", ".join(_CONFIG_SECTIONS))
+        )
     return cfg
 
 

@@ -30,19 +30,18 @@ def check_field_types(cls, values: dict) -> None:
     every value has that field's declared type.
 
     Types match exactly, so an int field takes no float or bool and a bool
-    field takes only a bool; a float field also takes an int, and an
-    ``X | None`` field also takes None. A float must be finite: JSON readers
-    accept NaN and Infinity, and no field has a use for them.
+    field takes only a bool; a float field also takes an int. A float must
+    be finite: JSON readers accept NaN and Infinity, and no field has a use
+    for them.
     """
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(values) - set(hints))
     if unknown:
         raise TypeError("unknown keys %s" % unknown)
     for name, value in values.items():
-        declared = typing.get_args(hints[name]) or (hints[name],)
-        int_for_float = type(value) is int and float in declared
-        if type(value) not in declared and not int_for_float:
-            names = ["null" if t is type(None) else t.__name__ for t in declared]
-            raise TypeError("%s must be %s, got %r" % (name, " or ".join(names), value))
+        declared = hints[name]
+        int_for_float = type(value) is int and declared is float
+        if type(value) is not declared and not int_for_float:
+            raise TypeError("%s must be %s, got %r" % (name, declared.__name__, value))
         if type(value) is float and not math.isfinite(value):
             raise TypeError("%s must be finite, got %r" % (name, value))

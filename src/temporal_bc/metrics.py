@@ -133,8 +133,6 @@ class ScoreReport:
 
     mse: float
     loglik: float
-    sigma2: float
-    degenerate_variance: bool = False
 
 
 def score(candidate, observed, predictive_std=None) -> ScoreReport:
@@ -155,7 +153,6 @@ def score(candidate, observed, predictive_std=None) -> ScoreReport:
         raise DataError("cannot score empty series")
     resid = o - c
     mse = float(np.mean(resid**2))
-    degenerate = False
     if predictive_std is not None:
         sd = np.asarray(predictive_std, dtype=np.float64)
         if sd.shape != c.shape:
@@ -163,16 +160,11 @@ def score(candidate, observed, predictive_std=None) -> ScoreReport:
         if np.any(sd <= 0):
             raise DataError("predictive_std must be positive")
         loglik = -float(np.mean(gaussian_nll_points(o, c, sd)))
-        sigma2 = float(np.mean(sd**2))
     else:
-        sigma2 = mse
-        if sigma2 < _MSE_FLOOR:
-            sigma2 = _MSE_FLOOR
-            degenerate = True
+        if mse < _MSE_FLOOR:
             logger.warning(
                 "MSE %g below floor %g; log likelihood is degenerate", mse, _MSE_FLOOR
             )
-        loglik = -float(np.mean(gaussian_nll_points(o, c, np.sqrt(sigma2))))
-    return ScoreReport(
-        mse=mse, loglik=loglik, sigma2=sigma2, degenerate_variance=degenerate
-    )
+        sd = np.sqrt(max(mse, _MSE_FLOOR))
+        loglik = -float(np.mean(gaussian_nll_points(o, c, sd)))
+    return ScoreReport(mse=mse, loglik=loglik)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model as tf_model
 from .autodiff import Tape, Tensor, backward
-from .batching import BatchConfig, TrainingExample, make_batch
+from .batching import MARGIN, BatchConfig, TrainingExample, make_batch
 from .errors import ConfigError, DataError
 from .model import ModelCheckpoint, ModelConfig
 from .rng import substream
@@ -27,22 +27,26 @@ from .timeseries import NormStats, PairedDataset, align, write_csv
 
 logger = logging.getLogger(__name__)
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+# the trailing share of the aligned grid held out for validation, the number
+# of fixed validation examples drawn from it, and the steps between interim
+# checkpoints
+VAL_FRACTION = 0.1
+VAL_EXAMPLES = 16
+CHECKPOINT_INTERVAL = 500
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 2000
     batch_size: int = 8
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    checkpoint_interval: int = 500
     eval_interval: int = 100
-    val_fraction: float = 0.1
-    val_examples: int = 16
     plateau_patience: int = 10
-    early_stop_nll: float | None = None
 
     def __post_init__(self):
         if self.steps < 1:
@@ -51,16 +55,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ConfigError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
-        if self.checkpoint_interval < 1 or self.eval_interval < 1:
-            raise ConfigError("intervals must be >= 1")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in (0, 1)")
-        if self.val_examples < 1:
-            raise ConfigError("val_examples must be >= 1")
+        if self.eval_interval < 1:
+            raise ConfigError("eval_interval must be >= 1")
         if self.plateau_patience < 1:
             raise ConfigError("plateau_patience must be >= 1")
 
@@ -74,19 +70,9 @@ class Adam:
     update is elementwise, so it equals a per-parameter update bit for bit.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3):
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.data = np.concatenate([p.data.ravel() for p in params.values()])
         self.m = np.zeros_like(self.data)
@@ -112,11 +98,11 @@ class Adam:
         if grad is None:
             grad = self.gradient()
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad**2
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        self.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = BETA1 * self.m + (1 - BETA1) * grad
+        self.v = BETA2 * self.v + (1 - BETA2) * grad**2
+        m_hat = self.m / (1 - BETA1**self.t)
+        v_hat = self.v / (1 - BETA2**self.t)
+        self.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -186,7 +172,7 @@ def train(
     """Fit the model on a paired dataset; see the module docstring.
 
     With ``checkpoint_dir`` set, an interim checkpoint is written every
-    ``checkpoint_interval`` steps.
+    ``CHECKPOINT_INTERVAL`` steps that training continues past.
 
     The returned checkpoint holds the parameters of the last step run (of
     the step before, on an abort), not those with the best validation NLL.
@@ -205,7 +191,7 @@ def train(
             )
         )
     n = len(pairs_full[0])
-    n_train = int(n * (1.0 - train_config.val_fraction))
+    n_train = int(n * (1.0 - VAL_FRACTION))
     if n_train <= bcfg.window_max:
         raise DataError(
             "training split too short: %d points after reserving validation, "
@@ -218,20 +204,14 @@ def train(
     val_rng = substream(train_config.seed, "val")
     val_examples = make_batch(
         pairs_full,
-        train_config.val_examples,
+        VAL_EXAMPLES,
         val_rng,
         bcfg,
         min_prediction_index=n_train,
     )
 
     params = tf_model.init_params(model_config, init_rng)
-    optimizer = Adam(
-        params,
-        learning_rate=train_config.learning_rate,
-        beta1=train_config.beta1,
-        beta2=train_config.beta2,
-        eps=train_config.eps,
-    )
+    optimizer = Adam(params, learning_rate=train_config.learning_rate)
 
     def snapshot(meta_extra) -> ModelCheckpoint:
         meta = {
@@ -240,7 +220,7 @@ def train(
             "n_train_points": n_train,
             "window_min": bcfg.window_min,
             "window_max": bcfg.window_max,
-            "margin": bcfg.margin,
+            "margin": MARGIN,
             "retain_p": bcfg.retain_p,
         }
         meta.update(meta_extra)
@@ -284,17 +264,6 @@ def train(
             break
         optimizer.step(grad)
 
-        if (
-            checkpoint_dir is not None
-            and step % train_config.checkpoint_interval == 0
-            and step != train_config.steps
-        ):
-            path = os.path.join(checkpoint_dir, "checkpoint_step%06d.json" % step)
-            tf_model.save_checkpoint(
-                snapshot({"steps_run": step, "stop_reason": "interval"}), path
-            )
-            interim.append(path)
-
         val_nll = None
         if step % train_config.eval_interval == 0 or step == train_config.steps:
             val_nll = evaluate_nll(params, val_examples, model_config)
@@ -305,16 +274,19 @@ def train(
                 evals_since_best += 1
         rows.append(MetricsRow(step=step, train_nll=train_nll, val_nll=val_nll))
 
-        if (
-            train_config.early_stop_nll is not None
-            and val_nll is not None
-            and val_nll <= train_config.early_stop_nll
-        ):
-            stop_reason = "nll_threshold"
-            break
         if val_nll is not None and evals_since_best >= train_config.plateau_patience:
             stop_reason = "val_plateau"
             break
+        if (
+            checkpoint_dir is not None
+            and step % CHECKPOINT_INTERVAL == 0
+            and step != train_config.steps
+        ):
+            path = os.path.join(checkpoint_dir, "checkpoint_step%06d.json" % step)
+            tf_model.save_checkpoint(
+                snapshot({"steps_run": step, "stop_reason": "interval"}), path
+            )
+            interim.append(path)
 
     checkpoint = snapshot(
         {"steps_run": rows[-1].step, "stop_reason": stop_reason, "best_val_nll": best_val}

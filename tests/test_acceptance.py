@@ -18,7 +18,14 @@ import pytest
 from temporal_bc import autodiff as ad
 from temporal_bc import baselines, gp, metrics, sampling
 from temporal_bc.autodiff import Tensor
-from temporal_bc.batching import BatchConfig, TrainingExample, compute_features, make_batch
+from temporal_bc.batching import (
+    MARGIN,
+    MIN_KEEP,
+    BatchConfig,
+    TrainingExample,
+    compute_features,
+    make_batch,
+)
 from temporal_bc.cli import main as cli_main
 from temporal_bc.model import ModelConfig, embed, forward, gaussian_nll, init_params
 from temporal_bc.rng import substream
@@ -405,8 +412,8 @@ PIPELINE_CONFIG = {
         "n_layers": 1, "n_heads": 2, "model_dim": 8,
         "feature_dim": 8, "hidden_dim": 8,
     },
-    "batch": {"window_min": 10, "window_max": 20, "margin": 2, "min_keep": 3},
-    "train": {"steps": 40, "batch_size": 2, "val_examples": 2},
+    "batch": {"window_min": 10, "window_max": 20},
+    "train": {"steps": 40, "batch_size": 2},
 }
 
 COMPARED_ARTEFACTS = (
@@ -515,7 +522,7 @@ def test_07_training_examples_satisfy_window_invariants():
             w = ex.window
             check(1 <= w.k <= n - cfg.window_max, "window start out of range", i)
             check(cfg.window_min <= w.h - w.k <= cfg.window_max, "window length", i)
-            check(w.k + cfg.margin <= w.j <= w.h - cfg.margin, "prediction index", i)
+            check(w.k + MARGIN <= w.j <= w.h - MARGIN, "prediction index", i)
             # retained points are ordered subsequences of their window slices
             for name, times_kept, lo, hi in (
                 ("obs", ex.ctx_obs_t, w.k - 1, w.j),
@@ -525,7 +532,7 @@ def test_07_training_examples_satisfy_window_invariants():
                 check(np.all(np.diff(times_kept) > 0), name + " not increasing", i)
                 check(np.all(np.isin(times_kept, t[lo:hi])), name + " outside window", i)
                 check(
-                    len(times_kept) >= min(cfg.min_keep, hi - lo),
+                    len(times_kept) >= min(MIN_KEEP, hi - lo),
                     name + " pruned below floor", i,
                 )
             check(ex.n_tgt >= 1 and ex.n_obs >= 1, "empty block", i)

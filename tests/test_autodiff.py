@@ -433,8 +433,8 @@ def _train_one_step(monkeypatch, attention_layer):
         training.train(
             dataset,
             config,
-            training.TrainConfig(steps=1, batch_size=2, val_examples=2, seed=5),
-            BatchConfig(window_min=10, window_max=20, margin=2, min_keep=3),
+            training.TrainConfig(steps=1, batch_size=2, seed=5),
+            BatchConfig(window_min=10, window_max=20),
         )
         alive = sum(ref() is not None for ref in seen["refs"])
     finally:

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temporal_bc.batching import (
+    MARGIN,
+    MIN_KEEP,
     SERIES_GCM,
     SERIES_OBS,
     BatchConfig,
@@ -27,10 +29,8 @@ from temporal_bc.timeseries import (
 def tiny_config(**overrides):
     base = dict(
         retain_p=0.5,
-        min_keep=3,
         window_min=10,
         window_max=20,
-        margin=2,
     )
     base.update(overrides)
     return BatchConfig(**base)
@@ -74,9 +74,9 @@ class TestDrawWindow:
     def test_custom_geometry(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
-            w = draw_window(50, rng, window_min=10, window_max=20, margin=2)
+            w = draw_window(50, rng, window_min=10, window_max=20)
             assert 10 <= w.h - w.k <= 20
-            assert w.k + 2 <= w.j <= w.h - 2
+            assert w.k + MARGIN <= w.j <= w.h - MARGIN
 
 
 class TestPositionalFeatures:
@@ -134,36 +134,36 @@ class TestClosestObserved:
 class TestPrune:
     def test_retention_rate(self):
         rng = np.random.default_rng(3)
-        total = sum(len(prune_indices(200, 0.5, 1, rng)) for _ in range(200))
+        total = sum(len(prune_indices(200, 0.5, rng)) for _ in range(200))
         assert total / (200 * 200) == pytest.approx(0.5, abs=0.02)
 
     def test_min_keep_enforced(self):
         rng = np.random.default_rng(4)
         for _ in range(500):
-            assert len(prune_indices(10, 0.5, 5, rng)) >= 5
+            assert len(prune_indices(10, 0.5, rng)) >= MIN_KEEP
 
     def test_small_n_keeps_everything_possible(self):
         rng = np.random.default_rng(5)
-        keep = prune_indices(3, 0.5, 5, rng)
-        assert len(keep) == 3
+        keep = prune_indices(MIN_KEEP - 2, 0.5, rng)
+        assert len(keep) == MIN_KEEP - 2
 
     def test_hopeless_retain_p_falls_back_to_prefix(self):
         rng = np.random.default_rng(6)
-        keep = prune_indices(10, 1e-12, 5, rng)
-        assert np.array_equal(keep, np.arange(5))
+        keep = prune_indices(10, 1e-12, rng)
+        assert np.array_equal(keep, np.arange(MIN_KEEP))
 
     def test_retain_one_keeps_all(self):
         rng = np.random.default_rng(7)
-        assert np.array_equal(prune_indices(20, 1.0, 1, rng), np.arange(20))
+        assert np.array_equal(prune_indices(20, 1.0, rng), np.arange(20))
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60)
     def test_prune_is_ordered_subsequence(self, n, seed):
         rng = np.random.default_rng(seed)
-        kept = list(prune_indices(n, 0.5, 3, rng))
+        kept = list(prune_indices(n, 0.5, rng))
         assert kept == sorted(set(kept))
         assert set(kept) <= set(range(n))
-        assert len(kept) >= min(3, n)
+        assert len(kept) >= min(MIN_KEEP, n)
 
 
 class TestComputeFeatures:
@@ -255,9 +255,9 @@ class TestMakeBatch:
             for t in (ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t):
                 assert t.min() >= lo and t.max() <= hi
             # pruning floor
-            assert ex.n_obs >= min(cfg.min_keep, w.j - w.k + 1)
-            assert ex.n_tgt >= min(cfg.min_keep, w.h - w.j)
-            assert ex.n_gcm >= min(cfg.min_keep, w.h - w.k + 1)
+            assert ex.n_obs >= min(MIN_KEEP, w.j - w.k + 1)
+            assert ex.n_tgt >= min(MIN_KEEP, w.h - w.j)
+            assert ex.n_gcm >= min(MIN_KEEP, w.h - w.k + 1)
             # values were taken from the right series
             for t, v in zip(ex.tgt_t, ex.tgt_v):
                 assert v == pair.obs_values[int(t)]
@@ -318,5 +318,5 @@ class TestBatchConfigValidation:
             BatchConfig(window_max=10, window_min=60)
         with pytest.raises(TypeError):
             BatchConfig(feature_dim=8)  # feature geometry belongs to ModelConfig
-        with pytest.raises(ConfigError):
-            BatchConfig(window_min=8, margin=5)
+        with pytest.raises(ConfigError, match="at least 10"):
+            BatchConfig(window_min=2 * MARGIN - 1)  # no room for the margins

@@ -31,13 +31,15 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # above and below a heatwave threshold of 10
 H, L = 11.0, 0.0
 
+# train and sample read this one file, each taking the sections it uses
 TINY_CONFIG = {
     "model": {
         "n_layers": 1, "n_heads": 2, "model_dim": 8,
         "feature_dim": 8, "hidden_dim": 8,
     },
-    "batch": {"window_min": 10, "window_max": 20, "margin": 2, "min_keep": 3},
-    "train": {"steps": 3, "batch_size": 2, "val_examples": 2},
+    "batch": {"window_min": 10, "window_max": 20},
+    "train": {"steps": 3, "batch_size": 2},
+    "sampler": {"horizon": 5},
 }
 
 
@@ -173,8 +175,8 @@ class TestTrainSample:
         sample_dir = str(tmp_path / "samples")
         code = main([
             "sample", "--checkpoint", ckpt_path, "--obs", obs_path,
-            "--gcm", gcm_path, "--out-dir", sample_dir,
-            "--horizon", "5", "--n-trajectories", "2", "--seed", "11",
+            "--gcm", gcm_path, "--out-dir", sample_dir, "--config", config_path,
+            "--n-trajectories", "2", "--seed", "11",
         ])
         assert code == 0
         lines = (tmp_path / "samples" / "samples.csv").read_text().splitlines()
@@ -224,6 +226,26 @@ class TestTrainSample:
             "--out-dir", str(tmp_path / "t"), "--config", str(bad),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    def test_unknown_config_section_is_config_error(self, tmp_path, capsys, command):
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config = ModelConfig(**TINY_CONFIG["model"])
+        params = init_params(config, np.random.default_rng(0))
+        ckpt_path = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint_from_params(config, params, NormStats(15.0, 3.0)), ckpt_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY_CONFIG, "trian": {"steps": 3}}))
+        out = tmp_path / "out"
+        argv = [
+            command, "--obs", obs_path, "--gcm", gcm_path,
+            "--out-dir", str(out), "--config", str(bad),
+        ]
+        if command == "sample":
+            argv += ["--checkpoint", str(ckpt_path)]
+        assert main(argv) == 2
+        assert "'trian'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["feature_dim", "t_max", "delta_t", "batch_size"])
     def test_batch_section_has_no_geometry_keys(self, tmp_path, key):
@@ -296,13 +318,13 @@ class TestTrainSample:
             ("sampler", "deterministic", "no", 2),
             ("checkpoint", "n_layers", 2.0, 3),
             ("train", "learning_rate", float("nan"), 2),
-            ("train", "early_stop_nll", float("inf"), 2),
+            ("train", "learning_rate", float("inf"), 2),
             ("checkpoint", "t_max", float("inf"), 3),
         ],
         ids=[
             "train-steps-2.5", "sampler-n_trajectories-2.0",
             "sampler-deterministic-no", "checkpoint-n_layers-2.0",
-            "train-learning_rate-nan", "train-early_stop_nll-inf", "checkpoint-t_max-inf",
+            "train-learning_rate-nan", "train-learning_rate-inf", "checkpoint-t_max-inf",
         ],
     )
     def test_mistyped_value_is_rejected(self, tmp_path, section, key, value, code):

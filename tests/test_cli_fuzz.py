@@ -11,6 +11,7 @@ dataclass rejects.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -20,24 +21,24 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from temporal_bc.batching import BatchConfig
 from temporal_bc.cli import main
+from temporal_bc.model import ModelConfig
+from temporal_bc.training import TrainConfig
 
-N_DAYS = 40
+# long enough that validation windows fit in the held-out tenth (training.VAL_FRACTION)
+N_DAYS = 60
 ERROR_CODES = {2, 3, 4}
 
 SMALL_CONFIG = {
     "model": {"n_layers": 1, "n_heads": 2, "model_dim": 8, "feature_dim": 8, "hidden_dim": 8},
-    "batch": {"window_min": 10, "window_max": 20, "margin": 2, "min_keep": 3},
-    "train": {"steps": 2, "batch_size": 2, "val_examples": 2},
+    "batch": {"window_min": 10, "window_max": 20},
+    "train": {"steps": 2, "batch_size": 2},
 }
 # every config field the train command reads, by section
 CONFIG_FIELDS = {
-    "model": ["n_layers", "n_heads", "model_dim", "feature_dim", "hidden_dim",
-              "sigma_floor", "t_max", "delta_t"],
-    "batch": ["retain_p", "min_keep", "window_min", "window_max", "margin", "ablate_gcm"],
-    "train": ["steps", "batch_size", "learning_rate", "beta1", "beta2", "eps", "seed",
-              "checkpoint_interval", "eval_interval", "val_fraction", "val_examples",
-              "plateau_patience", "early_stop_nll"],
+    section: [field.name for field in dataclasses.fields(cls)]
+    for section, cls in (("model", ModelConfig), ("batch", BatchConfig), ("train", TrainConfig))
 }
 
 

@@ -179,9 +179,7 @@ class TestScore:
         c = np.ones(100)
         report = score(c, o)
         assert report.mse == pytest.approx(1.0, abs=1e-12)
-        assert report.sigma2 == pytest.approx(1.0, abs=1e-12)
         assert report.loglik == pytest.approx(-1.4189385332046727, abs=1e-6)
-        assert not report.degenerate_variance
 
     def test_perfect_match_is_degenerate(self, caplog):
         x = np.arange(10.0)
@@ -189,8 +187,9 @@ class TestScore:
 
         with caplog.at_level(logging.WARNING):
             report = score(x, x)
-        assert report.degenerate_variance
-        assert report.sigma2 == 1e-12
+        assert report.mse == 0.0
+        # the variance is floored at 1e-12: loglik = -0.5 * log(2 pi 1e-12)
+        assert report.loglik == pytest.approx(-0.5 * np.log(2 * np.pi * 1e-12), abs=1e-12)
         assert any("degenerate" in r.message for r in caplog.records)
 
     def test_per_point_std_path(self):
@@ -202,8 +201,6 @@ class TestScore:
             -0.5 * np.log(2 * np.pi) - np.log(sd) - (o - c) ** 2 / (2 * sd**2)
         )
         assert report.loglik == pytest.approx(expected, abs=1e-12)
-        assert report.sigma2 == pytest.approx(np.mean(sd**2))
-        assert not report.degenerate_variance
 
     def test_std_validation(self):
         with pytest.raises(DataError, match="shape"):

@@ -366,7 +366,7 @@ class TestMakeBatchIntegration:
         rng = np.random.default_rng(11)
         t = np.arange(64.0)
         pair = AlignedPair(t, rng.normal(size=64), rng.normal(size=64))
-        cfg = BatchConfig(window_min=10, window_max=20, margin=2, min_keep=3)
+        cfg = BatchConfig(window_min=10, window_max=20)
         params = init_params(TINY, rng)
         for ex in make_batch([pair], 4, rng, cfg):
             mu, sigma = forward(params, embed(ex, TINY), TINY)

@@ -36,6 +36,8 @@ OWNED = {
     "day-tolerance": r"\b1e-9\b",
     # cli._cmd_report's score_run: report is the one scoring command
     "score-call": re.escape("metrics.score("),
+    # batching._slope: the finite-difference slope of every point feature
+    "finite-difference-slope": re.escape("delta / np.where(dist != 0.0"),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from temporal_bc import training
 from temporal_bc.autodiff import Tensor
-from temporal_bc.batching import BatchConfig
+from temporal_bc.batching import MARGIN, BatchConfig
 from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.model import ModelConfig, init_params
 from temporal_bc.timeseries import GCM, OBS, NormStats, PairedDataset, TimeSeries
@@ -20,7 +20,7 @@ from temporal_bc.training import (
 TINY_MODEL = ModelConfig(
     n_layers=1, n_heads=2, model_dim=8, feature_dim=8, hidden_dim=8
 )
-TINY_BATCH = BatchConfig(window_min=10, window_max=20, margin=2, min_keep=3)
+TINY_BATCH = BatchConfig(window_min=10, window_max=20)
 
 
 def toy_dataset(n=200, bias=2.0, noise=0.3, seed=0):
@@ -71,7 +71,7 @@ class TestAdam:
         shapes = {"w": (3, 4), "b": (4,), "s": (), "idle": (2, 2)}
         start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         params = {name: Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
-        opt = Adam(params, learning_rate=0.05, beta1=0.8, beta2=0.99, eps=1e-6)
+        opt = Adam(params, learning_rate=0.05)
         # the per-parameter update, written out
         want = {name: a.copy() for name, a in start.items()}
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -83,11 +83,11 @@ class TestAdam:
             opt.step()
             for name, shape in shapes.items():
                 g = grads.get(name, np.zeros(shape))
-                m[name] = 0.8 * m[name] + (1 - 0.8) * g
-                v[name] = 0.99 * v[name] + (1 - 0.99) * g**2
-                m_hat = m[name] / (1 - 0.8**t)
-                v_hat = v[name] / (1 - 0.99**t)
-                want[name] = want[name] - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-6)
+                m[name] = 0.9 * m[name] + (1 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1 - 0.999) * g**2
+                m_hat = m[name] / (1 - 0.9**t)
+                v_hat = v[name] / (1 - 0.999**t)
+                want[name] = want[name] - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
             for name, p in params.items():
                 assert np.array_equal(p.data, want[name]), (t, name)
                 assert np.shares_memory(p.data, opt.data), name
@@ -101,9 +101,7 @@ class TestTrainConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(beta1=1.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(val_fraction=0.0)
+            TrainConfig(eval_interval=0)
         with pytest.raises(ConfigError):
             TrainConfig(plateau_patience=0)
 
@@ -111,7 +109,7 @@ class TestTrainConfigValidation:
 class TestTrain:
     def test_deterministic(self):
         ds = toy_dataset()
-        cfg = TrainConfig(steps=5, batch_size=2, seed=11, val_examples=4)
+        cfg = TrainConfig(steps=5, batch_size=2, seed=11)
         a = train(ds, TINY_MODEL, cfg, TINY_BATCH)
         b = train(ds, TINY_MODEL, cfg, TINY_BATCH)
         for name in a.checkpoint.params:
@@ -121,8 +119,8 @@ class TestTrain:
 
     def test_seed_changes_run(self):
         ds = toy_dataset()
-        a = train(ds, TINY_MODEL, TrainConfig(steps=3, seed=1, val_examples=4), TINY_BATCH)
-        b = train(ds, TINY_MODEL, TrainConfig(steps=3, seed=2, val_examples=4), TINY_BATCH)
+        a = train(ds, TINY_MODEL, TrainConfig(steps=3, seed=1), TINY_BATCH)
+        b = train(ds, TINY_MODEL, TrainConfig(steps=3, seed=2), TINY_BATCH)
         assert any(
             not np.array_equal(a.checkpoint.params[n], b.checkpoint.params[n])
             for n in a.checkpoint.params
@@ -130,7 +128,7 @@ class TestTrain:
 
     def test_step_zero_row_and_metric_cadence(self):
         ds = toy_dataset()
-        cfg = TrainConfig(steps=6, batch_size=2, eval_interval=3, val_examples=4)
+        cfg = TrainConfig(steps=6, batch_size=2, eval_interval=3)
         result = train(ds, TINY_MODEL, cfg, TINY_BATCH)
         rows = result.metrics
         assert rows[0].step == 0
@@ -145,7 +143,7 @@ class TestTrain:
     def test_normalization_comes_from_observations(self):
         ds = toy_dataset()
         result = train(
-            ds, TINY_MODEL, TrainConfig(steps=2, val_examples=4), TINY_BATCH
+            ds, TINY_MODEL, TrainConfig(steps=2), TINY_BATCH
         )
         stats = NormStats.from_series(ds.obs)
         assert result.checkpoint.norm_stats.mean == stats.mean
@@ -154,17 +152,16 @@ class TestTrain:
 
     def test_checkpoint_records_the_training_window_geometry(self):
         result = train(
-            toy_dataset(), TINY_MODEL, TrainConfig(steps=2, val_examples=4), TINY_BATCH
+            toy_dataset(), TINY_MODEL, TrainConfig(steps=2), TINY_BATCH
         )
         meta = result.checkpoint.meta
         assert (meta["window_min"], meta["window_max"]) == (10, 20)
-        assert (meta["margin"], meta["retain_p"]) == (2, TINY_BATCH.retain_p)
+        assert (meta["margin"], meta["retain_p"]) == (MARGIN, TINY_BATCH.retain_p)
 
     def test_loss_improves_on_toy_problem(self):
         ds = toy_dataset(n=300, seed=4)
         cfg = TrainConfig(
-            steps=60, batch_size=4, learning_rate=3e-3, eval_interval=30,
-            val_examples=8, seed=5,
+            steps=60, batch_size=4, learning_rate=3e-3, eval_interval=30, seed=5
         )
         result = train(ds, TINY_MODEL, cfg, TINY_BATCH)
         first = np.mean([r.train_nll for r in result.metrics[1:6]])
@@ -173,23 +170,13 @@ class TestTrain:
         assert result.stop_reason in ("max_steps", "val_plateau")
         assert not result.aborted
 
-    def test_early_stop_on_nll_threshold(self):
-        ds = toy_dataset()
-        cfg = TrainConfig(
-            steps=50, batch_size=2, eval_interval=2, val_examples=4,
-            early_stop_nll=1e6,
-        )
-        result = train(ds, TINY_MODEL, cfg, TINY_BATCH)
-        assert result.stop_reason == "nll_threshold"
-        assert result.metrics[-1].step == 2
-
     def test_plateau_stop(self):
         ds = toy_dataset()
         # an oversized step ruins the near-optimal anchor init immediately,
         # so validation never improves on step 0 and patience runs out
         cfg = TrainConfig(
             steps=50, batch_size=2, learning_rate=0.5, eval_interval=1,
-            val_examples=4, plateau_patience=3,
+            plateau_patience=3,
         )
         result = train(ds, TINY_MODEL, cfg, TINY_BATCH)
         assert result.stop_reason == "val_plateau"
@@ -208,7 +195,7 @@ class TestTrain:
             return real(params, batch, config)
 
         monkeypatch.setattr(training, "_batch_loss", poisoned)
-        cfg = TrainConfig(steps=20, batch_size=2, val_examples=4, seed=9)
+        cfg = TrainConfig(steps=20, batch_size=2, seed=9)
         result = train(ds, TINY_MODEL, cfg, TINY_BATCH)
         assert result.aborted
         assert result.stop_reason == "non_finite_loss"
@@ -235,7 +222,7 @@ class TestTrain:
 
         monkeypatch.setattr(training, "_batch_loss", capture)
         monkeypatch.setattr(training, "backward", poisoned)
-        cfg = TrainConfig(steps=20, batch_size=2, val_examples=4, seed=9)
+        cfg = TrainConfig(steps=20, batch_size=2, seed=9)
         result = train(ds, TINY_MODEL, cfg, TINY_BATCH)
         monkeypatch.undo()
         assert result.aborted
@@ -247,21 +234,34 @@ class TestTrain:
             assert np.all(np.isfinite(arr)), name
             assert np.array_equal(arr, two_steps.checkpoint.params[name]), name
 
-    def test_interim_checkpoints_written(self, tmp_path):
+    def test_interim_checkpoints_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(training, "CHECKPOINT_INTERVAL", 2)
         ds = toy_dataset()
-        cfg = TrainConfig(
-            steps=4, batch_size=2, checkpoint_interval=2, val_examples=4
-        )
+        cfg = TrainConfig(steps=4, batch_size=2)
         result = train(ds, TINY_MODEL, cfg, TINY_BATCH, checkpoint_dir=tmp_path)
         names = [p.split("/")[-1] for p in result.interim_checkpoints]
         # step 4 is the final step, so only step 2 gets an interim snapshot
         assert names == ["checkpoint_step000002.json"]
         assert (tmp_path / "checkpoint_step000002.json").exists()
 
+    def test_stop_step_gets_no_interim_checkpoint(self, tmp_path, monkeypatch):
+        # a plateau stop ends training, so its step has only checkpoint.json
+        monkeypatch.setattr(training, "CHECKPOINT_INTERVAL", 1)
+        cfg = TrainConfig(
+            steps=50, batch_size=2, learning_rate=0.5, eval_interval=1,
+            plateau_patience=3,
+        )
+        result = train(toy_dataset(), TINY_MODEL, cfg, TINY_BATCH, checkpoint_dir=tmp_path)
+        assert result.stop_reason == "val_plateau"
+        last = result.metrics[-1].step
+        names = ["checkpoint_step%06d.json" % step for step in range(1, last)]
+        assert [p.split("/")[-1] for p in result.interim_checkpoints] == names
+        assert sorted(q.name for q in tmp_path.iterdir()) == names
+
     def test_too_short_dataset_rejected(self):
         ds = toy_dataset(n=22)
         with pytest.raises(DataError, match="too short"):
-            train(ds, TINY_MODEL, TrainConfig(steps=1, val_examples=2), TINY_BATCH)
+            train(ds, TINY_MODEL, TrainConfig(steps=1), TINY_BATCH)
 
 
 class TestMetricsCsv:
