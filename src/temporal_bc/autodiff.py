@@ -462,15 +462,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -
     return _record(Tensor(out), (q, k, v), backward_fn)
 
 
-def backward(loss: Tensor) -> dict:
+def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss recorded on the active tape.
 
-    Returns a map from each leaf tensor (requires_grad inputs that are not
-    themselves op results) to its gradient, which is also left on the leaf's
-    ``.grad``. Gradients are delivered on leaves only: once a node's rule has
-    run, the sweep drops the node's ``.grad``, rule and parents, so
-    intermediates are freed during the sweep and a tape is swept once.
-    ``loss.grad`` ends as 1.
+    Each leaf tensor (a requires_grad input that is not itself an op result)
+    is left holding its gradient on ``.grad``. Gradients are delivered on
+    leaves only: once a node's rule has run, the sweep drops the node's
+    ``.grad``, rule and parents, so intermediates are freed during the sweep
+    and a tape is swept once. ``loss.grad`` ends as 1.
     """
     tape = Tape._active
     if tape is None:
@@ -478,18 +477,12 @@ def backward(loss: Tensor) -> dict:
     if loss.data.size != 1:
         raise NumericError("loss must be scalar, got shape %r" % (loss.shape,))
     loss.grad = seed = np.ones_like(loss.data)
-    leaves: dict[int, Tensor] = {}
     for node in reversed(tape.nodes):
-        grad, rule, parents = node.grad, node._backward, node._parents
+        grad, rule = node.grad, node._backward
         node.grad, node._backward, node._parents = None, None, ()
-        if grad is None or rule is None:
-            continue
-        rule(grad)
-        for parent in parents:
-            if parent.requires_grad and parent._backward is None:
-                leaves[id(parent)] = parent
+        if grad is not None and rule is not None:
+            rule(grad)
     loss.grad = seed
-    return {leaf: leaf.grad for leaf in leaves.values() if leaf.grad is not None}
 
 
 @dataclass

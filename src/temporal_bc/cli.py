@@ -36,13 +36,7 @@ import numpy as np
 from . import __version__, gp, metrics
 from . import baselines as bl
 from .batching import BatchConfig
-from .errors import (
-    ConfigError,
-    DataError,
-    NumericError,
-    ToolkitError,
-    check_field_types,
-)
+from .errors import ConfigError, DataError, NumericError, ToolkitError, config_from_dict
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .sampling import SamplerConfig, sample_all_runs, sample_trajectories
 from .timeseries import (
@@ -53,6 +47,7 @@ from .timeseries import (
     load_csv,
     load_paired,
     load_samples_csv,
+    read_json,
     write_csv,
     write_gcm_csv,
     write_json,
@@ -64,9 +59,14 @@ from .training import TrainConfig, train, write_metrics_csv
 logger = logging.getLogger(__name__)
 
 _DEFAULT_EPOCH = "1948-01-01"
-# the sections of a --config file; train and sample read one file, and each
-# takes the sections it does not use
-_CONFIG_SECTIONS = ("model", "batch", "train", "sampler")
+# the sections of a --config file and their settings classes; train and
+# sample each build all four from the one file
+_CONFIG_SECTIONS = {
+    "model": ModelConfig,
+    "batch": BatchConfig,
+    "train": TrainConfig,
+    "sampler": SamplerConfig,
+}
 _ENSEMBLE_STD_FLOOR = 1e-6
 # report's QQ pairs sit at this many evenly spaced probabilities, its PACF
 # at lags 1.._MAX_LAG
@@ -144,15 +144,11 @@ def _parse_epoch(raw: str) -> dt.date:
 
 
 def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            cfg = json.load(handle)
-    except OSError as exc:
-        raise ConfigError("cannot open config %s: %s" % (path, exc))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
+    """Section name -> settings object for all four sections of the config
+    file at ``path``, each built whole; an absent file or section gives the
+    defaults. ``train`` and ``sample`` both call this before any output, so
+    one file gets one verdict from both."""
+    cfg = {} if path is None else read_json(path, ConfigError)
     if not isinstance(cfg, dict):
         raise ConfigError("config %s must hold a JSON object" % path)
     unknown = sorted(set(cfg) - set(_CONFIG_SECTIONS))
@@ -161,7 +157,13 @@ def _load_config_file(path) -> dict:
             "config %s has unknown sections %s; the sections are %s"
             % (path, unknown, ", ".join(_CONFIG_SECTIONS))
         )
-    return cfg
+    configs = {}
+    for name, cls in _CONFIG_SECTIONS.items():
+        try:
+            configs[name] = config_from_dict(cls, cfg.get(name, {}))
+        except TypeError as exc:
+            raise ConfigError("config section %r is invalid: %s" % (name, exc))
+    return configs
 
 
 def _apply_flags(config, args, keys):
@@ -169,19 +171,6 @@ def _apply_flags(config, args, keys):
     flag was given (each flag's default is None)."""
     given = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     return dataclasses.replace(config, **given)
-
-
-def _apply_section(default, section: dict | None, name: str):
-    """Overlay a config-file section onto a dataclass of defaults."""
-    if section is None:
-        return default
-    if not isinstance(section, dict):
-        raise ConfigError("config section %r must be an object" % name)
-    try:
-        check_field_types(type(default), section)
-        return dataclasses.replace(default, **section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("config section %r is invalid: %s" % (name, exc))
 
 
 _ACTIVE_OUTPUTS: list["_Outputs"] = []
@@ -257,14 +246,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config_file(args.config)
-    model_config = _apply_section(ModelConfig(), cfg.get("model"), "model")
-    batch_config = _apply_section(BatchConfig(), cfg.get("batch"), "batch")
-    batch_config = _apply_flags(batch_config, args, ("ablate_gcm",))
-    train_config = _apply_section(TrainConfig(), cfg.get("train"), "train")
-    train_config = _apply_flags(
-        train_config, args, ("steps", "batch_size", "learning_rate", "seed")
-    )
+    configs = _load_config_file(args.config)
+    model_config, batch_config = configs["model"], configs["batch"]
+    train_config = _apply_flags(configs["train"], args, ("steps", "seed"))
 
     dataset = load_paired(args.obs, args.gcm)
     outputs = _Outputs(args.out_dir)
@@ -316,10 +300,9 @@ def _parse_run(raw: str) -> int | None:
 
 
 def _cmd_sample(args) -> int:
-    cfg = _load_config_file(args.config)
-    sampler_config = _apply_section(SamplerConfig(), cfg.get("sampler"), "sampler")
+    configs = _load_config_file(args.config)
     sampler_config = _apply_flags(
-        sampler_config, args, ("horizon", "n_trajectories", "seed", "deterministic")
+        configs["sampler"], args, ("horizon", "n_trajectories", "seed")
     )
 
     ckpt = load_checkpoint(args.checkpoint)
@@ -587,10 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config")
     p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=_finite_float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--ablate-gcm", action="store_true", default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sample", help="generate corrected trajectories")
@@ -603,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-trajectories", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--run", default="all")
-    p.add_argument("--deterministic", action="store_true", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("baseline", help="apply a classical correction method")

@@ -61,14 +61,6 @@ def rbf(lengthscale: float = 1.0) -> Kernel:
     return Kernel(RBF, lengthscale=lengthscale)
 
 
-def periodic(lengthscale: float = 1.0, period: float = 1.0) -> Kernel:
-    return Kernel(PERIODIC, lengthscale=lengthscale, period=period)
-
-
-def rational_quadratic(lengthscale: float = 1.0, alpha: float = 1.0) -> Kernel:
-    return Kernel(RATIONAL_QUADRATIC, lengthscale=lengthscale, alpha=alpha)
-
-
 def gram(kernel: Kernel, times_a, times_b=None) -> np.ndarray:
     """Gram matrix K[i, j] = k(times_a[i], times_b[j])."""
     ta = np.asarray(times_a, dtype=np.float64)

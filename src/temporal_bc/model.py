@@ -3,9 +3,9 @@
 An example's points are its model block, its observed context and its
 targets, in that order. Each point enters as its local-expansion features
 (see :mod:`temporal_bc.batching`), a series one-hot and sinusoidal
-positional features of its own time and of its neighbour's time; the
-positional geometry (``feature_dim``, ``t_max``, ``delta_t``) lives in
-:class:`ModelConfig` alone.
+positional features of its own time and of its neighbour's time. Their
+width is :class:`ModelConfig`'s ``feature_dim``; their time scales are the
+constants :data:`T_MAX` and :data:`DELTA_T`.
 
 Two attention stacks run side by side. The main stack embeds each point's
 local-expansion features into queries, keys and values with two-layer
@@ -28,8 +28,9 @@ earlier targets only, and nothing attends to a target from the conditioning
 side, so a target's value can never reach its own prediction. The head maps
 the concatenated outputs of both stacks to a per-target (mean, std); the
 mean is an offset from the nearest earlier available value and the std goes
-through a softplus plus a hard floor. The head's final layer starts at zero,
-so an untrained model predicts exactly that nearest value.
+through a softplus plus the hard floor :data:`SIGMA_FLOOR`. The head's final
+layer starts at zero, so an untrained model predicts exactly that nearest
+value.
 
 The head reads the target rows only. A forward that records a tape
 (training) still computes every row of every layer, so training's rounding
@@ -42,7 +43,6 @@ bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -50,11 +50,20 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .batching import SERIES_GCM, SERIES_OBS, TrainingExample
-from .errors import ConfigError, DataError, check_field_types
+from .errors import ConfigError, DataError, config_from_dict
 from .metrics import LOG_2PI
-from .timeseries import NormStats, write_json
+from .timeseries import NormStats, read_json, write_json
 
 _SERIES_CODES = (SERIES_OBS, SERIES_GCM)  # one-hot slots
+
+# the floor under every predicted std, and the positional features' longest
+# period and time unit
+SIGMA_FLOOR = 1e-3
+T_MAX = 10000.0
+DELTA_T = 1.0
+# ModelConfig fields that became the constants above: a checkpoint that
+# stores one at its constant's value loads, and any other value is refused
+_RETIRED_FIELDS = {"sigma_floor": SIGMA_FLOOR, "t_max": T_MAX, "delta_t": DELTA_T}
 
 
 @dataclass(frozen=True)
@@ -64,9 +73,6 @@ class ModelConfig:
     model_dim: int = 64
     feature_dim: int = 32
     hidden_dim: int = 64
-    sigma_floor: float = 1e-3
-    t_max: float = 10000.0
-    delta_t: float = 1.0
 
     def __post_init__(self):
         if self.n_layers < 1:
@@ -82,10 +88,6 @@ class ModelConfig:
             raise ConfigError("feature_dim must be positive and even")
         if self.hidden_dim < 1:
             raise ConfigError("hidden_dim must be >= 1")
-        if self.sigma_floor <= 0:
-            raise ConfigError("sigma_floor must be positive")
-        if self.t_max <= 0 or self.delta_t <= 0:
-            raise ConfigError("t_max and delta_t must be positive")
 
     @property
     def point_dim(self) -> int:
@@ -98,22 +100,18 @@ class ModelConfig:
         return 2 * self.point_dim + 4
 
 
-def positional_features(
-    t, d: int, t_max: float = 10000.0, delta_t: float = 1.0
-) -> np.ndarray:
+def positional_features(t, d: int) -> np.ndarray:
     """Sinusoidal features of continuous time: sin at even slots, cos at odd.
 
-    Slot pair l in 0..d/2-1 uses angle (t / delta_t) / (t_max / delta_t)^(2l/d).
+    Slot pair l in 0..d/2-1 uses angle (t / DELTA_T) / (T_MAX / DELTA_T)^(2l/d).
     Accepts a scalar or array of times; output has shape (..., d) in [-1, 1].
     """
     if d <= 0 or d % 2:
         raise ConfigError("positional feature dim must be positive even, got %d" % d)
-    if t_max <= 0 or delta_t <= 0:
-        raise ConfigError("t_max and delta_t must be positive")
     t = np.asarray(t, dtype=np.float64)
     half = np.arange(d // 2)
-    rates = (t_max / delta_t) ** (2.0 * half / d)
-    angles = (t[..., None] / delta_t) / rates
+    rates = (T_MAX / DELTA_T) ** (2.0 * half / d)
+    angles = (t[..., None] / DELTA_T) / rates
     out = np.empty(t.shape + (d,))
     out[..., 0::2] = np.sin(angles)
     out[..., 1::2] = np.cos(angles)
@@ -185,7 +183,6 @@ class EmbeddedExample:
     n_conditioning: int
     n_targets: int
     anchors: np.ndarray
-    target_values: np.ndarray | None
 
 
 def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
@@ -193,10 +190,10 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
 
     Key/value inputs concatenate positional features, the series one-hot,
     (delta, dist, deriv, closest_value) and the neighbour's positional
-    features, both positional blocks at ``config``'s geometry. Query inputs
-    are identical except the value-bearing slots (delta and deriv) are
-    zeroed: a query may know where it sits and where its anchor sits, but
-    not what value it carries.
+    features, each positional block ``config.feature_dim`` wide. Query
+    inputs are identical except the value-bearing slots (delta and deriv)
+    are zeroed: a query may know where it sits and where its anchor sits,
+    but not what value it carries.
     """
     f = example.features
     if f is None:
@@ -205,7 +202,7 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     # neighbour times are point times, and GCM and observed days coincide, so
     # the features (elementwise in t) are evaluated once per distinct time
     distinct = np.unique(np.concatenate([times, f.closest_t]))
-    enc = positional_features(distinct, config.feature_dim, config.t_max, config.delta_t)
+    enc = positional_features(distinct, config.feature_dim)
     pos_enc = enc[np.searchsorted(distinct, times)]
     closest_pos_enc = enc[np.searchsorted(distinct, f.closest_t)]
     n = len(f.series_id)
@@ -255,7 +252,6 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
         n_conditioning=n_cond,
         n_targets=n_tgt,
         anchors=f.closest_value[n_cond:][:, None].copy(),
-        target_values=None if example.tgt_v is None else example.tgt_v[:, None].copy(),
     )
 
 
@@ -300,7 +296,7 @@ def forward(
         out, xout = out[emb.n_conditioning :], xout[emb.n_conditioning :]
     raw = _mlp(ad.concat([out, xout], axis=-1), params, "head")
     mu = raw[:, 0:1] + Tensor(emb.anchors)
-    sigma = ad.softplus(raw[:, 1:2]) + Tensor(np.array(config.sigma_floor))
+    sigma = ad.softplus(raw[:, 1:2]) + Tensor(np.array(SIGMA_FLOOR))
     return mu, sigma
 
 
@@ -357,18 +353,23 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
+    """Read a checkpoint written by :func:`save_checkpoint`. A stored config
+    may still hold ``sigma_floor``, ``t_max`` or ``delta_t``, as checkpoints
+    did before they became constants, but only at the constant's value."""
+    payload = read_json(path, DataError)
     try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise DataError("cannot open checkpoint %s: %s" % (path, exc))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError("checkpoint %s is not valid JSON: %s" % (path, exc))
-    try:
-        raw_config = dict(payload["config"])
-        check_field_types(ModelConfig, raw_config)
-        config = ModelConfig(**raw_config)
-        stats = NormStats(**payload["norm_stats"])
+        raw_config = payload["config"]
+        if not isinstance(raw_config, dict):
+            raise TypeError("config must be a JSON object, got %r" % (raw_config,))
+        for key in sorted(_RETIRED_FIELDS.keys() & raw_config.keys()):
+            stored = raw_config.pop(key)
+            if type(stored) not in (int, float) or stored != _RETIRED_FIELDS[key]:
+                raise DataError(
+                    "checkpoint %s: config %s is %r, but it is now the constant %r"
+                    % (path, key, stored, _RETIRED_FIELDS[key])
+                )
+        config = config_from_dict(ModelConfig, raw_config)
+        stats = config_from_dict(NormStats, payload["norm_stats"])
         raw_params = dict(payload["params"])
         meta = dict(payload.get("meta", {}))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:

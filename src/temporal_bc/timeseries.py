@@ -234,6 +234,19 @@ def write_json(path, payload) -> None:
         handle.write("\n")
 
 
+def read_json(path, error_cls):
+    """Read a JSON file, raising ``error_cls`` naming ``path`` when it cannot
+    be opened or does not hold JSON text. Arrays or objects nested too deeply
+    for the parser's recursion count as not JSON."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise error_cls("cannot open %s: %s" % (path, exc))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise error_cls("%s is not valid JSON: %s" % (path, exc))
+
+
 def _parse_float(raw: str, path, line_no: int, column: str) -> float:
     try:
         val = float(raw)

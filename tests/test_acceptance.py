@@ -138,7 +138,7 @@ def test_01_every_op_and_the_full_nll_pass_gradient_checks():
     def loss_fn(*leaves):
         p = dict(zip(names, leaves))
         mu, sigma = forward(p, emb, config)
-        return gaussian_nll(mu, sigma, emb.target_values)
+        return gaussian_nll(mu, sigma, example.tgt_v)
 
     model_rep = ad.gradcheck(loss_fn, tensors, tol=1e-3)
     elapsed = time.time() - t0

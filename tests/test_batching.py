@@ -98,16 +98,11 @@ class TestPositionalFeatures:
 
     def test_rates_follow_geometric_ladder(self):
         d, t = 8, 7.0
-        p = positional_features(t, d, t_max=10000.0, delta_t=1.0)
+        p = positional_features(t, d)
         for ell in range(d // 2):
             angle = t / 10000.0 ** (2.0 * ell / d)
             assert p[2 * ell] == pytest.approx(np.sin(angle))
             assert p[2 * ell + 1] == pytest.approx(np.cos(angle))
-
-    def test_delta_t_rescales_time_and_tmax(self):
-        a = positional_features(10.0, 8, t_max=10000.0, delta_t=2.0)
-        b = positional_features(5.0, 8, t_max=5000.0, delta_t=1.0)
-        assert np.allclose(a, b)
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ConfigError):

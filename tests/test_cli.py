@@ -31,7 +31,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # above and below a heatwave threshold of 10
 H, L = 11.0, 0.0
 
-# train and sample read this one file, each taking the sections it uses
+# train and sample read this one file, and each validates all four sections
 TINY_CONFIG = {
     "model": {
         "n_layers": 1, "n_heads": 2, "model_dim": 8,
@@ -207,12 +207,15 @@ class TestTrainSample:
         main(base + ["--out-dir", str(tmp_path / "s3"), "--run", "0"])
         assert (tmp_path / "s3" / "samples.csv").read_bytes() == a
 
-    def test_ablate_flag_lands_in_checkpoint(self, tmp_path, config_path):
+    def test_ablate_flag_lands_in_checkpoint(self, tmp_path):
         obs_path, gcm_path = write_pair(str(tmp_path))
+        config_file = tmp_path / "config.json"
+        batch = {**TINY_CONFIG["batch"], "ablate_gcm": True}
+        config_file.write_text(json.dumps({**TINY_CONFIG, "batch": batch}))
         train_dir = str(tmp_path / "train")
         main([
             "train", "--obs", obs_path, "--gcm", gcm_path,
-            "--out-dir", train_dir, "--config", config_path, "--ablate-gcm",
+            "--out-dir", train_dir, "--config", str(config_file),
         ])
         ckpt = load_checkpoint(os.path.join(train_dir, "checkpoint.json"))
         assert ckpt.meta["ablate_gcm"] is True
@@ -247,7 +250,62 @@ class TestTrainSample:
         assert "'trian'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["feature_dim", "t_max", "delta_t", "batch_size"])
+    @pytest.mark.parametrize(
+        "section, bad",
+        [
+            ("model", {"n_layerz": 2}),
+            ("batch", {"retain_p": "half"}),
+            ("train", {"steps": "many"}),
+        ],
+        ids=["model", "batch", "train"],
+    )
+    def test_sample_rejects_a_bad_training_section(self, tmp_path, capsys, section, bad):
+        # sample reads no model, batch or train setting, but one file gets one
+        # verdict from both commands
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        ckpt_path = tmp_path / "checkpoint.json"
+        config = ModelConfig(**TINY_CONFIG["model"])
+        params = init_params(config, np.random.default_rng(0))
+        save_checkpoint(checkpoint_from_params(config, params, NormStats(15.0, 3.0)), ckpt_path)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({section: bad, "sampler": {"horizon": 2}}))
+        out = tmp_path / "out"
+        code = main([
+            "sample", "--checkpoint", str(ckpt_path), "--obs", obs_path,
+            "--gcm", gcm_path, "--config", str(config_file), "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert "config section %r is invalid" % section in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_storing_the_retired_model_fields_samples_the_same(self, tmp_path):
+        # checkpoints once stored sigma_floor, t_max and delta_t in their
+        # config; at the constants' values such a file loads and samples the
+        # same bytes as one without them
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config = ModelConfig(**TINY_CONFIG["model"])
+        params = init_params(config, np.random.default_rng(0))
+        params["head.w2"].data[:] = np.random.default_rng(1).normal(size=(8, 2))
+        new_path = tmp_path / "new.json"
+        save_checkpoint(checkpoint_from_params(config, params, NormStats(15.0, 3.0)), new_path)
+        payload = json.loads(new_path.read_text())
+        assert not {"sigma_floor", "t_max", "delta_t"} & set(payload["config"])
+        payload["config"].update(sigma_floor=0.001, t_max=10000.0, delta_t=1.0)
+        old_path = tmp_path / "old.json"
+        old_path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        assert load_checkpoint(old_path).config == config
+        samples = []
+        for path in (new_path, old_path):
+            out = tmp_path / ("samples_" + path.stem)
+            assert main([
+                "sample", "--checkpoint", str(path), "--obs", obs_path,
+                "--gcm", gcm_path, "--out-dir", str(out), "--horizon", "3",
+                "--n-trajectories", "2", "--seed", "4",
+            ]) == 0
+            samples.append((out / "samples.csv").read_bytes())
+        assert samples[0] == samples[1]
+
+    @pytest.mark.parametrize("key", ["feature_dim", "batch_size"])
     def test_batch_section_has_no_geometry_keys(self, tmp_path, key):
         # feature geometry lives in "model" and the batch size in "train"
         obs_path, gcm_path = write_pair(str(tmp_path))
@@ -270,10 +328,12 @@ class TestTrainSample:
             lambda ckpt: ckpt.update(params=5),
             lambda ckpt: ckpt.update(meta=5),
             lambda ckpt: ckpt["config"].update(n_heads=3),
+            lambda ckpt: ckpt.update(config=[list(kv) for kv in ckpt["config"].items()]),
+            lambda ckpt: ckpt["norm_stats"].update(std=True),
         ],
         ids=[
             "no-shape", "no-data", "non-numeric-data", "short-data", "params-5",
-            "meta-5", "invalid-config",
+            "meta-5", "invalid-config", "config-as-pairs", "norm-stats-bool",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, damage):
@@ -320,11 +380,15 @@ class TestTrainSample:
             ("train", "learning_rate", float("nan"), 2),
             ("train", "learning_rate", float("inf"), 2),
             ("checkpoint", "t_max", float("inf"), 3),
+            ("checkpoint", "t_max", 500.0, 3),
+            ("checkpoint", "delta_t", 2.0, 3),
+            ("checkpoint", "sigma_floor", 0.01, 3),
         ],
         ids=[
             "train-steps-2.5", "sampler-n_trajectories-2.0",
             "sampler-deterministic-no", "checkpoint-n_layers-2.0",
             "train-learning_rate-nan", "train-learning_rate-inf", "checkpoint-t_max-inf",
+            "checkpoint-t_max-500.0", "checkpoint-delta_t-2.0", "checkpoint-sigma_floor-0.01",
         ],
     )
     def test_mistyped_value_is_rejected(self, tmp_path, section, key, value, code):
@@ -791,7 +855,7 @@ class TestErrorHandling:
             for action in sub._actions
             if action.type in (float, cli._finite_float)
         ]
-        assert len(flags) >= 13
+        assert len(flags) >= 12
         for command, flag in flags:
             with pytest.raises(SystemExit) as exc:
                 main([command, "%s=%s" % (flag, raw)])

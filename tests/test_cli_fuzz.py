@@ -1,6 +1,6 @@
-"""Malformed CSV and JSON inputs make ``train``, ``baseline`` and ``report``
-exit with a documented error code (2, 3 or 4), never a traceback, and leave
-no outputs behind.
+"""Malformed CSV and JSON inputs make ``train``, ``sample``, ``baseline`` and
+``report`` exit with a documented error code (2, 3 or 4), never a traceback,
+and leave no outputs behind.
 
 Each input is a valid file with one defect drawn by hypothesis, so every
 drawn case is an error by construction: a wrong header, a bad cell, a cell
@@ -23,7 +23,14 @@ from hypothesis import strategies as st
 
 from temporal_bc.batching import BatchConfig
 from temporal_bc.cli import main
-from temporal_bc.model import ModelConfig
+from temporal_bc.model import (
+    ModelConfig,
+    checkpoint_from_params,
+    init_params,
+    save_checkpoint,
+)
+from temporal_bc.sampling import SamplerConfig
+from temporal_bc.timeseries import NormStats
 from temporal_bc.training import TrainConfig
 
 # long enough that validation windows fit in the held-out tenth (training.VAL_FRACTION)
@@ -34,11 +41,17 @@ SMALL_CONFIG = {
     "model": {"n_layers": 1, "n_heads": 2, "model_dim": 8, "feature_dim": 8, "hidden_dim": 8},
     "batch": {"window_min": 10, "window_max": 20},
     "train": {"steps": 2, "batch_size": 2},
+    "sampler": {"obs_window": 10, "gcm_past": 10, "gcm_future": 10, "horizon": 2},
 }
-# every config field the train command reads, by section
+# every config field, by section; train and sample each validate all four
 CONFIG_FIELDS = {
     section: [field.name for field in dataclasses.fields(cls)]
-    for section, cls in (("model", ModelConfig), ("batch", BatchConfig), ("train", TrainConfig))
+    for section, cls in (
+        ("model", ModelConfig),
+        ("batch", BatchConfig),
+        ("train", TrainConfig),
+        ("sampler", SamplerConfig),
+    )
 }
 
 
@@ -116,8 +129,8 @@ def broken_csv(draw, lines):
 
 
 def _wrong_value():
-    """A value no config field accepts: every field is a bool, an int, or a
-    float (optionally None), and must be finite."""
+    """A value no config field accepts: every field is a bool, an int or a
+    float, and must be finite."""
     return st.one_of(
         st.text(max_size=4),
         st.lists(st.integers(), max_size=2),
@@ -128,7 +141,7 @@ def _wrong_value():
 
 @st.composite
 def broken_config(draw):
-    """Config file bytes the train command must reject."""
+    """Config file bytes the train and sample commands must reject."""
     defect = draw(st.sampled_from(["text", "not_object", "section", "key", "value"]))
     if defect == "text":
         text = draw(st.text(max_size=20))
@@ -143,7 +156,6 @@ def broken_config(draw):
     section = draw(st.sampled_from(sorted(CONFIG_FIELDS)))
     if defect == "section":
         config[section] = draw(st.one_of(st.integers(), st.text(max_size=4), st.none()))
-        assume(config[section] is not None)
     elif defect == "key":
         key = draw(st.text(min_size=1, max_size=6).filter(
             lambda k: k not in CONFIG_FIELDS[section]
@@ -159,7 +171,8 @@ class _Inputs:
 
     FILES = {
         "obs.csv": _rows(["t", "value"], N_DAYS),
-        "gcm.csv": _rows(["t", "run", "value"], N_DAYS, ids=[(0,)]),
+        # runs past the observed days, so sample has model days to correct
+        "gcm.csv": _rows(["t", "run", "value"], N_DAYS + 5, ids=[(0,)]),
         "observed.csv": _rows(["t", "value"], 10),
         "samples.csv": _rows(["run", "trajectory", "t", "value"], 10, ids=[(0, 0), (0, 1)]),
         "corrected.csv": _rows(["t", "run", "value"], 10, ids=[(0,)]),
@@ -170,6 +183,10 @@ class _Inputs:
         for name, lines in self.FILES.items():
             self.write(name, ("\n".join(lines) + "\n").encode())
         self.write("config.json", json.dumps(SMALL_CONFIG).encode())
+        config = ModelConfig(**SMALL_CONFIG["model"])
+        params = init_params(config, np.random.default_rng(0))
+        ckpt = checkpoint_from_params(config, params, NormStats(20.0, 1.0))
+        save_checkpoint(ckpt, self.path("checkpoint.json"))
         return self
 
     def __exit__(self, *exc):
@@ -189,6 +206,8 @@ class _Inputs:
         args = {
             "train": ["--obs", p("obs.csv"), "--gcm", p("gcm.csv"),
                       "--config", p("config.json")],
+            "sample": ["--checkpoint", p("checkpoint.json"), "--obs", p("obs.csv"),
+                       "--gcm", p("gcm.csv"), "--config", p("config.json")],
             "baseline": ["--method", "mean", "--no-monthly",
                          "--obs", p("obs.csv"), "--gcm", p("gcm.csv"),
                          "--ref-start", "0", "--ref-end", "19",
@@ -221,6 +240,11 @@ def test_train_rejects_malformed_input(case):
     _check_rejected("train", case)
 
 
+@given(broken_input(["config.json"]))
+def test_sample_rejects_malformed_config(case):
+    _check_rejected("sample", case)
+
+
 @given(broken_input(["obs.csv", "gcm.csv"]))
 def test_baseline_rejects_malformed_input(case):
     _check_rejected("baseline", case)
@@ -233,6 +257,6 @@ def test_report_rejects_malformed_input(case):
 
 def test_the_unbroken_inputs_are_accepted():
     # so the drawn defect is what the commands above reject
-    for command in ("train", "baseline", "report"):
+    for command in ("train", "sample", "baseline", "report"):
         with _Inputs() as inputs:
             assert main(inputs.argv(command)) == 0, command

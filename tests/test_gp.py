@@ -3,12 +3,13 @@ import pytest
 
 from temporal_bc.errors import ConfigError, NumericError
 from temporal_bc.gp import (
+    PERIODIC,
+    RATIONAL_QUADRATIC,
+    Kernel,
     _cholesky_with_jitter,
     gram,
     make_run_ensemble,
     make_shifted_pair,
-    periodic,
-    rational_quadratic,
     rbf,
     sample_gp,
 )
@@ -26,7 +27,7 @@ class TestKernels:
 
     def test_periodic_wraps_at_unit_lag(self):
         # sin(pi r) vanishes at integer lags, so correlation returns to 1
-        k = periodic(lengthscale=0.7, period=1.0)
+        k = Kernel(PERIODIC, lengthscale=0.7, period=1.0)
         g = gram(k, np.array([0.0, 1.0, 2.0, 0.25]))
         assert g[0, 1] == pytest.approx(1.0)
         assert g[0, 2] == pytest.approx(1.0)
@@ -34,21 +35,21 @@ class TestKernels:
         assert g[0, 3] == pytest.approx(expected)
 
     def test_periodic_period_scales_sine_amplitude(self):
-        ga = gram(periodic(1.0, period=1.0), np.array([0.0, 0.3]))
-        gb = gram(periodic(1.0, period=2.0), np.array([0.0, 0.3]))
+        ga = gram(Kernel(PERIODIC, lengthscale=1.0, period=1.0), np.array([0.0, 0.3]))
+        gb = gram(Kernel(PERIODIC, lengthscale=1.0, period=2.0), np.array([0.0, 0.3]))
         s = np.sin(np.pi * 0.3)
         assert ga[0, 1] == pytest.approx(np.exp(-0.5 * s**2))
         assert gb[0, 1] == pytest.approx(np.exp(-0.5 * (s / 2.0) ** 2))
 
     def test_rational_quadratic_values(self):
-        k = rational_quadratic(lengthscale=1.5, alpha=2.0)
+        k = Kernel(RATIONAL_QUADRATIC, lengthscale=1.5, alpha=2.0)
         g = gram(k, np.array([0.0, 2.0]))
         expected = (1.0 + 4.0 / (2.0 * 2.0 * 1.5**2)) ** -2.0
         assert g[0, 1] == pytest.approx(expected)
 
     def test_rq_approaches_rbf_for_large_alpha(self):
         t = np.array([0.0, 0.5, 1.7])
-        g_rq = gram(rational_quadratic(1.0, alpha=1e7), t)
+        g_rq = gram(Kernel(RATIONAL_QUADRATIC, lengthscale=1.0, alpha=1e7), t)
         g_rbf = gram(rbf(1.0), t)
         assert np.allclose(g_rq, g_rbf, atol=1e-6)
 
@@ -63,9 +64,9 @@ class TestKernels:
         with pytest.raises(ConfigError):
             rbf(-1.0)
         with pytest.raises(ConfigError):
-            rational_quadratic(1.0, alpha=0.0)
+            Kernel(RATIONAL_QUADRATIC, lengthscale=1.0, alpha=0.0)
         with pytest.raises(ConfigError):
-            periodic(1.0, period=-2.0)
+            Kernel(PERIODIC, lengthscale=1.0, period=-2.0)
 
 
 class TestSampleGp:
@@ -232,8 +233,8 @@ class TestBitsOfTheSetUp:
         [
             rbf(2.0),
             rbf(10.0),
-            periodic(0.7, period=1.3),
-            rational_quadratic(1.5, alpha=2.0),
+            Kernel(PERIODIC, lengthscale=0.7, period=1.3),
+            Kernel(RATIONAL_QUADRATIC, lengthscale=1.5, alpha=2.0),
         ],
         ids=["rbf", "rbf_long", "periodic", "rational_quadratic"],
     )

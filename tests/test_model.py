@@ -17,6 +17,7 @@ from temporal_bc.batching import (
 from temporal_bc.errors import ConfigError, DataError, NumericError
 from temporal_bc.metrics import LOG_2PI, gaussian_nll_points
 from temporal_bc.model import (
+    SIGMA_FLOOR,
     ModelConfig,
     checkpoint_from_params,
     embed,
@@ -134,17 +135,15 @@ class TestEmbed:
         for config in (
             TINY,
             ModelConfig(n_layers=1, n_heads=2, model_dim=8, feature_dim=16),
-            ModelConfig(n_layers=1, n_heads=2, model_dim=8, t_max=500.0, delta_t=2.0),
         ):
             emb = embed(ex, config)
             d = config.feature_dim
-            geometry = (d, config.t_max, config.delta_t)
             assert emb.kv_in.shape == (ex.n_points, config.qkv_in_dim)
             # own time at the front, the neighbour's time after the scalars
-            assert np.array_equal(emb.kv_in[:, :d], positional_features(times, *geometry))
+            assert np.array_equal(emb.kv_in[:, :d], positional_features(times, d))
             assert np.array_equal(
                 emb.kv_in[:, d + 6 : 2 * d + 6],
-                positional_features(ex.features.closest_t, *geometry),
+                positional_features(ex.features.closest_t, d),
             )
             assert np.array_equal(emb.xqk_in[:, :d], emb.kv_in[:, :d])
 
@@ -191,9 +190,8 @@ def _two_call_inputs(ex, config):
     times and one on the neighbour times."""
     f = ex.features
     times = np.concatenate([ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t])
-    geometry = (config.feature_dim, config.t_max, config.delta_t)
-    pos_enc = positional_features(times, *geometry)
-    closest_pos_enc = positional_features(f.closest_t, *geometry)
+    pos_enc = positional_features(times, config.feature_dim)
+    closest_pos_enc = positional_features(f.closest_t, config.feature_dim)
     n = len(times)
     onehot = np.stack([f.series_id == SERIES_OBS, f.series_id == SERIES_GCM], axis=1)
     onehot = onehot.astype(float)
@@ -216,7 +214,7 @@ class TestForward:
         emb = embed(ex, TINY)
         mu, sigma = forward(params, emb, TINY)
         assert np.array_equal(mu.data, emb.anchors)
-        expected_sigma = np.log(2.0) + TINY.sigma_floor
+        expected_sigma = np.log(2.0) + SIGMA_FLOOR
         assert np.allclose(sigma.data, expected_sigma)
 
     def test_shapes(self):
@@ -234,8 +232,8 @@ class TestForward:
         b2 = np.array([0.0, -40.0])
         params["head.b2"] = Tensor(b2)
         _, sigma = forward(params, embed(ex, TINY), TINY)
-        assert np.all(sigma.data >= TINY.sigma_floor)
-        assert np.allclose(sigma.data, TINY.sigma_floor, atol=1e-12)
+        assert np.all(sigma.data >= SIGMA_FLOOR)
+        assert np.allclose(sigma.data, SIGMA_FLOOR, atol=1e-12)
 
 
 def trained_like_params(seed=3, config=TINY):
@@ -305,7 +303,7 @@ class TestGradients:
         def loss_fn(*leaves):
             p = dict(zip(names, leaves))
             mu, sigma = forward(p, emb, TINY)
-            return gaussian_nll(mu, sigma, emb.target_values)
+            return gaussian_nll(mu, sigma, ex.tgt_v)
 
         report = ad.gradcheck(loss_fn, tensors, tol=1e-3, step=1e-5)
         assert report.passed, "max grad error %g" % report.max_error
@@ -350,7 +348,7 @@ class TestPredict:
         mu, sigma = forward(params, embed(ex, TINY), TINY)
         assert mu.shape == sigma.shape == (3, 1)
         assert np.all(np.isfinite(mu.data))
-        assert np.all(sigma.data >= TINY.sigma_floor)
+        assert np.all(sigma.data >= SIGMA_FLOOR)
 
     def test_prediction_validation(self):
         # the sampler's one-target prediction rejects non-finite output
@@ -372,7 +370,7 @@ class TestMakeBatchIntegration:
             mu, sigma = forward(params, embed(ex, TINY), TINY)
             assert mu.shape == (ex.n_tgt, 1)
             assert np.all(np.isfinite(mu.data))
-            assert np.all(sigma.data >= TINY.sigma_floor)
+            assert np.all(sigma.data >= SIGMA_FLOOR)
 
 
 class TestTapeSize:
@@ -519,6 +517,25 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="window_max"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "key, value, loads",
+        [("t_max", 10000, True), ("delta_t", True, False), ("sigma_floor", "0.001", False)],
+    )
+    def test_retired_field_loads_only_at_its_constant(self, tmp_path, key, value, loads):
+        import json
+
+        params = init_params(TINY, np.random.default_rng(0))
+        path = tmp_path / "c.json"
+        save_checkpoint(checkpoint_from_params(TINY, params, NormStats(0.0, 1.0)), path)
+        payload = json.loads(path.read_text())
+        payload["config"][key] = value
+        path.write_text(json.dumps(payload))
+        if loads:
+            assert load_checkpoint(path).config == TINY
+        else:
+            with pytest.raises(DataError, match=key):
+                load_checkpoint(path)
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("not json {")
@@ -536,10 +553,6 @@ class TestConfigValidation:
     def test_feature_geometry(self):
         with pytest.raises(ConfigError, match="feature_dim"):
             ModelConfig(feature_dim=7)
-        with pytest.raises(ConfigError, match="t_max"):
-            ModelConfig(t_max=0.0)
-        with pytest.raises(ConfigError, match="t_max"):
-            ModelConfig(delta_t=-1.0)
 
     def test_param_shapes_cover_init(self):
         shapes = param_shapes(TINY)

@@ -16,6 +16,9 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "temporal_bc")
 OWNED = {
     # timeseries.write_json
     "json-layout": re.escape("json.dump("),
+    # timeseries.read_json: config files and checkpoints are read, and their
+    # errors mapped, in one place
+    "json-reader": re.escape("json.load("),
     # timeseries._read_series
     "csv-reader": re.escape("csv.reader("),
     # timeseries.common_grid

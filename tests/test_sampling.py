@@ -9,6 +9,7 @@ from temporal_bc.batching import SERIES_GCM, SERIES_OBS
 from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.metrics import LOG_2PI
 from temporal_bc.model import (
+    SIGMA_FLOOR,
     ModelConfig,
     checkpoint_from_params,
     init_params,
@@ -224,7 +225,7 @@ class TestPredictiveNll:
         ckpt = anchor_checkpoint(ds)
         score = predictive_nll(ckpt, ds, 0, start_t=150.0, n_days=20)
         stats = ckpt.norm_stats
-        sigma_n = np.log(2.0) + TINY.sigma_floor
+        sigma_n = np.log(2.0) + SIGMA_FLOOR
         std_c = sigma_n * stats.std
         obs_v = ds.obs.values
         expected_means = obs_v[149:169]

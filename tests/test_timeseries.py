@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from temporal_bc.errors import DataError
+from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.timeseries import (
     GCM,
     OBS,
@@ -17,6 +17,7 @@ from temporal_bc.timeseries import (
     load_paired,
     load_samples_csv,
     month_of,
+    read_json,
     write_csv,
     write_gcm_csv,
     write_obs_csv,
@@ -234,3 +235,22 @@ class TestCsv:
         write_csv(tmp_path / "c.csv", ("a", "b", "c"), rows)
         expected = "a,b,c\n,7,%r\nx,2,\n" % float(vals[0])
         assert (tmp_path / "c.csv").read_text() == expected
+
+
+class TestReadJson:
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot open"),
+            (b"not json {", "not valid JSON"),
+            (b"\xff{}", "not valid JSON"),
+            (b"[" * 100_000, "not valid JSON"),  # deeper than the parser recurses
+        ],
+        ids=["missing", "not-json", "not-utf8", "too-deep"],
+    )
+    def test_read_failures_raise_the_given_error(self, tmp_path, content, message):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=message):
+            read_json(path, ConfigError)
