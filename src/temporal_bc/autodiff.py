@@ -1,4 +1,4 @@
-"""Minimal reverse-mode automatic differentiation over float64 arrays.
+"""Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A :class:`Tensor` wraps a numpy array. Every op computes its result eagerly
 and, while a :class:`Tape` is active and any input requires a gradient,
@@ -8,8 +8,11 @@ creation order is a topological order of the computation graph, so
 ``.grad``. With no active tape, ops are plain numpy (inference mode).
 
 Elementwise ops broadcast like numpy; matmul broadcasts over leading batch
-dimensions only. All data is float64; gradients are verified against central
-finite differences by :func:`gradcheck`.
+dimensions only. Data is float64 under a tape; an untaped Tensor keeps
+float32 data, so a forward whose inputs are float32 computes in float32
+(sampling and scoring do; see :func:`temporal_bc.model.forward`). Gradients
+are computed in float64 only and verified against central finite differences
+by :func:`gradcheck`.
 """
 
 from __future__ import annotations
@@ -49,12 +52,19 @@ def recording() -> bool:
 
 
 class Tensor:
-    """Dense float64 array with optional gradient tracking."""
+    """Dense array with optional gradient tracking.
+
+    A floating-point array keeps its dtype and anything else becomes float64.
+    Data is float64 under a tape (:func:`temporal_bc.model.forward` refuses
+    float32 parameters there); an untaped Tensor keeps the float32 data that
+    sampling and scoring pass it.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple["Tensor", ...] = ()
@@ -427,7 +437,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -
         raise NumericError("attention width %d does not split into %d heads" % (d, n_heads))
     width = d // n_heads
     heads = [slice(h * width, (h + 1) * width) for h in range(n_heads)]
-    out = np.empty((q.shape[0], d))
+    out = np.empty((q.shape[0], d), dtype=q.data.dtype)
     weights = []
     for c in heads:
         w = q.data[:, c] @ k.data[:, c].T

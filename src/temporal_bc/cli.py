@@ -92,16 +92,30 @@ def _sha256(path) -> str:
 
 def _numeric_environment() -> dict:
     """Python, NumPy and BLAS versions plus the BLAS/OpenMP thread settings,
-    which decide the bits of every matrix product."""
+    which decide the bits of every matrix product, and the SIMD kernel NumPy
+    dispatches ``exp`` and ``tanh`` to on this CPU for float32 (``ff``) and
+    float64 (``dd``), which decides the bits of every attention and
+    perceptron."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas_id = "%s %s" % (blas.get("name"), blas.get("version"))
     except (TypeError, KeyError):  # NumPy before 1.25 has no dict form
         blas_id = None
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # NumPy before 2.0 has no introspect module
+        simd = None
+    else:
+        found = opt_func_info(func_name="^(exp|tanh)$")
+        simd = {
+            func: {sig: found.get(func, {}).get(sig, {}).get("current") for sig in ("ff", "dd")}
+            for func in ("exp", "tanh")
+        }
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas_id,
+        "simd": simd,
         "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
     }
 

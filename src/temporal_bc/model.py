@@ -36,9 +36,16 @@ The head reads the target rows only. A forward that records a tape
 (training) still computes every row of every layer, so training's rounding
 stays that of the full computation. A forward with no tape (sampling,
 held-out scoring, validation) runs the last layer of each stack on the
-target queries alone, against the keys and values of every point; its
-(mean, std) match the taped forward's to rounding (about 1e-15), not bit for
-bit.
+target queries alone, against the keys and values of every point.
+
+The forward computes in its parameters' dtype. Training and validation pass
+float64 parameters, and a taped forward refuses any other. Sampling and
+scoring pass the float32 copies of :func:`tensors_from_checkpoint`, the one
+place that cast happens: the perceptrons and attentions run in float32, and
+the anchor and the std floor are added in float64. So an untaped forward's
+(mean, std) match the taped forward's to float32 rounding (about 1e-6
+relative to the largest mean), not bit for bit; with float64 parameters, as
+in validation, they match to about 1e-15.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .batching import SERIES_GCM, SERIES_OBS, TrainingExample
-from .errors import ConfigError, DataError, config_from_dict
+from .errors import ConfigError, DataError, NumericError, config_from_dict
 from .metrics import LOG_2PI
 from .timeseries import NormStats, read_json, write_json
 
@@ -266,20 +273,29 @@ def forward(
     """Per-target (mu, sigma), each of shape (n_targets, 1).
 
     While a tape records, every layer computes every row, as training's
-    gradients need. With no tape the head's rows are all that is read, so the
-    last layer of each stack computes the target rows alone; keys and values
-    keep every row.
+    gradients need, and the parameters must be float64. With no tape the
+    head's rows are all that is read, so the last layer of each stack
+    computes the target rows alone; keys and values keep every row. The
+    embedded inputs and the mask bias take the parameters' dtype.
     """
     if emb.n_targets == 0:
         raise DataError("example has no targets")
+    dtype = params["q.w1"].data.dtype
+    if ad.recording() and dtype != np.float64:
+        raise NumericError("a taped forward needs float64 parameters, got %s" % dtype)
     cut = 0 if ad.recording() else emb.n_conditioning
-    bias = np.where(emb.blocked, ad.MASK_FILL, 0.0)  # one mask bias for every layer
-    q = _mlp(Tensor(emb.q_in), params, "q")
-    k = _mlp(Tensor(emb.kv_in), params, "k")
-    v = _mlp(Tensor(emb.kv_in), params, "v")
-    xq = _mlp(Tensor(emb.xqk_in), params, "xq")
-    xk = _mlp(Tensor(emb.xqk_in), params, "xk")
-    xv = _mlp(Tensor(emb.xv_in), params, "xv")
+    # one mask bias for every layer; it and the inputs take the parameters' dtype
+    bias = np.where(emb.blocked, dtype.type(ad.MASK_FILL), dtype.type(0.0))
+    q_in, kv_in, xqk_in, xv_in = (
+        Tensor(x.astype(dtype, copy=False))
+        for x in (emb.q_in, emb.kv_in, emb.xqk_in, emb.xv_in)
+    )
+    q = _mlp(q_in, params, "q")
+    k = _mlp(kv_in, params, "k")
+    v = _mlp(kv_in, params, "v")
+    xq = _mlp(xqk_in, params, "xq")
+    xk = _mlp(xqk_in, params, "xk")
+    xv = _mlp(xv_in, params, "xv")
     out = xout = None
     for layer in range(config.n_layers):
         if layer > 0:
@@ -332,10 +348,9 @@ def checkpoint_from_params(
 
 
 def tensors_from_checkpoint(ckpt: ModelCheckpoint) -> dict[str, Tensor]:
-    return {
-        name: Tensor(np.array(arr, copy=True), requires_grad=True)
-        for name, arr in ckpt.params.items()
-    }
+    """float32 copies of the parameters, for the untaped forward that
+    samples and scores; training keeps its own float64 tensors."""
+    return {name: Tensor(arr.astype(np.float32)) for name, arr in ckpt.params.items()}
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
@@ -371,7 +386,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
         config = config_from_dict(ModelConfig, raw_config)
         stats = config_from_dict(NormStats, payload["norm_stats"])
         raw_params = dict(payload["params"])
-        meta = dict(payload.get("meta", {}))
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError("meta must be a JSON object, got %r" % (meta,))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError("checkpoint %s has malformed fields: %s" % (path, exc))
     window_max = meta.get("window_max")  # read by the sampler

@@ -11,6 +11,12 @@ trajectories are denormalized on the way out.
 ``predictive_nll`` runs the same windowing teacher-forced: every day is
 predicted from the true observed history, which scores one-step-ahead
 density forecasts on a held-out stretch.
+
+Both run the model's forward in float32, on parameters that
+:func:`temporal_bc.model.tensors_from_checkpoint` casts once per forecaster;
+the checkpoint itself and training stay float64. A forecast's (mean, std)
+therefore differs from a float64 forward's at float32 rounding, while a
+sampled and a scored forecast of the same day and windows agree bit for bit.
 """
 
 from __future__ import annotations

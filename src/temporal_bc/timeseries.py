@@ -236,11 +236,22 @@ def write_json(path, payload) -> None:
 
 def read_json(path, error_cls):
     """Read a JSON file, raising ``error_cls`` naming ``path`` when it cannot
-    be opened or does not hold JSON text. Arrays or objects nested too deeply
-    for the parser's recursion count as not JSON."""
+    be opened, does not hold JSON text, or repeats a key within one object
+    (which the parser would otherwise resolve silently to the last value).
+    Arrays or objects nested too deeply for the parser's recursion count as
+    not JSON."""
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error_cls("%s repeats the key %r in one object" % (path, key))
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise error_cls("cannot open %s: %s" % (path, exc))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:

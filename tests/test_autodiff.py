@@ -230,6 +230,16 @@ def test_forward_values_are_float64(rng):
     assert (a + 1).data.dtype == np.float64
 
 
+def test_an_untaped_float32_tensor_stays_float32(rng):
+    a = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
+    w = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
+    b = Tensor(np.zeros(4, dtype=np.float32))
+    assert a.data.dtype == np.float32
+    out = ad.softplus(ad.mlp(a, w, b, Tensor(np.eye(4, dtype=np.float32)), b))
+    assert out.data.dtype == np.float32
+    assert ad.concat([a, a[:, :1]], axis=-1).data.dtype == np.float32
+
+
 def test_composite_expression_grad(rng):
     a = make(rng, 3, 5)
     b = make(rng, 5, 2)
@@ -311,6 +321,14 @@ def test_attention_fully_blocked_row_gives_zeros(rng):
     # with every row blocked, nothing flows either way
     for x in run(np.ones((n, n), dtype=bool)):
         assert np.all(x == 0.0)
+    # untaped float32, as sampling runs it: float32 out, exact zeros
+    q, k, v = [Tensor(x.astype(np.float32)) for x in qkv]
+    for rows in (blocked, np.ones((n, n), dtype=bool)):
+        bias = np.where(rows, ad.MASK_FILL, 0.0).astype(np.float32)
+        out = ad.attention(q, k, v, bias, 2).data
+        assert out.dtype == np.float32 and np.isfinite(out).all()
+        assert np.all(out[rows.all(axis=1)] == 0.0)
+        assert np.all(out[~rows.all(axis=1)] != 0.0)
 
 
 def test_attention_grad(rng):

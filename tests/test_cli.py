@@ -104,6 +104,11 @@ class TestSynth:
         assert env["numpy"] == np.__version__
         assert env["blas"]  # the BLAS name and version
         assert env["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        # the SIMD kernels of exp and tanh, None on NumPy before 2.0
+        assert "simd" in env
+        if env["simd"] is not None:
+            assert sorted(env["simd"]) == ["exp", "tanh"]
+            assert all(sorted(sigs) == ["dd", "ff"] for sigs in env["simd"].values())
         assert env["threads"]["OMP_NUM_THREADS"] is None
 
     def test_byte_identical_across_invocations(self, tmp_path):
@@ -250,6 +255,45 @@ class TestTrainSample:
         assert "'trian'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    def test_repeated_config_key_is_config_error(self, tmp_path, capsys, command):
+        # a JSON parser left to itself keeps the last "train" and runs 5 steps
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config = ModelConfig(**TINY_CONFIG["model"])
+        params = init_params(config, np.random.default_rng(0))
+        ckpt_path = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint_from_params(config, params, NormStats(15.0, 3.0)), ckpt_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"train": {"steps": 3}, "train": {"steps": 5}}')
+        out = tmp_path / "out"
+        argv = [
+            command, "--obs", obs_path, "--gcm", gcm_path,
+            "--out-dir", str(out), "--config", str(bad),
+        ]
+        if command == "sample":
+            argv += ["--checkpoint", str(ckpt_path)]
+        assert main(argv) == 2
+        assert "repeats the key 'train'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_checkpoint_key_is_data_error(self, tmp_path, capsys):
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config = ModelConfig(**TINY_CONFIG["model"])
+        params = init_params(config, np.random.default_rng(0))
+        ckpt_path = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint_from_params(config, params, NormStats(15.0, 3.0)), ckpt_path)
+        text = ckpt_path.read_text()
+        assert text.startswith("{") and '"meta"' in text
+        ckpt_path.write_text('{"meta": {"window_max": 5},' + text[1:])
+        out = tmp_path / "out"
+        code = main([
+            "sample", "--checkpoint", str(ckpt_path), "--obs", obs_path,
+            "--gcm", gcm_path, "--out-dir", str(out), "--horizon", "2",
+        ])
+        assert code == 3
+        assert "repeats the key 'meta'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section, bad",
         [
@@ -327,13 +371,14 @@ class TestTrainSample:
             lambda ckpt: ckpt["params"]["head.w1"]["data"].pop(),
             lambda ckpt: ckpt.update(params=5),
             lambda ckpt: ckpt.update(meta=5),
+            lambda ckpt: ckpt.update(meta=[["window_max", 5]]),
             lambda ckpt: ckpt["config"].update(n_heads=3),
             lambda ckpt: ckpt.update(config=[list(kv) for kv in ckpt["config"].items()]),
             lambda ckpt: ckpt["norm_stats"].update(std=True),
         ],
         ids=[
             "no-shape", "no-data", "non-numeric-data", "short-data", "params-5",
-            "meta-5", "invalid-config", "config-as-pairs", "norm-stats-bool",
+            "meta-5", "meta-as-pairs", "invalid-config", "config-as-pairs", "norm-stats-bool",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, damage):

@@ -438,6 +438,47 @@ class TestInferenceRows:
         assert calls == full + last
 
 
+class TestFloat32Forward:
+    """Sampling and scoring run the forward on float32 copies of the
+    checkpoint's parameters; training runs it in float64 under a tape."""
+
+    def test_checkpoint_tensors_are_untaped_float32_copies(self):
+        params = trained_like_params(seed=5)
+        ckpt = checkpoint_from_params(TINY, params, NormStats(0.0, 1.0))
+        tensors = tensors_from_checkpoint(ckpt)
+        assert sorted(tensors) == sorted(ckpt.params)
+        for name, t in tensors.items():
+            assert t.data.dtype == np.float32 and not t.requires_grad, name
+            assert np.array_equal(t.data, ckpt.params[name].astype(np.float32)), name
+            assert ckpt.params[name].dtype == np.float64, name
+
+    @pytest.mark.parametrize("geometry", ["paper-study", "default"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_matches_the_float64_taped_forward(self, geometry, n_layers):
+        config = replace(GEOMETRIES[geometry][0], n_layers=n_layers)
+        params = trained_like_params(seed=n_layers, config=config)
+        f32 = tensors_from_checkpoint(checkpoint_from_params(config, params, NormStats(0.0, 1.0)))
+        for ex in geometry_examples(geometry, n_batch=2):
+            emb = embed(ex, config)
+            with Tape():
+                mu_taped, sigma_taped = forward(params, emb, config)
+            mu, sigma = forward(f32, emb, config)
+            # a mean can cross zero, so its error is relative to the largest
+            # mean; a std is at least SIGMA_FLOOR, so its error is pointwise
+            scale = np.abs(mu_taped.data).max()
+            np.testing.assert_allclose(mu.data, mu_taped.data, rtol=0, atol=1e-5 * scale)
+            np.testing.assert_allclose(sigma.data, sigma_taped.data, rtol=1e-5, atol=0)
+
+    def test_a_taped_forward_refuses_float32_parameters(self):
+        params = trained_like_params(seed=4)
+        f32 = tensors_from_checkpoint(checkpoint_from_params(TINY, params, NormStats(0.0, 1.0)))
+        emb = embed(default_example(), TINY)
+        with Tape():
+            with pytest.raises(NumericError, match="float64"):
+                forward(f32, emb, TINY)
+            forward(params, emb, TINY)  # float64 still records
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(TINY, np.random.default_rng(13))
@@ -459,8 +500,8 @@ class TestCheckpoint:
     def test_round_trip_preserves_predictions(self, tmp_path):
         ex = default_example()
         params = trained_like_params(seed=17)
-        mu_a, sigma_a = forward(params, embed(ex, TINY), TINY)
         ckpt = checkpoint_from_params(TINY, params, NormStats(0.0, 1.0))
+        mu_a, sigma_a = forward(tensors_from_checkpoint(ckpt), embed(ex, TINY), TINY)
         save_checkpoint(ckpt, tmp_path / "c.json")
         back = load_checkpoint(tmp_path / "c.json")
         mu_b, sigma_b = forward(tensors_from_checkpoint(back), embed(ex, back.config), back.config)

@@ -39,6 +39,9 @@ OWNED = {
     "day-tolerance": r"\b1e-9\b",
     # cli._cmd_report's score_run: report is the one scoring command
     "score-call": re.escape("metrics.score("),
+    # model.tensors_from_checkpoint: sampling and scoring compute in float32,
+    # and the forecaster's parameters are cast there and nowhere else
+    "inference-dtype": r"\bnp\.float32\b|[\"']float32[\"']",
     # batching._slope: the finite-difference slope of every point feature
     "finite-difference-slope": re.escape("delta / np.where(dist != 0.0"),
 }

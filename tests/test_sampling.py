@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from temporal_bc import autodiff as ad
 from temporal_bc import sampling
 from temporal_bc.autodiff import Tensor
 from temporal_bc.batching import SERIES_GCM, SERIES_OBS
@@ -287,6 +288,25 @@ class TestPredictiveNll:
             (first,) = sample_trajectories(ckpt, ds, z, cfg)
             score = predictive_nll(ckpt, full, z, start_t=100.0, n_days=3, config=cfg)
             assert first.values[0] == score.means[0]
+
+
+def test_sampling_and_scoring_compute_in_float32(monkeypatch):
+    ds = make_dataset(n_obs=120)
+    ckpt = value_sensitive_checkpoint(ds)
+    seen = []
+    real = ad.attention
+
+    def spy(q, k, v, bias, n_heads):
+        out = real(q, k, v, bias, n_heads)
+        seen.append({q.data.dtype, k.data.dtype, v.data.dtype, bias.dtype, out.data.dtype})
+        return out
+
+    monkeypatch.setattr(ad, "attention", spy)
+    sample_trajectories(ckpt, ds, 0, SamplerConfig(horizon=2, n_trajectories=2))
+    predictive_nll(ckpt, ds, 0, start_t=100.0, n_days=2)
+    # one main and one auxiliary attention per layer, per forecast day
+    assert seen == [{np.dtype(np.float32)}] * (2 * TINY.n_layers * (2 * 2 + 2))
+    assert all(arr.dtype == np.float64 for arr in ckpt.params.values())
 
 
 class TestTrainedWindowWarning:

@@ -245,8 +245,11 @@ class TestReadJson:
             (b"not json {", "not valid JSON"),
             (b"\xff{}", "not valid JSON"),
             (b"[" * 100_000, "not valid JSON"),  # deeper than the parser recurses
+            (b'{"train": {"steps": 3}, "train": {"steps": 5}}', "repeats the key 'train'"),
+            (b'{"sampler": {"horizon": 2, "horizon": 9}}', "repeats the key 'horizon'"),
         ],
-        ids=["missing", "not-json", "not-utf8", "too-deep"],
+        ids=["missing", "not-json", "not-utf8", "too-deep", "repeated-section",
+             "repeated-field"],
     )
     def test_read_failures_raise_the_given_error(self, tmp_path, content, message):
         path = tmp_path / "config.json"
