@@ -10,13 +10,16 @@ range, and whether it is worse than the base's by more than the metric's
 relative ``bound`` in ``BENCHMARK.json``. That last verdict reads
 "unresolved" instead of "no" where the base's interquartile range,
 relative to its median, is wider than the bound and not every change run
-beats every base run. Every timed metric is printed a second time
-unscaled, from the ``notes`` of each run's
+beats every base run. A metric that reads one value on every base run
+(``heldout_nll`` does, at a fixed thread count) also says whether every
+change run reads exactly that value. Every timed metric is printed a
+second time unscaled, from the ``notes`` of each run's
 ``.perfbench/results/*.json``: the scaled figures divide by a reference
 kernel's speed in the same process, and that kernel's speed can differ
 between the two checkouts' processes. The last line names every median,
-scaled or unscaled, that is worse beyond its bound, and every one that is
-unresolved.
+scaled or unscaled, that is worse beyond its bound, every one that is
+unresolved, and every one-valued metric that a change run does not read
+exactly.
 
 Run from the repository root, with both checkouts holding ``perfbench/``:
 
@@ -117,6 +120,18 @@ def summarise(name: str, better: str, bound: float, base: list, change: list) ->
     return verdict
 
 
+def same_value(base: list, change: list, seeds: list) -> bool | None:
+    """If every base run reads one value, print whether every change run
+    reads exactly it, naming the seeds that do not, and return that; else
+    return None."""
+    if len(set(base)) != 1:
+        return None
+    off = ["%d: %r" % (seed, c) for seed, c in zip(seeds, change) if c != base[0]]
+    print("  every base run reads %r; every change run too: %s"
+          % (base[0], "no (%s)" % ", ".join(off) if off else "yes"))  # fmt: skip
+    return not off
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -142,9 +157,12 @@ def main(argv=None) -> int:
           % (args.workload, args.seeds, args.seconds))  # fmt: skip
     print("# every run correct: base %s, change %s" % (ok["base"], ok["change"]))
     verdicts = {"YES": [], "unresolved": [], "no": []}
+    moved = []
     for m in metrics:
-        verdict = summarise(m["name"], m["better"], m["bound"], *series("metrics", m["name"]))
-        verdicts[verdict].append(m["name"])
+        values = series("metrics", m["name"])
+        verdicts[summarise(m["name"], m["better"], m["bound"], *values)].append(m["name"])
+        if same_value(*values, [r["seed"] for r in runs["change"]]) is False:
+            moved.append(m["name"])
     print("# unscaled CPU time (run.py notes)")
     for m in metrics:
         name = m["name"] + " unscaled"
@@ -156,9 +174,11 @@ def main(argv=None) -> int:
         for b, c in zip(runs["base"], runs["change"])
     ))  # fmt: skip
     print("# medians worse than the base's beyond their bound: %s; unresolved "
-          "(base spread wider than the bound): %s"
+          "(base spread wider than the bound): %s; one value on every base run "
+          "but not on every change run: %s"
           % (", ".join(verdicts["YES"]) or "none",
-             ", ".join(verdicts["unresolved"]) or "none"))  # fmt: skip
+             ", ".join(verdicts["unresolved"]) or "none",
+             ", ".join(moved) or "none"))  # fmt: skip
     return 0 if all(ok.values()) else 1
 
 

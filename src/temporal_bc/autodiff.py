@@ -405,7 +405,9 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     return _record(out, (logits,), backward_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -> Tensor:
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int, skip: int = 0
+) -> Tensor:
     """Multi-head dot-product attention as one op.
 
     ``q`` is (n, d) and ``k`` and ``v`` are (m, d), split into ``n_heads``
@@ -415,6 +417,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -
     a query may attend to a key and ``MASK_FILL`` where it may not. Blocked
     positions get weight exactly 0.0, and a row with every position blocked
     yields zeros rather than NaN.
+
+    ``skip`` counts leading query rows that nothing reads. Their output rows
+    are exactly zero and their upstream gradient is ignored; the other rows'
+    outputs and the q, k and v gradients are bit-equal to those of
+    ``skip=0`` whenever that gradient is zero on the skipped rows. Only the
+    elementwise softmax work (bias, max, exp, sums, divide and their
+    backward) shrinks to the read rows: every product keeps its full shape,
+    and the skipped rows of the weights and of their gradient are zeros,
+    which add nothing to any sum. A row-subset product would take another
+    BLAS route (gemm instead of syrk when q is k, gemv for one row) and
+    round differently.
 
     Output and gradients are equal, bit for bit, to the per-head composition
     of :func:`index`, :func:`transpose_last_two`, :func:`matmul`,
@@ -435,21 +448,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -
         )
     if n_heads < 1 or d % n_heads:
         raise NumericError("attention width %d does not split into %d heads" % (d, n_heads))
+    if not 0 <= skip <= q.shape[0]:
+        raise NumericError("attention cannot skip %d of %d query rows" % (skip, q.shape[0]))
     width = d // n_heads
     heads = [slice(h * width, (h + 1) * width) for h in range(n_heads)]
     out = np.empty((q.shape[0], d), dtype=q.data.dtype)
     weights = []
     for c in heads:
         w = q.data[:, c] @ k.data[:, c].T
-        w += bias
-        top = w.max(axis=-1, keepdims=True)
+        w[:skip] = 0.0
+        read = w[skip:]
+        read += bias[skip:]
+        top = read.max(axis=-1, keepdims=True)
         # in a row with every position blocked, top is about MASK_FILL; the
         # floor makes that row's exponents exp(MASK_FILL / 2) = 0 too
         np.maximum(top, 0.5 * MASK_FILL, out=top)
-        w -= top
-        np.exp(w, out=w)
-        denom = w.sum(axis=-1, keepdims=True)
-        w /= np.where(denom == 0.0, 1.0, denom)
+        read -= top
+        np.exp(read, out=read)
+        denom = read.sum(axis=-1, keepdims=True)
+        read /= np.where(denom == 0.0, 1.0, denom)
         out[:, c] = w @ v.data[:, c]
         weights.append(w)
 
@@ -459,8 +476,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -
             gh = g[:, c]
             gv[:, c] += w.T @ gh
             gw = gh @ v.data[:, c].T
-            gw -= (gw * w).sum(axis=-1, keepdims=True)
-            gw *= w
+            gw[:skip] = 0.0
+            read, w_read = gw[skip:], w[skip:]
+            read -= (read * w_read).sum(axis=-1, keepdims=True)
+            read *= w_read
             gk[:, c] += (q.data[:, c].T @ gw).T
             gq[:, c] += gw @ k.data[:, c]
         # v, then k, then q: the order in which the composition's sweep adds

@@ -33,10 +33,12 @@ layer starts at zero, so an untrained model predicts exactly that nearest
 value.
 
 The head reads the target rows only. A forward that records a tape
-(training) still computes every row of every layer, so training's rounding
-stays that of the full computation. A forward with no tape (sampling,
-held-out scoring, validation) runs the last layer of each stack on the
-target queries alone, against the keys and values of every point.
+(training) passes every query row to every layer, and every product keeps
+its full shape, so training's rounding stays that of the full computation;
+only the last layer's softmax, on each stack, skips the conditioning rows
+that nothing reads. A forward with no tape (sampling, held-out scoring,
+validation) runs the last layer of each stack on the target queries alone,
+against the keys and values of every point.
 
 The forward computes in its parameters' dtype. Training and validation pass
 float64 parameters, and a taped forward refuses any other. Sampling and
@@ -247,24 +249,28 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     )
     xv_in = values[:, None]
 
-    allowed = np.zeros((n, n), dtype=bool)
-    allowed[:, :n_cond] = True
-    allowed[n_cond:, n_cond:] = np.tril(np.ones((n_tgt, n_tgt), dtype=bool), -1)
+    # conditioning points see each other; a target sees them and the
+    # targets strictly before it
+    blocked = np.ones((n, n), dtype=bool)
+    blocked[:, :n_cond] = False
+    blocked[n_cond:, n_cond:] = np.triu(blocked[n_cond:, n_cond:])
     return EmbeddedExample(
         q_in=q_in,
         kv_in=kv_in,
         xqk_in=xqk_in,
         xv_in=xv_in,
-        blocked=~allowed,
+        blocked=blocked,
         n_conditioning=n_cond,
         n_targets=n_tgt,
         anchors=f.closest_value[n_cond:][:, None].copy(),
     )
 
 
-def _attention_layer(q, k, v, bias, params, prefix, config) -> Tensor:
-    """Head-split dot-product attention followed by the layer's output map."""
-    return _mlp(ad.attention(q, k, v, bias, config.n_heads), params, prefix)
+def _attention_layer(q, k, v, bias, skip, params, prefix, config) -> Tensor:
+    """Head-split dot-product attention followed by the layer's output map;
+    the first ``skip`` query rows are read by nothing (see
+    :func:`temporal_bc.autodiff.attention`)."""
+    return _mlp(ad.attention(q, k, v, bias, config.n_heads, skip), params, prefix)
 
 
 def forward(
@@ -272,11 +278,13 @@ def forward(
 ) -> tuple[Tensor, Tensor]:
     """Per-target (mu, sigma), each of shape (n_targets, 1).
 
-    While a tape records, every layer computes every row, as training's
-    gradients need, and the parameters must be float64. With no tape the
-    head's rows are all that is read, so the last layer of each stack
-    computes the target rows alone; keys and values keep every row. The
-    embedded inputs and the mask bias take the parameters' dtype.
+    The head reads the target rows only. While a tape records, the
+    parameters must be float64 and every layer takes every query row, so
+    that every product keeps the full computation's shape and rounding; the
+    last layer of each stack runs its softmax on the target rows alone and
+    leaves the conditioning rows zero. With no tape the last layer of each
+    stack takes the target queries alone; keys and values keep every row.
+    The embedded inputs and the mask bias take the parameters' dtype.
     """
     if emb.n_targets == 0:
         raise DataError("example has no targets")
@@ -284,8 +292,10 @@ def forward(
     if ad.recording() and dtype != np.float64:
         raise NumericError("a taped forward needs float64 parameters, got %s" % dtype)
     cut = 0 if ad.recording() else emb.n_conditioning
-    # one mask bias for every layer; it and the inputs take the parameters' dtype
-    bias = np.where(emb.blocked, dtype.type(ad.MASK_FILL), dtype.type(0.0))
+    # one mask bias for every layer; it and the inputs take the parameters'
+    # dtype. Allowed cells are -0.0, which leaves every logit's value as +0.0
+    # would (a -0.0 logit keeps its sign, and its exponent is 1 either way)
+    bias = emb.blocked * dtype.type(ad.MASK_FILL)
     q_in, kv_in, xqk_in, xv_in = (
         Tensor(x.astype(dtype, copy=False))
         for x in (emb.q_in, emb.kv_in, emb.xqk_in, emb.xv_in)
@@ -301,14 +311,20 @@ def forward(
         if layer > 0:
             q = k = v = out
             xq = xk = xout
-        if layer == config.n_layers - 1 and cut:
+        last = layer == config.n_layers - 1
+        if last and cut:
             q, xq, bias = q[cut:], xq[cut:], bias[cut:]
-        out = _attention_layer(q, k, v, bias, params, "layer%d.out" % layer, config)
+        # the head reads the target rows only: untaped, the last layer's
+        # queries are cut to them; taped, its softmax skips the rest
+        skip = emb.n_conditioning - cut if last else 0
+        out = _attention_layer(
+            q, k, v, bias, skip, params, "layer%d.out" % layer, config
+        )
         xout = _attention_layer(
-            xq, xk, xv, bias, params, "layer%d.xout" % layer, config
+            xq, xk, xv, bias, skip, params, "layer%d.xout" % layer, config
         )
 
-    if not cut:  # every row was computed; the head reads the targets'
+    if not cut:  # taped: the head reads the target rows of the full output
         out, xout = out[emb.n_conditioning :], xout[emb.n_conditioning :]
     raw = _mlp(ad.concat([out, xout], axis=-1), params, "head")
     mu = raw[:, 0:1] + Tensor(emb.anchors)

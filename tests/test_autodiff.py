@@ -341,12 +341,82 @@ def test_attention_grad(rng):
     assert report.passed
 
 
+def _skip_case(seed, sharing):
+    """Random attention inputs: q, k, v data, bias, heads and skip counts.
+
+    When q and k have one length, the mask is the model's for ``skips[0]``
+    conditioning rows: later rows see the conditioning keys and strictly
+    earlier keys only. Scattered extra blocks follow, and one row with every
+    key blocked, which the smallest skip reads and the largest does not.
+    """
+    rng = np.random.default_rng(seed)
+    n_heads = int(rng.integers(1, 4))
+    d = n_heads * int(rng.integers(1, 9))
+    n = int(rng.integers(3, 90))
+    m = n if sharing != "distinct" else int(rng.integers(1, 90))
+    data = [rng.standard_normal(shape) for shape in ((n, d), (m, d), (m, d))]
+    if sharing == "q_is_k":
+        data[1] = data[0]
+    elif sharing == "q_is_k_is_v":
+        data[1] = data[2] = data[0]
+    skips = sorted({1, int(rng.integers(1, n - 1)), n - 1})
+    blocked = rng.random((n, m)) < 0.3
+    if m == n:
+        cond = skips[0]
+        blocked[:, :cond] = False
+        blocked[cond:, cond:] |= np.triu(np.ones((n - cond, n - cond), dtype=bool))
+    blocked[int(rng.integers(1, n - 1))] = True
+    return data, np.where(blocked, ad.MASK_FILL, 0.0), n_heads, skips
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("sharing", ["distinct", "q_is_k", "q_is_k_is_v"])
+def test_attention_skip_leaves_read_rows_and_gradients_bit_for_bit(seed, sharing):
+    data, bias, n_heads, skips = _skip_case(seed, sharing)
+    n, d = data[0].shape
+    downstream = np.random.default_rng(seed + 50).standard_normal((n, d))
+
+    def run(skip, downstream):
+        leaves = {}
+        inputs = [leaves.setdefault(id(x), Tensor(x)) for x in data]
+        return _value_and_grads(
+            lambda q, k, v: ad.attention(q, k, v, bias, n_heads, skip), inputs, downstream
+        )
+
+    assert (bias[1:] == ad.MASK_FILL).all(axis=1).any()
+    for skip in skips:
+        read = downstream.copy()
+        read[:skip] = 0.0
+        full_out, *full_grads = run(0, read)
+        # the skipped rows' upstream gradient is ignored, so any will do
+        out, *grads = run(skip, downstream)
+        assert np.all(out[:skip] == 0.0), skip
+        assert np.array_equal(out[skip:], full_out[skip:]), skip
+        for got, want in zip(grads, full_grads):
+            assert np.array_equal(got, want), skip
+
+
+def test_attention_grad_with_skipped_rows(rng):
+    blocked = rng.random((5, 5)) < 0.3
+    blocked[:, 0] = False
+    bias = np.where(blocked, ad.MASK_FILL, 0.0)
+    q, k, v = make(rng, 5, 6), make(rng, 5, 6), make(rng, 5, 6)
+    w = Tensor(rng.standard_normal((5, 6)))
+    report = gradcheck(
+        lambda x, y, z: (ad.attention(x, y, z, bias, 2, 3) * w).sum(), [q, k, v]
+    )
+    assert report.passed
+    assert all(np.any(t.grad != 0.0) for t in (q, k, v))
+
+
 def test_attention_shape_errors(rng):
     bias = np.zeros((3, 3))
     with pytest.raises(NumericError, match="heads"):
         ad.attention(make(rng, 3, 4), make(rng, 3, 4), make(rng, 3, 4), bias, 3)
     with pytest.raises(NumericError, match="mismatch"):
         ad.attention(make(rng, 3, 4), make(rng, 3, 4), make(rng, 3, 4), np.zeros((3, 2)), 2)
+    with pytest.raises(NumericError, match="skip"):
+        ad.attention(make(rng, 3, 4), make(rng, 3, 4), make(rng, 3, 4), bias, 2, 4)
 
 
 def _mlp_by_ops(x, w1, b1, w2, b2):
@@ -467,8 +537,9 @@ def test_training_step_frees_its_graph_without_the_cycle_collector(monkeypatch):
     assert stale == 0, "%d tape nodes kept a rule, parents or gradient" % stale
     assert alive == 0, "%d tape nodes outlived the step" % alive
 
-    # the per-head composition the fused op replaced gives the same gradients
-    def attention_by_heads(q, k, v, bias, params, prefix, config):
+    # the per-head composition the fused op replaced gives the same gradients,
+    # though it computes the rows the fused op skips
+    def attention_by_heads(q, k, v, bias, skip, params, prefix, config):
         out = _attention_by_heads(q, k, v, bias == ad.MASK_FILL, config.n_heads)
         return model._mlp(out, params, prefix)
 

@@ -70,5 +70,42 @@ def test_last_line_names_worse_and_unresolved_medians(
     assert code == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
         "# medians worse than the base's beyond their bound: worse, worse unscaled; "
-        "unresolved (base spread wider than the bound): noisy, noisy unscaled"
+        "unresolved (base spread wider than the bound): noisy, noisy unscaled; "
+        "one value on every base run but not on every change run: none"
+    )
+
+
+def test_one_valued_base_metrics_say_whether_each_change_run_reads_that_value(
+    bench_pairs, tmp_path, monkeypatch, capsys
+):
+    spec = {"end_to_end": [
+        {"name": name, "better": "lower", "bound": 0.01}
+        for name in ("kept", "moved", "varied")
+    ]}  # fmt: skip
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    nll = 0.4995652270362872
+    moved = [nll] * 10
+    moved[3] = nll + 2**-53  # one change run off by the last bit, seed 4
+    base = {"kept": [nll] * 10, "moved": [nll] * 10, "varied": TIGHT}
+    change = {"kept": [nll] * 10, "moved": moved, "varied": TIGHT}
+
+    def run_once(checkout, workload, seed, seconds):
+        side = base if checkout == tmp_path / "base" else change
+        values = {name: side[name][seed - 1] for name in side}
+        return {"correct": True, "failed": 0, "metrics": values, "unscaled": {},
+                "reference": "ref"}  # fmt: skip
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    bench_pairs.main([
+        "--base", str(tmp_path / "base"), "--change", str(tmp_path),
+        "--workload", "w", "--seeds", "1-10",
+    ])  # fmt: skip
+    lines = capsys.readouterr().out.splitlines()
+    said = [line for line in lines if "every base run reads" in line]
+    assert said == [
+        "  every base run reads %r; every change run too: yes" % nll,
+        "  every base run reads %r; every change run too: no (4: %r)" % (nll, moved[3]),
+    ]
+    assert lines[-1].endswith(
+        "; one value on every base run but not on every change run: moved"
     )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from temporal_bc import autodiff as ad
-from temporal_bc.autodiff import Tape, Tensor
-from temporal_bc import sampling
+from temporal_bc.autodiff import Tape, Tensor, backward
+from temporal_bc import sampling, training
 from temporal_bc.batching import (
     SERIES_GCM,
     SERIES_OBS,
@@ -423,19 +423,55 @@ class TestInferenceRows:
         calls = []
         real = ad.attention
 
-        def spy(q, k, v, bias, n_heads):
-            calls.append((q.shape[0], k.shape[0], v.shape[0], bias.shape))
-            return real(q, k, v, bias, n_heads)
+        def spy(q, k, v, bias, n_heads, skip):
+            calls.append((q.shape[0], k.shape[0], v.shape[0], bias.shape, skip))
+            return real(q, k, v, bias, n_heads, skip)
 
         monkeypatch.setattr(ad, "attention", spy)
+        full = [(n, n, n, (n, n), 0)] * (2 * (n_layers - 1))
+        # taped, the last layer takes every row and skips the conditioning ones
         with Tape():
             forward(params, emb, config)
-        assert calls == [(n, n, n, (n, n))] * (2 * n_layers)
+        assert calls == full + [(n, n, n, (n, n), emb.n_conditioning)] * 2
         del calls[:]
         forward(params, emb, config)
-        full = [(n, n, n, (n, n))] * (2 * (n_layers - 1))
-        last = [(ex.n_tgt, n, n, (ex.n_tgt, n))] * 2
+        last = [(ex.n_tgt, n, n, (ex.n_tgt, n), 0)] * 2
         assert calls == full + last
+
+
+class TestTapedRows:
+    """Under a tape the last layer's softmax skips the conditioning rows;
+    training's loss and gradients stay those of every row computed."""
+
+    @pytest.mark.parametrize("geometry", ["paper-study", "default"])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_batch_loss_and_gradients_equal_every_row_bit_for_bit(
+        self, monkeypatch, geometry, n_layers
+    ):
+        config = replace(GEOMETRIES[geometry][0], n_layers=n_layers)
+        batch = geometry_examples(geometry)[:-1]
+        assert all(ex.n_points > ex.n_tgt > 0 for ex in batch)
+        real = ad.attention
+
+        def step():
+            params = trained_like_params(seed=n_layers, config=config)
+            for p in params.values():
+                p.requires_grad = True
+            with Tape():
+                loss = training._batch_loss(params, batch, config)
+                backward(loss)
+            return loss.data, {name: p.grad for name, p in params.items()}
+
+        loss, grads = step()
+        monkeypatch.setattr(
+            ad, "attention", lambda q, k, v, bias, n_heads, skip: real(q, k, v, bias, n_heads)
+        )
+        every_row_loss, every_row_grads = step()
+        assert np.array_equal(loss, every_row_loss)
+        assert grads.keys() == every_row_grads.keys()
+        for name, grad in grads.items():
+            assert np.any(grad != 0.0), name
+            assert np.array_equal(grad, every_row_grads[name]), name
 
 
 class TestFloat32Forward:

@@ -296,8 +296,8 @@ def test_sampling_and_scoring_compute_in_float32(monkeypatch):
     seen = []
     real = ad.attention
 
-    def spy(q, k, v, bias, n_heads):
-        out = real(q, k, v, bias, n_heads)
+    def spy(q, k, v, bias, n_heads, skip):
+        out = real(q, k, v, bias, n_heads, skip)
         seen.append({q.data.dtype, k.data.dtype, v.data.dtype, bias.dtype, out.data.dtype})
         return out
 
