@@ -1,0 +1,123 @@
+"""Byte-compare the paper-study recipe's output files from two checkouts.
+
+Runs the ``PaperStudy`` workload of ``perfbench/workloads.py`` (train,
+sample, four baselines, report, then teacher-forced scoring) once from a
+base checkout and once from a changed checkout, each in its own process
+with every BLAS thread count pinned to 1 and sampler seed 1. Then it
+compares every file the two runs wrote, byte for byte: the set-up's inputs,
+the checkpoints, ``metrics.csv``, ``samples.csv``, every ``corrected.csv``
+and every report file, plus ``heldout_nll.txt``, the ``repr`` of the scored
+held-out NLL. A ``manifest.json`` records the paths of its inputs, which
+name the run's own directory, so that directory is masked in both
+manifests before they are compared.
+
+Run from the repository root, with both checkouts holding ``perfbench/``:
+
+    python scripts/same_artefacts.py --base ../parent --change .
+
+It prints each file that differs or exists on one side only. The exit code
+is 1 if any does, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# run in a child process whose import path holds one checkout's src/ and
+# perfbench/; argv[1] is the directory the run writes everything under
+RECIPE = """
+import os, sys
+from tracing import Marks
+from workloads import PaperStudy
+root = sys.argv[1]
+work, out = os.path.join(root, "setup"), os.path.join(root, "out")
+os.makedirs(work)
+os.makedirs(out)
+study = PaperStudy()
+p = study.run(study.setup(work), out, Marks(lambda: None, 1.0), seed=1, scale=1.0)
+with open(os.path.join(root, "heldout_nll.txt"), "w", encoding="utf-8") as handle:
+    handle.write(repr(p.heldout_nll) + "\\n")
+for name, ok in p.checks.items():
+    print("%s: %s" % ("passed" if ok else "FAILED", name))
+"""
+# the thread counts perfbench/run.py pins
+THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+MASK = b"<run>"
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, type=Path, help="checkout compared against")
+    p.add_argument("--change", required=True, type=Path, help="checkout under test")
+    return p.parse_args(argv)
+
+
+def run_recipe(checkout: Path, root: Path) -> None:
+    """Run the recipe from ``checkout``, writing under ``root``."""
+    checkout = checkout.resolve()
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(str(checkout / d) for d in ("src", "perfbench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", RECIPE, str(root)],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )  # fmt: skip
+    if proc.returncode != 0:
+        raise SystemExit("%s: the recipe failed\n%s" % (checkout, proc.stderr))
+    print("%s: %s" % (checkout, proc.stdout.strip().replace("\n", "; ")))
+
+
+def _masked(path: Path, root: Path) -> bytes:
+    return path.read_bytes().replace(os.fsencode(root), MASK)
+
+
+def differing_files(base: Path, change: Path) -> list[str]:
+    """Relative paths of the files under ``base`` and ``change`` that differ
+    or exist under one only; ``manifest.json`` files are compared with each
+    side's root directory masked."""
+    sides = [
+        {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+        for root in (base, change)
+    ]
+    differ = []
+    for rel in sorted(sides[0] | sides[1]):
+        a, b = base / rel, change / rel
+        if rel not in sides[0] or rel not in sides[1]:
+            same = False
+        elif a.name == "manifest.json":
+            same = _masked(a, base) == _masked(b, change)
+        else:
+            same = filecmp.cmp(a, b, shallow=False)
+        if not same:
+            differ.append(rel)
+    return differ
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = {side: Path(tmp) / side for side in ("base", "change")}
+        run_recipe(args.base, roots["base"])
+        run_recipe(args.change, roots["change"])
+        n_files = sum(1 for p in roots["base"].rglob("*") if p.is_file())
+        differ = differing_files(roots["base"], roots["change"])
+    for rel in differ:
+        print("differs: %s" % rel)
+    print("%d of %d files differ" % (len(differ), n_files))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -242,7 +242,7 @@ def index(a: Tensor, key) -> Tensor:
     basic = _is_basic_key(key)
 
     def backward_fn(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(a.data.shape, a.data.dtype)
         if basic:
             buf[key] += g
         else:
@@ -322,26 +322,40 @@ def tanh(a: Tensor) -> Tensor:
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """The two-layer perceptron ``tanh(x @ w1 + b1) @ w2 + b2`` as one op.
 
-    Output and gradients are equal, bit for bit, to the composition of
-    :func:`matmul`, :func:`add`, :func:`tanh`, :func:`matmul` and :func:`add`:
-    the rule evaluates the same expressions in the order that composition's
-    backward sweep does. It records one tape node where the composition
-    records five, keeps only the hidden activations, and skips ``x``'s
-    product when ``x`` needs no gradient.
+    ``x``, ``w1`` and ``w2`` are 2-D and the biases 1-D. Output and
+    gradients are equal, bit for bit, to the composition of :func:`matmul`,
+    :func:`add`, :func:`tanh`, :func:`matmul` and :func:`add`: the rule
+    evaluates the same expressions in the order that composition's backward
+    sweep does, and an in-place add or ``tanh`` rounds as the out-of-place
+    one does. It records one tape node where the composition records five,
+    keeps only the hidden activations, and skips ``x``'s product when ``x``
+    needs no gradient.
     """
-    y = np.tanh(np.matmul(x.data, w1.data) + b1.data)
-    out = Tensor(np.matmul(y, w2.data) + b2.data)
+    if (x.ndim, w1.ndim, b1.ndim, w2.ndim, b2.ndim) != (2, 2, 1, 2, 1):
+        raise NumericError(
+            "mlp needs 2-D x, w1, w2 and 1-D b1, b2, got shapes %r"
+            % ([t.shape for t in (x, w1, b1, w2, b2)],)
+        )
+    y = x.data @ w1.data
+    y += b1.data
+    np.tanh(y, out=y)
+    out = y @ w2.data
+    out += b2.data
 
     def backward_fn(g):
-        _accumulate(b2, _unbroadcast(g, b2.shape))
-        _accumulate(w2, _unbroadcast(np.matmul(np.swapaxes(y, -1, -2), g), w2.shape))
-        g = np.matmul(g, np.swapaxes(w2.data, -1, -2)) * (1.0 - y**2)
-        _accumulate(b1, _unbroadcast(g, b1.shape))
+        # g may be another node's gradient too, so it is never written; y is,
+        # once its last reader is done, because a sweep runs the rule once
+        _accumulate(b2, g.sum(axis=0))
+        _accumulate(w2, y.T @ g)
+        g = g @ w2.data.T
+        np.subtract(1.0, np.square(y, out=y), out=y)
+        g *= y
+        _accumulate(b1, g.sum(axis=0))
         if x.requires_grad:
-            _accumulate(x, _unbroadcast(np.matmul(g, np.swapaxes(w1.data, -1, -2)), x.shape))
-        _accumulate(w1, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w1.shape))
+            _accumulate(x, g @ w1.data.T)
+        _accumulate(w1, x.data.T @ g)
 
-    return _record(out, (x, w1, b1, w2, b2), backward_fn)
+    return _record(Tensor(out), (x, w1, b1, w2, b2), backward_fn)
 
 
 def gaussian_nll(mu: Tensor, sigma: Tensor, y: np.ndarray, offset: float) -> Tensor:
@@ -456,7 +470,8 @@ def attention(
     weights = []
     for c in heads:
         w = q.data[:, c] @ k.data[:, c].T
-        w[:skip] = 0.0
+        if skip:
+            w[:skip] = 0.0
         read = w[skip:]
         read += bias[skip:]
         top = read.max(axis=-1, keepdims=True)
@@ -465,18 +480,22 @@ def attention(
         np.maximum(top, 0.5 * MASK_FILL, out=top)
         read -= top
         np.exp(read, out=read)
+        # a row's largest exponent is exp(0) = 1 unless every position is
+        # blocked, so the floor only turns a blocked row's 0 into 1 (and
+        # passes NaN on)
         denom = read.sum(axis=-1, keepdims=True)
-        read /= np.where(denom == 0.0, 1.0, denom)
+        read /= np.maximum(denom, 1.0, out=denom)
         out[:, c] = w @ v.data[:, c]
         weights.append(w)
 
     def backward_fn(g):
-        gq, gk, gv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
+        gq, gk, gv = (np.zeros(t.data.shape, t.data.dtype) for t in (q, k, v))
         for c, w in zip(reversed(heads), reversed(weights)):
             gh = g[:, c]
             gv[:, c] += w.T @ gh
             gw = gh @ v.data[:, c].T
-            gw[:skip] = 0.0
+            if skip:
+                gw[:skip] = 0.0
             read, w_read = gw[skip:], w[skip:]
             read -= (read * w_read).sum(axis=-1, keepdims=True)
             read *= w_read

@@ -197,12 +197,12 @@ class EmbeddedExample:
 def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     """Assemble per-point input vectors plus the attention mask.
 
-    Key/value inputs concatenate positional features, the series one-hot,
-    (delta, dist, deriv, closest_value) and the neighbour's positional
-    features, each positional block ``config.feature_dim`` wide. Query
-    inputs are identical except the value-bearing slots (delta and deriv)
-    are zeroed: a query may know where it sits and where its anchor sits,
-    but not what value it carries.
+    Key/value inputs hold, side by side, positional features, the series
+    one-hot, (delta, dist, deriv, closest_value), the neighbour's positional
+    features and the one-hot again, each positional block
+    ``config.feature_dim`` wide. Query inputs are identical except the
+    value-bearing slots (delta and deriv) are zeroed: a query may know where
+    it sits and where its anchor sits, but not what value it carries.
     """
     f = example.features
     if f is None:
@@ -212,34 +212,23 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     # the features (elementwise in t) are evaluated once per distinct time
     distinct = np.unique(np.concatenate([times, f.closest_t]))
     enc = positional_features(distinct, config.feature_dim)
-    pos_enc = enc[np.searchsorted(distinct, times)]
-    closest_pos_enc = enc[np.searchsorted(distinct, f.closest_t)]
     n = len(f.series_id)
     n_tgt = example.n_tgt
     n_cond = n - n_tgt
-    onehot = np.zeros((n, len(_SERIES_CODES)))
-    for slot, code in enumerate(_SERIES_CODES):
-        onehot[f.series_id == code, slot] = 1.0
-
-    def stack(delta, deriv):
-        # the neighbour n(i) is always same-series, so it reuses the one-hot
-        return np.concatenate(
-            [
-                pos_enc,
-                onehot,
-                delta[:, None],
-                f.dist[:, None],
-                deriv[:, None],
-                f.closest_value[:, None],
-                closest_pos_enc,
-                onehot,
-            ],
-            axis=1,
-        )
-
-    kv_in = stack(f.delta, f.deriv)
-    q_in = stack(np.zeros(n), np.zeros(n))
-    xqk_in = np.concatenate([pos_enc, onehot], axis=1)
+    d = config.feature_dim
+    # the neighbour n(i) is always same-series, so it reuses the one-hot
+    kv_in = np.empty((n, config.qkv_in_dim))
+    kv_in[:, :d] = enc[np.searchsorted(distinct, times)]
+    kv_in[:, d : d + 2] = f.series_id[:, None] == _SERIES_CODES
+    kv_in[:, d + 2] = f.delta
+    kv_in[:, d + 3] = f.dist
+    kv_in[:, d + 4] = f.deriv
+    kv_in[:, d + 5] = f.closest_value
+    kv_in[:, d + 6 : 2 * d + 6] = enc[np.searchsorted(distinct, f.closest_t)]
+    kv_in[:, 2 * d + 6 :] = kv_in[:, d : d + 2]
+    q_in = kv_in.copy()
+    q_in[:, d + 2 : d + 5 : 2] = 0.0  # delta and deriv
+    xqk_in = kv_in[:, : d + 2].copy()
     values = np.concatenate(
         [
             example.ctx_gcm_v,

@@ -142,12 +142,14 @@ def _forecaster(
     params = tf_model.tensors_from_checkpoint(ckpt)
 
     def forecast(hist_t, hist_v, tau: float) -> tuple[float, float]:
-        sel = (gcm_t >= tau - config.gcm_past) & (gcm_t < tau + config.gcm_future)
+        # gcm_t is strictly increasing, so the window is the slice of days
+        # in [tau - gcm_past, tau + gcm_future)
+        lo, hi = np.searchsorted(gcm_t, (tau - config.gcm_past, tau + config.gcm_future))
         example = build_inference_example(
             hist_t[-config.obs_window :],
             hist_v[-config.obs_window :],
-            gcm_t[sel],
-            gcm_v[sel],
+            gcm_t[lo:hi],
+            gcm_v[lo:hi],
             tau,
         )
         return _predict_one(params, example, ckpt.config)
@@ -253,9 +255,10 @@ def predictive_nll(
     means = np.empty(n_days)
     stds = np.empty(n_days)
     nll = np.empty(n_days)
+    # obs_t is strictly increasing, so each day's past is a prefix
+    n_past = np.searchsorted(obs_t, times)
     for i, tau in enumerate(times):
-        past = obs_t < tau
-        m_norm, s_norm = forecast(obs_t[past], obs_v[past], float(tau))
+        m_norm, s_norm = forecast(obs_t[: n_past[i]], obs_v[: n_past[i]], float(tau))
         means[i] = stats.from_z(m_norm)
         stds[i] = s_norm * stats.std
         nll[i] = gaussian_nll_points(float(truth[i]), means[i], stds[i])

@@ -67,7 +67,9 @@ class Adam:
     The parameters and both moments each live in one flat float64 buffer,
     and every parameter's ``data`` is rebound to a view into the parameter
     buffer, so one update over the buffers moves every parameter. The
-    update is elementwise, so it equals a per-parameter update bit for bit.
+    update is elementwise, so it equals a per-parameter update bit for bit,
+    and it runs in place, rounding each operation as the out-of-place
+    expressions do.
     """
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3):
@@ -77,6 +79,8 @@ class Adam:
         self.data = np.concatenate([p.data.ravel() for p in params.values()])
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
+        self._move = np.empty_like(self.data)  # scratch for step()
+        self._denom = np.empty_like(self.data)
         self._slices = []
         start = 0
         for p in params.values():
@@ -98,11 +102,19 @@ class Adam:
         if grad is None:
             grad = self.gradient()
         self.t += 1
-        self.m = BETA1 * self.m + (1 - BETA1) * grad
-        self.v = BETA2 * self.v + (1 - BETA2) * grad**2
-        m_hat = self.m / (1 - BETA1**self.t)
-        v_hat = self.v / (1 - BETA2**self.t)
-        self.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+        # in place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2
+        # and p -= lr m_hat / (sqrt(v_hat) + eps), so every operation rounds as before
+        m, v, move, denom = self.m, self.v, self._move, self._denom
+        m *= BETA1
+        m += np.multiply(grad, 1 - BETA1, out=move)
+        v *= BETA2
+        v += np.multiply(np.square(grad, out=move), 1 - BETA2, out=move)
+        np.divide(m, 1 - BETA1**self.t, out=move)
+        move *= self.learning_rate
+        np.sqrt(np.divide(v, 1 - BETA2**self.t, out=denom), out=denom)
+        denom += EPS
+        move /= denom
+        self.data -= move
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -148,17 +160,21 @@ def _batch_loss(params, batch: list[TrainingExample], config: ModelConfig):
 
 def evaluate_nll(
     params: dict[str, Tensor],
-    examples: list[TrainingExample],
+    embedded: list[tuple[tf_model.EmbeddedExample, np.ndarray]],
     config: ModelConfig,
 ) -> float:
-    """Per-point mean NLL over fixed examples, without recording a tape."""
+    """Per-point mean NLL over fixed examples, without recording a tape.
+
+    Each example comes embedded, with its target values, so a run embeds
+    its validation examples once for all its evaluations.
+    """
     total = 0.0
     n_points = 0
-    for example in examples:
-        mu, sigma = tf_model.forward(params, tf_model.embed(example, config), config)
-        loss = tf_model.gaussian_nll(mu, sigma, example.tgt_v)
-        total += float(loss.data) * example.n_tgt
-        n_points += example.n_tgt
+    for emb, target_values in embedded:
+        mu, sigma = tf_model.forward(params, emb, config)
+        loss = tf_model.gaussian_nll(mu, sigma, target_values)
+        total += float(loss.data) * emb.n_targets
+        n_points += emb.n_targets
     return total / n_points
 
 
@@ -209,6 +225,7 @@ def train(
         bcfg,
         min_prediction_index=n_train,
     )
+    val_embedded = [(tf_model.embed(ex, model_config), ex.tgt_v) for ex in val_examples]
 
     params = tf_model.init_params(model_config, init_rng)
     optimizer = Adam(params, learning_rate=train_config.learning_rate)
@@ -233,7 +250,7 @@ def train(
     stop_reason = "max_steps"
     aborted = False
 
-    val0 = evaluate_nll(params, val_examples, model_config)
+    val0 = evaluate_nll(params, val_embedded, model_config)
     rows.append(MetricsRow(step=0, train_nll=None, val_nll=val0))
     best_val = val0
 
@@ -266,7 +283,7 @@ def train(
 
         val_nll = None
         if step % train_config.eval_interval == 0 or step == train_config.steps:
-            val_nll = evaluate_nll(params, val_examples, model_config)
+            val_nll = evaluate_nll(params, val_embedded, model_config)
             if val_nll < best_val:
                 best_val = val_nll
                 evals_since_best = 0

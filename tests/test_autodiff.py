@@ -331,6 +331,31 @@ def test_attention_fully_blocked_row_gives_zeros(rng):
         assert np.all(out[~rows.all(axis=1)] != 0.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_attention_denominator_floor_only_touches_fully_blocked_rows(rng, dtype):
+    # attention floors each row's softmax denominator at 1; the composition
+    # oracle (masked_softmax) replaces only an exact 0 by 1. A fully blocked
+    # row must give exact zeros, every other row the oracle's bits, and a
+    # NaN must still reach its row
+    n, n_heads = 7, 2
+    blocked = rng.random((n, n)) < 0.4
+    blocked[:, 0] = False
+    blocked[3] = True
+    bias = np.where(blocked, ad.MASK_FILL, 0.0).astype(dtype)
+    q, k, v = (rng.standard_normal((n, 4)).astype(dtype) for _ in range(3))
+    q[5, 0] = np.nan  # head 0 of row 5
+
+    def run(op):
+        return op(Tensor(q), Tensor(k), Tensor(v)).data
+
+    fused = run(lambda q, k, v: ad.attention(q, k, v, bias, n_heads))
+    oracle = run(lambda q, k, v: _attention_by_heads(q, k, v, blocked, n_heads))
+    assert fused.dtype == dtype
+    assert np.array_equal(fused, oracle, equal_nan=True)
+    assert np.all(fused[3] == 0.0)
+    assert np.isnan(fused[5, :2]).all() and np.isfinite(np.delete(fused, 5, axis=0)).all()
+
+
 def test_attention_grad(rng):
     blocked = rng.random((4, 5)) < 0.3
     blocked[:, -1] = False
@@ -424,17 +449,36 @@ def _mlp_by_ops(x, w1, b1, w2, b2):
     return ad.tanh(x @ w1 + b1) @ w2 + b2
 
 
-@pytest.mark.parametrize("case", ["x_needs_grad", "x_is_constant", "x_shared"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "x_needs_grad",
+        "x_is_constant",
+        "x_shared",
+        # the model's edge shapes: xv's perceptron reads one column, the
+        # head's writes two; sampling runs every perceptron untaped in float32
+        "one_input_column",
+        "two_output_columns",
+        "untaped_float32",
+    ],
+)
 def test_mlp_equals_composition_bit_for_bit(rng, case):
-    x = rng.standard_normal((7, 5))
-    weights = [rng.standard_normal(shape) for shape in ((5, 4), (4,), (4, 3), (3,))]
-    downstream = rng.standard_normal((7, 3))
+    n_in = 1 if case == "one_input_column" else 5
+    n_out = 2 if case == "two_output_columns" else 3
+    x = rng.standard_normal((7, n_in))
+    shapes = ((n_in, 4), (4,), (4, n_out), (n_out,))
+    weights = [rng.standard_normal(shape) for shape in shapes]
+    downstream = rng.standard_normal((7, n_out))
 
     def run(perceptron):
+        if case == "untaped_float32":
+            out = perceptron(*(Tensor(a.astype(np.float32)) for a in [x] + weights))
+            assert out.data.dtype == np.float32 and not out.requires_grad
+            return [out.data]
         leaves = [Tensor(w) for w in weights]
-        if case == "x_is_constant":
+        if case in ("x_is_constant", "one_input_column"):
             return _value_and_grads(lambda *p: perceptron(Tensor(x), *p), leaves, downstream)
-        if case == "x_needs_grad":
+        if case in ("x_needs_grad", "two_output_columns"):
             return _value_and_grads(perceptron, [Tensor(x)] + leaves, downstream)
         # x and the weights each feed two perceptrons and one other op
         return _value_and_grads(
@@ -447,6 +491,15 @@ def test_mlp_equals_composition_bit_for_bit(rng, case):
     assert len(fused) == len(oracle)
     for got, want in zip(fused, oracle):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("operand, shape", [(0, (7,)), (0, (2, 7, 5)), (1, (5,)),
+                                            (2, (1, 4)), (3, (2, 4, 3)), (4, (1, 3))])  # fmt: skip
+def test_mlp_refuses_operands_of_other_ranks(rng, operand, shape):
+    shapes = [(7, 5), (5, 4), (4,), (4, 3), (3,)]
+    shapes[operand] = shape
+    with pytest.raises(NumericError, match="mlp needs"):
+        ad.mlp(*(make(rng, *s) for s in shapes))
 
 
 def _gaussian_nll_by_ops(mu, sigma, y, offset):

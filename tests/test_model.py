@@ -172,22 +172,28 @@ class TestEmbed:
 
     @pytest.mark.parametrize("geometry", ["paper-study", "default"])
     def test_inputs_equal_one_positional_call_per_time_block(self, geometry):
-        # embed evaluates positional features once per distinct time; the
-        # features are elementwise in t, so its inputs must equal, bit for
-        # bit, those built from one call on the point times and one on the
-        # neighbour times
+        # embed evaluates positional features once per distinct time and
+        # fills one input array; the features are elementwise in t, so its
+        # inputs must equal, bit for bit, those concatenated from one call
+        # on the point times and one on the neighbour times. They must be
+        # C-contiguous float64 too, as the concatenation's are, since a
+        # product can round differently on another memory layout. The last
+        # example is a sampler's, with no target values
         config = GEOMETRIES[geometry][0]
-        for ex in geometry_examples(geometry):
+        examples = geometry_examples(geometry)
+        assert examples[-1].tgt_v is None
+        for ex in examples:
             emb = embed(ex, config)
-            q_in, kv_in, xqk_in = _two_call_inputs(ex, config)
-            assert np.array_equal(emb.q_in, q_in)
-            assert np.array_equal(emb.kv_in, kv_in)
-            assert np.array_equal(emb.xqk_in, xqk_in)
+            for got, want in zip(
+                (emb.q_in, emb.kv_in, emb.xqk_in), _two_call_inputs(ex, config)
+            ):
+                assert np.array_equal(got, want)
+                assert got.dtype == np.float64 and got.flags.c_contiguous
 
 
 def _two_call_inputs(ex, config):
-    """q_in, kv_in and xqk_in as built with one positional call on the point
-    times and one on the neighbour times."""
+    """q_in, kv_in and xqk_in concatenated from their blocks, with one
+    positional call on the point times and one on the neighbour times."""
     f = ex.features
     times = np.concatenate([ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t])
     pos_enc = positional_features(times, config.feature_dim)

@@ -1,0 +1,70 @@
+"""The file comparison of scripts/same_artefacts.py, on made-up trees."""
+
+import importlib.util
+import os
+
+import pytest
+
+SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "same_artefacts.py")
+
+
+@pytest.fixture(scope="module")
+def same_artefacts():
+    spec = importlib.util.spec_from_file_location("same_artefacts", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tree(root, files):
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text.replace("{root}", str(root)), encoding="utf-8")
+    return root
+
+
+def _manifest(path):
+    return '{"inputs": {"obs": "{root}/setup/%s"}}\n' % path
+
+
+SAME = {
+    "out/train/checkpoint.json": '{"w": [1.0, 2.0]}\n',
+    "out/sample/samples.csv": "run,traj,t,value\n0,0,2000,1.5\n",
+    "out/train/manifest.json": _manifest("obs_train.csv"),
+}
+
+
+def test_identical_trees_differ_nowhere_once_manifests_are_masked(same_artefacts, tmp_path):
+    # the two roots have different lengths, so unmasked manifests differ
+    base = _tree(tmp_path / "base", SAME)
+    change = _tree(tmp_path / "change", SAME)
+    assert (base / "out/train/manifest.json").read_bytes() != (
+        change / "out/train/manifest.json"
+    ).read_bytes()
+    assert same_artefacts.differing_files(base, change) == []
+
+
+def test_every_difference_is_named(same_artefacts, tmp_path):
+    base = _tree(tmp_path / "base", dict(SAME, **{"out/report/only_base.csv": "x\n"}))
+    change = _tree(tmp_path / "change", dict(SAME, **{
+        # one bit of one float, a manifest input that is not the root, and
+        # a file only the change wrote
+        "out/train/checkpoint.json": '{"w": [1.0, 2.0000000000000004]}\n',
+        "out/train/manifest.json": _manifest("obs.csv"),
+        "heldout_nll.txt": "0.5\n",
+    }))  # fmt: skip
+    assert same_artefacts.differing_files(base, change) == [
+        "heldout_nll.txt",
+        "out/report/only_base.csv",
+        "out/train/checkpoint.json",
+        "out/train/manifest.json",
+    ]
+
+
+def test_a_masked_path_in_any_other_file_still_counts(same_artefacts, tmp_path):
+    # only manifests record input paths; elsewhere a run's root is content
+    files = {"out/report/report.json": '{"observed": "{root}/setup/obs.csv"}\n'}
+    base = _tree(tmp_path / "base", files)
+    change = _tree(tmp_path / "change", files)
+    assert same_artefacts.differing_files(base, change) == ["out/report/report.json"]
