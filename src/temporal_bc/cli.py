@@ -217,7 +217,7 @@ class _Outputs:
             return
         for name in self.names + ["manifest.json"]:
             target = os.path.join(self.out_dir, name)
-            if os.path.exists(target):
+            if os.path.isfile(target):
                 os.remove(target)
 
 
@@ -415,97 +415,75 @@ def _cmd_report(args) -> int:
         raise ConfigError("report needs --samples, --baseline or both")
     observed = load_csv(args.observed, OBS)
     inputs = {"observed": args.observed}
-    samples = {}
+    # each candidate is (method, run, members by trajectory, scored series,
+    # spread): a model run scores its ensemble mean with the ensemble spread,
+    # a baseline run is its own one member, keyed None, scored with none
+    candidates = []
     if args.samples is not None:
-        samples = load_samples_csv(args.samples)
         inputs["samples"] = args.samples
-    baseline_series = {}
+        for run_id, trajs in sorted(load_samples_csv(args.samples).items()):
+            times, ens_mean, ens_std = _ensemble_stats(trajs, args.samples, run_id)
+            members = dict(sorted(trajs.items()))
+            candidates.append(("model", run_id, members, TimeSeries(times, ens_mean), ens_std))
     for spec in args.baseline or []:
         if "=" not in spec:
             raise ConfigError("--baseline expects name=path, got %r" % spec)
         name, path = spec.split("=", 1)
-        if name in baseline_series:
+        if "baseline:%s" % name in inputs:
             raise ConfigError("--baseline name %r is given twice" % name)
         if name in ("model", "observed"):
             raise ConfigError("--baseline name %r is reserved" % name)
-        baseline_series[name] = load_csv(path, GCM)
         inputs["baseline:%s" % name] = path
+        runs = enumerate(load_csv(path, GCM))
+        candidates += [(name, run_id, {None: series}, series, None) for run_id, series in runs]
 
     outputs = _Outputs(args.out_dir)
     count_rows: list[tuple[str, int, int | None, int]] = []
     tables: dict[str, list[tuple]] = {"qq": [], "pacf": [], "runs": []}
-    observed_spans = set()
-    summary: dict[str, dict] = {}
-
-    def score_run(run_id: int, candidate: TimeSeries, counts, predictive_std=None):
-        """Score one run's candidate series against the observed record on
-        the candidate's days, with ``counts`` its heatwave count(s). Returns
-        the run's report row and the observed values on those days, and
-        writes the observed heatwave run lengths once per run and span."""
-        common, obs_v, _ = common_grid(observed, candidate)
-        if len(common) != len(candidate):
+    observed_stats = {}
+    per_run: dict[str, dict] = {}
+    for method, run_id, members, scored, spread in candidates:
+        common, obs_v, _ = common_grid(observed, scored)
+        if len(common) != len(scored):
             raise DataError(
                 "observed record does not cover the evaluation stretch "
-                "(%d of %d days present)" % (len(common), len(candidate))
+                "(%d of %d days present)" % (len(common), len(scored))
             )
-        hw_obs = metrics.heatwave_count(TimeSeries(common, obs_v), args.threshold)
         span = (run_id, common[0], len(common))
-        if span not in observed_spans:
-            observed_spans.add(span)
+        hw_obs = observed_stats.get(span)
+        if hw_obs is None:
+            hw_obs = metrics.heatwave_count(TimeSeries(common, obs_v), args.threshold)
             tables["runs"] += [("observed", run_id, None, n) for n in hw_obs.run_lengths]
-        rep = metrics.score(candidate.values, obs_v, predictive_std=predictive_std)
+            observed_stats[span] = hw_obs
+        stats = {
+            member: metrics.heatwave_count(series, args.threshold)
+            for member, series in members.items()
+        }
+        counts = {member: hw.count for member, hw in stats.items()}
+        count_rows += [(method, run_id, member, n) for member, n in counts.items()]
+        rep = metrics.score(scored.values, obs_v, predictive_std=spread)
+        for member, hw in stats.items():
+            key = (method, run_id, member)
+            _series_rows(tables, key, members[member].values, obs_v, hw.run_lengths)
         row = {
             "mse": rep.mse,
             "loglik": rep.loglik,
             "observed_heatwave_count": hw_obs.count,
             "relative_heatwave_error_pct": metrics.relative_heatwave_error(
-                counts, hw_obs.count
+                list(counts.values()), hw_obs.count
             ),
         }
-        return row, obs_v
+        if method == "model":
+            row["trajectory_heatwave_counts"] = counts
+        else:
+            row["heatwave_count"] = counts[None]
+        per_run.setdefault(method, {})[str(run_id)] = row
 
-    model_runs = {}
-    for run_id in sorted(samples):
-        trajs = samples[run_id]
-        times, ens_mean, ens_std = _ensemble_stats(trajs, args.samples, run_id)
-        stats = {
-            traj_id: metrics.heatwave_count(series, args.threshold)
-            for traj_id, series in sorted(trajs.items())
-        }
-        counts = {traj_id: hw.count for traj_id, hw in stats.items()}
-        count_rows += [("model", run_id, traj_id, n) for traj_id, n in counts.items()]
-        row, obs_v = score_run(
-            run_id, TimeSeries(times, ens_mean), list(counts.values()), ens_std
-        )
-        for traj_id, hw in stats.items():
-            key = ("model", run_id, traj_id)
-            _series_rows(tables, key, trajs[traj_id].values, obs_v, hw.run_lengths)
-        model_runs[run_id] = {**row, "trajectory_heatwave_counts": counts}
-    if samples:
-        summary["model"] = _summarize(model_runs)
-
-    baseline_results = {}
-    for name, runs in baseline_series.items():
-        per_run = {}
-        for run_id, series in enumerate(runs):
-            hw = metrics.heatwave_count(series, args.threshold)
-            count_rows.append((name, run_id, None, hw.count))
-            row, obs_v = score_run(run_id, series, hw.count)
-            _series_rows(tables, (name, run_id, None), series.values, obs_v, hw.run_lengths)
-            per_run[run_id] = {**row, "heatwave_count": hw.count}
-        baseline_results[name] = per_run
-        summary[name] = _summarize(per_run)
-
-    payload = {
-        "threshold": args.threshold,
-        "baselines": {
-            name: {"per_run": {str(k): v for k, v in per.items()}}
-            for name, per in baseline_results.items()
-        },
-        "summary": summary,
-    }
-    if samples:
-        payload["model"] = {"per_run": {str(k): v for k, v in model_runs.items()}}
+    summary = {method: _summarize(rows) for method, rows in per_run.items()}
+    payload = {"threshold": args.threshold, "summary": summary}
+    payload["baselines"] = {m: {"per_run": rows} for m, rows in per_run.items() if m != "model"}
+    if "model" in per_run:
+        payload["model"] = {"per_run": per_run["model"]}
     write_json(outputs.path("report.json"), payload)
     write_csv(
         outputs.path("heatwave_counts.csv"),
@@ -541,8 +519,6 @@ def _cmd_report(args) -> int:
 
 
 def _summarize(per_run: dict) -> dict:
-    if not per_run:
-        raise DataError("no runs to summarize")
     rels = [
         row["relative_heatwave_error_pct"]
         for row in per_run.values()
@@ -630,9 +606,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         for outputs in _ACTIVE_OUTPUTS:
             outputs.discard_all()
+        if isinstance(exc, OSError):  # an output that could not be written
+            exc = ConfigError("cannot write %s: %s" % (exc.filename or "an output", exc.strerror))
         if isinstance(exc, ConfigError):
             print("config error: %s" % exc, file=sys.stderr)
             return 2

@@ -112,16 +112,12 @@ def pacf(values, max_lag: int = 14) -> np.ndarray:
     out = np.empty(max_lag)
     phi_prev = np.zeros(0)
     for k in range(1, max_lag + 1):
-        if k == 1:
-            phi_kk = rho[1]
-            phi = np.array([phi_kk])
-        else:
-            num = rho[k] - float(np.dot(phi_prev, rho[k - 1 : 0 : -1]))
-            den = 1.0 - float(np.dot(phi_prev, rho[1:k]))
-            phi_kk = num / den
-            phi = np.empty(k)
-            phi[:-1] = phi_prev - phi_kk * phi_prev[::-1]
-            phi[-1] = phi_kk
+        num = rho[k] - float(np.dot(phi_prev, rho[k - 1 : 0 : -1]))
+        den = 1.0 - float(np.dot(phi_prev, rho[1:k]))
+        phi_kk = num / den
+        phi = np.empty(k)
+        phi[:-1] = phi_prev - phi_kk * phi_prev[::-1]
+        phi[-1] = phi_kk
         out[k - 1] = phi_kk
         phi_prev = phi
     return out

@@ -403,6 +403,11 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise DataError(
             "checkpoint %s: meta window_max must be a number, got %r" % (path, window_max)
         )
+    ablate_gcm = meta.get("ablate_gcm", False)  # obeyed by the sampler
+    if not isinstance(ablate_gcm, bool):
+        raise DataError(
+            "checkpoint %s: meta ablate_gcm must be true or false, got %r" % (path, ablate_gcm)
+        )
     expected = param_shapes(config)
     missing = sorted(set(expected) - set(raw_params))
     extra = sorted(set(raw_params) - set(expected))

@@ -375,10 +375,12 @@ class TestTrainSample:
             lambda ckpt: ckpt["config"].update(n_heads=3),
             lambda ckpt: ckpt.update(config=[list(kv) for kv in ckpt["config"].items()]),
             lambda ckpt: ckpt["norm_stats"].update(std=True),
+            lambda ckpt: ckpt.update(meta={"ablate_gcm": "false"}),
         ],
         ids=[
             "no-shape", "no-data", "non-numeric-data", "short-data", "params-5",
             "meta-5", "meta-as-pairs", "invalid-config", "config-as-pairs", "norm-stats-bool",
+            "ablate-gcm-string",
         ],
     )
     def test_malformed_checkpoint_is_data_error(self, tmp_path, damage):
@@ -579,15 +581,15 @@ class TestReport:
         summary_lines = (tmp_path / "report" / "summary.csv").read_text().splitlines()
         assert summary_lines[0] == "method,mse,loglik,relative_heatwave_error_pct"
         assert len(summary_lines) == 3
-        counts = (tmp_path / "report" / "heatwave_counts.csv").read_text().splitlines()
-        # 2 runs x 2 trajectories for the model, 2 runs for the baseline
-        assert len(counts) == 1 + 4 + 2
-        _, qq_rows = read_table(tmp_path / "report" / "qq.csv")
-        assert {key: len(rows) for key, rows in qq_rows.items()} == {
-            ("model", "0", "0"): 101, ("model", "0", "1"): 101,
-            ("model", "1", "0"): 101, ("model", "1", "1"): 101,
-            ("eqm", "0", ""): 101, ("eqm", "1", ""): 101,
-        }
+        # model run 0's trajectories, then run 1's, then the baseline's runs
+        order = [
+            ("model", "0", "0"), ("model", "0", "1"), ("model", "1", "0"),
+            ("model", "1", "1"), ("eqm", "0", ""), ("eqm", "1", ""),
+        ]
+        for name, rows_per_key in (("heatwave_counts.csv", 1), ("qq.csv", 101)):
+            lines = (tmp_path / "report" / name).read_text().splitlines()
+            keys = [tuple(line.split(",")[:3]) for line in lines[1:]]
+            assert keys == [key for key in order for _ in range(rows_per_key)]
         # 10-day series are too short for 14 PACF lags
         pacf_lines = (tmp_path / "report" / "pacf.csv").read_text().splitlines()
         assert pacf_lines == ["method,run,trajectory,lag,observed,candidate"]
@@ -794,7 +796,7 @@ class TestReport:
         assert code == 3
         err = capsys.readouterr().err
         assert "%s: run 0 trajectories 0 and 1 cover different days" % samples in err
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
 
     def test_bad_baseline_spec(self, tmp_path):
         self._write_inputs(tmp_path)
@@ -822,6 +824,19 @@ class TestErrorHandling:
         code = main(["synth", "--out-dir", str(blocker), "--n-days", "10"])
         assert code == 2
         assert blocker.read_text() == "not a directory"
+
+    def test_unwritable_output_file_is_config_error(self, tmp_path, config_path, capsys):
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        out = tmp_path / "out"
+        (out / "metrics.csv").mkdir(parents=True)
+        code = main([
+            "train", "--obs", obs_path, "--gcm", gcm_path,
+            "--out-dir", str(out), "--config", config_path,
+        ])
+        assert code == 2
+        assert "cannot write %s" % (out / "metrics.csv") in capsys.readouterr().err
+        # the checkpoint written before the failure is removed
+        assert os.listdir(out) == ["metrics.csv"]
 
     def test_bad_epoch_is_config_error(self, tmp_path):
         code = main([

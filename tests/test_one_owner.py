@@ -37,8 +37,10 @@ OWNED = {
     "kernel-names": r"[\"']rational_quadratic[\"']",
     # timeseries._DAY_TOL: days match exactly or within this one tolerance
     "day-tolerance": r"\b1e-9\b",
-    # cli._cmd_report's score_run: report is the one scoring command
+    # cli._cmd_report's candidate loop: report is the one scoring command,
+    # and the model runs and baseline runs are its candidates alike
     "score-call": re.escape("metrics.score("),
+    "series-rows-call": r"(?<!def )\b_series_rows\(",
     # model.tensors_from_checkpoint: sampling and scoring compute in float32,
     # and the forecaster's parameters are cast there and nowhere else
     "inference-dtype": r"\bnp\.float32\b|[\"']float32[\"']",
