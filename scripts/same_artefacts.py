@@ -1,15 +1,19 @@
 """Byte-compare the paper-study recipe's output files from two checkouts.
 
 Runs the ``PaperStudy`` workload of ``perfbench/workloads.py`` (train,
-sample, four baselines, report, then teacher-forced scoring) once from a
-base checkout and once from a changed checkout, each in its own process
-with every BLAS thread count pinned to 1 and sampler seed 1. Then it
-compares every file the two runs wrote, byte for byte: the set-up's inputs,
-the checkpoints, ``metrics.csv``, ``samples.csv``, every ``corrected.csv``
-and every report file, plus ``heldout_nll.txt``, the ``repr`` of the scored
-held-out NLL. A ``manifest.json`` records the paths of its inputs, which
-name the run's own directory, so that directory is masked in both
-manifests before they are compared.
+sample, four baselines, report, then teacher-forced scoring) and one round
+of its ``Wide`` workload (training, sampling and scoring at the default
+geometry, about 240 points per example) once from a base checkout and once
+from a changed checkout, each in its own process with every BLAS thread
+count pinned to 1 and sampler seed 1. Then it compares every file the two
+runs wrote, byte for byte: the set-up's inputs, the checkpoints,
+``metrics.csv``, ``samples.csv``, every ``corrected.csv`` and every report
+file, plus ``heldout_nll.txt``, the ``repr`` of the scored held-out NLL;
+and for the wide round ``wide/losses.bin`` and ``wide/trajectories.bin``,
+the raw bytes of its training losses and sampled trajectory, and
+``wide/heldout_nll.txt``. A ``manifest.json`` records the paths of its
+inputs, which name the run's own directory, so that directory is masked in
+both manifests before they are compared.
 
 Run from the repository root, with both checkouts holding ``perfbench/``:
 
@@ -34,16 +38,26 @@ from pathlib import Path
 RECIPE = """
 import os, sys
 from tracing import Marks
-from workloads import PaperStudy
+from workloads import PaperStudy, Wide
 root = sys.argv[1]
-work, out = os.path.join(root, "setup"), os.path.join(root, "out")
-os.makedirs(work)
-os.makedirs(out)
+work, out, wide = (os.path.join(root, d) for d in ("setup", "out", "wide"))
+for d in (work, out, wide):
+    os.makedirs(d)
 study = PaperStudy()
 p = study.run(study.setup(work), out, Marks(lambda: None, 1.0), seed=1, scale=1.0)
 with open(os.path.join(root, "heldout_nll.txt"), "w", encoding="utf-8") as handle:
     handle.write(repr(p.heldout_nll) + "\\n")
-for name, ok in p.checks.items():
+checks = dict(p.checks)
+study = Wide()
+study.rounds = 1
+p = study.run(study.setup(wide), wide, Marks(lambda: None, 1.0), seed=1, scale=1.0)
+for name in ("losses", "trajectories"):
+    with open(os.path.join(wide, name + ".bin"), "wb") as handle:
+        handle.write(p.artefacts[name])
+with open(os.path.join(wide, "heldout_nll.txt"), "w", encoding="utf-8") as handle:
+    handle.write(repr(p.heldout_nll) + "\\n")
+checks.update(("wide: " + name, ok) for name, ok in p.checks.items())
+for name, ok in checks.items():
     print("%s: %s" % ("passed" if ok else "FAILED", name))
 """
 # the thread counts perfbench/run.py pins

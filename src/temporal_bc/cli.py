@@ -267,10 +267,8 @@ def _cmd_train(args) -> int:
     dataset = load_paired(args.obs, args.gcm)
     outputs = _Outputs(args.out_dir)
     result = train(
-        dataset, model_config, train_config, batch_config, checkpoint_dir=args.out_dir
+        dataset, model_config, train_config, batch_config, checkpoint_path=outputs.path
     )
-    for path in result.interim_checkpoints:
-        outputs.names.append(os.path.basename(path))
     save_checkpoint(result.checkpoint, outputs.path("checkpoint.json"))
     write_metrics_csv(result.metrics, outputs.path("metrics.csv"))
     settings = {

@@ -7,13 +7,21 @@ targets under teacher forcing, backpropagate, and apply an Adam update. A
 fixed validation set (windows whose targets all live in the held-out tail)
 is scored at a regular cadence and drives plateau-based early stopping.
 Everything is deterministic given the seed.
+
+A step records and sweeps one example's tape at a time, last example first,
+with gradients accumulating on the parameters. One sweep over a tape of the
+whole batch would reach the last example's nodes first and the first
+example's last, so the parameters' gradients add up in that same order and
+stay equal to the whole-batch sweep's bit for bit. Each swept tape is kept
+until the next example's sweep ends, then dropped, so training holds about
+two examples' graphs at a time whatever the batch size. Holding one back
+keeps the heap from shrinking and regrowing after every example.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +142,6 @@ class TrainResult:
     metrics: list[MetricsRow]
     stop_reason: str
     aborted: bool = False
-    interim_checkpoints: list = field(default_factory=list)
 
 
 def write_metrics_csv(rows: list[MetricsRow], path) -> None:
@@ -145,17 +152,14 @@ def write_metrics_csv(rows: list[MetricsRow], path) -> None:
     )
 
 
-def _batch_loss(params, batch: list[TrainingExample], config: ModelConfig):
-    """Per-point mean NLL over all targets in the batch (as a Tensor)."""
-    total = None
-    n_points = 0
-    for example in batch:
-        mu, sigma = tf_model.forward(params, tf_model.embed(example, config), config)
-        loss = tf_model.gaussian_nll(mu, sigma, example.tgt_v)
-        weighted = loss * float(example.n_tgt)
-        total = weighted if total is None else total + weighted
-        n_points += example.n_tgt
-    return total * (1.0 / n_points)
+def _batch_loss(params, example: TrainingExample, config: ModelConfig):
+    """One example's NLL summed over its targets (as a Tensor).
+
+    A step's loss is the per-point mean over the batch: these sums added in
+    batch order, times one over the batch's target count.
+    """
+    mu, sigma = tf_model.forward(params, tf_model.embed(example, config), config)
+    return tf_model.gaussian_nll(mu, sigma, example.tgt_v) * float(example.n_tgt)
 
 
 def evaluate_nll(
@@ -183,12 +187,13 @@ def train(
     model_config: ModelConfig,
     train_config: TrainConfig,
     batch_config: BatchConfig | None = None,
-    checkpoint_dir=None,
+    checkpoint_path=None,
 ) -> TrainResult:
     """Fit the model on a paired dataset; see the module docstring.
 
-    With ``checkpoint_dir`` set, an interim checkpoint is written every
-    ``CHECKPOINT_INTERVAL`` steps that training continues past.
+    With ``checkpoint_path`` set, an interim checkpoint is written every
+    ``CHECKPOINT_INTERVAL`` steps that training continues past, to the path
+    ``checkpoint_path`` returns for its file name.
 
     The returned checkpoint holds the parameters of the last step run (of
     the step before, on an abort), not those with the best validation NLL.
@@ -244,7 +249,6 @@ def train(
         return tf_model.checkpoint_from_params(model_config, params, stats, meta)
 
     rows: list[MetricsRow] = []
-    interim: list = []
     best_val = float("inf")
     evals_since_best = 0
     stop_reason = "max_steps"
@@ -254,17 +258,32 @@ def train(
     rows.append(MetricsRow(step=0, train_nll=None, val_nll=val0))
     best_val = val0
 
+    tape = None  # the last swept tape, dropped once the next sweep ends
     for step in range(1, train_config.steps + 1):
         batch = make_batch(pairs_train, train_config.batch_size, batch_rng, bcfg)
         optimizer.zero_grad()
-        with Tape():
-            loss = _batch_loss(params, batch, model_config)
-            train_nll = float(loss.data)
-            finite = bool(np.isfinite(train_nll))
-            if finite:
-                backward(loss)
-                grad = optimizer.gradient()
-                finite = bool(np.all(np.isfinite(grad)))
+        n_points = sum(example.n_tgt for example in batch)
+        # the gradient a whole-batch sweep delivers to each example's sum
+        seed = np.ones(()) * (1.0 / n_points)
+        sums = []
+        for example in reversed(batch):
+            previous, tape = tape, Tape()
+            with tape:
+                loss = _batch_loss(params, example, model_config)
+                sums.append(float(loss.data))
+                if not np.isfinite(sums[-1]):
+                    break
+                backward(loss, seed)
+            del previous
+        # added in batch order, as the whole-batch loss adds them
+        total = sums[-1]
+        for value in sums[-2::-1]:
+            total += value
+        train_nll = total * (1.0 / n_points)
+        finite = bool(np.isfinite(train_nll))
+        if finite:
+            grad = optimizer.gradient()
+            finite = bool(np.all(np.isfinite(grad)))
         if not finite:
             # an update from a non-finite loss or gradient would poison the
             # parameters, so training stops with those of the previous step
@@ -295,15 +314,14 @@ def train(
             stop_reason = "val_plateau"
             break
         if (
-            checkpoint_dir is not None
+            checkpoint_path is not None
             and step % CHECKPOINT_INTERVAL == 0
             and step != train_config.steps
         ):
-            path = os.path.join(checkpoint_dir, "checkpoint_step%06d.json" % step)
             tf_model.save_checkpoint(
-                snapshot({"steps_run": step, "stop_reason": "interval"}), path
+                snapshot({"steps_run": step, "stop_reason": "interval"}),
+                checkpoint_path("checkpoint_step%06d.json" % step),
             )
-            interim.append(path)
 
     checkpoint = snapshot(
         {"steps_run": rows[-1].step, "stop_reason": stop_reason, "best_val_nll": best_val}
@@ -313,5 +331,4 @@ def train(
         metrics=rows,
         stop_reason=stop_reason,
         aborted=aborted,
-        interim_checkpoints=interim,
     )

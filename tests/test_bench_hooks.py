@@ -2,9 +2,10 @@
 
 ``perfbench/tracing.py`` replaces functions at the module attributes their
 callers look up. These tests install both instruments, so a rename in the
-package fails here rather than in a benchmark run, and they pin the one
-``build_inference_example`` call per forecast day that the benchmark's day
-timings count on.
+package fails here rather than in a benchmark run, and they pin the calls
+the benchmark's timings count on: one training ``make_batch`` call per
+step, one ``_batch_loss`` and one ``backward`` call per example, and one
+``build_inference_example`` call per forecast day.
 """
 
 import os
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 from temporal_bc import sampling
+from temporal_bc.batching import BatchConfig
 from temporal_bc.model import ModelConfig, checkpoint_from_params, init_params
 from temporal_bc.sampling import SamplerConfig
 from temporal_bc.timeseries import GCM, OBS, NormStats, PairedDataset, TimeSeries
+from temporal_bc.training import TrainConfig, train
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 import tracing  # noqa: E402
@@ -41,6 +44,31 @@ def test_every_patch_resolves_and_restores(instrument):
         patches.restore()
     for owner, name, original in saved:
         assert getattr(owner, name) is original, name
+
+
+def test_each_step_is_marked_once_and_traced_per_example():
+    # the benchmark marks a step at each training make_batch call and times
+    # its forward and backward from the batch_loss and backward spans
+    patches = tracing.Patches()
+    marks, tracer = tracing.Marks(lambda: None, 1.0), tracing.Tracer()
+    try:
+        marks.install(patches)
+        tracer.install(patches)
+        marks.start("train")
+        train(
+            _dataset(n_obs=200, n_gcm=200),
+            TINY,
+            TrainConfig(steps=3, batch_size=4),
+            BatchConfig(window_min=10, window_max=20),
+        )
+        marks.start(None)
+    finally:
+        patches.restore()
+    totals = tracer.totals()
+    assert len(marks.times["train"][0]) == 3
+    assert tracer.counts["train_batches"] == 3
+    assert totals["training.batch_loss"]["calls"] == 3 * 4
+    assert totals["autodiff.backward"]["calls"] == 3 * 4
 
 
 def _dataset(n_obs=100, n_gcm=300):

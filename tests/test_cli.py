@@ -6,7 +6,7 @@ import platform
 import numpy as np
 import pytest
 
-from temporal_bc import cli, gp, metrics
+from temporal_bc import cli, gp, metrics, training
 from temporal_bc.cli import main
 from temporal_bc.model import (
     ModelConfig,
@@ -837,6 +837,26 @@ class TestErrorHandling:
         assert "cannot write %s" % (out / "metrics.csv") in capsys.readouterr().err
         # the checkpoint written before the failure is removed
         assert os.listdir(out) == ["metrics.csv"]
+
+    def test_failed_train_removes_its_interim_checkpoints(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # interim checkpoints at steps 2 and 4; the one at step 4 cannot be
+        # written, so the one at step 2 must go with the rest
+        monkeypatch.setattr(training, "CHECKPOINT_INTERVAL", 2)
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config_file = tmp_path / "config.json"
+        train_section = {**TINY_CONFIG["train"], "eval_interval": 5000}
+        config_file.write_text(json.dumps({**TINY_CONFIG, "train": train_section}))
+        out = tmp_path / "out"
+        (out / "checkpoint_step000004.json").mkdir(parents=True)
+        code = main([
+            "train", "--obs", obs_path, "--gcm", gcm_path, "--steps", "5",
+            "--out-dir", str(out), "--config", str(config_file),
+        ])
+        assert code == 2
+        assert "cannot write %s" % (out / "checkpoint_step000004.json") in capsys.readouterr().err
+        assert os.listdir(out) == ["checkpoint_step000004.json"]
 
     def test_bad_epoch_is_config_error(self, tmp_path):
         code = main([

@@ -464,7 +464,11 @@ class TestTapedRows:
             for p in params.values():
                 p.requires_grad = True
             with Tape():
-                loss = training._batch_loss(params, batch, config)
+                # the step's loss recorded on one tape for the whole batch
+                total = training._batch_loss(params, batch[0], config)
+                for example in batch[1:]:
+                    total = total + training._batch_loss(params, example, config)
+                loss = total * (1.0 / sum(example.n_tgt for example in batch))
                 backward(loss)
             return loss.data, {name: p.grad for name, p in params.items()}
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from temporal_bc import training
-from temporal_bc.autodiff import Tensor
+from temporal_bc.autodiff import Tape, Tensor, backward
 from temporal_bc.batching import MARGIN, BatchConfig
 from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.model import ModelConfig, init_params
+from temporal_bc.rng import substream
 from temporal_bc.timeseries import GCM, OBS, NormStats, PairedDataset, TimeSeries
 from temporal_bc.training import (
     Adam,
@@ -188,35 +189,42 @@ class TestTrain:
         calls = {"n": 0}
         real = training._batch_loss
 
-        def poisoned(params, batch, config):
+        def poisoned(params, example, config):
             calls["n"] += 1
-            if calls["n"] >= 3:
+            # two examples a step: the sixth call is the second example step
+            # 3 runs, after the first has swept its gradients into the params
+            if calls["n"] >= 6:
                 return Tensor(np.array(np.nan))
-            return real(params, batch, config)
+            return real(params, example, config)
 
         monkeypatch.setattr(training, "_batch_loss", poisoned)
         cfg = TrainConfig(steps=20, batch_size=2, seed=9)
         result = train(ds, TINY_MODEL, cfg, TINY_BATCH)
+        monkeypatch.undo()
+        assert calls["n"] == 6
         assert result.aborted
         assert result.stop_reason == "non_finite_loss"
         # parameters roll back to the last finite step (2 updates applied)
         assert result.metrics[-1].step == 2
-        for arr in result.checkpoint.params.values():
-            assert np.all(np.isfinite(arr))
+        two_steps = train(ds, TINY_MODEL, replace(cfg, steps=2), TINY_BATCH)
+        for name, arr in result.checkpoint.params.items():
+            assert np.all(np.isfinite(arr)), name
+            assert np.array_equal(arr, two_steps.checkpoint.params[name]), name
 
     def test_abort_on_non_finite_gradient(self, monkeypatch):
         ds = toy_dataset()
-        seen = {"steps": 0}
+        seen = {"sweeps": 0}
         real_loss, real_backward = training._batch_loss, training.backward
 
-        def capture(params, batch, config):
+        def capture(params, example, config):
             seen["params"] = params
-            return real_loss(params, batch, config)
+            return real_loss(params, example, config)
 
-        def poisoned(loss):
-            real_backward(loss)
-            seen["steps"] += 1
-            if seen["steps"] == 3:  # finite loss, NaN gradient
+        def poisoned(loss, seed):
+            real_backward(loss, seed)
+            seen["sweeps"] += 1
+            # two examples a step: the fifth sweep is step 3's first
+            if seen["sweeps"] == 5:  # finite loss, NaN gradient
                 head = seen["params"]["head.b2"]
                 head.grad = np.full_like(head.grad, np.nan)
 
@@ -238,11 +246,16 @@ class TestTrain:
         monkeypatch.setattr(training, "CHECKPOINT_INTERVAL", 2)
         ds = toy_dataset()
         cfg = TrainConfig(steps=4, batch_size=2)
-        result = train(ds, TINY_MODEL, cfg, TINY_BATCH, checkpoint_dir=tmp_path)
-        names = [p.split("/")[-1] for p in result.interim_checkpoints]
+        asked = []
+
+        def path(name):
+            asked.append(name)
+            return str(tmp_path / name)
+
+        train(ds, TINY_MODEL, cfg, TINY_BATCH, checkpoint_path=path)
         # step 4 is the final step, so only step 2 gets an interim snapshot
-        assert names == ["checkpoint_step000002.json"]
-        assert (tmp_path / "checkpoint_step000002.json").exists()
+        assert asked == ["checkpoint_step000002.json"]
+        assert [q.name for q in tmp_path.iterdir()] == asked
 
     def test_stop_step_gets_no_interim_checkpoint(self, tmp_path, monkeypatch):
         # a plateau stop ends training, so its step has only checkpoint.json
@@ -251,17 +264,68 @@ class TestTrain:
             steps=50, batch_size=2, learning_rate=0.5, eval_interval=1,
             plateau_patience=3,
         )
-        result = train(toy_dataset(), TINY_MODEL, cfg, TINY_BATCH, checkpoint_dir=tmp_path)
+        result = train(
+            toy_dataset(), TINY_MODEL, cfg, TINY_BATCH,
+            checkpoint_path=lambda name: str(tmp_path / name),
+        )  # fmt: skip
         assert result.stop_reason == "val_plateau"
         last = result.metrics[-1].step
         names = ["checkpoint_step%06d.json" % step for step in range(1, last)]
-        assert [p.split("/")[-1] for p in result.interim_checkpoints] == names
         assert sorted(q.name for q in tmp_path.iterdir()) == names
 
     def test_too_short_dataset_rejected(self):
         ds = toy_dataset(n=22)
         with pytest.raises(DataError, match="too short"):
             train(ds, TINY_MODEL, TrainConfig(steps=1), TINY_BATCH)
+
+
+def whole_batch_loss(params, batch, config):
+    """A step's loss recorded on one tape for the whole batch: the oracle
+    for the order in which ``train``'s per-example sweeps add gradients."""
+    total = None
+    n_points = 0
+    for example in batch:
+        weighted = training._batch_loss(params, example, config)
+        total = weighted if total is None else total + weighted
+        n_points += example.n_tgt
+    return total * (1.0 / n_points)
+
+
+def test_per_example_sweeps_equal_one_whole_batch_sweep_bit_for_bit(monkeypatch):
+    batches, seen = [], []
+    real_make_batch, real_step = training.make_batch, Adam.step
+
+    def recorded_make_batch(*args, **kwargs):
+        batch = real_make_batch(*args, **kwargs)
+        if kwargs.get("min_prediction_index") is None:
+            batches.append(batch)
+        return batch
+
+    def recorded_step(self, grad=None):
+        seen.append({name: p.grad.copy() for name, p in self.params.items()})
+        real_step(self, grad)
+
+    monkeypatch.setattr(training, "make_batch", recorded_make_batch)
+    monkeypatch.setattr(Adam, "step", recorded_step)
+    cfg = TrainConfig(steps=3, batch_size=4, learning_rate=3e-3, seed=6)
+    result = train(toy_dataset(), TINY_MODEL, cfg, BatchConfig(window_min=10, window_max=40))
+    monkeypatch.undo()
+    assert len(batches) == len(seen) == 3
+
+    # the same batches from the same start, each step swept on one tape
+    params = init_params(TINY_MODEL, substream(cfg.seed, "init"))
+    optimizer = Adam(params, learning_rate=cfg.learning_rate)
+    for batch, grads, row in zip(batches, seen, result.metrics[1:]):
+        assert len({example.n_points for example in batch}) > 1
+        optimizer.zero_grad()
+        with Tape():
+            loss = whole_batch_loss(params, batch, TINY_MODEL)
+            backward(loss)
+        assert np.array_equal(loss.data, row.train_nll)
+        assert grads.keys() == params.keys()
+        for name, p in params.items():
+            assert np.array_equal(p.grad, grads[name]), (row.step, name)
+        optimizer.step()
 
 
 class TestMetricsCsv:
