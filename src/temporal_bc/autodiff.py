@@ -510,32 +510,23 @@ def attention(
     return _record(Tensor(out), (q, k, v), backward_fn)
 
 
-def backward(loss: Tensor, seed=None) -> None:
+def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss recorded on the active tape.
 
-    The sweep starts from ``seed``, the gradient delivered to ``loss`` (1 by
-    default), so a seeded sweep gives the gradients of ``loss * seed``, bit
-    for bit. Each leaf tensor (a requires_grad input that is not itself an
-    op result) is left holding its gradient on ``.grad``, added to any
-    gradient it already held: sweeps of several tapes accumulate, in the
-    order they run. Training sweeps one example's tape at a time, last
-    example first, which adds each parameter's gradients in the order one
-    sweep of the whole batch's tape would.
-
-    Gradients are delivered on leaves only: once a node's rule has run, the
-    sweep drops the node's ``.grad``, rule and parents, so intermediates are
-    freed during the sweep and a tape is swept once. The tape still holds
-    every node's data until it is dropped, which is why training keeps at
-    most two examples' tapes alive. ``loss.grad`` ends as the seed.
+    The sweep runs the tape's nodes last recorded first. Each leaf tensor (a
+    requires_grad input that is not itself an op result) is left holding its
+    gradient on ``.grad``, added to any gradient it already held, so sweeps
+    of several tapes accumulate in the order they run. Gradients are
+    delivered on leaves only: once a node's rule has run, the sweep drops the
+    node's ``.grad``, rule and parents, so intermediates are freed during the
+    sweep and a tape is swept once. ``loss.grad`` ends as 1.
     """
     tape = Tape._active
     if tape is None:
         raise NumericError("backward requires an active Tape")
     if loss.data.size != 1:
         raise NumericError("loss must be scalar, got shape %r" % (loss.shape,))
-    if seed is None:
-        seed = np.ones_like(loss.data)
-    loss.grad = seed
+    loss.grad = seed = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
         grad, rule = node.grad, node._backward
         node.grad, node._backward, node._parents = None, None, ()

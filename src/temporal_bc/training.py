@@ -12,10 +12,9 @@ A step records and sweeps one example's tape at a time, last example first,
 with gradients accumulating on the parameters. One sweep over a tape of the
 whole batch would reach the last example's nodes first and the first
 example's last, so the parameters' gradients add up in that same order and
-stay equal to the whole-batch sweep's bit for bit. Each swept tape is kept
-until the next example's sweep ends, then dropped, so training holds about
-two examples' graphs at a time whatever the batch size. Holding one back
-keeps the heap from shrinking and regrowing after every example.
+stay equal to the whole-batch sweep's bit for bit. Each tape is dropped once
+its sweep ends, so training holds one example's graph at a time whatever
+the batch size.
 """
 
 from __future__ import annotations
@@ -258,23 +257,18 @@ def train(
     rows.append(MetricsRow(step=0, train_nll=None, val_nll=val0))
     best_val = val0
 
-    tape = None  # the last swept tape, dropped once the next sweep ends
     for step in range(1, train_config.steps + 1):
         batch = make_batch(pairs_train, train_config.batch_size, batch_rng, bcfg)
         optimizer.zero_grad()
         n_points = sum(example.n_tgt for example in batch)
-        # the gradient a whole-batch sweep delivers to each example's sum
-        seed = np.ones(()) * (1.0 / n_points)
         sums = []
         for example in reversed(batch):
-            previous, tape = tape, Tape()
-            with tape:
-                loss = _batch_loss(params, example, model_config)
-                sums.append(float(loss.data))
+            with Tape():
+                weighted = _batch_loss(params, example, model_config)
+                sums.append(float(weighted.data))
                 if not np.isfinite(sums[-1]):
                     break
-                backward(loss, seed)
-            del previous
+                backward(weighted * (1.0 / n_points))
         # added in batch order, as the whole-batch loss adds them
         total = sums[-1]
         for value in sums[-2::-1]:

@@ -181,28 +181,6 @@ def test_backward_seed_and_leaf_grads(rng):
     assert product.grad is None  # gradients on leaves only
 
 
-def test_a_seeded_sweep_equals_the_sweep_of_the_scaled_loss(rng):
-    # the seed replaces the gradient the scaling node would deliver, bit for
-    # bit; 1/7 rounds, so a seed applied anywhere else would show
-    raw, w = rng.standard_normal((4, 3)), Tensor(rng.standard_normal((3, 3)))
-    scale = np.ones(()) * (1.0 / 7.0)
-
-    def sweeps(seeded):
-        x = Tensor(raw, requires_grad=True)
-        # two sweeps, so the second adds onto the gradient the first left
-        for _ in range(2):
-            with Tape():
-                loss = (ad.tanh(x @ w) * x[:, :1]).sum() + ad.softplus(x).mean()
-                if seeded:
-                    backward(loss, scale)
-                    assert loss.grad == scale
-                else:
-                    backward(loss * (1.0 / 7.0))
-        return x.grad
-
-    assert np.array_equal(sweeps(True), sweeps(False))
-
-
 def test_backward_requires_tape(rng):
     a = make(rng, 2)
     a.requires_grad = True
@@ -573,9 +551,9 @@ def _train_one_step(monkeypatch, attention_layer):
     seen = {"grads": {}, "refs": [], "stale": 0}
     real_backward, real_step = training.backward, training.Adam.step
 
-    def watched_backward(loss, seed):
+    def watched_backward(loss):
         nodes = Tape._active.nodes
-        real_backward(loss, seed)
+        real_backward(loss)
         seen["refs"] += [weakref.ref(node) for node in nodes]
         seen["stale"] += sum(
             node._backward is not None

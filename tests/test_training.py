@@ -220,8 +220,8 @@ class TestTrain:
             seen["params"] = params
             return real_loss(params, example, config)
 
-        def poisoned(loss, seed):
-            real_backward(loss, seed)
+        def poisoned(loss):
+            real_backward(loss)
             seen["sweeps"] += 1
             # two examples a step: the fifth sweep is step 3's first
             if seen["sweeps"] == 5:  # finite loss, NaN gradient
