@@ -285,15 +285,13 @@ def make_batch(
     batch_size: int,
     rng: np.random.Generator,
     config: BatchConfig,
-    min_prediction_index: int | None = None,
 ) -> list[TrainingExample]:
     """Draw a batch of pruned window examples from ``pairs``, one aligned
     (observation, run) pair per run id.
 
     Per example the randomness is consumed in a fixed order: run choice,
     window (k, h, j), then pruning of observed context, targets and the
-    model block. ``min_prediction_index`` (1-based, applied to j) restricts
-    targets to a held-out tail via bounded rejection.
+    model block.
     """
     if not pairs:
         raise DataError("no aligned run data to draw from")
@@ -301,16 +299,6 @@ def make_batch(
     for _ in range(batch_size):
         z = int(rng.integers(0, len(pairs)))
         pair = pairs[z]
-        window = None
-        for _ in range(10_000):
-            candidate = draw_window(len(pair), rng, config.window_min, config.window_max)
-            if min_prediction_index is None or candidate.j >= min_prediction_index:
-                window = candidate
-                break
-        if window is None:
-            raise DataError(
-                "could not draw a window with prediction index >= %d"
-                % min_prediction_index
-            )
+        window = draw_window(len(pair), rng, config.window_min, config.window_max)
         examples.append(_example_from_window(pair, z, window, rng, config))
     return examples

@@ -261,21 +261,18 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     configs = _load_config_file(args.config)
-    model_config, batch_config = configs["model"], configs["batch"]
-    train_config = _apply_flags(configs["train"], args, ("steps", "seed"))
+    configs["train"] = train_config = _apply_flags(configs["train"], args, ("steps", "seed"))
 
     dataset = load_paired(args.obs, args.gcm)
     outputs = _Outputs(args.out_dir)
     result = train(
-        dataset, model_config, train_config, batch_config, checkpoint_path=outputs.path
-    )
+        dataset, configs["model"], train_config, configs["batch"], configs["sampler"],
+        checkpoint_path=outputs.path,
+    )  # fmt: skip
     save_checkpoint(result.checkpoint, outputs.path("checkpoint.json"))
     write_metrics_csv(result.metrics, outputs.path("metrics.csv"))
-    settings = {
-        "model": dataclasses.asdict(model_config),
-        "batch": dataclasses.asdict(batch_config),
-        "train": dataclasses.asdict(train_config),
-    }
+    # validation forecasts at the sampler windows, so all four sections count
+    settings = {name: dataclasses.asdict(config) for name, config in configs.items()}
     _write_manifest(
         outputs,
         "train",

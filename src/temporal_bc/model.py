@@ -40,14 +40,13 @@ that nothing reads. A forward with no tape (sampling, held-out scoring,
 validation) runs the last layer of each stack on the target queries alone,
 against the keys and values of every point.
 
-The forward computes in its parameters' dtype. Training and validation pass
-float64 parameters, and a taped forward refuses any other. Sampling and
-scoring pass the float32 copies of :func:`tensors_from_checkpoint`, the one
-place that cast happens: the perceptrons and attentions run in float32, and
-the anchor and the std floor are added in float64. So an untaped forward's
-(mean, std) match the taped forward's to float32 rounding (about 1e-6
-relative to the largest mean), not bit for bit; with float64 parameters, as
-in validation, they match to about 1e-15.
+The forward computes in its parameters' dtype. Training passes float64
+parameters, and a taped forward refuses any other. Sampling, scoring and
+validation pass the float32 copies of :func:`tensors_from_checkpoint`, the
+one place that cast happens: the perceptrons and attentions run in float32,
+and the anchor and the std floor are added in float64. So an untaped
+forward's (mean, std) match the taped forward's to float32 rounding (about
+1e-6 relative to the largest mean), not bit for bit.
 """
 
 from __future__ import annotations
@@ -354,7 +353,7 @@ def checkpoint_from_params(
 
 def tensors_from_checkpoint(ckpt: ModelCheckpoint) -> dict[str, Tensor]:
     """float32 copies of the parameters, for the untaped forward that
-    samples and scores; training keeps its own float64 tensors."""
+    samples, scores and validates; training keeps its own float64 tensors."""
     return {name: Tensor(arr.astype(np.float32)) for name, arr in ckpt.params.items()}
 
 

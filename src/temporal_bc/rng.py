@@ -1,7 +1,7 @@
 """Deterministic random substreams derived from one master seed.
 
 Every source of randomness in the pipeline (batch drawing, parameter init,
-trajectory sampling, validation-set construction) pulls from a named
+trajectory sampling) pulls from a named
 substream, so a single user-supplied seed reproduces training, sampling and
 reports byte-for-byte. Streams are derived by hashing the seed together with
 a key path, which makes them independent of call order and stable across

@@ -10,13 +10,15 @@ trajectories are denormalized on the way out.
 
 ``predictive_nll`` runs the same windowing teacher-forced: every day is
 predicted from the true observed history, which scores one-step-ahead
-density forecasts on a held-out stretch.
+density forecasts on a held-out stretch, as training's validation
+(:func:`temporal_bc.training.evaluate_nll`) does on its held-out days.
 
-Both run the model's forward in float32, on parameters that
+All three run the model's forward in float32, on parameters that
 :func:`temporal_bc.model.tensors_from_checkpoint` casts once per forecaster;
 the checkpoint itself and training stay float64. A forecast's (mean, std)
 therefore differs from a float64 forward's at float32 rounding, while a
-sampled and a scored forecast of the same day and windows agree bit for bit.
+sampled, a scored and a validated forecast of the same day and windows
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import ConfigError, DataError, NumericError
 from .metrics import gaussian_nll_points
 from .model import ModelCheckpoint
 from .rng import substream
-from .timeseries import OBS, PairedDataset, TimeSeries, common_grid
+from .timeseries import OBS, PairedDataset, TimeSeries
 
 logger = logging.getLogger(__name__)
 
@@ -87,12 +89,12 @@ def _forecaster(
     run_id: int,
     config: SamplerConfig,
     start_t: float,
-    n_days: int,
+    last_t: float,
 ):
     """Normalized observations plus a one-day forecaster for one model run.
 
     Checks that the run exists, that ``obs_window`` observed days precede
-    ``start_t`` and that the run covers [start_t - gcm_past, last day].
+    ``start_t`` and that the run covers [start_t - gcm_past, last_t].
     ``forecast(hist_t, hist_v, tau)`` conditions on the trailing
     ``obs_window`` history points and the run's days in
     [tau - gcm_past, tau + gcm_future) and returns the normalized (mean, std)
@@ -115,7 +117,6 @@ def _forecaster(
             "not enough observed history before t=%r: need %d days, have %d"
             % (start_t, config.obs_window, n_past)
         )
-    last_t = start_t + n_days - 1
     if gcm_t[0] > start_t - config.gcm_past or gcm_t[-1] < last_t:
         raise DataError(
             "insufficient GCM coverage: need [%r, %r], run %d spans [%r, %r]"
@@ -129,16 +130,13 @@ def _forecaster(
             float(gcm_t[-1]),
         )
     window_max = ckpt.meta.get("window_max")  # absent in older checkpoints
-    if window_max is not None and max(
-        config.obs_window, config.gcm_past + config.gcm_future
-    ) > window_max:
+    gcm_span = config.gcm_past + config.gcm_future
+    if window_max is not None and max(config.obs_window, gcm_span) > window_max:
         logger.warning(
             "sampler window (obs_window %d, gcm_past + gcm_future %d) exceeds the "
             "longest training window (%d days); predictions may degrade",
-            config.obs_window,
-            config.gcm_past + config.gcm_future,
-            window_max,
-        )
+            config.obs_window, gcm_span, window_max,
+        )  # fmt: skip
     params = tf_model.tensors_from_checkpoint(ckpt)
 
     def forecast(hist_t, hist_v, tau: float) -> tuple[float, float]:
@@ -177,7 +175,7 @@ def sample_trajectories(
     """
     start_t = float(dataset.obs.times[-1]) + 1.0
     obs_t, obs_v, forecast = _forecaster(
-        ckpt, dataset, run_id, config, start_t, config.horizon
+        ckpt, dataset, run_id, config, start_t, start_t + config.horizon - 1
     )
     out = []
     for traj in range(config.n_trajectories):
@@ -224,6 +222,28 @@ class PredictiveScore:
         return float(np.mean(self.nll))
 
 
+def _one_step(ckpt, dataset, run_id: int, config: SamplerConfig, days: np.ndarray):
+    """Teacher-forced forecasts of ``days`` (increasing) for one run.
+
+    Each day is forecast from the true observed history before it. Returns
+    the normalized means and stds and each day's index in the observation
+    series; every day must be observed.
+    """
+    obs_t, obs_v, forecast = _forecaster(
+        ckpt, dataset, run_id, config, float(days[0]), float(days[-1])
+    )
+    # obs_t is strictly increasing, so each day's past is a prefix
+    n_past = np.searchsorted(obs_t, days)
+    unobserved = days[obs_t[np.minimum(n_past, len(obs_t) - 1)] != days]
+    if len(unobserved):
+        raise DataError("no observation at evaluation day t=%r" % float(unobserved[0]))
+    means = np.empty(len(days))
+    stds = np.empty(len(days))
+    for i, tau in enumerate(days):
+        means[i], stds[i] = forecast(obs_t[: n_past[i]], obs_v[: n_past[i]], float(tau))
+    return means, stds, n_past
+
+
 def predictive_nll(
     ckpt: ModelCheckpoint,
     dataset: PairedDataset,
@@ -241,25 +261,8 @@ def predictive_nll(
     config = config if config is not None else SamplerConfig()
     if n_days < 1:
         raise ConfigError("n_days must be >= 1")
-    start_t = float(start_t)
-    obs_t, obs_v, forecast = _forecaster(ckpt, dataset, run_id, config, start_t, n_days)
-    stats = ckpt.norm_stats
-    times = start_t + np.arange(n_days, dtype=np.float64)
-    try:
-        found, truth, _ = common_grid(dataset.obs, TimeSeries(times, times))
-    except DataError:  # not one evaluation day is observed
-        found = ()
-    if len(found) < n_days:
-        missing = np.setdiff1d(times, found)[0]
-        raise DataError("no observation at evaluation day t=%r" % float(missing))
-    means = np.empty(n_days)
-    stds = np.empty(n_days)
-    nll = np.empty(n_days)
-    # obs_t is strictly increasing, so each day's past is a prefix
-    n_past = np.searchsorted(obs_t, times)
-    for i, tau in enumerate(times):
-        m_norm, s_norm = forecast(obs_t[: n_past[i]], obs_v[: n_past[i]], float(tau))
-        means[i] = stats.from_z(m_norm)
-        stds[i] = s_norm * stats.std
-        nll[i] = gaussian_nll_points(float(truth[i]), means[i], stds[i])
+    times = float(start_t) + np.arange(n_days, dtype=np.float64)
+    means, stds, at = _one_step(ckpt, dataset, run_id, config, times)
+    means, stds = ckpt.norm_stats.from_z(means), stds * ckpt.norm_stats.std
+    nll = gaussian_nll_points(dataset.obs.values[at], means, stds)
     return PredictiveScore(times=times, means=means, stds=stds, nll=nll)

@@ -3,9 +3,11 @@
 The trainer z-scores both series with the observational statistics, reserves
 the trailing fraction of the aligned grid for validation, and then repeats:
 draw a batch of pruned windows, evaluate the per-point Gaussian NLL of the
-targets under teacher forcing, backpropagate, and apply an Adam update. A
-fixed validation set (windows whose targets all live in the held-out tail)
-is scored at a regular cadence and drives plateau-based early stopping.
+targets under teacher forcing, backpropagate, and apply an Adam update. At a
+regular cadence, validation forecasts a fixed set of held-out days one step
+ahead, through the sampler's own windowing and float32 forward at the
+sampler geometry, so it scores what :func:`temporal_bc.sampling.predictive_nll`
+scores; its NLL drives plateau-based early stopping (Prechelt 1998).
 Everything is deterministic given the seed.
 
 A step records and sweeps one example's tape at a time, last example first,
@@ -25,12 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as tf_model
+from . import sampling
 from .autodiff import Tape, Tensor, backward
 from .batching import MARGIN, BatchConfig, TrainingExample, make_batch
 from .errors import ConfigError, DataError
+from .metrics import gaussian_nll_points
 from .model import ModelCheckpoint, ModelConfig
 from .rng import substream
-from .timeseries import NormStats, PairedDataset, align, write_csv
+from .sampling import SamplerConfig
+from .timeseries import AlignedPair, NormStats, PairedDataset, align, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -39,10 +44,10 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 # the trailing share of the aligned grid held out for validation, the number
-# of fixed validation examples drawn from it, and the steps between interim
-# checkpoints
+# of evenly spaced days of it that validation forecasts, and the steps
+# between interim checkpoints
 VAL_FRACTION = 0.1
-VAL_EXAMPLES = 16
+VAL_DAYS = 32
 CHECKPOINT_INTERVAL = 500
 
 
@@ -161,24 +166,31 @@ def _batch_loss(params, example: TrainingExample, config: ModelConfig):
     return tf_model.gaussian_nll(mu, sigma, example.tgt_v) * float(example.n_tgt)
 
 
-def evaluate_nll(
-    params: dict[str, Tensor],
-    embedded: list[tuple[tf_model.EmbeddedExample, np.ndarray]],
-    config: ModelConfig,
-) -> float:
-    """Per-point mean NLL over fixed examples, without recording a tape.
+def _validation_days(tail: np.ndarray) -> np.ndarray:
+    """``VAL_DAYS`` evenly spaced days of the held-out ``tail``, first and
+    last included, or every day of a shorter tail."""
+    index = np.linspace(0, len(tail) - 1, min(VAL_DAYS, len(tail)))
+    return tail[np.round(index).astype(int)]
 
-    Each example comes embedded, with its target values, so a run embeds
-    its validation examples once for all its evaluations.
+
+def evaluate_nll(
+    ckpt: ModelCheckpoint, dataset: PairedDataset, days: np.ndarray, config: SamplerConfig
+) -> float:
+    """Per-point mean NLL, in z units, of one-step forecasts of ``days`` on
+    every run.
+
+    Each day is forecast as :func:`temporal_bc.sampling.predictive_nll`
+    forecasts it: teacher-forced on the observed history, at the windows of
+    ``config``, on the checkpoint's parameters cast to float32. So, with one
+    run, this is that score's ``mean_nll`` on ``days`` less the log of the
+    observational std.
     """
     total = 0.0
-    n_points = 0
-    for emb, target_values in embedded:
-        mu, sigma = tf_model.forward(params, emb, config)
-        loss = tf_model.gaussian_nll(mu, sigma, target_values)
-        total += float(loss.data) * emb.n_targets
-        n_points += emb.n_targets
-    return total / n_points
+    for z in range(dataset.n_runs):
+        means, stds, at = sampling._one_step(ckpt, dataset, z, config, days)
+        truth = ckpt.norm_stats.to_z(dataset.obs.values[at])
+        total += float(np.sum(gaussian_nll_points(truth, means, stds)))
+    return total / (dataset.n_runs * len(days))
 
 
 def train(
@@ -186,9 +198,14 @@ def train(
     model_config: ModelConfig,
     train_config: TrainConfig,
     batch_config: BatchConfig | None = None,
+    sampler_config: SamplerConfig | None = None,
     checkpoint_path=None,
 ) -> TrainResult:
     """Fit the model on a paired dataset; see the module docstring.
+
+    Validation forecasts at the windows of ``sampler_config``, by default
+    :class:`SamplerConfig`'s; a held-out tail they cannot forecast is a
+    DataError before the first step.
 
     With ``checkpoint_path`` set, an interim checkpoint is written every
     ``CHECKPOINT_INTERVAL`` steps that training continues past, to the path
@@ -202,14 +219,10 @@ def train(
     """
     bcfg = batch_config if batch_config is not None else BatchConfig()
     stats = NormStats.from_series(dataset.obs)
-    pairs_full = []
-    for z in range(dataset.n_runs):
-        pair = align(dataset, z)
-        pairs_full.append(
-            type(pair)(
-                pair.times, stats.to_z(pair.obs_values), stats.to_z(pair.gcm_values)
-            )
-        )
+    pairs_full = [
+        AlignedPair(pair.times, stats.to_z(pair.obs_values), stats.to_z(pair.gcm_values))
+        for pair in (align(dataset, z) for z in range(dataset.n_runs))
+    ]
     n = len(pairs_full[0])
     n_train = int(n * (1.0 - VAL_FRACTION))
     if n_train <= bcfg.window_max:
@@ -218,18 +231,11 @@ def train(
             "need > %d" % (n_train, bcfg.window_max)
         )
     pairs_train = [pair.sliced(0, n_train) for pair in pairs_full]
+    val_days = _validation_days(pairs_full[0].times[n_train:])
+    scfg = sampler_config if sampler_config is not None else SamplerConfig()
 
     batch_rng = substream(train_config.seed, "batchgen")
     init_rng = substream(train_config.seed, "init")
-    val_rng = substream(train_config.seed, "val")
-    val_examples = make_batch(
-        pairs_full,
-        VAL_EXAMPLES,
-        val_rng,
-        bcfg,
-        min_prediction_index=n_train,
-    )
-    val_embedded = [(tf_model.embed(ex, model_config), ex.tgt_v) for ex in val_examples]
 
     params = tf_model.init_params(model_config, init_rng)
     optimizer = Adam(params, learning_rate=train_config.learning_rate)
@@ -247,15 +253,19 @@ def train(
         meta.update(meta_extra)
         return tf_model.checkpoint_from_params(model_config, params, stats, meta)
 
+    def validate() -> float:
+        return evaluate_nll(snapshot({}), dataset, val_days, scfg)
+
     rows: list[MetricsRow] = []
-    best_val = float("inf")
     evals_since_best = 0
     stop_reason = "max_steps"
     aborted = False
 
-    val0 = evaluate_nll(params, val_embedded, model_config)
-    rows.append(MetricsRow(step=0, train_nll=None, val_nll=val0))
-    best_val = val0
+    try:
+        best_val = validate()
+    except DataError as exc:
+        raise DataError("cannot forecast the held-out tail at the sampler windows: %s" % exc)
+    rows.append(MetricsRow(step=0, train_nll=None, val_nll=best_val))
 
     for step in range(1, train_config.steps + 1):
         batch = make_batch(pairs_train, train_config.batch_size, batch_rng, bcfg)
@@ -296,7 +306,7 @@ def train(
 
         val_nll = None
         if step % train_config.eval_interval == 0 or step == train_config.steps:
-            val_nll = evaluate_nll(params, val_embedded, model_config)
+            val_nll = validate()
             if val_nll < best_val:
                 best_val = val_nll
                 evals_since_best = 0

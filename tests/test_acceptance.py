@@ -306,16 +306,17 @@ def test_04_synthetic_pipeline_beats_mean_shift_baseline():
         steps=800, batch_size=8, learning_rate=3e-3, seed=3,
         eval_interval=100, plateau_patience=49,
     )
-    result = train(dataset, model_config, train_config, batch_config)
-    steps_run = result.metrics[-1].step
-    assert steps_run <= 5000
-
     # the sampler's per-step windows mirror the training geometry (a GCM span
-    # wider than any training window dilutes the learned attention pattern)
+    # wider than any training window dilutes the learned attention pattern),
+    # and validation forecasts at the same windows
     sampler = SamplerConfig(
         horizon=n_gen, n_trajectories=16, seed=11,
         obs_window=30, gcm_past=30, gcm_future=30,
     )
+    result = train(dataset, model_config, train_config, batch_config, sampler)
+    steps_run = result.metrics[-1].step
+    assert steps_run <= 5000
+
     trajectories = sampling.sample_trajectories(result.checkpoint, dataset, 0, sampler)
     ensemble = np.stack([traj.values for traj in trajectories])
     ens_mean = ensemble.mean(axis=0)

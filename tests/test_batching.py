@@ -271,23 +271,6 @@ class TestMakeBatch:
         assert seen <= {0, 1, 2}
         assert len(seen) > 1
 
-    def test_min_prediction_index_respected(self):
-        pair = make_pair(n=128)
-        cfg = tiny_config()
-        batch = make_batch(
-            [pair], 32, np.random.default_rng(3), cfg, min_prediction_index=100
-        )
-        assert all(ex.window.j >= 100 for ex in batch)
-
-    def test_impossible_prediction_index_raises(self):
-        pair = make_pair(n=64)
-        cfg = tiny_config()
-        with pytest.raises(DataError, match="prediction index"):
-            make_batch(
-                [pair], 1, np.random.default_rng(0), cfg,
-                min_prediction_index=1000,
-            )
-
     def test_ablate_gcm_zeroes_values_keeps_times(self):
         pair = make_pair(n=96, seed=9)
         cfg = tiny_config(ablate_gcm=True)

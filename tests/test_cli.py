@@ -225,6 +225,38 @@ class TestTrainSample:
         ckpt = load_checkpoint(os.path.join(train_dir, "checkpoint.json"))
         assert ckpt.meta["ablate_gcm"] is True
 
+    def test_manifest_hash_covers_the_sampler_section(self, tmp_path):
+        # train validates at the sampler windows, so they are its settings too
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        hashes = []
+        for gcm_future in (120, 121):
+            config_file = tmp_path / ("config%d.json" % gcm_future)
+            sampler = {**TINY_CONFIG["sampler"], "gcm_future": gcm_future}
+            config_file.write_text(json.dumps({**TINY_CONFIG, "sampler": sampler}))
+            train_dir = tmp_path / ("train%d" % gcm_future)
+            assert main([
+                "train", "--obs", obs_path, "--gcm", gcm_path,
+                "--out-dir", str(train_dir), "--config", str(config_file),
+            ]) == 0
+            manifest = json.loads((train_dir / "manifest.json").read_text())
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    def test_unforecastable_validation_tail_is_data_error(self, tmp_path, capsys):
+        # 450 observed days leave 405 for training, fewer than obs_window
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config_file = tmp_path / "config.json"
+        sampler = {**TINY_CONFIG["sampler"], "obs_window": 406}
+        config_file.write_text(json.dumps({**TINY_CONFIG, "sampler": sampler}))
+        out = tmp_path / "out"
+        code = main([
+            "train", "--obs", obs_path, "--gcm", gcm_path,
+            "--out-dir", str(out), "--config", str(config_file),
+        ])
+        assert code == 3
+        assert "held-out tail" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_unknown_config_key_is_config_error(self, tmp_path):
         obs_path, gcm_path = write_pair(str(tmp_path))
         bad = tmp_path / "bad.json"

@@ -33,7 +33,8 @@ from temporal_bc.sampling import SamplerConfig
 from temporal_bc.timeseries import NormStats
 from temporal_bc.training import TrainConfig
 
-# long enough that validation windows fit in the held-out tenth (training.VAL_FRACTION)
+# long enough for training windows in the training split and for validation's
+# forecasts of the held-out tenth (training.VAL_FRACTION) at the sampler windows
 N_DAYS = 60
 ERROR_CODES = {2, 3, 4}
 

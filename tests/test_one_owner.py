@@ -44,6 +44,9 @@ OWNED = {
     # model.tensors_from_checkpoint: sampling and scoring compute in float32,
     # and the forecaster's parameters are cast there and nowhere else
     "inference-dtype": r"\bnp\.float32\b|[\"']float32[\"']",
+    # sampling._forecaster: sampling, scoring and training's validation
+    # window every forecast day in one place
+    "inference-windowing": r"(?<!def )\bbuild_inference_example\(",
     # batching._slope: the finite-difference slope of every point feature
     "finite-difference-slope": re.escape("delta / np.where(dist != 0.0"),
 }

@@ -3,13 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from temporal_bc import training
+from temporal_bc import sampling, training
 from temporal_bc.autodiff import Tape, Tensor, backward
 from temporal_bc.batching import MARGIN, BatchConfig
 from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.model import ModelConfig, init_params
 from temporal_bc.rng import substream
-from temporal_bc.timeseries import GCM, OBS, NormStats, PairedDataset, TimeSeries
+from temporal_bc.sampling import SamplerConfig
+from temporal_bc.timeseries import GCM, OBS, NormStats, PairedDataset, TimeSeries, align
 from temporal_bc.training import (
     Adam,
     MetricsRow,
@@ -279,6 +280,74 @@ class TestTrain:
             train(ds, TINY_MODEL, TrainConfig(steps=1), TINY_BATCH)
 
 
+class TestValidation:
+    # windows that fit TINY_BATCH's window_max of 20
+    SAMPLER = SamplerConfig(obs_window=20, gcm_past=10, gcm_future=10)
+
+    def trained(self):
+        ds = toy_dataset(n=400, seed=3)
+        result = train(ds, TINY_MODEL, TrainConfig(steps=3, batch_size=2),
+                       TINY_BATCH, self.SAMPLER)  # fmt: skip
+        tail = align(ds, 0).times[result.checkpoint.meta["n_train_points"] :]
+        return ds, result, tail, training._validation_days(tail)
+
+    def test_days_are_evenly_spaced_over_the_tail(self):
+        tail = np.arange(360.0, 400.0)
+        days = training._validation_days(tail)
+        assert len(days) == training.VAL_DAYS
+        assert (days[0], days[-1]) == (tail[0], tail[-1])
+        assert set(np.diff(days)) == {1.0, 2.0}
+        short = tail[: training.VAL_DAYS - 1]
+        assert np.array_equal(training._validation_days(short), short)
+
+    def test_validation_nll_is_the_held_out_score_in_z_units(self):
+        ds, result, tail, days = self.trained()
+        assert len(days) < len(tail)  # a subset of the held-out days
+        ckpt = result.checkpoint
+        val = training.evaluate_nll(ckpt, ds, days, self.SAMPLER)
+        # the last evaluation scored the checkpoint's parameters
+        assert result.metrics[-1].val_nll == val
+        score = sampling.predictive_nll(
+            ckpt, ds, 0, start_t=tail[0], n_days=len(tail), config=self.SAMPLER
+        )
+        expected = np.mean(score.nll[np.isin(score.times, days)])
+        expected -= np.log(ckpt.norm_stats.std)
+        assert val == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_validation_forecasts_are_the_sampler_forecasts(self, monkeypatch):
+        ds, result, _, days = self.trained()
+        forecasts = []
+        real = sampling._predict_one
+
+        def recorded(*args):
+            forecasts.append(real(*args))
+            return forecasts[-1]
+
+        monkeypatch.setattr(sampling, "_predict_one", recorded)
+        training.evaluate_nll(result.checkpoint, ds, days, self.SAMPLER)
+        validated = forecasts[:]
+        del forecasts[:]
+        first_day = replace(self.SAMPLER, horizon=1, n_trajectories=1, deterministic=True)
+        for tau in days:
+            past = PairedDataset(ds.obs.window(0.0, tau - 1.0), ds.runs)
+            sampling.sample_trajectories(result.checkpoint, past, 0, first_day)
+        assert len(validated) == len(days)
+        assert forecasts == validated
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [SamplerConfig(obs_window=181), SamplerConfig(gcm_past=181)],
+        ids=["obs_window-longer-than-the-split", "gcm-before-the-tail-missing"],
+    )
+    def test_unforecastable_tail_fails_before_the_first_step(self, monkeypatch, sampler):
+        # toy_dataset's 200 days leave a 180-day training split
+        batches = []
+        monkeypatch.setattr(training, "make_batch", lambda *args: batches.append(args))
+        with pytest.raises(DataError, match="held-out tail"):
+            train(toy_dataset(), TINY_MODEL, TrainConfig(steps=2), TINY_BATCH, sampler)
+        assert batches == []
+
+
 def whole_batch_loss(params, batch, config):
     """A step's loss recorded on one tape for the whole batch: the oracle
     for the order in which ``train``'s per-example sweeps add gradients."""
@@ -297,8 +366,7 @@ def test_per_example_sweeps_equal_one_whole_batch_sweep_bit_for_bit(monkeypatch)
 
     def recorded_make_batch(*args, **kwargs):
         batch = real_make_batch(*args, **kwargs)
-        if kwargs.get("min_prediction_index") is None:
-            batches.append(batch)
+        batches.append(batch)
         return batch
 
     def recorded_step(self, grad=None):
