@@ -19,19 +19,30 @@ Run from the repository root, with both checkouts holding ``perfbench/``:
 
     python scripts/same_artefacts.py --base ../parent --change .
 
-It prints each file that differs or exists on one side only. The exit code
-is 1 if any does, else 0.
+It prints each file that differs or exists on one side only. For a file on
+both sides it also sizes the difference: how many of the file's numbers
+differ and the largest relative difference among them, |a - b| / max(|a|,
+|b|). The numbers are the float64 words of a ``.bin`` file, the numeric
+leaves of a JSON file, and the cells of any other file, read as CSV, that
+parse as floats (``heldout_nll.txt`` holds one). So a change at float32
+rounding (about 1e-7 relative) can be told from a real one, and a file whose
+numbers all agree differs in its text alone. The exit code is 1 if any file
+differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # run in a child process whose import path holds one checkout's src/ and
 # perfbench/; argv[1] is the directory the run writes everything under
@@ -119,6 +130,51 @@ def differing_files(base: Path, change: Path) -> list[str]:
     return differ
 
 
+def _json_numbers(item):
+    if isinstance(item, dict):
+        item = list(item.values())
+    if isinstance(item, list):
+        for value in item:
+            yield from _json_numbers(value)
+    elif isinstance(item, (int, float)) and not isinstance(item, bool):
+        yield float(item)
+
+
+def _numbers(path: Path) -> np.ndarray:
+    """Every number in ``path``, in file order (see the module docstring)."""
+    if path.suffix == ".bin":
+        return np.frombuffer(path.read_bytes(), dtype=np.float64)
+    if path.suffix == ".json":
+        return np.array(list(_json_numbers(json.loads(path.read_text(encoding="utf-8")))))
+    found = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        for row in csv.reader(handle):
+            for cell in row:
+                try:
+                    found.append(float(cell))
+                except ValueError:
+                    pass
+    return np.array(found)
+
+
+def size_difference(a: Path, b: Path) -> str:
+    """How many numbers of ``a`` and ``b`` differ, and the largest relative
+    difference among them; NaN equals NaN, and NaN against a number is a
+    relative difference of NaN."""
+    x, y = _numbers(a), _numbers(b)
+    if len(x) != len(y):
+        return "%d against %d numbers" % (len(x), len(y))
+    differ = (x != y) & ~(np.isnan(x) & np.isnan(y))
+    if not differ.any():
+        return "0 of %d numbers differ" % len(x)
+    x, y = x[differ], y[differ]
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+    return "%d of %d numbers differ, largest relative difference %.3g" % (
+        len(rel), len(differ), rel.max()
+    )
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -127,8 +183,12 @@ def main(argv=None) -> int:
         run_recipe(args.change, roots["change"])
         n_files = sum(1 for p in roots["base"].rglob("*") if p.is_file())
         differ = differing_files(roots["base"], roots["change"])
-    for rel in differ:
-        print("differs: %s" % rel)
+        for rel in differ:
+            a, b = roots["base"] / rel, roots["change"] / rel
+            if a.is_file() and b.is_file():
+                print("differs: %s: %s" % (rel, size_difference(a, b)))
+            else:
+                print("differs: %s: only in %s" % (rel, "base" if a.is_file() else "change"))
     print("%d of %d files differ" % (len(differ), n_files))
     return 1 if differ else 0
 

@@ -15,12 +15,12 @@ stack builds queries and keys from positional features alone and its values
 from the raw series value, so it can mix values across time guided purely by
 position; its value map is shared across layers. Attention weights are a
 masked softmax of plain query-key dot products (no scale factor), split over
-heads along the feature axis. Each layer's attention is one
+heads along the feature axis. Under a tape each layer's attention is one
 :func:`temporal_bc.autodiff.attention` op, one tape node, and the mask enters
-it as an additive bias that :func:`forward` builds once for every layer.
-Each two-layer perceptron is likewise one :func:`temporal_bc.autodiff.mlp`
-node, and :func:`gaussian_nll` one :func:`temporal_bc.autodiff.gaussian_nll`
-node.
+it as an additive n x n bias that :func:`forward` builds once for every
+layer. Each two-layer perceptron is likewise one
+:func:`temporal_bc.autodiff.mlp` node, and :func:`gaussian_nll` one
+:func:`temporal_bc.autodiff.gaussian_nll` node.
 
 Conditioning points (model block and observed context) attend freely to each
 other; each target attends to the conditioning points and to strictly
@@ -38,7 +38,12 @@ its full shape, so training's rounding stays that of the full computation;
 only the last layer's softmax, on each stack, skips the conditioning rows
 that nothing reads. A forward with no tape (sampling, held-out scoring,
 validation) runs the last layer of each stack on the target queries alone,
-against the keys and values of every point.
+against the keys and values of every point. Its attention builds no n x n
+bias: all heads share one logits product and one value product, only the
+target-key columns are masked (every query may see every conditioning
+point), and each row is divided by its sum of exponents after the value
+product rather than before it. That arithmetic rounds differently from the
+taped op's; in float64 the two agree to about 1e-15 of the largest output.
 
 The forward computes in its parameters' dtype. Training passes float64
 parameters, and a taped forward refuses any other. Sampling, scoring and
@@ -261,6 +266,39 @@ def _attention_layer(q, k, v, bias, skip, params, prefix, config) -> Tensor:
     return _mlp(ad.attention(q, k, v, bias, config.n_heads, skip), params, prefix)
 
 
+def _untaped_attention(
+    q: Tensor, k: Tensor, v: Tensor, emb: EmbeddedExample, rows: slice, n_heads: int
+) -> Tensor:
+    """Untaped multi-head attention of ``q``, the query rows ``rows`` of
+    ``emb``, over every point's keys ``k`` and values ``v``.
+
+    It computes :func:`temporal_bc.autodiff.attention` under :func:`embed`'s
+    mask at the dtype's rounding, not bit for bit: one logits product and
+    one value product over (heads, rows, width) views; ``MASK_FILL`` on the
+    target-key columns only, since :func:`embed` opens every conditioning key
+    to every query; and each output row divided by its sum of exponents
+    after the value product (the deferred normalisation of Dao et al. 2022).
+    It has no floor for a fully blocked row, since none occurs: every query
+    sees a conditioning key, because
+    :func:`temporal_bc.batching.compute_features` refuses targets without an
+    observed context point.
+    """
+    n_rows, d = q.shape
+    width = d // n_heads
+    n_cond = emb.n_conditioning
+    logits = np.matmul(
+        q.data.reshape(n_rows, n_heads, width).transpose(1, 0, 2),
+        k.data.reshape(-1, n_heads, width).transpose(1, 2, 0),
+    )
+    logits[:, :, n_cond:] += emb.blocked[rows, n_cond:] * q.data.dtype.type(ad.MASK_FILL)
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    denom = logits.sum(axis=-1, keepdims=True)
+    out = np.matmul(logits, v.data.reshape(-1, n_heads, width).transpose(1, 0, 2))
+    out /= denom
+    return Tensor(out.transpose(1, 0, 2).reshape(n_rows, d))
+
+
 def forward(
     params: dict[str, Tensor], emb: EmbeddedExample, config: ModelConfig
 ) -> tuple[Tensor, Tensor]:
@@ -272,18 +310,22 @@ def forward(
     last layer of each stack runs its softmax on the target rows alone and
     leaves the conditioning rows zero. With no tape the last layer of each
     stack takes the target queries alone; keys and values keep every row.
-    The embedded inputs and the mask bias take the parameters' dtype.
+    Every attention then goes through :func:`_untaped_attention`, which
+    masks the target-key columns only and builds no n x n bias. The
+    embedded inputs and the mask take the parameters' dtype.
     """
     if emb.n_targets == 0:
         raise DataError("example has no targets")
     dtype = params["q.w1"].data.dtype
-    if ad.recording() and dtype != np.float64:
+    taped = ad.recording()
+    if taped and dtype != np.float64:
         raise NumericError("a taped forward needs float64 parameters, got %s" % dtype)
-    cut = 0 if ad.recording() else emb.n_conditioning
-    # one mask bias for every layer; it and the inputs take the parameters'
-    # dtype. Allowed cells are -0.0, which leaves every logit's value as +0.0
-    # would (a -0.0 logit keeps its sign, and its exponent is 1 either way)
-    bias = emb.blocked * dtype.type(ad.MASK_FILL)
+    n_cond = emb.n_conditioning
+    if taped:
+        # one mask bias for every layer, in the parameters' dtype. Allowed
+        # cells are -0.0, which leaves every logit's value as +0.0 would (a
+        # -0.0 logit keeps its sign, and its exponent is 1 either way)
+        bias = emb.blocked * dtype.type(ad.MASK_FILL)
     q_in, kv_in, xqk_in, xv_in = (
         Tensor(x.astype(dtype, copy=False))
         for x in (emb.q_in, emb.kv_in, emb.xqk_in, emb.xv_in)
@@ -300,20 +342,24 @@ def forward(
             q = k = v = out
             xq = xk = xout
         last = layer == config.n_layers - 1
-        if last and cut:
-            q, xq, bias = q[cut:], xq[cut:], bias[cut:]
-        # the head reads the target rows only: untaped, the last layer's
-        # queries are cut to them; taped, its softmax skips the rest
-        skip = emb.n_conditioning - cut if last else 0
-        out = _attention_layer(
-            q, k, v, bias, skip, params, "layer%d.out" % layer, config
-        )
-        xout = _attention_layer(
-            xq, xk, xv, bias, skip, params, "layer%d.xout" % layer, config
-        )
+        out_map, xout_map = "layer%d.out" % layer, "layer%d.xout" % layer
+        if taped:
+            # the head reads the target rows only, so the last layer's
+            # softmax skips the rest
+            skip = n_cond if last else 0
+            out = _attention_layer(q, k, v, bias, skip, params, out_map, config)
+            xout = _attention_layer(xq, xk, xv, bias, skip, params, xout_map, config)
+        else:
+            # the last layer's queries are cut to the target rows
+            rows = slice(n_cond if last else 0, None)
+            if last:
+                q, xq = q[rows], xq[rows]
+            out = _untaped_attention(q, k, v, emb, rows, config.n_heads)
+            xout = _untaped_attention(xq, xk, xv, emb, rows, config.n_heads)
+            out, xout = _mlp(out, params, out_map), _mlp(xout, params, xout_map)
 
-    if not cut:  # taped: the head reads the target rows of the full output
-        out, xout = out[emb.n_conditioning :], xout[emb.n_conditioning :]
+    if taped:  # the head reads the target rows of the full output
+        out, xout = out[n_cond:], xout[n_cond:]
     raw = _mlp(ad.concat([out, xout], axis=-1), params, "head")
     mu = raw[:, 0:1] + Tensor(emb.anchors)
     sigma = ad.softplus(raw[:, 1:2]) + Tensor(np.array(SIGMA_FLOOR))

@@ -13,12 +13,18 @@ predicted from the true observed history, which scores one-step-ahead
 density forecasts on a held-out stretch, as training's validation
 (:func:`temporal_bc.training.evaluate_nll`) does on its held-out days.
 
-All three run the model's forward in float32, on parameters that
+All three run the model's untaped forward in float32, on parameters that
 :func:`temporal_bc.model.tensors_from_checkpoint` casts once per forecaster;
-the checkpoint itself and training stay float64. A forecast's (mean, std)
-therefore differs from a float64 forward's at float32 rounding, while a
-sampled, a scored and a validated forecast of the same day and windows
+the checkpoint itself and training stay float64. That forward's attention
+masks only the one target column and normalises each softmax row after the
+value product (see :mod:`temporal_bc.model`). A forecast's (mean, std)
+therefore differs from a float64 taped forward's at float32 rounding, while
+a sampled, a scored and a validated forecast of the same day and windows
 agree bit for bit.
+
+A sampled or scored stretch logs each window warning at most once
+(:func:`_warn_about_windows`), and training checks them once per ``train``
+call rather than at every validation.
 """
 
 from __future__ import annotations
@@ -98,8 +104,7 @@ def _forecaster(
     ``forecast(hist_t, hist_v, tau)`` conditions on the trailing
     ``obs_window`` history points and the run's days in
     [tau - gcm_past, tau + gcm_future) and returns the normalized (mean, std)
-    for day tau. Logs a warning when either window is longer than the
-    longest training window the checkpoint records (``meta["window_max"]``).
+    for day tau.
     """
     if not 0 <= run_id < dataset.n_runs:
         raise DataError("run id %d out of range (0..%d)" % (run_id, dataset.n_runs - 1))
@@ -122,21 +127,6 @@ def _forecaster(
             "insufficient GCM coverage: need [%r, %r], run %d spans [%r, %r]"
             % (start_t - config.gcm_past, last_t, run_id, *gcm_t[[0, -1]].tolist())
         )
-    if gcm_t[-1] < last_t + config.gcm_future - 1:
-        logger.warning(
-            "GCM run %d ends at t=%r; the future window truncates near the "
-            "end of the stretch",
-            run_id,
-            float(gcm_t[-1]),
-        )
-    window_max = ckpt.meta.get("window_max")  # absent in older checkpoints
-    gcm_span = config.gcm_past + config.gcm_future
-    if window_max is not None and max(config.obs_window, gcm_span) > window_max:
-        logger.warning(
-            "sampler window (obs_window %d, gcm_past + gcm_future %d) exceeds the "
-            "longest training window (%d days); predictions may degrade",
-            config.obs_window, gcm_span, window_max,
-        )  # fmt: skip
     params = tf_model.tensors_from_checkpoint(ckpt)
 
     def forecast(hist_t, hist_v, tau: float) -> tuple[float, float]:
@@ -153,6 +143,35 @@ def _forecaster(
         return _predict_one(params, example, ckpt.config)
 
     return obs_t, obs_v, forecast
+
+
+def _warn_about_windows(
+    ckpt: ModelCheckpoint, dataset: PairedDataset, run_id: int, config: SamplerConfig, last_t
+) -> None:
+    """Log a warning when the run's future window truncates before day
+    ``last_t``, and one when either sampler window is longer than the
+    longest training window the checkpoint records (``meta["window_max"]``).
+
+    Neither condition changes between the forecasts of one stretch, so each
+    caller checks once: a sampled or scored stretch, or a ``train`` call
+    for every validation it runs.
+    """
+    run_end = float(dataset.runs[run_id].times[-1])
+    if run_end < last_t + config.gcm_future - 1:
+        logger.warning(
+            "GCM run %d ends at t=%r; the future window truncates near the "
+            "end of the stretch",
+            run_id,
+            run_end,
+        )
+    window_max = ckpt.meta.get("window_max")  # absent in older checkpoints
+    gcm_span = config.gcm_past + config.gcm_future
+    if window_max is not None and max(config.obs_window, gcm_span) > window_max:
+        logger.warning(
+            "sampler window (obs_window %d, gcm_past + gcm_future %d) exceeds the "
+            "longest training window (%d days); predictions may degrade",
+            config.obs_window, gcm_span, window_max,
+        )  # fmt: skip
 
 
 def _predict_one(params, example, model_config):
@@ -174,9 +193,9 @@ def sample_trajectories(
     gets its own stream from one sampler seed.
     """
     start_t = float(dataset.obs.times[-1]) + 1.0
-    obs_t, obs_v, forecast = _forecaster(
-        ckpt, dataset, run_id, config, start_t, start_t + config.horizon - 1
-    )
+    last_t = start_t + config.horizon - 1
+    obs_t, obs_v, forecast = _forecaster(ckpt, dataset, run_id, config, start_t, last_t)
+    _warn_about_windows(ckpt, dataset, run_id, config, last_t)
     out = []
     for traj in range(config.n_trajectories):
         rng = substream(config.seed ^ run_id, "trajectory", traj)
@@ -263,6 +282,7 @@ def predictive_nll(
         raise ConfigError("n_days must be >= 1")
     times = float(start_t) + np.arange(n_days, dtype=np.float64)
     means, stds, at = _one_step(ckpt, dataset, run_id, config, times)
+    _warn_about_windows(ckpt, dataset, run_id, config, float(times[-1]))
     means, stds = ckpt.norm_stats.from_z(means), stds * ckpt.norm_stats.std
     nll = gaussian_nll_points(dataset.obs.values[at], means, stds)
     return PredictiveScore(times=times, means=means, stds=stds, nll=nll)

@@ -8,7 +8,10 @@ regular cadence, validation forecasts a fixed set of held-out days one step
 ahead, through the sampler's own windowing and float32 forward at the
 sampler geometry, so it scores what :func:`temporal_bc.sampling.predictive_nll`
 scores; its NLL drives plateau-based early stopping (Prechelt 1998).
-Everything is deterministic given the seed.
+It forecasts the same ``VAL_DAYS`` days on every run of the dataset, so an
+evaluation's cost grows with the number of runs. The sampler's window
+warnings cannot change between evaluations, so ``train`` logs them once
+per run, after the first. Everything is deterministic given the seed.
 
 A step records and sweeps one example's tape at a time, last example first,
 with gradients accumulating on the parameters. One sweep over a tape of the
@@ -265,6 +268,10 @@ def train(
         best_val = validate()
     except DataError as exc:
         raise DataError("cannot forecast the held-out tail at the sampler windows: %s" % exc)
+    # the windows are the same at every validation, so they are checked once
+    initial = snapshot({})
+    for z in range(dataset.n_runs):
+        sampling._warn_about_windows(initial, dataset, z, scfg, float(val_days[-1]))
     rows.append(MetricsRow(step=0, train_nll=None, val_nll=best_val))
 
     for step in range(1, train_config.steps + 1):

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from temporal_bc import autodiff as ad
 from temporal_bc.autodiff import Tape, Tensor, backward
-from temporal_bc import sampling, training
+from temporal_bc import model, sampling, training
 from temporal_bc.batching import (
     SERIES_GCM,
     SERIES_OBS,
@@ -169,6 +171,8 @@ class TestEmbed:
             allowed[n_cond + p, n_cond : n_cond + p] = True
         assert emb.blocked.dtype == bool
         assert np.array_equal(emb.blocked, ~allowed)
+        # the untaped attention masks the target-key columns only
+        assert not emb.blocked[:, : emb.n_conditioning].any()
 
     @pytest.mark.parametrize("geometry", ["paper-study", "default"])
     def test_inputs_equal_one_positional_call_per_time_block(self, geometry):
@@ -416,7 +420,10 @@ class TestInferenceRows:
                 mu_taped, sigma_taped = forward(params, emb, config)
             mu, sigma = forward(params, emb, config)
             assert mu.shape == sigma.shape == (ex.n_tgt, 1)
-            np.testing.assert_allclose(mu.data, mu_taped.data, rtol=1e-12, atol=0)
+            # as in TestFloat32Forward: a mean's error is relative to the
+            # largest mean, a std's pointwise
+            scale = np.abs(mu_taped.data).max()
+            np.testing.assert_allclose(mu.data, mu_taped.data, rtol=0, atol=1e-12 * scale)
             np.testing.assert_allclose(sigma.data, sigma_taped.data, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
@@ -427,22 +434,63 @@ class TestInferenceRows:
         emb = embed(ex, config)
         n = ex.n_points
         calls = []
-        real = ad.attention
+        real_taped, real_untaped = ad.attention, model._untaped_attention
 
-        def spy(q, k, v, bias, n_heads, skip):
+        def taped_spy(q, k, v, bias, n_heads, skip):
             calls.append((q.shape[0], k.shape[0], v.shape[0], bias.shape, skip))
-            return real(q, k, v, bias, n_heads, skip)
+            return real_taped(q, k, v, bias, n_heads, skip)
 
-        monkeypatch.setattr(ad, "attention", spy)
-        full = [(n, n, n, (n, n), 0)] * (2 * (n_layers - 1))
+        def untaped_spy(q, k, v, emb, rows, n_heads):
+            calls.append((q.shape[0], k.shape[0], v.shape[0], rows))
+            return real_untaped(q, k, v, emb, rows, n_heads)
+
+        monkeypatch.setattr(ad, "attention", taped_spy)
+        monkeypatch.setattr(model, "_untaped_attention", untaped_spy)
         # taped, the last layer takes every row and skips the conditioning ones
         with Tape():
             forward(params, emb, config)
+        full = [(n, n, n, (n, n), 0)] * (2 * (n_layers - 1))
         assert calls == full + [(n, n, n, (n, n), emb.n_conditioning)] * 2
         del calls[:]
         forward(params, emb, config)
-        last = [(ex.n_tgt, n, n, (ex.n_tgt, n), 0)] * 2
+        full = [(n, n, n, slice(0, None))] * (2 * (n_layers - 1))
+        last = [(ex.n_tgt, n, n, slice(emb.n_conditioning, None))] * 2
         assert calls == full + last
+
+
+class TestUntapedAttention:
+    """The untaped forward's attention against the taped op, in float64."""
+
+    @given(
+        n_gcm=st.integers(0, 12),
+        n_obs=st.integers(1, 12),
+        n_tgt=st.integers(1, 8),
+        n_heads=st.integers(1, 4),
+        targets_only=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_autodiff_attention(
+        self, n_gcm, n_obs, n_tgt, n_heads, targets_only, seed
+    ):
+        rng = np.random.default_rng(seed)
+        ex = build_example(
+            gcm_t=np.arange(float(n_gcm)),
+            gcm_v=rng.normal(size=n_gcm),
+            obs_t=np.arange(float(n_obs)),
+            obs_v=rng.normal(size=n_obs),
+            tgt_t=n_obs + np.arange(float(n_tgt)),
+            tgt_v=rng.normal(size=n_tgt),
+        )
+        emb = embed(ex, TINY)
+        n = ex.n_points
+        q, k, v = (Tensor(3.0 * rng.standard_normal((n, 3 * n_heads))) for _ in range(3))
+        rows = slice(emb.n_conditioning if targets_only else 0, None)
+        got = model._untaped_attention(q[rows], k, v, emb, rows, n_heads)
+        bias = emb.blocked[rows] * ad.MASK_FILL
+        want = ad.attention(q[rows], k, v, bias, n_heads)
+        assert got.data.dtype == np.float64 and got.shape == want.shape
+        scale = np.abs(want.data).max()
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12 * scale)
 
 
 class TestTapedRows:

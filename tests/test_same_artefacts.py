@@ -3,6 +3,7 @@
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "same_artefacts.py")
@@ -68,3 +69,38 @@ def test_a_masked_path_in_any_other_file_still_counts(same_artefacts, tmp_path):
     base = _tree(tmp_path / "base", files)
     change = _tree(tmp_path / "change", files)
     assert same_artefacts.differing_files(base, change) == ["out/report/report.json"]
+
+
+def test_each_difference_is_sized(same_artefacts, tmp_path):
+    base = _tree(tmp_path / "base", {
+        "metrics.csv": "step,train_nll,val_nll\n0,,1.5\n10,2.0,\n",
+        "checkpoint.json": '{"w": [1.0, 2.0], "meta": {"ok": true, "best": 4.0}}\n',
+        "heldout_nll.txt": "0.5\n",
+        "manifest.json": '{"sha256": "ab12", "n": 3}\n',
+    })  # fmt: skip
+    change = _tree(tmp_path / "change", {
+        "metrics.csv": "step,train_nll,val_nll\n0,,1.5000003\n10,2.0,\n",
+        "checkpoint.json": '{"w": [1.0, 2.5], "meta": {"ok": false, "best": 2.0}}\n',
+        "heldout_nll.txt": "0.5\n",
+        "manifest.json": '{"sha256": "cd34", "n": 3}\n',
+    })  # fmt: skip
+    np.array([1.0, np.nan, -4.0]).tofile(base / "losses.bin")
+    np.array([1.0, np.nan, -4.000004]).tofile(change / "losses.bin")
+
+    def sized(rel):
+        return same_artefacts.size_difference(base / rel, change / rel)
+
+    # one val_nll of the four filled cells, at 2e-7 relative
+    assert sized("metrics.csv") == (
+        "1 of 4 numbers differ, largest relative difference 2e-07"
+    )
+    # booleans are not numbers; 2.5 against 2.0 is 0.2, 2.0 against 4.0 is 0.5
+    assert sized("checkpoint.json") == (
+        "2 of 3 numbers differ, largest relative difference 0.5"
+    )
+    assert sized("losses.bin") == "1 of 3 numbers differ, largest relative difference 1e-06"
+    assert sized("heldout_nll.txt") == "0 of 1 numbers differ"
+    # a file whose numbers all agree differs in its text
+    assert sized("manifest.json") == "0 of 1 numbers differ"
+    (change / "heldout_nll.txt").write_text("0.5\n0.25\n", encoding="utf-8")
+    assert sized("heldout_nll.txt") == "1 against 2 numbers"

@@ -3,8 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from temporal_bc import autodiff as ad
-from temporal_bc import sampling
+from temporal_bc import model, sampling
 from temporal_bc.autodiff import Tensor
 from temporal_bc.batching import SERIES_GCM, SERIES_OBS
 from temporal_bc.errors import ConfigError, DataError
@@ -294,14 +293,14 @@ def test_sampling_and_scoring_compute_in_float32(monkeypatch):
     ds = make_dataset(n_obs=120)
     ckpt = value_sensitive_checkpoint(ds)
     seen = []
-    real = ad.attention
+    real = model._untaped_attention
 
-    def spy(q, k, v, bias, n_heads, skip):
-        out = real(q, k, v, bias, n_heads, skip)
-        seen.append({q.data.dtype, k.data.dtype, v.data.dtype, bias.dtype, out.data.dtype})
+    def spy(q, k, v, emb, rows, n_heads):
+        out = real(q, k, v, emb, rows, n_heads)
+        seen.append({q.data.dtype, k.data.dtype, v.data.dtype, out.data.dtype})
         return out
 
-    monkeypatch.setattr(ad, "attention", spy)
+    monkeypatch.setattr(model, "_untaped_attention", spy)
     sample_trajectories(ckpt, ds, 0, SamplerConfig(horizon=2, n_trajectories=2))
     predictive_nll(ckpt, ds, 0, start_t=100.0, n_days=2)
     # one main and one auxiliary attention per layer, per forecast day

@@ -334,6 +334,21 @@ class TestValidation:
         assert len(validated) == len(days)
         assert forecasts == validated
 
+    def test_window_warnings_are_logged_once_per_train_call(self, caplog):
+        # a 40-day GCM window, longer than TINY_BATCH's window_max of 20,
+        # whose future part runs past the run's last day at the last
+        # validation day
+        sampler = SamplerConfig(obs_window=20, gcm_past=10, gcm_future=30)
+        with caplog.at_level("WARNING", logger="temporal_bc.sampling"):
+            result = train(toy_dataset(n=400, seed=3), TINY_MODEL,
+                           TrainConfig(steps=30, batch_size=2, eval_interval=10),
+                           TINY_BATCH, sampler)  # fmt: skip
+        assert sum(row.val_nll is not None for row in result.metrics) == 4
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert "future window truncates" in messages[0]
+        assert "exceeds the longest training window (20 days)" in messages[1]
+
     @pytest.mark.parametrize(
         "sampler",
         [SamplerConfig(obs_window=181), SamplerConfig(gcm_past=181)],
