@@ -21,8 +21,10 @@ Run from the repository root, with both checkouts holding ``perfbench/``:
 
 It prints each file that differs or exists on one side only. For a file on
 both sides it also sizes the difference: how many of the file's numbers
-differ and the largest relative difference among them, |a - b| / max(|a|,
-|b|). The numbers are the float64 words of a ``.bin`` file, the numeric
+differ, the largest relative difference among them, |a - b| / max(|a|,
+|b|), and the largest |a - b| over the largest magnitude of any number in
+either file. A relative difference is large at a number near zero even when
+the change is at rounding; the second figure is not. The numbers are the float64 words of a ``.bin`` file, the numeric
 leaves of a JSON file, and the cells of any other file, read as CSV, that
 parse as floats (``heldout_nll.txt`` holds one). So a change at float32
 rounding (about 1e-7 relative) can be told from a real one, and a file whose
@@ -158,20 +160,24 @@ def _numbers(path: Path) -> np.ndarray:
 
 
 def size_difference(a: Path, b: Path) -> str:
-    """How many numbers of ``a`` and ``b`` differ, and the largest relative
-    difference among them; NaN equals NaN, and NaN against a number is a
-    relative difference of NaN."""
+    """How many numbers of ``a`` and ``b`` differ, the largest relative
+    difference among them, and the largest difference over the largest
+    magnitude in either file; NaN equals NaN, and NaN against a number is a
+    difference of NaN."""
     x, y = _numbers(a), _numbers(b)
     if len(x) != len(y):
         return "%d against %d numbers" % (len(x), len(y))
     differ = (x != y) & ~(np.isnan(x) & np.isnan(y))
     if not differ.any():
         return "0 of %d numbers differ" % len(x)
+    largest = np.nanmax(np.abs(np.concatenate([x, y])))
     x, y = x[differ], y[differ]
     with np.errstate(invalid="ignore"):
         rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
-    return "%d of %d numbers differ, largest relative difference %.3g" % (
-        len(rel), len(differ), rel.max()
+    return (
+        "%d of %d numbers differ, largest relative difference %.3g, "
+        "largest difference over the largest magnitude %.3g"
+        % (len(rel), len(differ), rel.max(), np.abs(x - y).max() / largest)
     )
 
 

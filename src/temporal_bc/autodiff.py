@@ -5,14 +5,13 @@ and, while a :class:`Tape` is active and any input requires a gradient,
 appends the result to the tape together with a backward rule. The tape's
 creation order is a topological order of the computation graph, so
 :func:`backward` simply walks it in reverse and accumulates gradients into
-``.grad``. With no active tape, ops are plain numpy (inference mode).
+``.grad``. With no active tape, ops record nothing.
 
 Elementwise ops broadcast like numpy; matmul broadcasts over leading batch
-dimensions only. Data is float64 under a tape; an untaped Tensor keeps
-float32 data, so a forward whose inputs are float32 computes in float32
-(sampling and scoring do; see :func:`temporal_bc.model.forward`). Gradients
-are computed in float64 only and verified against central finite differences
-by :func:`gradcheck`.
+dimensions only. Ops compute in their inputs' floating-point dtype; the
+model's training forward passes float64 (see
+:func:`temporal_bc.model.forward`). Gradients are verified in float64 against
+central finite differences by :func:`gradcheck`.
 """
 
 from __future__ import annotations
@@ -46,18 +45,10 @@ class Tape:
         return False
 
 
-def recording() -> bool:
-    """True while a :class:`Tape` is active, i.e. while ops record gradients."""
-    return Tape._active is not None
-
-
 class Tensor:
     """Dense array with optional gradient tracking.
 
     A floating-point array keeps its dtype and anything else becomes float64.
-    Data is float64 under a tape (:func:`temporal_bc.model.forward` refuses
-    float32 parameters there); an untaped Tensor keeps the float32 data that
-    sampling and scoring pass it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")

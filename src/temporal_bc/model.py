@@ -15,12 +15,7 @@ stack builds queries and keys from positional features alone and its values
 from the raw series value, so it can mix values across time guided purely by
 position; its value map is shared across layers. Attention weights are a
 masked softmax of plain query-key dot products (no scale factor), split over
-heads along the feature axis. Under a tape each layer's attention is one
-:func:`temporal_bc.autodiff.attention` op, one tape node, and the mask enters
-it as an additive n x n bias that :func:`forward` builds once for every
-layer. Each two-layer perceptron is likewise one
-:func:`temporal_bc.autodiff.mlp` node, and :func:`gaussian_nll` one
-:func:`temporal_bc.autodiff.gaussian_nll` node.
+heads along the feature axis.
 
 Conditioning points (model block and observed context) attend freely to each
 other; each target attends to the conditioning points and to strictly
@@ -32,26 +27,22 @@ through a softplus plus the hard floor :data:`SIGMA_FLOOR`. The head's final
 layer starts at zero, so an untrained model predicts exactly that nearest
 value.
 
-The head reads the target rows only. A forward that records a tape
-(training) passes every query row to every layer, and every product keeps
-its full shape, so training's rounding stays that of the full computation;
-only the last layer's softmax, on each stack, skips the conditioning rows
-that nothing reads. A forward with no tape (sampling, held-out scoring,
-validation) runs the last layer of each stack on the target queries alone,
-against the keys and values of every point. Its attention builds no n x n
-bias: all heads share one logits product and one value product, only the
-target-key columns are masked (every query may see every conditioning
-point), and each row is divided by its sum of exponents after the value
-product rather than before it. That arithmetic rounds differently from the
-taped op's; in float64 the two agree to about 1e-15 of the largest output.
+Two functions compute that. :func:`forward` is training's: float64
+:class:`temporal_bc.autodiff.Tensor` parameters and any number of targets.
+Each layer's attention is one :func:`temporal_bc.autodiff.attention` tape
+node under an additive n x n mask bias, each perceptron one
+:func:`temporal_bc.autodiff.mlp` node and :func:`gaussian_nll` one
+:func:`temporal_bc.autodiff.gaussian_nll` node.
 
-The forward computes in its parameters' dtype. Training passes float64
-parameters, and a taped forward refuses any other. Sampling, scoring and
-validation pass the float32 copies of :func:`tensors_from_checkpoint`, the
-one place that cast happens: the perceptrons and attentions run in float32,
-and the anchor and the std floor are added in float64. So an untaped
-forward's (mean, std) match the taped forward's to float32 rounding (about
-1e-6 relative to the largest mean), not bit for bit.
+:func:`forecast` is the one-day forecast of sampling, held-out scoring and
+validation: plain NumPy in the parameters' dtype, one target, no mask. That
+target sees every conditioning point and nothing else, and so does each
+conditioning point, so each attention runs over the conditioning rows' keys
+and values alone. Its arithmetic rounds differently from :func:`forward`'s
+(about 1e-15 of the largest output in float64). Sampling passes it the
+float32 copies of :func:`forecast_params`, the one place that cast happens,
+so a forecast matches :func:`forward` to float32 rounding (about 1e-6
+relative to the largest mean), not bit for bit.
 """
 
 from __future__ import annotations
@@ -266,69 +257,28 @@ def _attention_layer(q, k, v, bias, skip, params, prefix, config) -> Tensor:
     return _mlp(ad.attention(q, k, v, bias, config.n_heads, skip), params, prefix)
 
 
-def _untaped_attention(
-    q: Tensor, k: Tensor, v: Tensor, emb: EmbeddedExample, rows: slice, n_heads: int
-) -> Tensor:
-    """Untaped multi-head attention of ``q``, the query rows ``rows`` of
-    ``emb``, over every point's keys ``k`` and values ``v``.
-
-    It computes :func:`temporal_bc.autodiff.attention` under :func:`embed`'s
-    mask at the dtype's rounding, not bit for bit: one logits product and
-    one value product over (heads, rows, width) views; ``MASK_FILL`` on the
-    target-key columns only, since :func:`embed` opens every conditioning key
-    to every query; and each output row divided by its sum of exponents
-    after the value product (the deferred normalisation of Dao et al. 2022).
-    It has no floor for a fully blocked row, since none occurs: every query
-    sees a conditioning key, because
-    :func:`temporal_bc.batching.compute_features` refuses targets without an
-    observed context point.
-    """
-    n_rows, d = q.shape
-    width = d // n_heads
-    n_cond = emb.n_conditioning
-    logits = np.matmul(
-        q.data.reshape(n_rows, n_heads, width).transpose(1, 0, 2),
-        k.data.reshape(-1, n_heads, width).transpose(1, 2, 0),
-    )
-    logits[:, :, n_cond:] += emb.blocked[rows, n_cond:] * q.data.dtype.type(ad.MASK_FILL)
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    denom = logits.sum(axis=-1, keepdims=True)
-    out = np.matmul(logits, v.data.reshape(-1, n_heads, width).transpose(1, 0, 2))
-    out /= denom
-    return Tensor(out.transpose(1, 0, 2).reshape(n_rows, d))
-
-
 def forward(
     params: dict[str, Tensor], emb: EmbeddedExample, config: ModelConfig
 ) -> tuple[Tensor, Tensor]:
-    """Per-target (mu, sigma), each of shape (n_targets, 1).
+    """Per-target (mu, sigma), each of shape (n_targets, 1), for training.
 
-    The head reads the target rows only. While a tape records, the
-    parameters must be float64 and every layer takes every query row, so
+    The parameters must be float64. Every layer takes every query row, so
     that every product keeps the full computation's shape and rounding; the
-    last layer of each stack runs its softmax on the target rows alone and
-    leaves the conditioning rows zero. With no tape the last layer of each
-    stack takes the target queries alone; keys and values keep every row.
-    Every attention then goes through :func:`_untaped_attention`, which
-    masks the target-key columns only and builds no n x n bias. The
-    embedded inputs and the mask take the parameters' dtype.
+    last layer of each stack runs its softmax on the target rows alone, which
+    are all the head reads, and leaves the conditioning rows zero.
     """
     if emb.n_targets == 0:
         raise DataError("example has no targets")
     dtype = params["q.w1"].data.dtype
-    taped = ad.recording()
-    if taped and dtype != np.float64:
-        raise NumericError("a taped forward needs float64 parameters, got %s" % dtype)
+    if dtype != np.float64:
+        raise NumericError("forward needs float64 parameters, got %s" % dtype)
     n_cond = emb.n_conditioning
-    if taped:
-        # one mask bias for every layer, in the parameters' dtype. Allowed
-        # cells are -0.0, which leaves every logit's value as +0.0 would (a
-        # -0.0 logit keeps its sign, and its exponent is 1 either way)
-        bias = emb.blocked * dtype.type(ad.MASK_FILL)
+    # one mask bias for every layer. Allowed cells are -0.0, which leaves
+    # every logit's value as +0.0 would (a -0.0 logit keeps its sign, and its
+    # exponent is 1 either way)
+    bias = emb.blocked * ad.MASK_FILL
     q_in, kv_in, xqk_in, xv_in = (
-        Tensor(x.astype(dtype, copy=False))
-        for x in (emb.q_in, emb.kv_in, emb.xqk_in, emb.xv_in)
+        Tensor(x) for x in (emb.q_in, emb.kv_in, emb.xqk_in, emb.xv_in)
     )
     q = _mlp(q_in, params, "q")
     k = _mlp(kv_in, params, "k")
@@ -336,34 +286,92 @@ def forward(
     xq = _mlp(xqk_in, params, "xq")
     xk = _mlp(xqk_in, params, "xk")
     xv = _mlp(xv_in, params, "xv")
-    out = xout = None
     for layer in range(config.n_layers):
         if layer > 0:
             q = k = v = out
             xq = xk = xout
-        last = layer == config.n_layers - 1
+        # the head reads the target rows only, so the last layer's softmax
+        # skips the rest
+        skip = n_cond if layer == config.n_layers - 1 else 0
         out_map, xout_map = "layer%d.out" % layer, "layer%d.xout" % layer
-        if taped:
-            # the head reads the target rows only, so the last layer's
-            # softmax skips the rest
-            skip = n_cond if last else 0
-            out = _attention_layer(q, k, v, bias, skip, params, out_map, config)
-            xout = _attention_layer(xq, xk, xv, bias, skip, params, xout_map, config)
-        else:
-            # the last layer's queries are cut to the target rows
-            rows = slice(n_cond if last else 0, None)
-            if last:
-                q, xq = q[rows], xq[rows]
-            out = _untaped_attention(q, k, v, emb, rows, config.n_heads)
-            xout = _untaped_attention(xq, xk, xv, emb, rows, config.n_heads)
-            out, xout = _mlp(out, params, out_map), _mlp(xout, params, xout_map)
+        out = _attention_layer(q, k, v, bias, skip, params, out_map, config)
+        xout = _attention_layer(xq, xk, xv, bias, skip, params, xout_map, config)
 
-    if taped:  # the head reads the target rows of the full output
-        out, xout = out[n_cond:], xout[n_cond:]
-    raw = _mlp(ad.concat([out, xout], axis=-1), params, "head")
+    raw = _mlp(ad.concat([out[n_cond:], xout[n_cond:]], axis=-1), params, "head")
     mu = raw[:, 0:1] + Tensor(emb.anchors)
     sigma = ad.softplus(raw[:, 1:2]) + Tensor(np.array(SIGMA_FLOOR))
     return mu, sigma
+
+
+def _mlp_array(x: np.ndarray, params: dict, prefix: str) -> np.ndarray:
+    """:func:`temporal_bc.autodiff.mlp`'s arithmetic on plain arrays."""
+    y = x @ params[prefix + ".w1"]
+    y += params[prefix + ".b1"]
+    np.tanh(y, out=y)
+    out = y @ params[prefix + ".w2"]
+    out += params[prefix + ".b2"]
+    return out
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.ndarray:
+    """Multi-head softmax attention of every query over every key, with no
+    mask: one logits product and one value product over (heads, rows, width)
+    views, and each output row divided by its sum of exponents after the
+    value product (the deferred normalisation of Dao et al. 2022)."""
+    n_rows, d = q.shape
+    width = d // n_heads
+    logits = np.matmul(
+        q.reshape(n_rows, n_heads, width).transpose(1, 0, 2),
+        k.reshape(-1, n_heads, width).transpose(1, 2, 0),
+    )
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    denom = logits.sum(axis=-1, keepdims=True)
+    out = np.matmul(logits, v.reshape(-1, n_heads, width).transpose(1, 0, 2))
+    out /= denom
+    return out.transpose(1, 0, 2).reshape(n_rows, d)
+
+
+def forecast(
+    params: dict[str, np.ndarray], emb: EmbeddedExample, config: ModelConfig
+) -> tuple[float, float]:
+    """(mean, std) of a one-target example, in the parameters' dtype with
+    the anchor and the std floor added in float64.
+
+    Keys and values come from the conditioning rows alone, so the target's
+    own inputs never enter; the last layer of each stack takes the target's
+    query alone.
+    """
+    if emb.n_targets != 1:
+        raise DataError("a forecast has one target, got %d" % emb.n_targets)
+    dtype = params["q.w1"].dtype
+    n_cond = emb.n_conditioning
+    # queries take every row, keys and values the conditioning rows
+    q_in, kv_in, xqk_in, xv_in = (
+        x.astype(dtype) for x in (emb.q_in, emb.kv_in[:n_cond], emb.xqk_in, emb.xv_in[:n_cond])
+    )
+    q = _mlp_array(q_in, params, "q")
+    k = _mlp_array(kv_in, params, "k")
+    v = _mlp_array(kv_in, params, "v")
+    xq = _mlp_array(xqk_in, params, "xq")
+    xk = _mlp_array(xqk_in[:n_cond], params, "xk")
+    xv = _mlp_array(xv_in, params, "xv")
+    for layer in range(config.n_layers):
+        if layer > 0:
+            q, xq = out, xout
+            k = v = out[:n_cond]
+            xk = xout[:n_cond]
+        if layer == config.n_layers - 1:  # the head reads the target row only
+            q, xq = q[n_cond:], xq[n_cond:]
+        out_map, xout_map = "layer%d.out" % layer, "layer%d.xout" % layer
+        out = _mlp_array(_attend(q, k, v, config.n_heads), params, out_map)
+        xout = _mlp_array(_attend(xq, xk, xv, config.n_heads), params, xout_map)
+
+    mean, raw_std = _mlp_array(np.concatenate([out, xout], axis=-1), params, "head")[0]
+    return (
+        float(mean) + float(emb.anchors[0, 0]),
+        float(np.logaddexp(0.0, raw_std)) + SIGMA_FLOOR,
+    )
 
 
 def gaussian_nll(mu: Tensor, sigma: Tensor, target_values: np.ndarray) -> Tensor:
@@ -397,10 +405,10 @@ def checkpoint_from_params(
     )
 
 
-def tensors_from_checkpoint(ckpt: ModelCheckpoint) -> dict[str, Tensor]:
-    """float32 copies of the parameters, for the untaped forward that
+def forecast_params(ckpt: ModelCheckpoint) -> dict[str, np.ndarray]:
+    """float32 copies of the parameters, for the :func:`forecast` that
     samples, scores and validates; training keeps its own float64 tensors."""
-    return {name: Tensor(arr.astype(np.float32)) for name, arr in ckpt.params.items()}
+    return {name: arr.astype(np.float32) for name, arr in ckpt.params.items()}
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:

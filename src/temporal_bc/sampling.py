@@ -13,14 +13,14 @@ predicted from the true observed history, which scores one-step-ahead
 density forecasts on a held-out stretch, as training's validation
 (:func:`temporal_bc.training.evaluate_nll`) does on its held-out days.
 
-All three run the model's untaped forward in float32, on parameters that
-:func:`temporal_bc.model.tensors_from_checkpoint` casts once per forecaster;
-the checkpoint itself and training stay float64. That forward's attention
-masks only the one target column and normalises each softmax row after the
-value product (see :mod:`temporal_bc.model`). A forecast's (mean, std)
-therefore differs from a float64 taped forward's at float32 rounding, while
-a sampled, a scored and a validated forecast of the same day and windows
-agree bit for bit.
+All three forecast each day through :func:`_predict_one`, the one caller of
+:func:`temporal_bc.model.forecast`: plain NumPy in float32, on parameters
+that :func:`temporal_bc.model.forecast_params` casts once per forecaster,
+with the day as the one target and attention over the conditioning points
+alone (see :mod:`temporal_bc.model`). The checkpoint itself and training stay
+float64. A forecast's (mean, std) therefore differs from training's float64
+forward at float32 rounding, while a sampled, a scored and a validated
+forecast of the same day and windows agree bit for bit.
 
 A sampled or scored stretch logs each window warning at most once
 (:func:`_warn_about_windows`), and training checks them once per ``train``
@@ -101,7 +101,7 @@ def _forecaster(
 
     Checks that the run exists, that ``obs_window`` observed days precede
     ``start_t`` and that the run covers [start_t - gcm_past, last_t].
-    ``forecast(hist_t, hist_v, tau)`` conditions on the trailing
+    ``one_day(hist_t, hist_v, tau)`` conditions on the trailing
     ``obs_window`` history points and the run's days in
     [tau - gcm_past, tau + gcm_future) and returns the normalized (mean, std)
     for day tau.
@@ -127,9 +127,9 @@ def _forecaster(
             "insufficient GCM coverage: need [%r, %r], run %d spans [%r, %r]"
             % (start_t - config.gcm_past, last_t, run_id, *gcm_t[[0, -1]].tolist())
         )
-    params = tf_model.tensors_from_checkpoint(ckpt)
+    params = tf_model.forecast_params(ckpt)
 
-    def forecast(hist_t, hist_v, tau: float) -> tuple[float, float]:
+    def one_day(hist_t, hist_v, tau: float) -> tuple[float, float]:
         # gcm_t is strictly increasing, so the window is the slice of days
         # in [tau - gcm_past, tau + gcm_future)
         lo, hi = np.searchsorted(gcm_t, (tau - config.gcm_past, tau + config.gcm_future))
@@ -142,7 +142,7 @@ def _forecaster(
         )
         return _predict_one(params, example, ckpt.config)
 
-    return obs_t, obs_v, forecast
+    return obs_t, obs_v, one_day
 
 
 def _warn_about_windows(
@@ -175,10 +175,7 @@ def _warn_about_windows(
 
 
 def _predict_one(params, example, model_config):
-    mu, sigma = tf_model.forward(
-        params, tf_model.embed(example, model_config), model_config
-    )
-    m, s = float(mu.data[0, 0]), float(sigma.data[0, 0])
+    m, s = tf_model.forecast(params, tf_model.embed(example, model_config), model_config)
     if not (np.isfinite(m) and np.isfinite(s)):
         raise NumericError("model produced non-finite prediction during sampling")
     return m, s
@@ -194,7 +191,7 @@ def sample_trajectories(
     """
     start_t = float(dataset.obs.times[-1]) + 1.0
     last_t = start_t + config.horizon - 1
-    obs_t, obs_v, forecast = _forecaster(ckpt, dataset, run_id, config, start_t, last_t)
+    obs_t, obs_v, one_day = _forecaster(ckpt, dataset, run_id, config, start_t, last_t)
     _warn_about_windows(ckpt, dataset, run_id, config, last_t)
     out = []
     for traj in range(config.n_trajectories):
@@ -204,7 +201,7 @@ def sample_trajectories(
         values = np.empty(config.horizon)
         for step in range(config.horizon):
             tau = start_t + step
-            m, s = forecast(hist_t, hist_v, tau)
+            m, s = one_day(hist_t, hist_v, tau)
             value = m if config.deterministic else float(rng.normal(m, s))
             values[step] = value
             hist_t.append(tau)
@@ -248,7 +245,7 @@ def _one_step(ckpt, dataset, run_id: int, config: SamplerConfig, days: np.ndarra
     the normalized means and stds and each day's index in the observation
     series; every day must be observed.
     """
-    obs_t, obs_v, forecast = _forecaster(
+    obs_t, obs_v, one_day = _forecaster(
         ckpt, dataset, run_id, config, float(days[0]), float(days[-1])
     )
     # obs_t is strictly increasing, so each day's past is a prefix
@@ -259,7 +256,7 @@ def _one_step(ckpt, dataset, run_id: int, config: SamplerConfig, days: np.ndarra
     means = np.empty(len(days))
     stds = np.empty(len(days))
     for i, tau in enumerate(days):
-        means[i], stds[i] = forecast(obs_t[: n_past[i]], obs_v[: n_past[i]], float(tau))
+        means[i], stds[i] = one_day(obs_t[: n_past[i]], obs_v[: n_past[i]], float(tau))
     return means, stds, n_past
 
 

@@ -321,7 +321,7 @@ def test_attention_fully_blocked_row_gives_zeros(rng):
     # with every row blocked, nothing flows either way
     for x in run(np.ones((n, n), dtype=bool)):
         assert np.all(x == 0.0)
-    # untaped float32, as sampling runs it: float32 out, exact zeros
+    # untaped float32: float32 out, exact zeros
     q, k, v = [Tensor(x.astype(np.float32)) for x in qkv]
     for rows in (blocked, np.ones((n, n), dtype=bool)):
         bias = np.where(rows, ad.MASK_FILL, 0.0).astype(np.float32)
@@ -456,7 +456,7 @@ def _mlp_by_ops(x, w1, b1, w2, b2):
         "x_is_constant",
         "x_shared",
         # the model's edge shapes: xv's perceptron reads one column, the
-        # head's writes two; sampling runs every perceptron untaped in float32
+        # head's writes two; and an untaped float32 perceptron
         "one_input_column",
         "two_output_columns",
         "untaped_float32",

@@ -23,6 +23,8 @@ from temporal_bc.model import (
     ModelConfig,
     checkpoint_from_params,
     embed,
+    forecast,
+    forecast_params,
     forward,
     gaussian_nll,
     init_params,
@@ -30,7 +32,6 @@ from temporal_bc.model import (
     param_shapes,
     positional_features,
     save_checkpoint,
-    tensors_from_checkpoint,
 )
 from temporal_bc.sampling import SamplerConfig
 from temporal_bc.timeseries import AlignedPair, NormStats
@@ -83,6 +84,14 @@ def build_example(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v):
         tgt_v=tv,
         features=features,
     )
+
+
+def one_target(ex):
+    """``ex`` with its first target alone, as a sampler's example has."""
+    return build_example(
+        ex.ctx_gcm_t, ex.ctx_gcm_v, ex.ctx_obs_t, ex.ctx_obs_v,
+        ex.tgt_t[:1], None if ex.tgt_v is None else ex.tgt_v[:1],
+    )  # fmt: skip
 
 
 def default_example(tgt_v=(1.5, 2.5, 0.5)):
@@ -171,7 +180,8 @@ class TestEmbed:
             allowed[n_cond + p, n_cond : n_cond + p] = True
         assert emb.blocked.dtype == bool
         assert np.array_equal(emb.blocked, ~allowed)
-        # the untaped attention masks the target-key columns only
+        # every query sees every conditioning key, so a one-target forecast
+        # attends over the conditioning rows with no mask
         assert not emb.blocked[:, : emb.n_conditioning].any()
 
     @pytest.mark.parametrize("geometry", ["paper-study", "default"])
@@ -362,9 +372,13 @@ class TestPredict:
 
     def test_prediction_validation(self):
         # the sampler's one-target prediction rejects non-finite output
-        ex = default_example()
-        params = init_params(TINY, np.random.default_rng(5))
-        params["head.b2"] = Tensor(np.array([np.nan, 0.0]))
+        ex = one_target(default_example())
+        ckpt = checkpoint_from_params(
+            TINY, init_params(TINY, np.random.default_rng(5)), NormStats(0.0, 1.0)
+        )
+        params = forecast_params(ckpt)
+        assert np.isfinite(sampling._predict_one(params, ex, TINY)).all()
+        params["head.b2"] = np.array([np.nan, 0.0], dtype=params["head.b2"].dtype)
         with pytest.raises(NumericError, match="non-finite"):
             sampling._predict_one(params, ex, TINY)
 
@@ -404,8 +418,24 @@ class TestTapeSize:
         assert len(tape.nodes) == 24
 
 
+def _float64(params):
+    return {name: p.data for name, p in params.items()}
+
+
 class TestInferenceRows:
-    """With no tape, the last layer of each stack computes the target rows only."""
+    """:func:`model.forecast`, the untaped one-target forward that samples,
+    scores and validates, against training's taped forward."""
+
+    def _assert_matches_forward(self, params, ex, config, tol):
+        emb = embed(ex, config)
+        with Tape():
+            mu, sigma = forward(params, emb, config)
+        mean, std = forecast(_float64(params), emb, config)
+        assert type(mean) is float and type(std) is float
+        # a mean can cross zero, so its error is relative to the largest
+        # mean; a std is at least SIGMA_FLOOR, so its error is pointwise
+        assert abs(mean - mu.data[0, 0]) <= tol * np.abs(mu.data).max()
+        assert abs(std - sigma.data[0, 0]) <= tol * sigma.data[0, 0]
 
     @pytest.mark.parametrize("geometry", ["paper-study", "default"])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
@@ -413,84 +443,112 @@ class TestInferenceRows:
         config = replace(GEOMETRIES[geometry][0], n_layers=n_layers)
         params = trained_like_params(seed=n_layers, config=config)
         examples = geometry_examples(geometry, n_batch=2)
-        assert examples[0].n_tgt > 1 and examples[-1].n_tgt == 1
-        for ex in examples:
-            emb = embed(ex, config)
-            with Tape():
-                mu_taped, sigma_taped = forward(params, emb, config)
-            mu, sigma = forward(params, emb, config)
-            assert mu.shape == sigma.shape == (ex.n_tgt, 1)
-            # as in TestFloat32Forward: a mean's error is relative to the
-            # largest mean, a std's pointwise
-            scale = np.abs(mu_taped.data).max()
-            np.testing.assert_allclose(mu.data, mu_taped.data, rtol=0, atol=1e-12 * scale)
-            np.testing.assert_allclose(sigma.data, sigma_taped.data, rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    def test_only_the_last_layer_drops_conditioning_queries(self, monkeypatch, n_layers):
-        config = replace(GEOMETRIES["paper-study"][0], n_layers=n_layers)
-        params = init_params(config, np.random.default_rng(0))
-        ex = geometry_examples("paper-study", n_batch=1)[0]
-        emb = embed(ex, config)
-        n = ex.n_points
-        calls = []
-        real_taped, real_untaped = ad.attention, model._untaped_attention
-
-        def taped_spy(q, k, v, bias, n_heads, skip):
-            calls.append((q.shape[0], k.shape[0], v.shape[0], bias.shape, skip))
-            return real_taped(q, k, v, bias, n_heads, skip)
-
-        def untaped_spy(q, k, v, emb, rows, n_heads):
-            calls.append((q.shape[0], k.shape[0], v.shape[0], rows))
-            return real_untaped(q, k, v, emb, rows, n_heads)
-
-        monkeypatch.setattr(ad, "attention", taped_spy)
-        monkeypatch.setattr(model, "_untaped_attention", untaped_spy)
-        # taped, the last layer takes every row and skips the conditioning ones
-        with Tape():
-            forward(params, emb, config)
-        full = [(n, n, n, (n, n), 0)] * (2 * (n_layers - 1))
-        assert calls == full + [(n, n, n, (n, n), emb.n_conditioning)] * 2
-        del calls[:]
-        forward(params, emb, config)
-        full = [(n, n, n, slice(0, None))] * (2 * (n_layers - 1))
-        last = [(ex.n_tgt, n, n, slice(emb.n_conditioning, None))] * 2
-        assert calls == full + last
-
-
-class TestUntapedAttention:
-    """The untaped forward's attention against the taped op, in float64."""
+        assert examples[-1].n_tgt == 1 and examples[-1].tgt_v is None
+        for ex in examples[-1:] + [one_target(ex) for ex in examples[:-1]]:
+            self._assert_matches_forward(params, ex, config, 1e-12)
 
     @given(
         n_gcm=st.integers(0, 12),
         n_obs=st.integers(1, 12),
-        n_tgt=st.integers(1, 8),
-        n_heads=st.integers(1, 4),
-        targets_only=st.booleans(),
+        n_layers=st.integers(1, 3),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_autodiff_attention(
-        self, n_gcm, n_obs, n_tgt, n_heads, targets_only, seed
-    ):
+    def test_forecast_matches_the_taped_forward(self, n_gcm, n_obs, n_layers, seed):
         rng = np.random.default_rng(seed)
         ex = build_example(
             gcm_t=np.arange(float(n_gcm)),
             gcm_v=rng.normal(size=n_gcm),
             obs_t=np.arange(float(n_obs)),
             obs_v=rng.normal(size=n_obs),
-            tgt_t=n_obs + np.arange(float(n_tgt)),
-            tgt_v=rng.normal(size=n_tgt),
+            tgt_t=[float(n_obs)],
+            tgt_v=None,
+        )
+        config = replace(TINY, n_layers=n_layers)
+        self._assert_matches_forward(trained_like_params(seed, config), ex, config, 1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forecast_never_reads_its_targets_key_or_value(self, dtype):
+        params = {
+            name: p.data.astype(dtype) for name, p in trained_like_params(seed=6).items()
+        }
+        emb = embed(one_target(default_example()), TINY)
+        kv_in, xv_in = emb.kv_in.copy(), emb.xv_in.copy()
+        kv_in[-1] = 1e3 * np.random.default_rng(0).standard_normal(kv_in.shape[1])
+        xv_in[-1] = -7.5
+        bumped = replace(emb, kv_in=kv_in, xv_in=xv_in)
+        assert forecast(params, bumped, TINY) == forecast(params, emb, TINY)
+        # a conditioning point's value does reach the forecast
+        xv_in[0] = -7.5
+        assert forecast(params, replace(emb, xv_in=xv_in), TINY) != forecast(params, emb, TINY)
+
+    def test_forecast_refuses_more_than_one_target(self):
+        params = _float64(trained_like_params())
+        with pytest.raises(DataError, match="one target, got 3"):
+            forecast(params, embed(default_example(), TINY), TINY)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_only_the_last_layer_drops_conditioning_queries(self, monkeypatch, n_layers):
+        config = replace(GEOMETRIES["paper-study"][0], n_layers=n_layers)
+        params = init_params(config, np.random.default_rng(0))
+        ex = geometry_examples("paper-study", n_batch=1)[-1]
+        emb = embed(ex, config)
+        n, n_cond = ex.n_points, emb.n_conditioning
+        calls = []
+        real_taped, real_forecast = ad.attention, model._attend
+
+        def taped_spy(q, k, v, bias, n_heads, skip):
+            calls.append((q.shape[0], k.shape[0], v.shape[0], bias.shape, skip))
+            return real_taped(q, k, v, bias, n_heads, skip)
+
+        def forecast_spy(q, k, v, n_heads):
+            calls.append((q.shape[0], k.shape[0], v.shape[0]))
+            return real_forecast(q, k, v, n_heads)
+
+        monkeypatch.setattr(ad, "attention", taped_spy)
+        monkeypatch.setattr(model, "_attend", forecast_spy)
+        # forward's last layer takes every row and skips the conditioning ones
+        with Tape():
+            forward(params, emb, config)
+        full = [(n, n, n, (n, n), 0)] * (2 * (n_layers - 1))
+        assert calls == full + [(n, n, n, (n, n), n_cond)] * 2
+        del calls[:]
+        # a forecast's keys and values are the conditioning rows, and its
+        # last layer takes the target's query alone
+        forecast(_float64(params), emb, config)
+        assert calls == [(n, n_cond, n_cond)] * (2 * (n_layers - 1)) + [(1, n_cond, n_cond)] * 2
+
+
+class TestUntapedAttention:
+    """A forecast's attention against the taped op under embed's mask, in
+    float64."""
+
+    @given(
+        n_gcm=st.integers(0, 12),
+        n_obs=st.integers(1, 12),
+        n_heads=st.integers(1, 4),
+        target_only=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_autodiff_attention(self, n_gcm, n_obs, n_heads, target_only, seed):
+        rng = np.random.default_rng(seed)
+        ex = build_example(
+            gcm_t=np.arange(float(n_gcm)),
+            gcm_v=rng.normal(size=n_gcm),
+            obs_t=np.arange(float(n_obs)),
+            obs_v=rng.normal(size=n_obs),
+            tgt_t=[float(n_obs)],
+            tgt_v=None,
         )
         emb = embed(ex, TINY)
-        n = ex.n_points
-        q, k, v = (Tensor(3.0 * rng.standard_normal((n, 3 * n_heads))) for _ in range(3))
-        rows = slice(emb.n_conditioning if targets_only else 0, None)
-        got = model._untaped_attention(q[rows], k, v, emb, rows, n_heads)
+        n, n_cond = ex.n_points, emb.n_conditioning
+        q, k, v = (3.0 * rng.standard_normal((n, 3 * n_heads)) for _ in range(3))
+        rows = slice(n_cond if target_only else 0, None)
+        got = model._attend(q[rows], k[:n_cond], v[:n_cond], n_heads)
         bias = emb.blocked[rows] * ad.MASK_FILL
-        want = ad.attention(q[rows], k, v, bias, n_heads)
-        assert got.data.dtype == np.float64 and got.shape == want.shape
-        scale = np.abs(want.data).max()
-        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12 * scale)
+        want = ad.attention(Tensor(q[rows]), Tensor(k), Tensor(v), bias, n_heads).data
+        assert got.dtype == np.float64 and got.shape == want.shape
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
 class TestTapedRows:
@@ -533,17 +591,17 @@ class TestTapedRows:
 
 
 class TestFloat32Forward:
-    """Sampling and scoring run the forward on float32 copies of the
-    checkpoint's parameters; training runs it in float64 under a tape."""
+    """Sampling and scoring forecast on float32 copies of the checkpoint's
+    parameters; training runs the forward in float64 under a tape."""
 
     def test_checkpoint_tensors_are_untaped_float32_copies(self):
         params = trained_like_params(seed=5)
         ckpt = checkpoint_from_params(TINY, params, NormStats(0.0, 1.0))
-        tensors = tensors_from_checkpoint(ckpt)
-        assert sorted(tensors) == sorted(ckpt.params)
-        for name, t in tensors.items():
-            assert t.data.dtype == np.float32 and not t.requires_grad, name
-            assert np.array_equal(t.data, ckpt.params[name].astype(np.float32)), name
+        arrays = forecast_params(ckpt)
+        assert sorted(arrays) == sorted(ckpt.params)
+        for name, arr in arrays.items():
+            assert type(arr) is np.ndarray and arr.dtype == np.float32, name
+            assert np.array_equal(arr, ckpt.params[name].astype(np.float32)), name
             assert ckpt.params[name].dtype == np.float64, name
 
     @pytest.mark.parametrize("geometry", ["paper-study", "default"])
@@ -551,22 +609,24 @@ class TestFloat32Forward:
     def test_matches_the_float64_taped_forward(self, geometry, n_layers):
         config = replace(GEOMETRIES[geometry][0], n_layers=n_layers)
         params = trained_like_params(seed=n_layers, config=config)
-        f32 = tensors_from_checkpoint(checkpoint_from_params(config, params, NormStats(0.0, 1.0)))
-        for ex in geometry_examples(geometry, n_batch=2):
+        f32 = forecast_params(checkpoint_from_params(config, params, NormStats(0.0, 1.0)))
+        examples = geometry_examples(geometry, n_batch=2)
+        for ex in examples[-1:] + [one_target(ex) for ex in examples[:-1]]:
             emb = embed(ex, config)
             with Tape():
-                mu_taped, sigma_taped = forward(params, emb, config)
-            mu, sigma = forward(f32, emb, config)
-            # a mean can cross zero, so its error is relative to the largest
-            # mean; a std is at least SIGMA_FLOOR, so its error is pointwise
-            scale = np.abs(mu_taped.data).max()
-            np.testing.assert_allclose(mu.data, mu_taped.data, rtol=0, atol=1e-5 * scale)
-            np.testing.assert_allclose(sigma.data, sigma_taped.data, rtol=1e-5, atol=0)
+                mu, sigma = forward(params, emb, config)
+            mean, std = forecast(f32, emb, config)
+            # as in TestInferenceRows: a mean's error relative to the mean, a
+            # std's pointwise
+            assert mean == pytest.approx(mu.data[0, 0], rel=0, abs=1e-5 * abs(mu.data[0, 0]))
+            assert std == pytest.approx(sigma.data[0, 0], rel=1e-5, abs=0)
 
     def test_a_taped_forward_refuses_float32_parameters(self):
         params = trained_like_params(seed=4)
-        f32 = tensors_from_checkpoint(checkpoint_from_params(TINY, params, NormStats(0.0, 1.0)))
+        f32 = {name: Tensor(p.data.astype(np.float32)) for name, p in params.items()}
         emb = embed(default_example(), TINY)
+        with pytest.raises(NumericError, match="float64"):
+            forward(f32, emb, TINY)
         with Tape():
             with pytest.raises(NumericError, match="float64"):
                 forward(f32, emb, TINY)
@@ -592,15 +652,13 @@ class TestCheckpoint:
             assert np.array_equal(back.params[name], ckpt.params[name]), name
 
     def test_round_trip_preserves_predictions(self, tmp_path):
-        ex = default_example()
+        ex = one_target(default_example())
         params = trained_like_params(seed=17)
         ckpt = checkpoint_from_params(TINY, params, NormStats(0.0, 1.0))
-        mu_a, sigma_a = forward(tensors_from_checkpoint(ckpt), embed(ex, TINY), TINY)
+        before = forecast(forecast_params(ckpt), embed(ex, TINY), TINY)
         save_checkpoint(ckpt, tmp_path / "c.json")
         back = load_checkpoint(tmp_path / "c.json")
-        mu_b, sigma_b = forward(tensors_from_checkpoint(back), embed(ex, back.config), back.config)
-        assert np.array_equal(mu_a.data, mu_b.data)
-        assert np.array_equal(sigma_a.data, sigma_b.data)
+        assert forecast(forecast_params(back), embed(ex, back.config), back.config) == before
 
     def test_missing_param_rejected(self, tmp_path):
         import json

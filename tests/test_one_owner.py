@@ -41,9 +41,12 @@ OWNED = {
     # and the model runs and baseline runs are its candidates alike
     "score-call": re.escape("metrics.score("),
     "series-rows-call": r"(?<!def )\b_series_rows\(",
-    # model.tensors_from_checkpoint: sampling and scoring compute in float32,
-    # and the forecaster's parameters are cast there and nowhere else
+    # model.forecast_params: sampling and scoring compute in float32, and the
+    # forecaster's parameters are cast there and nowhere else
     "inference-dtype": r"\bnp\.float32\b|[\"']float32[\"']",
+    # sampling._predict_one: sampling, scoring and training's validation
+    # forecast every day through one call
+    "forecast-call": r"(?<!def )\bforecast\(",
     # sampling._forecaster: sampling, scoring and training's validation
     # window every forecast day in one place
     "inference-windowing": r"(?<!def )\bbuild_inference_example\(",

@@ -84,21 +84,35 @@ def test_each_difference_is_sized(same_artefacts, tmp_path):
         "heldout_nll.txt": "0.5\n",
         "manifest.json": '{"sha256": "cd34", "n": 3}\n',
     })  # fmt: skip
+    (base / "samples.csv").write_text("t,value\n0,4.0\n1,-0.001\n", encoding="utf-8")
+    (change / "samples.csv").write_text("t,value\n0,4.0\n1,-0.0010001\n", encoding="utf-8")
     np.array([1.0, np.nan, -4.0]).tofile(base / "losses.bin")
     np.array([1.0, np.nan, -4.000004]).tofile(change / "losses.bin")
 
     def sized(rel):
         return same_artefacts.size_difference(base / rel, change / rel)
 
-    # one val_nll of the four filled cells, at 2e-7 relative
+    # one val_nll of the four filled cells, at 2e-7 relative; 3e-7 against
+    # the file's largest number, the step 10
     assert sized("metrics.csv") == (
-        "1 of 4 numbers differ, largest relative difference 2e-07"
+        "1 of 4 numbers differ, largest relative difference 2e-07, "
+        "largest difference over the largest magnitude 3e-08"
     )
     # booleans are not numbers; 2.5 against 2.0 is 0.2, 2.0 against 4.0 is 0.5
     assert sized("checkpoint.json") == (
-        "2 of 3 numbers differ, largest relative difference 0.5"
+        "2 of 3 numbers differ, largest relative difference 0.5, "
+        "largest difference over the largest magnitude 0.5"
     )
-    assert sized("losses.bin") == "1 of 3 numbers differ, largest relative difference 1e-06"
+    assert sized("losses.bin") == (
+        "1 of 3 numbers differ, largest relative difference 1e-06, "
+        "largest difference over the largest magnitude 1e-06"
+    )
+    # near zero, a difference at rounding reads large relative to its number
+    # and small relative to the file's largest
+    assert sized("samples.csv") == (
+        "1 of 4 numbers differ, largest relative difference 0.0001, "
+        "largest difference over the largest magnitude 2.5e-08"
+    )
     assert sized("heldout_nll.txt") == "0 of 1 numbers differ"
     # a file whose numbers all agree differs in its text
     assert sized("manifest.json") == "0 of 1 numbers differ"

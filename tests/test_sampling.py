@@ -293,18 +293,17 @@ def test_sampling_and_scoring_compute_in_float32(monkeypatch):
     ds = make_dataset(n_obs=120)
     ckpt = value_sensitive_checkpoint(ds)
     seen = []
-    real = model._untaped_attention
+    real = model.forecast
 
-    def spy(q, k, v, emb, rows, n_heads):
-        out = real(q, k, v, emb, rows, n_heads)
-        seen.append({q.data.dtype, k.data.dtype, v.data.dtype, out.data.dtype})
-        return out
+    def spy(params, emb, config):
+        seen.append({arr.dtype for arr in params.values()})
+        return real(params, emb, config)
 
-    monkeypatch.setattr(model, "_untaped_attention", spy)
+    monkeypatch.setattr(model, "forecast", spy)
     sample_trajectories(ckpt, ds, 0, SamplerConfig(horizon=2, n_trajectories=2))
     predictive_nll(ckpt, ds, 0, start_t=100.0, n_days=2)
-    # one main and one auxiliary attention per layer, per forecast day
-    assert seen == [{np.dtype(np.float32)}] * (2 * TINY.n_layers * (2 * 2 + 2))
+    # one forecast per sampled or scored day
+    assert seen == [{np.dtype(np.float32)}] * (2 * 2 + 2)
     assert all(arr.dtype == np.float64 for arr in ckpt.params.values())
 
 
