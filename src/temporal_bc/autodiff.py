@@ -7,16 +7,24 @@ creation order is a topological order of the computation graph, so
 :func:`backward` simply walks it in reverse and accumulates gradients into
 ``.grad``. With no active tape, ops record nothing.
 
+Training's forward (:func:`temporal_bc.model.forward`) calls :func:`add`,
+:func:`mul` and :func:`index` through the ``+``, ``*`` and ``[]`` sugar of
+:class:`Tensor`, plus :func:`concat`, :func:`softplus` and the three fused
+ops :func:`mlp`, :func:`attention` and :func:`gaussian_nll`. The other ops
+(:func:`sub`, :func:`div`, :func:`matmul`, :func:`transpose_last_two`,
+:func:`reduce_sum`, :func:`reduce_mean`, :func:`exp`, :func:`log`,
+:func:`tanh` and :func:`masked_softmax`) are reference ops: the fused ops'
+bit-for-bit oracles are compositions of them, and nothing in training calls
+them.
+
 Elementwise ops broadcast like numpy; matmul broadcasts over leading batch
-dimensions only. Ops compute in their inputs' floating-point dtype; the
-model's training forward passes float64 (see
-:func:`temporal_bc.model.forward`). Gradients are verified in float64 against
-central finite differences by :func:`gradcheck`.
+dimensions only. Ops compute in their inputs' floating-point dtype; training
+passes float64. The tests check every op's gradient in float64 against
+central finite differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,43 +80,15 @@ class Tensor:
     def __repr__(self):
         return "Tensor(shape=%r, requires_grad=%r)" % (self.shape, self.requires_grad)
 
-    # arithmetic sugar; all routes through the module-level ops
+    # the sugar training uses; every other op is called by name
     def __add__(self, other):
         return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __getitem__(self, key):
         return index(self, key)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
 
 def _as_tensor(value) -> Tensor:
@@ -353,11 +333,11 @@ def gaussian_nll(mu: Tensor, sigma: Tensor, y: np.ndarray, offset: float) -> Ten
     """Mean over points of ``log sigma + (y - mu)^2 / (2 sigma^2) + offset``.
 
     ``y`` is a plain array of ``mu``'s shape. Output and gradients are equal,
-    bit for bit, to the composition ``(log(sigma) + (r * r) / (sigma * sigma
-    * 2.0) + offset).mean()`` with ``r = y - mu``: the rule repeats that
-    composition's backward sums, such as ``g * sigma + g * sigma`` for
-    ``sigma * sigma``, in its order. It records one tape node where the
-    composition records nine.
+    bit for bit, to the composition ``reduce_mean(log(sigma) + div(r * r,
+    sigma * sigma * 2.0) + offset)`` with ``r = sub(y, mu)``: the rule
+    repeats that composition's backward sums, such as ``g * sigma + g *
+    sigma`` for ``sigma * sigma``, in its order. It records one tape node
+    where the composition records nine.
     """
     r = y - mu.data
     r2 = r * r
@@ -524,60 +504,3 @@ def backward(loss: Tensor) -> None:
         if grad is not None and rule is not None:
             rule(grad)
     loss.grad = seed
-
-
-@dataclass
-class GradCheckReport:
-    """Per-input max relative errors of reverse-mode vs finite differences."""
-
-    errors: list[float]
-    tol: float
-    step: float = 1e-5
-
-    @property
-    def max_error(self) -> float:
-        return max(self.errors) if self.errors else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(e <= self.tol for e in self.errors)
-
-
-def gradcheck(
-    f, inputs: Sequence[Tensor], tol: float = 1e-4, step: float = 1e-5
-) -> GradCheckReport:
-    """Compare gradients of scalar ``f(*inputs)`` against central differences.
-
-    Relative error per element is |a - n| / max(|a|, |n|), falling back to the
-    absolute difference when both magnitudes are below 1e-6.
-    """
-    for t in inputs:
-        t.requires_grad = True
-        t.grad = None
-    with Tape():
-        out = f(*inputs)
-        if out.data.size != 1:
-            raise NumericError("gradcheck needs a scalar-valued function")
-        backward(out)
-    analytic = [
-        np.zeros_like(t.data) if t.grad is None else np.array(t.grad, copy=True)
-        for t in inputs
-    ]
-    errors = []
-    for t, grad in zip(inputs, analytic):
-        numeric = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(f(*inputs).data)
-            flat[i] = orig - step
-            lo = float(f(*inputs).data)
-            flat[i] = orig
-            num_flat[i] = (hi - lo) / (2.0 * step)
-        scale = np.maximum(np.abs(grad), np.abs(numeric))
-        diff = np.abs(grad - numeric)
-        rel = np.where(scale > 1e-6, diff / np.where(scale > 1e-6, scale, 1.0), diff)
-        errors.append(float(rel.max()) if rel.size else 0.0)
-    return GradCheckReport(errors=errors, tol=tol, step=step)

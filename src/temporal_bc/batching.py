@@ -67,7 +67,7 @@ class WindowSpec:
 
 
 def draw_window(
-    n: int, rng: np.random.Generator, window_min: int = 60, window_max: int = 360
+    n: int, rng: np.random.Generator, window_min: int, window_max: int
 ) -> WindowSpec:
     """Uniform window and prediction-index draw over a length-n series.
 
@@ -137,20 +137,12 @@ class TrainingExample:
     features: FeatureBlock
 
     @property
-    def n_gcm(self) -> int:
-        return len(self.ctx_gcm_t)
-
-    @property
-    def n_obs(self) -> int:
-        return len(self.ctx_obs_t)
-
-    @property
     def n_tgt(self) -> int:
         return len(self.tgt_t)
 
     @property
     def n_points(self) -> int:
-        return self.n_gcm + self.n_obs + self.n_tgt
+        return len(self.ctx_gcm_t) + len(self.ctx_obs_t) + self.n_tgt
 
 
 def _slope(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:

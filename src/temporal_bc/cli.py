@@ -38,7 +38,7 @@ from . import baselines as bl
 from .batching import BatchConfig
 from .errors import ConfigError, DataError, NumericError, ToolkitError, config_from_dict
 from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .sampling import SamplerConfig, sample_all_runs, sample_trajectories
+from .sampling import SamplerConfig, sample_trajectories
 from .timeseries import (
     GCM,
     OBS,
@@ -318,10 +318,8 @@ def _cmd_sample(args) -> int:
     dataset = load_paired(args.obs, args.gcm)
     run_id = _parse_run(args.run)
     outputs = _Outputs(args.out_dir)
-    if run_id is None:
-        samples = sample_all_runs(ckpt, dataset, sampler_config)
-    else:
-        samples = {run_id: sample_trajectories(ckpt, dataset, run_id, sampler_config)}
+    run_ids = range(dataset.n_runs) if run_id is None else [run_id]
+    samples = {z: sample_trajectories(ckpt, dataset, z, sampler_config) for z in run_ids}
     write_samples_csv(samples, outputs.path("samples.csv"))
     _write_manifest(
         outputs,

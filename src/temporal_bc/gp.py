@@ -111,12 +111,11 @@ def _cholesky_with_jitter(k_matrix: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_gp(kernel: Kernel, times, seed) -> np.ndarray:
-    """One zero-mean draw of the GP at ``times``; deterministic per seed."""
+def sample_gp(kernel: Kernel, times, rng: np.random.Generator) -> np.ndarray:
+    """One zero-mean draw of the GP at ``times`` from ``rng``."""
     times = np.asarray(times, dtype=np.float64)
     if len(times) == 0:
         raise DataError("cannot sample a GP at zero points")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), "gp")
     chol = _cholesky_with_jitter(gram(kernel, times))
     return chol @ rng.standard_normal(len(times))
 

@@ -72,7 +72,7 @@ def relative_heatwave_error(candidate_counts, observed_count: int) -> float | No
     return float(np.mean([100.0 * abs(c - observed_count) / observed_count for c in counts]))
 
 
-def qq(series_a, series_b, n_quantiles: int = 101) -> np.ndarray:
+def qq(series_a, series_b, n_quantiles: int) -> np.ndarray:
     """Matched empirical quantiles at evenly spaced probabilities.
 
     Returns an (n_quantiles, 2) array of (quantile_a, quantile_b) pairs at
@@ -88,7 +88,7 @@ def qq(series_a, series_b, n_quantiles: int = 101) -> np.ndarray:
     return np.column_stack([np.quantile(a, probs), np.quantile(b, probs)])
 
 
-def pacf(values, max_lag: int = 14) -> np.ndarray:
+def pacf(values, max_lag: int) -> np.ndarray:
     """Partial autocorrelations at lags 1..max_lag via Durbin-Levinson.
 
     Works from the biased sample autocorrelation; the series must be longer

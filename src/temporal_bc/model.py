@@ -174,7 +174,6 @@ def _mlp(x: Tensor, params: dict, prefix: str) -> Tensor:
 class EmbeddedExample:
     """Raw model inputs for one example (plain arrays, no gradients).
 
-    ``blocked[i, j]`` is True when position i may NOT attend to position j.
     ``anchors`` holds the nearest earlier available value per target, the
     baseline the mean head predicts an offset from.
     """
@@ -183,14 +182,26 @@ class EmbeddedExample:
     kv_in: np.ndarray
     xqk_in: np.ndarray
     xv_in: np.ndarray
-    blocked: np.ndarray
     n_conditioning: int
     n_targets: int
     anchors: np.ndarray
 
+    @property
+    def blocked(self) -> np.ndarray:
+        """The attention mask, built when read: ``blocked[i, j]`` is True when
+        position i may NOT attend to position j. Every position sees every
+        conditioning point, and a target sees the targets before it."""
+        n_cond = self.n_conditioning
+        n = n_cond + self.n_targets
+        blocked = np.ones((n, n), dtype=bool)
+        blocked[:, :n_cond] = False
+        blocked[n_cond:, n_cond:] = np.triu(blocked[n_cond:, n_cond:])
+        return blocked
+
 
 def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
-    """Assemble per-point input vectors plus the attention mask.
+    """Assemble per-point input vectors; the attention mask is
+    :attr:`EmbeddedExample.blocked`, built only when read.
 
     Key/value inputs hold, side by side, positional features, the series
     one-hot, (delta, dist, deriv, closest_value), the neighbour's positional
@@ -232,18 +243,11 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
         ]
     )
     xv_in = values[:, None]
-
-    # conditioning points see each other; a target sees them and the
-    # targets strictly before it
-    blocked = np.ones((n, n), dtype=bool)
-    blocked[:, :n_cond] = False
-    blocked[n_cond:, n_cond:] = np.triu(blocked[n_cond:, n_cond:])
     return EmbeddedExample(
         q_in=q_in,
         kv_in=kv_in,
         xqk_in=xqk_in,
         xv_in=xv_in,
-        blocked=blocked,
         n_conditioning=n_cond,
         n_targets=n_tgt,
         anchors=f.closest_value[n_cond:][:, None].copy(),

@@ -211,15 +211,6 @@ def sample_trajectories(
     return out
 
 
-def sample_all_runs(
-    ckpt: ModelCheckpoint, dataset: PairedDataset, config: SamplerConfig
-) -> dict[int, list[TimeSeries]]:
-    """Trajectories for every run of the dataset, keyed by run id."""
-    return {
-        z: sample_trajectories(ckpt, dataset, z, config) for z in range(dataset.n_runs)
-    }
-
-
 @dataclass(frozen=True)
 class PredictiveScore:
     """Teacher-forced one-step-ahead predictions over an evaluation stretch.

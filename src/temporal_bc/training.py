@@ -87,7 +87,7 @@ class Adam:
     expressions do.
     """
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
         self.t = 0
@@ -112,10 +112,8 @@ class Adam:
                 grad[block] = p.grad.ravel()
         return grad
 
-    def step(self, grad: np.ndarray | None = None) -> None:
-        """One update from ``grad``, by default :meth:`gradient`."""
-        if grad is None:
-            grad = self.gradient()
+    def step(self, grad: np.ndarray) -> None:
+        """One update from ``grad``, a flat vector as :meth:`gradient` gives."""
         self.t += 1
         # in place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2
         # and p -= lr m_hat / (sqrt(v_hat) + eps), so every operation rounds as before

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -10,6 +12,18 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("deterministic")
+
+
+def pytest_report_header(config):
+    """The BLAS library and its thread settings, which decide the bits of
+    every matrix product; acceptance test 05's outcome depends on them."""
+    from temporal_bc.cli import _numeric_environment
+
+    env = _numeric_environment()
+    threads = ["%s=%s" % item for item in env["threads"].items() if item[1] is not None]
+    if not threads:
+        threads = ["unset, so the BLAS picks its own count (%d CPUs)" % os.cpu_count()]
+    return "numeric environment: BLAS %s; threads %s" % (env["blas"], ", ".join(threads))
 
 
 @pytest.fixture

@@ -52,7 +52,7 @@ class TestDrawWindow:
         n = 500
         ks, lengths, js_lo, js_hi = [], [], [], []
         for _ in range(10_000):
-            w = draw_window(n, rng)
+            w = draw_window(n, rng, 60, 360)
             assert 1 <= w.k <= n - 360
             assert 60 <= w.h - w.k <= 360
             assert w.k + 5 <= w.j <= w.h - 5
@@ -68,8 +68,8 @@ class TestDrawWindow:
     def test_short_series_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DataError, match="too short"):
-            draw_window(360, rng)
-        draw_window(361, rng)  # boundary: one admissible k
+            draw_window(360, rng, 60, 360)
+        draw_window(361, rng, 60, 360)  # boundary: one admissible k
 
     def test_custom_geometry(self):
         rng = np.random.default_rng(1)
@@ -250,9 +250,9 @@ class TestMakeBatch:
             for t in (ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t):
                 assert t.min() >= lo and t.max() <= hi
             # pruning floor
-            assert ex.n_obs >= min(MIN_KEEP, w.j - w.k + 1)
+            assert len(ex.ctx_obs_t) >= min(MIN_KEEP, w.j - w.k + 1)
             assert ex.n_tgt >= min(MIN_KEEP, w.h - w.j)
-            assert ex.n_gcm >= min(MIN_KEEP, w.h - w.k + 1)
+            assert len(ex.ctx_gcm_t) >= min(MIN_KEEP, w.h - w.k + 1)
             # values were taken from the right series
             for t, v in zip(ex.tgt_t, ex.tgt_v):
                 assert v == pair.obs_values[int(t)]
@@ -276,10 +276,11 @@ class TestMakeBatch:
         cfg = tiny_config(ablate_gcm=True)
         for ex in make_batch([pair], 8, np.random.default_rng(5), cfg):
             assert np.all(ex.ctx_gcm_v == 0.0)
-            assert ex.n_gcm > 0
+            n_gcm = len(ex.ctx_gcm_t)
+            assert n_gcm > 0
             assert np.all(ex.ctx_gcm_t >= 0)
             # features for the model block reflect the zeroed values
-            assert np.all(ex.features.delta[: ex.n_gcm] == 0.0)
+            assert np.all(ex.features.delta[:n_gcm] == 0.0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError, match="no aligned"):

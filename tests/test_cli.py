@@ -43,17 +43,17 @@ TINY_CONFIG = {
 }
 
 
-def write_pair(dirpath, n_obs=450, n_gcm=480, seed=0):
+def write_pair(dirpath, n_obs=450, n_gcm=480, seed=0, n_runs=1):
     rng = np.random.default_rng(seed)
     obs_t = np.arange(float(n_obs))
     gcm_t = np.arange(float(n_gcm))
     base = 15.0 + 3.0 * np.sin(2 * np.pi * gcm_t / 40.0)
     obs = TimeSeries(obs_t, base[:n_obs] + 2.0 + 0.2 * rng.normal(size=n_obs), OBS)
-    run = TimeSeries(gcm_t, base + 0.2 * rng.normal(size=n_gcm), GCM)
+    runs = [TimeSeries(gcm_t, base + 0.2 * rng.normal(size=n_gcm), GCM) for _ in range(n_runs)]
     obs_path = os.path.join(dirpath, "obs.csv")
     gcm_path = os.path.join(dirpath, "gcm.csv")
     write_obs_csv(obs, obs_path)
-    write_gcm_csv([run], gcm_path)
+    write_gcm_csv(runs, gcm_path)
     return obs_path, gcm_path
 
 
@@ -211,6 +211,29 @@ class TestTrainSample:
         assert a == b
         main(base + ["--out-dir", str(tmp_path / "s3"), "--run", "0"])
         assert (tmp_path / "s3" / "samples.csv").read_bytes() == a
+
+    def test_sample_all_runs_equals_each_run_sampled_alone(self, tmp_path, config_path):
+        obs_path, gcm_path = write_pair(str(tmp_path), n_runs=2)
+        train_dir = str(tmp_path / "train")
+        main([
+            "train", "--obs", obs_path, "--gcm", gcm_path,
+            "--out-dir", train_dir, "--config", config_path,
+        ])
+        base = [
+            "sample", "--checkpoint", os.path.join(train_dir, "checkpoint.json"),
+            "--obs", obs_path, "--gcm", gcm_path, "--horizon", "3",
+            "--n-trajectories", "2", "--seed", "4",
+        ]
+        bodies = []
+        for run in ("all", "0", "1"):
+            out = tmp_path / ("s_" + run)
+            assert main(base + ["--out-dir", str(out), "--run", run]) == 0
+            bodies.append((out / "samples.csv").read_text().splitlines()[1:])
+        every_run, run0, run1 = bodies
+        # run z draws from seed 4 XOR z whichever runs are sampled with it
+        assert every_run == run0 + run1
+        assert {line.split(",")[0] for line in every_run} == {"0", "1"}
+        assert [line.split(",")[3] for line in run0] != [line.split(",")[3] for line in run1]
 
     def test_ablate_flag_lands_in_checkpoint(self, tmp_path):
         obs_path, gcm_path = write_pair(str(tmp_path))

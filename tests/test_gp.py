@@ -72,9 +72,9 @@ class TestKernels:
 class TestSampleGp:
     def test_deterministic(self):
         t = np.arange(50.0)
-        a = sample_gp(rbf(5.0), t, seed=7)
-        b = sample_gp(rbf(5.0), t, seed=7)
-        c = sample_gp(rbf(5.0), t, seed=8)
+        a = sample_gp(rbf(5.0), t, substream(7, "gp"))
+        b = sample_gp(rbf(5.0), t, substream(7, "gp"))
+        c = sample_gp(rbf(5.0), t, substream(8, "gp"))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -83,7 +83,7 @@ class TestSampleGp:
         t = np.array([0.0, 1.0, 2.0, 4.0, 7.0])
         k = rbf(2.0)
         n = 4000
-        draws = np.stack([sample_gp(k, t, seed=s) for s in range(n)], axis=0)
+        draws = np.stack([sample_gp(k, t, substream(s, "gp")) for s in range(n)], axis=0)
         emp = draws.T @ draws / n
         g = gram(k, t)
         # covariance estimates have sampling error O(1/sqrt(n)) ~ 0.016
@@ -92,18 +92,18 @@ class TestSampleGp:
 
     def test_marginals_standard_normal(self):
         t = np.arange(0.0, 30.0, 3.0)
-        draws = np.stack([sample_gp(rbf(1.0), t, seed=s) for s in range(2000)])
+        draws = np.stack([sample_gp(rbf(1.0), t, substream(s, "gp")) for s in range(2000)])
         assert np.allclose(draws.var(axis=0), 1.0, atol=0.15)
 
     def test_short_lengthscale_decorrelates(self):
         t = np.array([0.0, 100.0])
-        draws = np.stack([sample_gp(rbf(0.5), t, seed=s) for s in range(2000)])
+        draws = np.stack([sample_gp(rbf(0.5), t, substream(s, "gp")) for s in range(2000)])
         corr = np.corrcoef(draws.T)[0, 1]
         assert abs(corr) < 0.1
 
     def test_long_lengthscale_is_smooth(self):
         t = np.arange(100.0)
-        draw = sample_gp(rbf(30.0), t, seed=4)
+        draw = sample_gp(rbf(30.0), t, substream(4, "gp"))
         assert np.max(np.abs(np.diff(draw))) < 0.5
 
 
@@ -197,7 +197,7 @@ class TestJitter:
         # never leak a bare LinAlgError
         t = np.array([0.0, 1e-13, 1.0])
         try:
-            sample_gp(rbf(1.0), t, seed=0)
+            sample_gp(rbf(1.0), t, substream(0, "gp"))
         except NumericError:
             pass
 

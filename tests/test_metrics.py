@@ -108,7 +108,7 @@ class TestQq:
     def test_constant_shift(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=400)
-        pairs = qq(x, x + 2.0)
+        pairs = qq(x, x + 2.0, n_quantiles=101)
         assert np.allclose(pairs[:, 1] - pairs[:, 0], 2.0, atol=1e-12)
 
     def test_endpoints_are_extremes(self):
@@ -122,7 +122,7 @@ class TestQq:
         with pytest.raises(ConfigError):
             qq([1.0], [1.0], n_quantiles=1)
         with pytest.raises(DataError):
-            qq([], [1.0])
+            qq([], [1.0], n_quantiles=101)
 
 
 def simulate_ar(coeffs, n, seed, burn=500):

@@ -36,6 +36,8 @@ from temporal_bc.model import (
 from temporal_bc.sampling import SamplerConfig
 from temporal_bc.timeseries import AlignedPair, NormStats
 
+from reference import gradcheck
+
 TINY = ModelConfig(
     n_layers=2, n_heads=2, model_dim=8, feature_dim=8, hidden_dim=8
 )
@@ -325,7 +327,7 @@ class TestGradients:
             mu, sigma = forward(p, emb, TINY)
             return gaussian_nll(mu, sigma, ex.tgt_v)
 
-        report = ad.gradcheck(loss_fn, tensors, tol=1e-3, step=1e-5)
+        report = gradcheck(loss_fn, tensors, tol=1e-3, step=1e-5)
         assert report.passed, "max grad error %g" % report.max_error
 
 

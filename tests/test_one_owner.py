@@ -50,6 +50,9 @@ OWNED = {
     # sampling._forecaster: sampling, scoring and training's validation
     # window every forecast day in one place
     "inference-windowing": r"(?<!def )\bbuild_inference_example\(",
+    # model.EmbeddedExample.blocked: the attention mask of training and the
+    # tracer's counts, built from the example's block sizes when read
+    "attention-mask-rule": re.escape("np.triu("),
     # batching._slope: the finite-difference slope of every point feature
     "finite-difference-slope": re.escape("delta / np.where(dist != 0.0"),
 }

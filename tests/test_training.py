@@ -41,7 +41,7 @@ class TestAdam:
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.array([0.5, -3.0])
         opt = Adam({"p": p}, learning_rate=0.1)
-        opt.step()
+        opt.step(opt.gradient())
         # first step: m_hat = g, v_hat = g^2, so the move is lr * sign(g)
         assert np.allclose(p.data, [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
 
@@ -49,13 +49,13 @@ class TestAdam:
         p = Tensor(np.array([3.0]), requires_grad=True)
         opt = Adam({"p": p}, learning_rate=0.5)
         opt.zero_grad()
-        opt.step()
+        opt.step(opt.gradient())
         assert np.array_equal(p.data, [3.0])
 
     def test_zero_grad_clears(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([2.0])
-        opt = Adam({"p": p})
+        opt = Adam({"p": p}, learning_rate=1e-3)
         opt.zero_grad()
         assert p.grad is None
 
@@ -64,7 +64,7 @@ class TestAdam:
         opt = Adam({"p": p}, learning_rate=0.01)
         for _ in range(10):
             p.grad = np.array([1.0])
-            opt.step()
+            opt.step(opt.gradient())
         assert p.data[0] == pytest.approx(-0.1, abs=1e-4)
 
 
@@ -82,7 +82,7 @@ class TestAdam:
             grads = {name: rng.standard_normal(shapes[name]) for name in ("w", "b", "s")}
             for name, p in params.items():
                 p.grad = grads.get(name)  # "idle" has no gradient
-            opt.step()
+            opt.step(opt.gradient())
             for name, shape in shapes.items():
                 g = grads.get(name, np.zeros(shape))
                 m[name] = 0.9 * m[name] + (1 - 0.9) * g
@@ -384,7 +384,7 @@ def test_per_example_sweeps_equal_one_whole_batch_sweep_bit_for_bit(monkeypatch)
         batches.append(batch)
         return batch
 
-    def recorded_step(self, grad=None):
+    def recorded_step(self, grad):
         seen.append({name: p.grad.copy() for name, p in self.params.items()})
         real_step(self, grad)
 
@@ -408,7 +408,7 @@ def test_per_example_sweeps_equal_one_whole_batch_sweep_bit_for_bit(monkeypatch)
         assert grads.keys() == params.keys()
         for name, p in params.items():
             assert np.array_equal(p.grad, grads[name]), (row.step, name)
-        optimizer.step()
+        optimizer.step(optimizer.gradient())
 
 
 class TestMetricsCsv:
