@@ -10,7 +10,9 @@ creation order is a topological order of the computation graph, so
 Training's forward (:func:`temporal_bc.model.forward`) calls :func:`add`,
 :func:`mul` and :func:`index` through the ``+``, ``*`` and ``[]`` sugar of
 :class:`Tensor`, plus :func:`concat`, :func:`softplus` and the three fused
-ops :func:`mlp`, :func:`attention` and :func:`gaussian_nll`. The other ops
+ops :func:`mlp`, :func:`attention` and :func:`gaussian_nll`. :func:`mlp`'s
+forward arithmetic is :func:`perceptron`, which the plain-NumPy forecast
+(:func:`temporal_bc.model.forecast`) calls too. The other ops
 (:func:`sub`, :func:`div`, :func:`matmul`, :func:`transpose_last_two`,
 :func:`reduce_sum`, :func:`reduce_mean`, :func:`exp`, :func:`log`,
 :func:`tanh` and :func:`masked_softmax`) are reference ops: the fused ops'
@@ -290,6 +292,18 @@ def tanh(a: Tensor) -> Tensor:
     return _record(Tensor(y), (a,), backward_fn)
 
 
+def perceptron(x: np.ndarray, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """The hidden activations ``tanh(x @ w1 + b1)`` and the output ``hidden @
+    w2 + b2`` of the two-layer perceptron, on plain arrays: the arithmetic of
+    :func:`mlp` and of :func:`temporal_bc.model.forecast`."""
+    y = x @ w1
+    y += b1
+    np.tanh(y, out=y)
+    out = y @ w2
+    out += b2
+    return y, out
+
+
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """The two-layer perceptron ``tanh(x @ w1 + b1) @ w2 + b2`` as one op.
 
@@ -307,11 +321,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             "mlp needs 2-D x, w1, w2 and 1-D b1, b2, got shapes %r"
             % ([t.shape for t in (x, w1, b1, w2, b2)],)
         )
-    y = x.data @ w1.data
-    y += b1.data
-    np.tanh(y, out=y)
-    out = y @ w2.data
-    out += b2.data
+    y, out = perceptron(x.data, w1.data, b1.data, w2.data, b2.data)
 
     def backward_fn(g):
         # g may be another node's gradient too, so it is never written; y is,
@@ -441,8 +451,7 @@ def attention(
     weights = []
     for c in heads:
         w = q.data[:, c] @ k.data[:, c].T
-        if skip:
-            w[:skip] = 0.0
+        w[:skip] = 0.0
         read = w[skip:]
         read += bias[skip:]
         top = read.max(axis=-1, keepdims=True)
@@ -465,8 +474,7 @@ def attention(
             gh = g[:, c]
             gv[:, c] += w.T @ gh
             gw = gh @ v.data[:, c].T
-            if skip:
-                gw[:skip] = 0.0
+            gw[:skip] = 0.0
             read, w_read = gw[skip:], w[skip:]
             read -= (read * w_read).sum(axis=-1, keepdims=True)
             read *= w_read

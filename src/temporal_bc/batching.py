@@ -104,13 +104,16 @@ def prune_indices(n: int, retain_p: float, rng: np.random.Generator) -> np.ndarr
 class FeatureBlock:
     """Columnar per-point features in model input order (GCM, OBS, targets).
 
-    Every array is length-N: series_id (SERIES_OBS or SERIES_GCM), delta
+    Every array is length-N: series_id (SERIES_OBS or SERIES_GCM), t and
+    value (the point itself; a target of unknown value has value 0), delta
     (value minus neighbour value), dist (time minus neighbour time, signed),
     deriv (delta/dist, 0 when the offset is 0), closest_value and closest_t
     (the neighbour itself).
     """
 
     series_id: np.ndarray
+    t: np.ndarray
+    value: np.ndarray
     delta: np.ndarray
     dist: np.ndarray
     deriv: np.ndarray
@@ -179,28 +182,31 @@ def _nearest_within(times: np.ndarray, values: np.ndarray):
 
 
 def _target_features(tgt_t, tgt_v, ctx_obs_t, ctx_obs_v):
-    """Anchor each target on the latest earlier available point.
+    """The targets' values, then their features anchored on the latest
+    earlier available point.
 
-    Candidates are the observed context and strictly earlier targets (whose
-    true values are teacher-forced during training); since all candidates lie
-    before the target, the nearest is simply the immediately preceding one.
+    ``tgt_v`` None marks one target of unknown value (an inference example),
+    which takes the value 0. Candidates are the observed context and
+    strictly earlier targets (whose true values are teacher-forced during
+    training); since all candidates lie before the target, the nearest is
+    simply the immediately preceding one.
     """
     n = len(tgt_t)
     if len(ctx_obs_t) == 0:
         raise DataError("targets need at least one observed context point")
     if tgt_v is None and n > 1:
         raise DataError("multi-target examples require target values")
+    vals = np.zeros(n) if tgt_v is None else tgt_v
     cv = np.empty(n)
     ct = np.empty(n)
     cv[0], ct[0] = ctx_obs_v[-1], ctx_obs_t[-1]
     if n > 1:
         cv[1:] = tgt_v[:-1]
         ct[1:] = tgt_t[:-1]
-    vals = np.zeros(n) if tgt_v is None else tgt_v
     delta = vals - cv
     dist = tgt_t - ct
     deriv = _slope(delta, dist)
-    return delta, dist, deriv, cv, ct
+    return vals, delta, dist, deriv, cv, ct
 
 
 def compute_features(
@@ -211,32 +217,21 @@ def compute_features(
     tgt_t,
     tgt_v,
 ) -> FeatureBlock:
-    """Per-point features over the model input order (GCM, OBS, targets)."""
-    g = _nearest_within(np.asarray(ctx_gcm_t, float), np.asarray(ctx_gcm_v, float))
-    o = _nearest_within(np.asarray(ctx_obs_t, float), np.asarray(ctx_obs_v, float))
-    t = _target_features(
-        np.asarray(tgt_t, float),
-        None if tgt_v is None else np.asarray(tgt_v, float),
-        np.asarray(ctx_obs_t, float),
-        np.asarray(ctx_obs_v, float),
+    """Per-point features over the model input order (GCM, OBS, targets);
+    ``tgt_v`` is None for an inference example's one target."""
+    gcm_t, gcm_v, obs_t, obs_v, tgt_t = (
+        np.asarray(x, float) for x in (ctx_gcm_t, ctx_gcm_v, ctx_obs_t, ctx_obs_v, tgt_t)
     )
-    delta, dist, deriv, cv, ct = (
-        np.concatenate([g[i], o[i], t[i]]) for i in range(5)
+    tgt_v = None if tgt_v is None else np.asarray(tgt_v, float)
+    # each block's columns in FeatureBlock's field order
+    gcm = (np.full(len(gcm_t), SERIES_GCM), gcm_t, gcm_v, *_nearest_within(gcm_t, gcm_v))
+    obs = (np.full(len(obs_t), SERIES_OBS), obs_t, obs_v, *_nearest_within(obs_t, obs_v))
+    tgt = (
+        np.full(len(tgt_t), SERIES_OBS),
+        tgt_t,
+        *_target_features(tgt_t, tgt_v, obs_t, obs_v),
     )
-    series_id = np.concatenate(
-        [
-            np.full(len(ctx_gcm_t), SERIES_GCM, dtype=np.int64),
-            np.full(len(ctx_obs_t) + len(tgt_t), SERIES_OBS, dtype=np.int64),
-        ]
-    )
-    return FeatureBlock(
-        series_id=series_id,
-        delta=delta,
-        dist=dist,
-        deriv=deriv,
-        closest_value=cv,
-        closest_t=ct,
-    )
+    return FeatureBlock(*(np.concatenate([gcm[i], obs[i], tgt[i]]) for i in range(8)))
 
 
 def _example_from_window(

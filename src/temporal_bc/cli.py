@@ -393,9 +393,7 @@ def _series_rows(tables: dict, key: tuple, candidate, observed, run_lengths) -> 
     lengths, each row led by ``key`` (method, run, trajectory). A series of
     ``_MAX_LAG`` days or fewer, or one that is constant or whose observed
     values are, gets no PACF rows."""
-    probs = np.linspace(0.0, 1.0, _N_QUANTILES)
-    pairs = metrics.qq(observed, candidate, _N_QUANTILES)
-    tables["qq"] += [(*key, p, o, c) for p, (o, c) in zip(probs, pairs)]
+    tables["qq"] += [(*key, *row) for row in metrics.qq(observed, candidate, _N_QUANTILES)]
     if len(candidate) > _MAX_LAG and np.std(candidate) > 0 and np.std(observed) > 0:
         lags = range(1, _MAX_LAG + 1)
         both = zip(lags, metrics.pacf(observed, _MAX_LAG), metrics.pacf(candidate, _MAX_LAG))

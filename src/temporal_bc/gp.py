@@ -154,13 +154,9 @@ def _draw(kernel, times, mean_bias, time_shift, noise_std, seed, gcm_keys):
     if len(times) == 0:
         raise DataError("need at least one time stamp")
     shifted = times + time_shift
-    if time_shift == 0.0:
-        grid = times
-        idx_base = idx_shift = np.arange(len(times))
-    else:
-        grid = np.union1d(times, shifted)
-        idx_base = np.searchsorted(grid, times)
-        idx_shift = np.searchsorted(grid, shifted)
+    grid = np.union1d(times, shifted)
+    idx_base = np.searchsorted(grid, times)
+    idx_shift = np.searchsorted(grid, shifted)
     latent = sample_gp(kernel, grid, substream(int(seed), "latent"))
 
     def noise(*key):

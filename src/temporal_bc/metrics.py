@@ -32,15 +32,15 @@ def gaussian_nll_points(y, mu, sd):
 
 @dataclass(frozen=True)
 class HeatwaveStats:
-    threshold: float
-    count: int
     run_lengths: tuple[int, ...]
 
     def __post_init__(self):
         if any(r < 3 for r in self.run_lengths):
             raise DataError("heatwave runs must be at least 3 days")
-        if self.count != len(self.run_lengths):
-            raise DataError("count must equal the number of runs")
+
+    @property
+    def count(self) -> int:
+        return len(self.run_lengths)
 
 
 def heatwave_count(series: TimeSeries, threshold: float) -> HeatwaveStats:
@@ -53,10 +53,7 @@ def heatwave_count(series: TimeSeries, threshold: float) -> HeatwaveStats:
     edges = np.diff(above)
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1)
-    lengths = tuple(int(l) for l in (ends - starts) if l >= 3)
-    return HeatwaveStats(
-        threshold=float(threshold), count=len(lengths), run_lengths=lengths
-    )
+    return HeatwaveStats(tuple(int(l) for l in (ends - starts) if l >= 3))
 
 
 def relative_heatwave_error(candidate_counts, observed_count: int) -> float | None:
@@ -75,8 +72,9 @@ def relative_heatwave_error(candidate_counts, observed_count: int) -> float | No
 def qq(series_a, series_b, n_quantiles: int) -> np.ndarray:
     """Matched empirical quantiles at evenly spaced probabilities.
 
-    Returns an (n_quantiles, 2) array of (quantile_a, quantile_b) pairs at
-    probabilities linspace(0, 1, n_quantiles), linearly interpolated.
+    Returns an (n_quantiles, 3) array of (probability, quantile_a,
+    quantile_b) rows at probabilities linspace(0, 1, n_quantiles), the
+    quantiles linearly interpolated.
     """
     if n_quantiles < 2:
         raise ConfigError("n_quantiles must be >= 2")
@@ -85,7 +83,7 @@ def qq(series_a, series_b, n_quantiles: int) -> np.ndarray:
     if len(a) == 0 or len(b) == 0:
         raise DataError("qq needs nonempty series")
     probs = np.linspace(0.0, 1.0, n_quantiles)
-    return np.column_stack([np.quantile(a, probs), np.quantile(b, probs)])
+    return np.column_stack([probs, np.quantile(a, probs), np.quantile(b, probs)])
 
 
 def pacf(values, max_lag: int) -> np.ndarray:
@@ -155,12 +153,11 @@ def score(candidate, observed, predictive_std=None) -> ScoreReport:
             raise DataError("predictive_std must match the candidate's shape")
         if np.any(sd <= 0):
             raise DataError("predictive_std must be positive")
-        loglik = -float(np.mean(gaussian_nll_points(o, c, sd)))
     else:
         if mse < _MSE_FLOOR:
             logger.warning(
                 "MSE %g below floor %g; log likelihood is degenerate", mse, _MSE_FLOOR
             )
         sd = np.sqrt(max(mse, _MSE_FLOOR))
-        loglik = -float(np.mean(gaussian_nll_points(o, c, sd)))
+    loglik = -float(np.mean(gaussian_nll_points(o, c, sd)))
     return ScoreReport(mse=mse, loglik=loglik)

@@ -1,11 +1,13 @@
 """Attention model over the points of one example, with a Gaussian head.
 
 An example's points are its model block, its observed context and its
-targets, in that order. Each point enters as its local-expansion features
-(see :mod:`temporal_bc.batching`), a series one-hot and sinusoidal
-positional features of its own time and of its neighbour's time. Their
-width is :class:`ModelConfig`'s ``feature_dim``; their time scales are the
-constants :data:`T_MAX` and :data:`DELTA_T`.
+targets, in that order: the order of the columns of
+:class:`temporal_bc.batching.FeatureBlock`, which :func:`embed` reads and in
+which a target of unknown value has the value 0. Each point enters as its
+local-expansion features (see :mod:`temporal_bc.batching`), a series
+one-hot and sinusoidal positional features of its own time and of its
+neighbour's time. Their width is :class:`ModelConfig`'s ``feature_dim``;
+their time scales are the constants :data:`T_MAX` and :data:`DELTA_T`.
 
 Two attention stacks run side by side. The main stack embeds each point's
 local-expansion features into queries, keys and values with two-layer
@@ -35,7 +37,9 @@ node under an additive n x n mask bias, each perceptron one
 :func:`temporal_bc.autodiff.gaussian_nll` node.
 
 :func:`forecast` is the one-day forecast of sampling, held-out scoring and
-validation: plain NumPy in the parameters' dtype, one target, no mask. That
+validation: plain NumPy in the parameters' dtype, one target, no mask, with
+each perceptron computed by :func:`temporal_bc.autodiff.perceptron`, the
+arithmetic of training's :func:`temporal_bc.autodiff.mlp` node. That
 target sees every conditioning point and nothing else, and so does each
 conditioning point, so each attention runs over the conditioning rows' keys
 and values alone. Its arithmetic rounds differently from :func:`forward`'s
@@ -166,8 +170,11 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Tens
     return params
 
 
-def _mlp(x: Tensor, params: dict, prefix: str) -> Tensor:
-    return ad.mlp(x, *(params[prefix + name] for name in (".w1", ".b1", ".w2", ".b2")))
+def _mlp(x, params: dict, prefix: str):
+    """The perceptron ``prefix``: one tape node on a :class:`Tensor`, its
+    plain arithmetic (:func:`temporal_bc.autodiff.perceptron`) on an array."""
+    weights = [params[prefix + name] for name in (".w1", ".b1", ".w2", ".b2")]
+    return ad.mlp(x, *weights) if isinstance(x, Tensor) else ad.perceptron(x, *weights)[1]
 
 
 @dataclass(frozen=True)
@@ -200,7 +207,8 @@ class EmbeddedExample:
 
 
 def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
-    """Assemble per-point input vectors; the attention mask is
+    """Assemble per-point input vectors from the example's feature columns,
+    which hold its points in model order; the attention mask is
     :attr:`EmbeddedExample.blocked`, built only when read.
 
     Key/value inputs hold, side by side, positional features, the series
@@ -211,12 +219,9 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     it sits and where its anchor sits, but not what value it carries.
     """
     f = example.features
-    if f is None:
-        raise DataError("example has no features; build it via make_batch")
-    times = np.concatenate([example.ctx_gcm_t, example.ctx_obs_t, example.tgt_t])
     # neighbour times are point times, and GCM and observed days coincide, so
     # the features (elementwise in t) are evaluated once per distinct time
-    distinct = np.unique(np.concatenate([times, f.closest_t]))
+    distinct = np.unique(np.concatenate([f.t, f.closest_t]))
     enc = positional_features(distinct, config.feature_dim)
     n = len(f.series_id)
     n_tgt = example.n_tgt
@@ -224,7 +229,7 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     d = config.feature_dim
     # the neighbour n(i) is always same-series, so it reuses the one-hot
     kv_in = np.empty((n, config.qkv_in_dim))
-    kv_in[:, :d] = enc[np.searchsorted(distinct, times)]
+    kv_in[:, :d] = enc[np.searchsorted(distinct, f.t)]
     kv_in[:, d : d + 2] = f.series_id[:, None] == _SERIES_CODES
     kv_in[:, d + 2] = f.delta
     kv_in[:, d + 3] = f.dist
@@ -234,20 +239,11 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     kv_in[:, 2 * d + 6 :] = kv_in[:, d : d + 2]
     q_in = kv_in.copy()
     q_in[:, d + 2 : d + 5 : 2] = 0.0  # delta and deriv
-    xqk_in = kv_in[:, : d + 2].copy()
-    values = np.concatenate(
-        [
-            example.ctx_gcm_v,
-            example.ctx_obs_v,
-            np.zeros(n_tgt) if example.tgt_v is None else example.tgt_v,
-        ]
-    )
-    xv_in = values[:, None]
     return EmbeddedExample(
         q_in=q_in,
         kv_in=kv_in,
-        xqk_in=xqk_in,
-        xv_in=xv_in,
+        xqk_in=kv_in[:, : d + 2].copy(),
+        xv_in=f.value[:, None],
         n_conditioning=n_cond,
         n_targets=n_tgt,
         anchors=f.closest_value[n_cond:][:, None].copy(),
@@ -307,16 +303,6 @@ def forward(
     return mu, sigma
 
 
-def _mlp_array(x: np.ndarray, params: dict, prefix: str) -> np.ndarray:
-    """:func:`temporal_bc.autodiff.mlp`'s arithmetic on plain arrays."""
-    y = x @ params[prefix + ".w1"]
-    y += params[prefix + ".b1"]
-    np.tanh(y, out=y)
-    out = y @ params[prefix + ".w2"]
-    out += params[prefix + ".b2"]
-    return out
-
-
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.ndarray:
     """Multi-head softmax attention of every query over every key, with no
     mask: one logits product and one value product over (heads, rows, width)
@@ -354,12 +340,12 @@ def forecast(
     q_in, kv_in, xqk_in, xv_in = (
         x.astype(dtype) for x in (emb.q_in, emb.kv_in[:n_cond], emb.xqk_in, emb.xv_in[:n_cond])
     )
-    q = _mlp_array(q_in, params, "q")
-    k = _mlp_array(kv_in, params, "k")
-    v = _mlp_array(kv_in, params, "v")
-    xq = _mlp_array(xqk_in, params, "xq")
-    xk = _mlp_array(xqk_in[:n_cond], params, "xk")
-    xv = _mlp_array(xv_in, params, "xv")
+    q = _mlp(q_in, params, "q")
+    k = _mlp(kv_in, params, "k")
+    v = _mlp(kv_in, params, "v")
+    xq = _mlp(xqk_in, params, "xq")
+    xk = _mlp(xqk_in[:n_cond], params, "xk")
+    xv = _mlp(xv_in, params, "xv")
     for layer in range(config.n_layers):
         if layer > 0:
             q, xq = out, xout
@@ -368,10 +354,10 @@ def forecast(
         if layer == config.n_layers - 1:  # the head reads the target row only
             q, xq = q[n_cond:], xq[n_cond:]
         out_map, xout_map = "layer%d.out" % layer, "layer%d.xout" % layer
-        out = _mlp_array(_attend(q, k, v, config.n_heads), params, out_map)
-        xout = _mlp_array(_attend(xq, xk, xv, config.n_heads), params, xout_map)
+        out = _mlp(_attend(q, k, v, config.n_heads), params, out_map)
+        xout = _mlp(_attend(xq, xk, xv, config.n_heads), params, xout_map)
 
-    mean, raw_std = _mlp_array(np.concatenate([out, xout], axis=-1), params, "head")[0]
+    mean, raw_std = _mlp(np.concatenate([out, xout], axis=-1), params, "head")[0]
     return (
         float(mean) + float(emb.anchors[0, 0]),
         float(np.logaddexp(0.0, raw_std)) + SIGMA_FLOOR,

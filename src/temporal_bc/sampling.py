@@ -10,8 +10,9 @@ trajectories are denormalized on the way out.
 
 ``predictive_nll`` runs the same windowing teacher-forced: every day is
 predicted from the true observed history, which scores one-step-ahead
-density forecasts on a held-out stretch, as training's validation
-(:func:`temporal_bc.training.evaluate_nll`) does on its held-out days.
+density forecasts on a held-out stretch. ``evaluate_nll``, training's
+validation score, forecasts its held-out days the same way through the same
+:func:`_one_step`.
 
 All three forecast each day through :func:`_predict_one`, the one caller of
 :func:`temporal_bc.model.forecast`: plain NumPy in float32, on parameters
@@ -23,7 +24,7 @@ forward at float32 rounding, while a sampled, a scored and a validated
 forecast of the same day and windows agree bit for bit.
 
 A sampled or scored stretch logs each window warning at most once
-(:func:`_warn_about_windows`), and training checks them once per ``train``
+(:func:`warn_about_windows`), and training checks them once per ``train``
 call rather than at every validation.
 """
 
@@ -106,10 +107,8 @@ def _forecaster(
     [tau - gcm_past, tau + gcm_future) and returns the normalized (mean, std)
     for day tau.
     """
-    if not 0 <= run_id < dataset.n_runs:
-        raise DataError("run id %d out of range (0..%d)" % (run_id, dataset.n_runs - 1))
+    run = dataset.run(run_id)
     stats = ckpt.norm_stats
-    run = dataset.runs[run_id]
     obs_t = np.array(dataset.obs.times)
     obs_v = stats.to_z(dataset.obs.values)
     gcm_t = np.array(run.times)
@@ -145,7 +144,7 @@ def _forecaster(
     return obs_t, obs_v, one_day
 
 
-def _warn_about_windows(
+def warn_about_windows(
     ckpt: ModelCheckpoint, dataset: PairedDataset, run_id: int, config: SamplerConfig, last_t
 ) -> None:
     """Log a warning when the run's future window truncates before day
@@ -156,7 +155,7 @@ def _warn_about_windows(
     caller checks once: a sampled or scored stretch, or a ``train`` call
     for every validation it runs.
     """
-    run_end = float(dataset.runs[run_id].times[-1])
+    run_end = float(dataset.run(run_id).times[-1])
     if run_end < last_t + config.gcm_future - 1:
         logger.warning(
             "GCM run %d ends at t=%r; the future window truncates near the "
@@ -192,7 +191,7 @@ def sample_trajectories(
     start_t = float(dataset.obs.times[-1]) + 1.0
     last_t = start_t + config.horizon - 1
     obs_t, obs_v, one_day = _forecaster(ckpt, dataset, run_id, config, start_t, last_t)
-    _warn_about_windows(ckpt, dataset, run_id, config, last_t)
+    warn_about_windows(ckpt, dataset, run_id, config, last_t)
     out = []
     for traj in range(config.n_trajectories):
         rng = substream(config.seed ^ run_id, "trajectory", traj)
@@ -270,7 +269,28 @@ def predictive_nll(
         raise ConfigError("n_days must be >= 1")
     times = float(start_t) + np.arange(n_days, dtype=np.float64)
     means, stds, at = _one_step(ckpt, dataset, run_id, config, times)
-    _warn_about_windows(ckpt, dataset, run_id, config, float(times[-1]))
+    warn_about_windows(ckpt, dataset, run_id, config, float(times[-1]))
     means, stds = ckpt.norm_stats.from_z(means), stds * ckpt.norm_stats.std
     nll = gaussian_nll_points(dataset.obs.values[at], means, stds)
     return PredictiveScore(times=times, means=means, stds=stds, nll=nll)
+
+
+def evaluate_nll(
+    ckpt: ModelCheckpoint, dataset: PairedDataset, days: np.ndarray, config: SamplerConfig
+) -> float:
+    """Per-point mean NLL, in z units, of one-step forecasts of ``days`` on
+    every run: training's validation score.
+
+    Each day is forecast as :func:`predictive_nll` forecasts it:
+    teacher-forced on the observed history, at the windows of ``config``,
+    on the checkpoint's parameters cast to float32. So, with one run, this
+    is that score's ``mean_nll`` on ``days`` less the log of the
+    observational std. It logs no window warning; :func:`warn_about_windows`
+    is its caller's to run.
+    """
+    total = 0.0
+    for z in range(dataset.n_runs):
+        means, stds, at = _one_step(ckpt, dataset, z, config, days)
+        truth = ckpt.norm_stats.to_z(dataset.obs.values[at])
+        total += float(np.sum(gaussian_nll_points(truth, means, stds)))
+    return total / (dataset.n_runs * len(days))

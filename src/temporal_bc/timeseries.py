@@ -149,6 +149,12 @@ class PairedDataset:
     def n_runs(self) -> int:
         return len(self.runs)
 
+    def run(self, run_id: int) -> TimeSeries:
+        """The model run ``run_id``; an id outside 0..n_runs-1 is a DataError."""
+        if not 0 <= run_id < self.n_runs:
+            raise DataError("run id %d out of range (0..%d)" % (run_id, self.n_runs - 1))
+        return self.runs[run_id]
+
 
 @dataclass(frozen=True)
 class AlignedPair:
@@ -192,9 +198,7 @@ def common_grid(*series: TimeSeries) -> tuple[np.ndarray, ...]:
 
 def align(dataset: PairedDataset, run_id: int) -> AlignedPair:
     """Intersect the observational grid with one run's grid (exact times)."""
-    if not 0 <= run_id < dataset.n_runs:
-        raise DataError("run id %d out of range (0..%d)" % (run_id, dataset.n_runs - 1))
-    return AlignedPair(*common_grid(dataset.obs, dataset.runs[run_id]))
+    return AlignedPair(*common_grid(dataset.obs, dataset.run(run_id)))
 
 
 def month_of(t: float, epoch: dt.date) -> int:

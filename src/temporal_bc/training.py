@@ -5,9 +5,10 @@ the trailing fraction of the aligned grid for validation, and then repeats:
 draw a batch of pruned windows, evaluate the per-point Gaussian NLL of the
 targets under teacher forcing, backpropagate, and apply an Adam update. At a
 regular cadence, validation forecasts a fixed set of held-out days one step
-ahead, through the sampler's own windowing and float32 forward at the
-sampler geometry, so it scores what :func:`temporal_bc.sampling.predictive_nll`
-scores; its NLL drives plateau-based early stopping (Prechelt 1998).
+ahead with :func:`temporal_bc.sampling.evaluate_nll`, the sampler's own
+windowing and float32 forecast at the sampler geometry, so it scores what
+:func:`temporal_bc.sampling.predictive_nll` scores; its NLL drives
+plateau-based early stopping (Prechelt 1998).
 It forecasts the same ``VAL_DAYS`` days on every run of the dataset, so an
 evaluation's cost grows with the number of runs. The sampler's window
 warnings cannot change between evaluations, so ``train`` logs them once
@@ -30,14 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as tf_model
-from . import sampling
 from .autodiff import Tape, Tensor, backward
 from .batching import MARGIN, BatchConfig, TrainingExample, make_batch
 from .errors import ConfigError, DataError
-from .metrics import gaussian_nll_points
 from .model import ModelCheckpoint, ModelConfig
 from .rng import substream
-from .sampling import SamplerConfig
+from .sampling import SamplerConfig, evaluate_nll, warn_about_windows
 from .timeseries import AlignedPair, NormStats, PairedDataset, align, write_csv
 
 logger = logging.getLogger(__name__)
@@ -174,26 +173,6 @@ def _validation_days(tail: np.ndarray) -> np.ndarray:
     return tail[np.round(index).astype(int)]
 
 
-def evaluate_nll(
-    ckpt: ModelCheckpoint, dataset: PairedDataset, days: np.ndarray, config: SamplerConfig
-) -> float:
-    """Per-point mean NLL, in z units, of one-step forecasts of ``days`` on
-    every run.
-
-    Each day is forecast as :func:`temporal_bc.sampling.predictive_nll`
-    forecasts it: teacher-forced on the observed history, at the windows of
-    ``config``, on the checkpoint's parameters cast to float32. So, with one
-    run, this is that score's ``mean_nll`` on ``days`` less the log of the
-    observational std.
-    """
-    total = 0.0
-    for z in range(dataset.n_runs):
-        means, stds, at = sampling._one_step(ckpt, dataset, z, config, days)
-        truth = ckpt.norm_stats.to_z(dataset.obs.values[at])
-        total += float(np.sum(gaussian_nll_points(truth, means, stds)))
-    return total / (dataset.n_runs * len(days))
-
-
 def train(
     dataset: PairedDataset,
     model_config: ModelConfig,
@@ -269,7 +248,7 @@ def train(
     # the windows are the same at every validation, so they are checked once
     initial = snapshot({})
     for z in range(dataset.n_runs):
-        sampling._warn_about_windows(initial, dataset, z, scfg, float(val_days[-1]))
+        warn_about_windows(initial, dataset, z, scfg, float(val_days[-1]))
     rows.append(MetricsRow(step=0, train_nll=None, val_nll=best_val))
 
     for step in range(1, train_config.steps + 1):

@@ -16,6 +16,7 @@ from temporal_bc.batching import (
 )
 from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.model import positional_features
+from temporal_bc.sampling import build_inference_example
 from temporal_bc.timeseries import (
     GCM,
     OBS,
@@ -222,6 +223,29 @@ class TestComputeFeatures:
                 np.array([]), np.array([]),
                 np.array([1.0]), np.array([2.0]),
             )
+
+
+class TestFeatureColumns:
+    """``FeatureBlock.t`` and ``.value`` are the example's points in model
+    order: model block, observed context, targets."""
+
+    def test_training_example(self):
+        for ex in make_batch([make_pair(n=96, seed=3)], 8, np.random.default_rng(4), tiny_config()):
+            f = ex.features
+            assert np.array_equal(f.t, np.concatenate([ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t]))
+            assert np.array_equal(
+                f.value, np.concatenate([ex.ctx_gcm_v, ex.ctx_obs_v, ex.tgt_v])
+            )
+
+    def test_inference_example(self):
+        rng = np.random.default_rng(6)
+        ex = build_inference_example(
+            np.arange(5.0), rng.normal(size=5), np.arange(2.0, 9.0), rng.normal(size=7), 5.0
+        )
+        f = ex.features
+        assert np.array_equal(f.t, np.concatenate([ex.ctx_gcm_t, ex.ctx_obs_t, [5.0]]))
+        # the target's value is unknown and enters as 0
+        assert np.array_equal(f.value, np.concatenate([ex.ctx_gcm_v, ex.ctx_obs_v, [0.0]]))
 
 
 class TestMakeBatch:

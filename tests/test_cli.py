@@ -688,7 +688,7 @@ class TestReport:
             assert set(run_rows) == set(candidates) | {("observed", "0", ""), ("observed", "1", "")}
             for key, cand in candidates.items():
                 assert np.array_equal(qq_rows[key][:, 0], np.linspace(0.0, 1.0, 101))
-                assert np.array_equal(qq_rows[key][:, 1:], metrics.qq(obs_v, cand, 101))
+                assert np.array_equal(qq_rows[key], metrics.qq(obs_v, cand, 101))
                 if key in pacf_rows:
                     assert np.array_equal(pacf_rows[key][:, 0], np.arange(1.0, 15.0))
                     assert np.array_equal(pacf_rows[key][:, 1], metrics.pacf(obs_v, 14))

@@ -79,9 +79,7 @@ class TestHeatwaveCount:
 
     def test_stats_validation(self):
         with pytest.raises(DataError):
-            HeatwaveStats(0.0, 1, (2,))
-        with pytest.raises(DataError):
-            HeatwaveStats(0.0, 2, (3,))
+            HeatwaveStats((2,))
 
 
 class TestRelativeHeatwaveError:
@@ -102,21 +100,23 @@ class TestQq:
         rng = np.random.default_rng(1)
         x = rng.normal(size=500)
         pairs = qq(x, x, n_quantiles=51)
-        assert pairs.shape == (51, 2)
-        assert np.array_equal(pairs[:, 0], pairs[:, 1])
+        assert pairs.shape == (51, 3)
+        assert np.array_equal(pairs[:, 0], np.linspace(0.0, 1.0, 51))
+        assert np.array_equal(pairs[:, 1], pairs[:, 2])
 
     def test_constant_shift(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=400)
         pairs = qq(x, x + 2.0, n_quantiles=101)
-        assert np.allclose(pairs[:, 1] - pairs[:, 0], 2.0, atol=1e-12)
+        assert np.allclose(pairs[:, 2] - pairs[:, 1], 2.0, atol=1e-12)
 
     def test_endpoints_are_extremes(self):
         x = np.array([3.0, 1.0, 2.0])
         y = np.array([10.0, 30.0])
         pairs = qq(x, y, n_quantiles=3)
-        assert pairs[0, 0] == 1.0 and pairs[-1, 0] == 3.0
-        assert pairs[0, 1] == 10.0 and pairs[-1, 1] == 30.0
+        assert list(pairs[:, 0]) == [0.0, 0.5, 1.0]
+        assert pairs[0, 1] == 1.0 and pairs[-1, 1] == 3.0
+        assert pairs[0, 2] == 10.0 and pairs[-1, 2] == 30.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -55,6 +55,20 @@ OWNED = {
     "attention-mask-rule": re.escape("np.triu("),
     # batching._slope: the finite-difference slope of every point feature
     "finite-difference-slope": re.escape("delta / np.where(dist != 0.0"),
+    # batching.compute_features: points take the model order (model block,
+    # observed context, targets) in one concatenation of three blocks, and
+    # the model reads the columns it returns
+    "point-order-concatenation": r"concatenate\(\[\S*g\S*, \S*o\S*, \S*t\S*\]",
+    # batching._target_features: a target of unknown value enters as 0
+    "unknown-target-zero-fill": r"zeros\(\w+\) if [\w.]*tgt_v is None",
+    # autodiff.perceptron: training's mlp node and the forecast share one
+    # perceptron arithmetic
+    "perceptron-arithmetic": re.escape("np.tanh(y, out=y)"),
+    # timeseries.PairedDataset.run: every lookup of a run by id is checked
+    # against one range rule
+    "run-id-range-rule": r"0 <= run_id <",
+    # metrics.qq: the QQ probabilities come from where the quantiles are taken
+    "qq-probability-grid": re.escape("np.linspace(0.0, 1.0"),
 }
 
 
