@@ -36,17 +36,26 @@ node under an additive n x n mask bias, each perceptron one
 :func:`temporal_bc.autodiff.mlp` node and :func:`gaussian_nll` one
 :func:`temporal_bc.autodiff.gaussian_nll` node.
 
-:func:`forecast` is the one-day forecast of sampling, held-out scoring and
-validation: plain NumPy in the parameters' dtype, one target, no mask, with
-each perceptron computed by :func:`temporal_bc.autodiff.perceptron`, the
-arithmetic of training's :func:`temporal_bc.autodiff.mlp` node. That
-target sees every conditioning point and nothing else, and so does each
-conditioning point, so each attention runs over the conditioning rows' keys
-and values alone. Its arithmetic rounds differently from :func:`forward`'s
-(about 1e-15 of the largest output in float64). Sampling passes it the
-float32 copies of :func:`forecast_params`, the one place that cast happens,
-so a forecast matches :func:`forward` to float32 rounding (about 1e-6
-relative to the largest mean), not bit for bit.
+:func:`layer0_rows` and :func:`forecast` are the one-day forecast of
+sampling, held-out scoring and validation: plain NumPy in the parameters'
+dtype, one target, no mask, with each perceptron computed by
+:func:`temporal_bc.autodiff.perceptron`, the arithmetic of training's
+:func:`temporal_bc.autodiff.mlp` node. That target sees every conditioning
+point and nothing else, and so does each conditioning point, so each
+attention runs over the conditioning rows' keys and values alone.
+:func:`layer0_rows` runs the six input perceptrons over embedded points,
+each as one product; :func:`forecast` takes those rows from layer 0's
+attention to the head. A point's layer-0 rows depend on its own inputs
+alone, and a product over two or more rows gives each row the bits that
+the product over the whole window gives it (a one-row product takes
+another BLAS kernel and does not), so the sampler may compute the rows of
+a few points and gather the rest from earlier days (see
+:mod:`temporal_bc.sampling`) with every bit unchanged. The arithmetic
+rounds differently from :func:`forward`'s (about 1e-15 of the largest
+output in float64). Sampling passes the float32 copies of
+:func:`forecast_params`, the one place that cast happens, so a forecast
+matches :func:`forward` to float32 rounding (about 1e-6 relative to the
+largest mean), not bit for bit.
 """
 
 from __future__ import annotations
@@ -322,30 +331,52 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.nda
     return out.transpose(1, 0, 2).reshape(n_rows, d)
 
 
-def forecast(
-    params: dict[str, np.ndarray], emb: EmbeddedExample, config: ModelConfig
-) -> tuple[float, float]:
-    """(mean, std) of a one-target example, in the parameters' dtype with
-    the anchor and the std floor added in float64.
+# the input perceptrons, whose output rows are layer 0's queries, keys and
+# values in the main stack and then the auxiliary one
+LAYER0 = ("q", "k", "v", "xq", "xk", "xv")
 
-    Keys and values come from the conditioning rows alone, so the target's
-    own inputs never enter; the last layer of each stack takes the target's
-    query alone.
+
+def layer0_rows(params: dict[str, np.ndarray], emb: EmbeddedExample) -> np.ndarray:
+    """Each input perceptron's output rows for a one-target example, in the
+    parameters' dtype: shape (perceptron in :data:`LAYER0`'s order, point,
+    ``model_dim``), with the target last.
+
+    ``q`` and ``xq`` take every row. ``k``, ``v``, ``xk`` and ``xv`` take the
+    conditioning rows alone and leave the target's row zero, so the target's
+    own key and value never enter. Each perceptron runs as one product over
+    the rows it takes.
     """
     if emb.n_targets != 1:
         raise DataError("a forecast has one target, got %d" % emb.n_targets)
     dtype = params["q.w1"].dtype
     n_cond = emb.n_conditioning
-    # queries take every row, keys and values the conditioning rows
     q_in, kv_in, xqk_in, xv_in = (
         x.astype(dtype) for x in (emb.q_in, emb.kv_in[:n_cond], emb.xqk_in, emb.xv_in[:n_cond])
     )
-    q = _mlp(q_in, params, "q")
-    k = _mlp(kv_in, params, "k")
-    v = _mlp(kv_in, params, "v")
-    xq = _mlp(xqk_in, params, "xq")
-    xk = _mlp(xqk_in[:n_cond], params, "xk")
-    xv = _mlp(xv_in, params, "xv")
+    rows = np.zeros((len(LAYER0), n_cond + 1, params["q.b2"].shape[0]), dtype)
+    rows[0] = _mlp(q_in, params, "q")
+    rows[1, :n_cond] = _mlp(kv_in, params, "k")
+    rows[2, :n_cond] = _mlp(kv_in, params, "v")
+    rows[3] = _mlp(xqk_in, params, "xq")
+    rows[4, :n_cond] = _mlp(xqk_in[:n_cond], params, "xk")
+    rows[5, :n_cond] = _mlp(xv_in, params, "xv")
+    return rows
+
+
+def forecast(
+    params: dict[str, np.ndarray], rows: np.ndarray, anchor: float, config: ModelConfig
+) -> tuple[float, float]:
+    """(mean, std) of one target from its layer-0 rows, laid out as
+    :func:`layer0_rows` returns them, in the parameters' dtype with the
+    ``anchor`` (the target's nearest earlier value) and the std floor added
+    in float64.
+
+    Keys and values are the conditioning rows; the last layer of each stack
+    takes the target's query alone.
+    """
+    n_cond = rows.shape[1] - 1
+    q, k, v, xq, xk, xv = rows
+    k, v, xk, xv = k[:n_cond], v[:n_cond], xk[:n_cond], xv[:n_cond]
     for layer in range(config.n_layers):
         if layer > 0:
             q, xq = out, xout
@@ -359,7 +390,7 @@ def forecast(
 
     mean, raw_std = _mlp(np.concatenate([out, xout], axis=-1), params, "head")[0]
     return (
-        float(mean) + float(emb.anchors[0, 0]),
+        float(mean) + float(anchor),
         float(np.logaddexp(0.0, raw_std)) + SIGMA_FLOOR,
     )
 

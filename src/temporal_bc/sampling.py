@@ -23,6 +23,20 @@ float64. A forecast's (mean, std) therefore differs from training's float64
 forward at float32 rounding, while a sampled, a scored and a validated
 forecast of the same day and windows agree bit for bit.
 
+Days reuse layer-0 rows. A conditioning point's six layer-0 perceptron rows
+(:func:`temporal_bc.model.layer0_rows`) depend on its feature row alone, and
+as the windows slide one day most points keep theirs; only the points
+whose nearest neighbour changed, the new ones and the target need new rows.
+A :class:`_RowMemo` keeps each point's rows by its index in its series,
+beside the feature row they came from: one memo per model run and stretch,
+shared by the run's trajectories, and one per observed or sampled history.
+A day takes a point's rows from the memo only where the point's feature row
+is bit for bit the stored one, and embeds and computes the rest with the
+target, in one product per perceptron of at least two rows (a one-row
+product may take another BLAS kernel and round differently). So a day that reuses rows gives
+the same bits as one that computes every row, and a stretch's first day is
+such a day.
+
 A sampled or scored stretch logs each window warning at most once
 (:func:`warn_about_windows`), and training checks them once per ``train``
 call rather than at every validation.
@@ -31,12 +45,12 @@ call rather than at every validation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import model as tf_model
-from .batching import TrainingExample, compute_features
+from .batching import FeatureBlock, TrainingExample, compute_features
 from .errors import ConfigError, DataError, NumericError
 from .metrics import gaussian_nll_points
 from .model import ModelCheckpoint
@@ -90,6 +104,28 @@ def build_inference_example(
     )
 
 
+# FeatureBlock's columns, each point's feature row
+_COLUMNS = [column.name for column in fields(FeatureBlock)]
+
+
+class _RowMemo:
+    """Layer-0 rows (:func:`temporal_bc.model.layer0_rows`) of a stretch of
+    one series' points, by index, each beside the feature row it was
+    computed from."""
+
+    def __init__(self, n_points: int):
+        # (column, point); NaN equals no feature, so every slot starts stale
+        self.features = np.full((len(_COLUMNS), n_points), np.nan)
+        # (perceptron, point, width), made at the first store
+        self.rows = None
+
+    def store(self, index: np.ndarray, features: np.ndarray, rows: np.ndarray) -> None:
+        if self.rows is None:
+            self.rows = np.empty((len(rows), self.features.shape[1], rows.shape[2]), rows.dtype)
+        self.features[:, index] = features
+        self.rows[:, index] = rows
+
+
 def _forecaster(
     ckpt: ModelCheckpoint,
     dataset: PairedDataset,
@@ -102,10 +138,13 @@ def _forecaster(
 
     Checks that the run exists, that ``obs_window`` observed days precede
     ``start_t`` and that the run covers [start_t - gcm_past, last_t].
-    ``one_day(hist_t, hist_v, tau)`` conditions on the trailing
-    ``obs_window`` history points and the run's days in
-    [tau - gcm_past, tau + gcm_future) and returns the normalized (mean, std)
-    for day tau.
+    ``one_day(hist_t, hist_v, memo, tau)`` conditions on the trailing
+    ``obs_window`` points of the history ``hist_t``, ``hist_v`` and the
+    run's days in [tau - gcm_past, tau + gcm_future) and returns the
+    normalized (mean, std) for day tau. ``memo`` is the history's
+    :class:`_RowMemo`, indexed as ``hist_t`` is; the run's own memo spans
+    every window of the stretch and is shared by every history forecast
+    here.
     """
     run = dataset.run(run_id)
     stats = ckpt.norm_stats
@@ -127,19 +166,19 @@ def _forecaster(
             % (start_t - config.gcm_past, last_t, run_id, *gcm_t[[0, -1]].tolist())
         )
     params = tf_model.forecast_params(ckpt)
+    # gcm_t is strictly increasing, so each day's window is the slice of days
+    # in [tau - gcm_past, tau + gcm_future), and the stretch's windows lie in
+    # the slice for [start_t - gcm_past, last_t + gcm_future)
+    first, stop = np.searchsorted(gcm_t, (start_t - config.gcm_past, last_t + config.gcm_future))
+    gcm_memo = _RowMemo(stop - first)
 
-    def one_day(hist_t, hist_v, tau: float) -> tuple[float, float]:
-        # gcm_t is strictly increasing, so the window is the slice of days
-        # in [tau - gcm_past, tau + gcm_future)
+    def one_day(hist_t, hist_v, memo: _RowMemo, tau: float) -> tuple[float, float]:
         lo, hi = np.searchsorted(gcm_t, (tau - config.gcm_past, tau + config.gcm_future))
+        at = len(hist_t) - config.obs_window
         example = build_inference_example(
-            hist_t[-config.obs_window :],
-            hist_v[-config.obs_window :],
-            gcm_t[lo:hi],
-            gcm_v[lo:hi],
-            tau,
+            hist_t[at:], hist_v[at:], gcm_t[lo:hi], gcm_v[lo:hi], tau
         )
-        return _predict_one(params, example, ckpt.config)
+        return _predict_one(params, example, ((gcm_memo, lo - first), (memo, at)), ckpt.config)
 
     return obs_t, obs_v, one_day
 
@@ -173,8 +212,47 @@ def warn_about_windows(
         )  # fmt: skip
 
 
-def _predict_one(params, example, model_config):
-    m, s = tf_model.forecast(params, tf_model.embed(example, model_config), model_config)
+def _predict_one(params, example, memos, model_config):
+    """(mean, std) of ``example``'s one target; a NumericError unless both
+    are finite.
+
+    ``memos`` pairs the model block and then the observed context with the
+    :class:`_RowMemo` of its series and the memo index of its first point.
+    A conditioning point takes its layer-0 rows from its memo when the memo
+    holds rows computed from the point's very feature row. The rest, and
+    the target, are embedded and run through each perceptron in one
+    product, and their rows are stored. A one-row product rounds differently
+    from the same row in a product of two or more, so at least two rows are
+    computed where the window has two.
+    """
+    f = example.features
+    features = np.array([getattr(f, name) for name in _COLUMNS], dtype=np.float64)
+    n_gcm, n_cond = len(example.ctx_gcm_t), example.n_points - 1
+    (gcm_memo, gcm_at), (hist_memo, hist_at) = memos
+    held = np.concatenate(
+        [gcm_memo.features[:, gcm_at : gcm_at + n_gcm],
+         hist_memo.features[:, hist_at : hist_at + n_cond - n_gcm]],
+        axis=1,
+    )  # fmt: skip
+    # bit for bit: 0.0 and -0.0 are different inputs
+    stale = np.any(held.view(np.uint64) != features[:, :n_cond].view(np.uint64), axis=0)
+    short = min(2, n_cond) - np.count_nonzero(stale)
+    if short > 0:
+        stale[np.flatnonzero(~stale)[:short]] = True
+    take = np.flatnonzero(np.append(stale, True))  # and the target
+    sub = features[:, take]
+    emb = tf_model.embed(replace(example, features=FeatureBlock(*sub)), model_config)
+    computed = tf_model.layer0_rows(params, emb)
+    split = np.searchsorted(take, n_gcm)
+    gcm_memo.store(gcm_at + take[:split], sub[:, :split], computed[:, :split])
+    hist_memo.store(
+        hist_at - n_gcm + take[split:-1], sub[:, split:-1], computed[:, split:-1]
+    )
+    rows = np.empty((len(computed), n_cond + 1, computed.shape[2]), computed.dtype)
+    rows[:, :n_gcm] = gcm_memo.rows[:, gcm_at : gcm_at + n_gcm]
+    rows[:, n_gcm:n_cond] = hist_memo.rows[:, hist_at : hist_at + n_cond - n_gcm]
+    rows[:, n_cond] = computed[:, -1]
+    m, s = tf_model.forecast(params, rows, float(emb.anchors[0, 0]), model_config)
     if not (np.isfinite(m) and np.isfinite(s)):
         raise NumericError("model produced non-finite prediction during sampling")
     return m, s
@@ -192,21 +270,20 @@ def sample_trajectories(
     last_t = start_t + config.horizon - 1
     obs_t, obs_v, one_day = _forecaster(ckpt, dataset, run_id, config, start_t, last_t)
     warn_about_windows(ckpt, dataset, run_id, config, last_t)
+    window = config.obs_window
+    # the history: the observed tail, then the sampled days
+    times = start_t + np.arange(config.horizon, dtype=np.float64)
+    hist_t = np.concatenate([obs_t[-window:], times])
     out = []
     for traj in range(config.n_trajectories):
         rng = substream(config.seed ^ run_id, "trajectory", traj)
-        hist_t = list(obs_t[-config.obs_window :])
-        hist_v = list(obs_v[-config.obs_window :])
-        values = np.empty(config.horizon)
+        hist_v = np.empty_like(hist_t)
+        hist_v[:window] = obs_v[-window:]
+        memo = _RowMemo(len(hist_t))
         for step in range(config.horizon):
-            tau = start_t + step
-            m, s = one_day(hist_t, hist_v, tau)
-            value = m if config.deterministic else float(rng.normal(m, s))
-            values[step] = value
-            hist_t.append(tau)
-            hist_v.append(value)
-        times = start_t + np.arange(config.horizon, dtype=np.float64)
-        out.append(TimeSeries(times, ckpt.norm_stats.from_z(values), OBS))
+            m, s = one_day(hist_t[: window + step], hist_v[: window + step], memo, times[step])
+            hist_v[window + step] = m if config.deterministic else rng.normal(m, s)
+        out.append(TimeSeries(times, ckpt.norm_stats.from_z(hist_v[window:]), OBS))
     return out
 
 
@@ -243,10 +320,14 @@ def _one_step(ckpt, dataset, run_id: int, config: SamplerConfig, days: np.ndarra
     unobserved = days[obs_t[np.minimum(n_past, len(obs_t) - 1)] != days]
     if len(unobserved):
         raise DataError("no observation at evaluation day t=%r" % float(unobserved[0]))
+    # the history is the observed series from the first day's window on
+    first = n_past[0] - config.obs_window
+    memo = _RowMemo(n_past[-1] - first)
     means = np.empty(len(days))
     stds = np.empty(len(days))
     for i, tau in enumerate(days):
-        means[i], stds[i] = one_day(obs_t[: n_past[i]], obs_v[: n_past[i]], float(tau))
+        past = slice(first, n_past[i])
+        means[i], stds[i] = one_day(obs_t[past], obs_v[past], memo, float(tau))
     return means, stds, n_past
 
 

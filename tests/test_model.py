@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from temporal_bc.model import (
     forward,
     gaussian_nll,
     init_params,
+    layer0_rows,
     load_checkpoint,
     param_shapes,
     positional_features,
@@ -379,10 +381,15 @@ class TestPredict:
             TINY, init_params(TINY, np.random.default_rng(5)), NormStats(0.0, 1.0)
         )
         params = forecast_params(ckpt)
-        assert np.isfinite(sampling._predict_one(params, ex, TINY)).all()
+
+        def predict():
+            memos = [(sampling._RowMemo(len(x)), 0) for x in (ex.ctx_gcm_t, ex.ctx_obs_t)]
+            return sampling._predict_one(params, ex, memos, TINY)
+
+        assert np.isfinite(predict()).all()
         params["head.b2"] = np.array([np.nan, 0.0], dtype=params["head.b2"].dtype)
         with pytest.raises(NumericError, match="non-finite"):
-            sampling._predict_one(params, ex, TINY)
+            predict()
 
 
 class TestMakeBatchIntegration:
@@ -424,6 +431,12 @@ def _float64(params):
     return {name: p.data for name, p in params.items()}
 
 
+def cold_forecast(params, emb, config):
+    """The forecast of ``emb``'s one target with every layer-0 row computed
+    from ``emb`` itself, as a forecast day with nothing to reuse does."""
+    return forecast(params, layer0_rows(params, emb), float(emb.anchors[0, 0]), config)
+
+
 class TestInferenceRows:
     """:func:`model.forecast`, the untaped one-target forward that samples,
     scores and validates, against training's taped forward."""
@@ -432,7 +445,7 @@ class TestInferenceRows:
         emb = embed(ex, config)
         with Tape():
             mu, sigma = forward(params, emb, config)
-        mean, std = forecast(_float64(params), emb, config)
+        mean, std = cold_forecast(_float64(params), emb, config)
         assert type(mean) is float and type(std) is float
         # a mean can cross zero, so its error is relative to the largest
         # mean; a std is at least SIGMA_FLOOR, so its error is pointwise
@@ -478,15 +491,17 @@ class TestInferenceRows:
         kv_in[-1] = 1e3 * np.random.default_rng(0).standard_normal(kv_in.shape[1])
         xv_in[-1] = -7.5
         bumped = replace(emb, kv_in=kv_in, xv_in=xv_in)
-        assert forecast(params, bumped, TINY) == forecast(params, emb, TINY)
+        assert cold_forecast(params, bumped, TINY) == cold_forecast(params, emb, TINY)
         # a conditioning point's value does reach the forecast
         xv_in[0] = -7.5
-        assert forecast(params, replace(emb, xv_in=xv_in), TINY) != forecast(params, emb, TINY)
+        assert cold_forecast(params, replace(emb, xv_in=xv_in), TINY) != cold_forecast(
+            params, emb, TINY
+        )
 
     def test_forecast_refuses_more_than_one_target(self):
         params = _float64(trained_like_params())
         with pytest.raises(DataError, match="one target, got 3"):
-            forecast(params, embed(default_example(), TINY), TINY)
+            layer0_rows(params, embed(default_example(), TINY))
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_only_the_last_layer_drops_conditioning_queries(self, monkeypatch, n_layers):
@@ -516,7 +531,7 @@ class TestInferenceRows:
         del calls[:]
         # a forecast's keys and values are the conditioning rows, and its
         # last layer takes the target's query alone
-        forecast(_float64(params), emb, config)
+        cold_forecast(_float64(params), emb, config)
         assert calls == [(n, n_cond, n_cond)] * (2 * (n_layers - 1)) + [(1, n_cond, n_cond)] * 2
 
 
@@ -551,6 +566,47 @@ class TestUntapedAttention:
         assert got.dtype == np.float64 and got.shape == want.shape
         scale = np.abs(want).max()
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+@functools.lru_cache(maxsize=None)
+def _layer0_inputs(geometry):
+    """The sampler-style example's perceptron inputs at ``geometry``, with
+    trained-like float64 parameters."""
+    config = GEOMETRIES[geometry][0]
+    emb = embed(geometry_examples(geometry)[-1], config)
+    params = _float64(trained_like_params(seed=2, config=config))
+    inputs = {"q": emb.q_in, "k": emb.kv_in, "v": emb.kv_in, "xq": emb.xqk_in, "xk": emb.xqk_in,
+              "xv": emb.xv_in}  # fmt: skip
+    return params, inputs
+
+
+class TestLayer0Blocks:
+    """The sampler's row memo rests on a property of the BLAS: a perceptron
+    over any gathered block of two or more rows reproduces, bit for bit,
+    those rows of the product over the whole window. A one-row product may
+    take another kernel (gemv) and round differently, which is why a
+    forecast day computes at least two rows. A BLAS that breaks this fails
+    here, not as a sampler mismatch."""
+
+    @pytest.mark.parametrize("geometry", ["paper-study", "default"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(
+        size=st.one_of(st.integers(2, 8), st.integers(2, 300)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_block_of_two_rows_or_more_equals_the_whole_windows_rows(
+        self, geometry, dtype, size, seed
+    ):
+        params, inputs = _layer0_inputs(geometry)
+        n = len(inputs["q"])
+        rows = np.sort(np.random.default_rng(seed).choice(n, min(size, n), replace=False))
+        for name, x in inputs.items():
+            weights = [params[name + part].astype(dtype) for part in (".w1", ".b1", ".w2", ".b2")]
+            x = x.astype(dtype)
+            whole = ad.perceptron(x, *weights)[1]
+            block = ad.perceptron(x[rows], *weights)[1]
+            assert block.dtype == dtype
+            assert np.array_equal(block, whole[rows]), name
 
 
 class TestTapedRows:
@@ -617,7 +673,7 @@ class TestFloat32Forward:
             emb = embed(ex, config)
             with Tape():
                 mu, sigma = forward(params, emb, config)
-            mean, std = forecast(f32, emb, config)
+            mean, std = cold_forecast(f32, emb, config)
             # as in TestInferenceRows: a mean's error relative to the mean, a
             # std's pointwise
             assert mean == pytest.approx(mu.data[0, 0], rel=0, abs=1e-5 * abs(mu.data[0, 0]))
@@ -657,10 +713,10 @@ class TestCheckpoint:
         ex = one_target(default_example())
         params = trained_like_params(seed=17)
         ckpt = checkpoint_from_params(TINY, params, NormStats(0.0, 1.0))
-        before = forecast(forecast_params(ckpt), embed(ex, TINY), TINY)
+        before = cold_forecast(forecast_params(ckpt), embed(ex, TINY), TINY)
         save_checkpoint(ckpt, tmp_path / "c.json")
         back = load_checkpoint(tmp_path / "c.json")
-        assert forecast(forecast_params(back), embed(ex, back.config), back.config) == before
+        assert cold_forecast(forecast_params(back), embed(ex, back.config), back.config) == before
 
     def test_missing_param_rejected(self, tmp_path):
         import json

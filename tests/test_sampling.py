@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from temporal_bc import model, sampling
 from temporal_bc.autodiff import Tensor
@@ -20,6 +22,7 @@ from temporal_bc.rng import substream
 from temporal_bc.sampling import (
     SamplerConfig,
     build_inference_example,
+    evaluate_nll,
     predictive_nll,
     sample_trajectories,
 )
@@ -118,7 +121,7 @@ class TestSampleTrajectories:
         ckpt = anchor_checkpoint(ds)
         seen = []
 
-        def spy(params, example, model_config):
+        def spy(params, example, memos, model_config):
             seen.append(example)
             return 0.0, 1.0
 
@@ -291,9 +294,9 @@ def test_sampling_and_scoring_compute_in_float32(monkeypatch):
     seen = []
     real = model.forecast
 
-    def spy(params, emb, config):
-        seen.append({arr.dtype for arr in params.values()})
-        return real(params, emb, config)
+    def spy(params, rows, anchor, config):
+        seen.append({arr.dtype for arr in [*params.values(), rows]})
+        return real(params, rows, anchor, config)
 
     monkeypatch.setattr(model, "forecast", spy)
     sample_trajectories(ckpt, ds, 0, SamplerConfig(horizon=2, n_trajectories=2))
@@ -301,6 +304,98 @@ def test_sampling_and_scoring_compute_in_float32(monkeypatch):
     # one forecast per sampled or scored day
     assert seen == [{np.dtype(np.float32)}] * (2 * 2 + 2)
     assert all(arr.dtype == np.float64 for arr in ckpt.params.values())
+
+
+class TestRowMemo:
+    """A forecast day takes a conditioning point's layer-0 rows from the
+    memo of its series wherever the memo computed them from the point's
+    very feature row, and computes the rest. Its forecast must equal, bit
+    for bit, the same day's forecast with nothing to reuse."""
+
+    @staticmethod
+    def checked(mp) -> list:
+        """Spy on every forecast day: assert it equals the day's cold
+        forecast, that every product over fresh rows has two rows or more
+        (or the window's one), and record (conditioning points, fresh
+        conditioning rows) per day."""
+        days, fresh = [], []
+        real_predict, real_rows = sampling._predict_one, model.layer0_rows
+
+        def rows_spy(params, emb):
+            fresh.append(emb.n_conditioning)
+            return real_rows(params, emb)
+
+        def predict_spy(params, example, memos, config):
+            n_cond = example.n_points - 1
+            got = real_predict(params, example, memos, config)
+            (n_fresh,) = fresh
+            assert n_fresh >= min(2, n_cond)
+            cold = [(sampling._RowMemo(len(x)), 0) for x in (example.ctx_gcm_t, example.ctx_obs_t)]
+            assert got == real_predict(params, example, cold, config)
+            del fresh[:]
+            days.append((n_cond, n_fresh))
+            return got
+
+        mp.setattr(model, "layer0_rows", rows_spy)
+        mp.setattr(sampling, "_predict_one", predict_spy)
+        return days
+
+    @given(
+        seed=st.integers(0, 2**16),
+        obs_window=st.integers(1, 5),
+        gcm_past=st.integers(0, 4),
+        gcm_future=st.integers(1, 6),
+        horizon=st.integers(1, 6),
+        keep=st.sampled_from([0.5, 0.8, 1.0]),
+    )
+    def test_memoized_forecasts_equal_cold_ones(
+        self, seed, obs_window, gcm_past, gcm_future, horizon, keep
+    ):
+        rng = np.random.default_rng(seed)
+        # observed days 0..29 with gaps, except for a dense first five days and
+        # a dense scored stretch 24..29; the runs' shared grid has gaps too and
+        # may end before the last sampled day's future window does
+        days = np.arange(30.0)
+        obs_t = days[(rng.random(30) < keep) | (days < 5) | (days >= 24)]
+        n_gcm = 30 + horizon + int(rng.integers(0, gcm_future + 1))
+        gcm_t = np.flatnonzero(rng.random(n_gcm) < keep)
+        gcm_t = np.union1d(gcm_t, [0, n_gcm - 1]).astype(float)
+        obs = TimeSeries(obs_t, 15.0 + rng.normal(size=len(obs_t)), OBS)
+        runs = [TimeSeries(gcm_t, 13.0 + rng.normal(size=len(gcm_t)), GCM) for _ in range(2)]
+        ds = PairedDataset(obs, runs)
+        ckpt = value_sensitive_checkpoint(ds, seed=seed % 7)
+        config = SamplerConfig(obs_window, gcm_past, gcm_future, horizon, n_trajectories=2, seed=seed)
+        validated = obs_t[obs_t >= 5.0]
+        validated = validated[rng.random(len(validated)) < 0.5][:8]
+        with pytest.MonkeyPatch.context() as mp:
+            forecasts = self.checked(mp)
+            for z in range(2):
+                for deterministic in (False, True):
+                    sample_trajectories(ckpt, ds, z, replace(config, deterministic=deterministic))
+                predictive_nll(ckpt, ds, z, start_t=24.0, n_days=6, config=config)
+            if len(validated):
+                evaluate_nll(ckpt, ds, validated, config)
+        assert len(forecasts) == 2 * (2 * 2 * horizon + 6) + 2 * len(validated)
+
+    def test_a_warm_day_on_a_daily_grid_computes_the_rows_that_changed(self):
+        # as the windows slide one day, the points whose neighbour changes are
+        # the model block's new first and last and the history's new first
+        # and last; every other point keeps its feature row
+        ds = make_dataset(n_runs=2)
+        ckpt = value_sensitive_checkpoint(ds)
+        config = SamplerConfig(horizon=4, n_trajectories=2)
+        with pytest.MonkeyPatch.context() as mp:
+            days = self.checked(mp)
+            sample_trajectories(ckpt, ds, 0, config)
+            predictive_nll(ckpt, make_dataset(n_obs=200), 0, start_t=150.0, n_days=4)
+        n_cond = 60 + 180
+        warm = [(n_cond, 4)] * 3
+        # the second trajectory shares the run's memo. On its first day the
+        # model points that were the first trajectory's later first points
+        # have their interior neighbour back, and its history is new; on its
+        # warm days the model block's new last point is already stored
+        second = [(n_cond, 3 + 60)] + [(n_cond, 3)] * 3
+        assert days == [(n_cond, n_cond)] + warm + second + [(n_cond, n_cond)] + warm
 
 
 class TestTrainedWindowWarning:
