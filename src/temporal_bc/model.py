@@ -314,20 +314,25 @@ def forward(
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.ndarray:
     """Multi-head softmax attention of every query over every key, with no
-    mask: one logits product and one value product over (heads, rows, width)
-    views, and each output row divided by its sum of exponents after the
-    value product (the deferred normalisation of Dao et al. 2022)."""
+    mask: one logits product and one value product over (heads, keys,
+    width) views, and each output row divided by its sum of exponents after
+    the value product (the deferred normalisation of Dao et al. 2022).
+
+    The logits are laid out key-major, (heads, keys, rows), as ``k @ q.T``
+    gives them, so the max and the sum over keys run as elementwise passes
+    down whole rows of queries rather than as one short reduction per query.
+    """
     n_rows, d = q.shape
     width = d // n_heads
     logits = np.matmul(
-        q.reshape(n_rows, n_heads, width).transpose(1, 0, 2),
-        k.reshape(-1, n_heads, width).transpose(1, 2, 0),
+        k.reshape(-1, n_heads, width).transpose(1, 0, 2),
+        q.reshape(n_rows, n_heads, width).transpose(1, 2, 0),
     )
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
-    denom = logits.sum(axis=-1, keepdims=True)
-    out = np.matmul(logits, v.reshape(-1, n_heads, width).transpose(1, 0, 2))
-    out /= denom
+    denom = logits.sum(axis=1)
+    out = np.matmul(logits.transpose(0, 2, 1), v.reshape(-1, n_heads, width).transpose(1, 0, 2))
+    out /= denom[:, :, None]
     return out.transpose(1, 0, 2).reshape(n_rows, d)
 
 
