@@ -33,12 +33,12 @@ class Kernel:
     With r = |t - t'|, ``kind`` selects
 
     - rbf:                  exp(-r^2 / (2 l^2))
-    - periodic:             exp(-0.5 (sin(pi r) / gamma)^2 / l^2)
+    - periodic:             exp(-2 sin^2(pi r / p) / l^2)
     - rational_quadratic:   (1 + r^2 / (2 alpha l^2))^(-alpha)
 
-    The periodic form keeps gamma under the sine as written in the source
-    convention, so the function has unit period in r regardless of gamma;
-    gamma and l jointly scale how sharply correlation dips between wraps.
+    The periodic form is the usual one (MacKay 1998; Rasmussen & Williams
+    2006, ch. 4): correlation returns to 1 at every multiple of the period
+    p, and l sets how far it dips in between.
     """
 
     kind: str
@@ -73,12 +73,12 @@ def gram(kernel: Kernel, times_a, times_b=None) -> np.ndarray:
         r /= -2.0 * kernel.lengthscale**2
         return np.exp(r, out=r)
     np.abs(r, out=r)
-    if kernel.kind == PERIODIC:  # exp(-0.5 (sin(pi r) / p)^2 / l^2)
+    if kernel.kind == PERIODIC:  # exp(-2 sin^2(pi r / p) / l^2)
         r *= np.pi
-        np.sin(r, out=r)
         r /= kernel.period
+        np.sin(r, out=r)
         np.square(r, out=r)
-        r *= -0.5
+        r *= -2.0
         r /= kernel.lengthscale**2
         return np.exp(r, out=r)
     # rational quadratic: (1 + r^2 / (2 alpha l^2))^(-alpha)

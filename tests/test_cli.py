@@ -144,6 +144,19 @@ class TestSynth:
         truth = json.loads((tmp_path / kind / "truth.json").read_text())
         assert truth["kernel"] == kind
 
+    def test_periodic_kernel_draws_a_series_with_its_period(self, tmp_path):
+        # on a daily grid the latent repeats every 7 days, and varies within
+        # them far beyond the Cholesky jitter's scale
+        out = str(tmp_path / "p")
+        assert main([
+            "synth", "--out-dir", out, "--n-days", "200", "--kernel", "periodic",
+            "--period", "7", "--lengthscale", "1.0", "--seed", "3",
+        ]) == 0
+        latent = load_csv(os.path.join(out, "obs.csv"), OBS).values
+        assert np.std(latent) > 0.1
+        assert np.corrcoef(latent[:-7], latent[7:])[0, 1] == pytest.approx(1.0, abs=1e-6)
+        assert np.corrcoef(latent[:-1], latent[1:])[0, 1] < 0.99
+
     def test_bias_is_recovered_in_the_data(self, tmp_path):
         out = str(tmp_path / "s")
         main([

@@ -25,21 +25,22 @@ class TestKernels:
         assert g[0, 2] == pytest.approx(np.exp(-9.0 / 8.0))
         assert np.allclose(g, g.T)
 
-    def test_periodic_wraps_at_unit_lag(self):
-        # sin(pi r) vanishes at integer lags, so correlation returns to 1
-        k = Kernel(PERIODIC, lengthscale=0.7, period=1.0)
-        g = gram(k, np.array([0.0, 1.0, 2.0, 0.25]))
+    def test_periodic_wraps_at_the_period(self):
+        # sin(pi r / p) vanishes at multiples of the period, so correlation
+        # returns to 1 there and only there
+        k = Kernel(PERIODIC, lengthscale=0.7, period=2.5)
+        g = gram(k, np.array([0.0, 2.5, 5.0, 0.25, 1.0]))
         assert g[0, 1] == pytest.approx(1.0)
         assert g[0, 2] == pytest.approx(1.0)
-        expected = np.exp(-0.5 * np.sin(np.pi * 0.25) ** 2 / 0.7**2)
+        expected = np.exp(-2.0 * np.sin(np.pi * 0.25 / 2.5) ** 2 / 0.7**2)
         assert g[0, 3] == pytest.approx(expected)
+        assert g[0, 4] < 0.5
 
-    def test_periodic_period_scales_sine_amplitude(self):
+    def test_periodic_period_stretches_the_lag(self):
         ga = gram(Kernel(PERIODIC, lengthscale=1.0, period=1.0), np.array([0.0, 0.3]))
-        gb = gram(Kernel(PERIODIC, lengthscale=1.0, period=2.0), np.array([0.0, 0.3]))
-        s = np.sin(np.pi * 0.3)
-        assert ga[0, 1] == pytest.approx(np.exp(-0.5 * s**2))
-        assert gb[0, 1] == pytest.approx(np.exp(-0.5 * (s / 2.0) ** 2))
+        gb = gram(Kernel(PERIODIC, lengthscale=1.0, period=2.0), np.array([0.0, 0.6]))
+        assert ga[0, 1] == pytest.approx(np.exp(-2.0 * np.sin(np.pi * 0.3) ** 2))
+        assert gb[0, 1] == pytest.approx(ga[0, 1])
 
     def test_rational_quadratic_values(self):
         k = Kernel(RATIONAL_QUADRATIC, lengthscale=1.5, alpha=2.0)
@@ -209,7 +210,7 @@ def _reference_gram(kernel, t):
     if kernel.kind == "rbf":
         return np.exp(-np.square(r) / (2.0 * ell**2))
     if kernel.kind == "periodic":
-        return np.exp(-0.5 * np.square(np.sin(np.pi * r) / kernel.period) / ell**2)
+        return np.exp(-2.0 * np.square(np.sin(np.pi * r / kernel.period)) / ell**2)
     return (1.0 + np.square(r) / (2.0 * kernel.alpha * ell**2)) ** -kernel.alpha
 
 
