@@ -24,8 +24,12 @@ exactly.
 Run from the repository root, with both checkouts holding ``perfbench/``:
 
     python scripts/bench_pairs.py --base ../parent --change . \\
-        --workload wide --seeds 901-910 --seconds 40 --save pairs.json
+        --workload paper-study,wide --seeds 901-910 --seconds 40 --save pairs.json
 
+``--workload`` takes one workload or a comma-separated list. With several,
+each seed runs every workload, in an order that alternates from seed to
+seed; each workload gets its own table, each name in the last line is
+prefixed with its workload, and that one line covers them all.
 ``--seeds`` takes a comma-separated list of seeds and ``a-b`` ranges.
 ``run.py`` pins every BLAS thread count to 1 itself. The exit code is 0 when
 every run passed its checks with no failed operation.
@@ -57,7 +61,7 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, type=Path, help="checkout compared against")
     p.add_argument("--change", required=True, type=Path, help="checkout under test")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, type=lambda text: text.split(","))
     p.add_argument("--seeds", required=True, type=parse_seeds)
     p.add_argument("--seconds", type=int, default=40)
     p.add_argument("--save", type=Path, help="write every run's record here (JSON)")
@@ -136,50 +140,73 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["end_to_end"]
-    runs = {"base": [], "change": []}
+    workloads = args.workload
+    runs = {workload: {"base": [], "change": []} for workload in workloads}
     for i, seed in enumerate(args.seeds):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in order:
-            checkout = args.base if side == "base" else args.change
-            record = run_once(checkout, args.workload, seed, args.seconds)
-            record["seed"] = seed
-            runs[side].append(record)
-            print("# seed %d %s done (correct %s, first %s)"
-                  % (seed, side, record["correct"], order[0]), file=sys.stderr)  # fmt: skip
+        for workload in workloads if i % 2 == 0 else workloads[::-1]:
+            for side in order:
+                checkout = args.base if side == "base" else args.change
+                record = run_once(checkout, workload, seed, args.seconds)
+                record["seed"] = seed
+                runs[workload][side].append(record)
+                print("# seed %d %s %s done (correct %s, first %s)"
+                      % (seed, workload, side, record["correct"], order[0]),
+                      file=sys.stderr)  # fmt: skip
     if args.save:
         args.save.write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
 
-    def series(key: str, name: str) -> tuple[list, list]:
-        return tuple([r[key][name] for r in runs[side]] for side in ("base", "change"))
-
-    ok = {side: all(r["correct"] and r["failed"] == 0 for r in rs) for side, rs in runs.items()}
-    print("# %s, seeds %s, %d s requested; pairs are base->change"
-          % (args.workload, args.seeds, args.seconds))  # fmt: skip
-    print("# every run correct: base %s, change %s" % (ok["base"], ok["change"]))
     verdicts = {"YES": [], "unresolved": [], "no": []}
     moved = []
-    for m in metrics:
-        values = series("metrics", m["name"])
-        verdicts[summarise(m["name"], m["better"], m["bound"], *values)].append(m["name"])
-        if same_value(*values, [r["seed"] for r in runs["change"]]) is False:
-            moved.append(m["name"])
-    print("# unscaled CPU time (run.py notes)")
-    for m in metrics:
-        name = m["name"] + " unscaled"
-        if all(m["name"] in r["unscaled"] for rs in runs.values() for r in rs):
-            verdict = summarise(name, m["better"], m["bound"], *series("unscaled", m["name"]))
-            verdicts[verdict].append(name)
-    print("# reference kernel per pair: %s" % "; ".join(
-        "%s | %s" % (b["reference"], c["reference"])
-        for b, c in zip(runs["base"], runs["change"])
-    ))  # fmt: skip
+    ok = True
+    for workload in workloads:
+        passed, named, moved_here = summarise_workload(
+            workload, runs[workload], metrics, args.seeds, args.seconds
+        )
+        ok &= passed
+        # a name in the last line says its workload when there are several
+        prefix = workload + " " if len(workloads) > 1 else ""
+        for verdict, name in named:
+            verdicts[verdict].append(prefix + name)
+        moved += [prefix + name for name in moved_here]
     print("# medians worse than the base's beyond their bound: %s; unresolved "
           "(base spread wider than the bound): %s; one value on every base run "
           "but not on every change run: %s"
           % (", ".join(verdicts["YES"]) or "none",
              ", ".join(verdicts["unresolved"]) or "none",
              ", ".join(moved) or "none"))  # fmt: skip
-    return 0 if all(ok.values()) else 1
+    return 0 if ok else 1
+
+
+def summarise_workload(workload: str, runs: dict, metrics: list, seeds: list, seconds: int):
+    """Print one workload's table. Return whether every run passed its
+    checks with no failed operation, each (verdict, name) of its medians,
+    and the one-valued metrics that a change run does not read exactly."""
+
+    def series(key: str, name: str) -> tuple[list, list]:
+        return tuple([r[key][name] for r in runs[side]] for side in ("base", "change"))
+
+    ok = {side: all(r["correct"] and r["failed"] == 0 for r in rs) for side, rs in runs.items()}
+    print("# %s, seeds %s, %d s requested; pairs are base->change"
+          % (workload, seeds, seconds))  # fmt: skip
+    print("# every run correct: base %s, change %s" % (ok["base"], ok["change"]))
+    named, moved = [], []
+    for m in metrics:
+        values = series("metrics", m["name"])
+        named.append((summarise(m["name"], m["better"], m["bound"], *values), m["name"]))
+        if same_value(*values, [r["seed"] for r in runs["change"]]) is False:
+            moved.append(m["name"])
+    print("# unscaled CPU time (run.py notes)")
+    for m in metrics:
+        name = m["name"] + " unscaled"
+        if all(m["name"] in r["unscaled"] for rs in runs.values() for r in rs):
+            values = series("unscaled", m["name"])
+            named.append((summarise(name, m["better"], m["bound"], *values), name))
+    print("# reference kernel per pair: %s" % "; ".join(
+        "%s | %s" % (b["reference"], c["reference"])
+        for b, c in zip(runs["base"], runs["change"])
+    ))  # fmt: skip
+    return all(ok.values()), named, moved
 
 
 if __name__ == "__main__":

@@ -109,3 +109,42 @@ def test_one_valued_base_metrics_say_whether_each_change_run_reads_that_value(
     assert lines[-1].endswith(
         "; one value on every base run but not on every change run: moved"
     )
+
+
+def test_several_workloads_alternate_per_seed_and_share_the_last_line(
+    bench_pairs, tmp_path, monkeypatch, capsys
+):
+    spec = {"end_to_end": [{"name": "day", "better": "lower", "bound": 0.25}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    # workload "b" gets twice as slow on the change side, "a" holds
+    factor = {"a": 1.0, "b": 2.0}
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "base" if checkout == tmp_path / "base" else "change"
+        calls.append((seed, workload, side))
+        value = TIGHT[seed - 1] * (factor[workload] if side == "change" else 1.0)
+        return {"correct": True, "failed": 0, "metrics": {"day": value},
+                "unscaled": {"day": value}, "reference": "ref"}  # fmt: skip
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    code = bench_pairs.main([
+        "--base", str(tmp_path / "base"), "--change", str(tmp_path),
+        "--workload", "a,b", "--seeds", "1-4",
+    ])  # fmt: skip
+    assert code == 0
+    # every seed runs both workloads, each on both sides; the workload
+    # order and the side order alternate from seed to seed
+    assert calls[:8] == [
+        (1, "a", "base"), (1, "a", "change"), (1, "b", "base"), (1, "b", "change"),
+        (2, "b", "change"), (2, "b", "base"), (2, "a", "change"), (2, "a", "base"),
+    ]  # fmt: skip
+    assert len(calls) == 4 * 2 * 2
+    lines = capsys.readouterr().out.splitlines()
+    headers = [line for line in lines if "requested; pairs are base->change" in line]
+    assert [h.split(",")[0] for h in headers] == ["# a", "# b"]
+    assert lines[-1] == (
+        "# medians worse than the base's beyond their bound: b day, b day unscaled; "
+        "unresolved (base spread wider than the bound): none; "
+        "one value on every base run but not on every change run: none"
+    )
