@@ -314,15 +314,13 @@ def forward(
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.ndarray:
     """Multi-head softmax attention of every query over every key, with no
-    mask: one logits product and one value product over per-head views, and
-    each output divided by its query's sum of exponents after the value
-    product (the deferred normalisation of Dao et al. 2022).
+    mask: one logits product and one value product over (heads, keys,
+    width) views, and each output row divided by its sum of exponents after
+    the value product (the deferred normalisation of Dao et al. 2022).
 
-    Everything runs key-major, with queries along the last axis: logits
-    (heads, keys, rows) from ``k @ q.T``, so the max and the sum over keys
-    are elementwise passes down whole rows of queries rather than one short
-    reduction per query, and outputs (heads, width, rows) from ``v.T``
-    times the exponents.
+    The logits are laid out key-major, (heads, keys, rows), as ``k @ q.T``
+    gives them, so the max and the sum over keys run as elementwise passes
+    down whole rows of queries rather than as one short reduction per query.
     """
     n_rows, d = q.shape
     width = d // n_heads
@@ -332,10 +330,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.nda
     )
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
-    denom = logits.sum(axis=1, keepdims=True)
-    out = np.matmul(v.reshape(-1, n_heads, width).transpose(1, 2, 0), logits)
-    out /= denom
-    return out.transpose(2, 0, 1).reshape(n_rows, d)
+    denom = logits.sum(axis=1)
+    out = np.matmul(logits.transpose(0, 2, 1), v.reshape(-1, n_heads, width).transpose(1, 0, 2))
+    out /= denom[:, :, None]
+    return out.transpose(1, 0, 2).reshape(n_rows, d)
 
 
 # the input perceptrons, whose output rows are layer 0's queries, keys and
