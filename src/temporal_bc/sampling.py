@@ -25,17 +25,17 @@ forecast of the same day and windows agree bit for bit.
 
 Days reuse layer-0 rows. A conditioning point's six layer-0 perceptron rows
 (:func:`temporal_bc.model.layer0_rows`) depend on its feature row alone, and
-as the windows slide one day most points keep theirs; only the points
-whose nearest neighbour changed, the new ones and the target need new rows.
-A :class:`_RowMemo` keeps each point's rows by its index in its series,
-beside the feature row they came from: one memo per model run and stretch,
-shared by the run's trajectories, and one per observed or sampled history.
-A day takes a point's rows from the memo only where the point's feature row
-is bit for bit the stored one, and embeds and computes the rest with the
+as the windows slide one day most points keep theirs: only the new points,
+those whose nearest neighbour changed and the target need new rows. A
+:class:`_RowMemo` keeps each point's rows by its index in its series, beside
+the feature row they came from: one memo per model run and stretch, shared
+by the run's trajectories, and one per observed or sampled history. A day
+takes a point's rows from the memo only where the point's feature row is
+bit for bit the stored one, and embeds and computes the rest with the
 target, in one product per perceptron of at least two rows (a one-row
-product may take another BLAS kernel and round differently). So a day that reuses rows gives
-the same bits as one that computes every row, and a stretch's first day is
-such a day.
+product may take another BLAS kernel and round differently). So a day that
+reuses rows gives the same bits as one that computes every row, as a
+stretch's first day does.
 
 A sampled or scored stretch logs each window warning at most once
 (:func:`warn_about_windows`), and training checks them once per ``train``
@@ -218,12 +218,9 @@ def _predict_one(params, example, memos, model_config):
 
     ``memos`` pairs the model block and then the observed context with the
     :class:`_RowMemo` of its series and the memo index of its first point.
-    A conditioning point takes its layer-0 rows from its memo when the memo
-    holds rows computed from the point's very feature row. The rest, and
-    the target, are embedded and run through each perceptron in one
-    product, and their rows are stored. A one-row product rounds differently
-    from the same row in a product of two or more, so at least two rows are
-    computed where the window has two.
+    Points whose rows the memos do not hold for their very feature row are
+    computed with the target, at least two rows where the window has two,
+    and stored.
     """
     f = example.features
     features = np.array([getattr(f, name) for name in _COLUMNS], dtype=np.float64)
