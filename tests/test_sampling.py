@@ -364,7 +364,9 @@ class TestRowMemo:
         runs = [TimeSeries(gcm_t, 13.0 + rng.normal(size=len(gcm_t)), GCM) for _ in range(2)]
         ds = PairedDataset(obs, runs)
         ckpt = value_sensitive_checkpoint(ds, seed=seed % 7)
-        config = SamplerConfig(obs_window, gcm_past, gcm_future, horizon, n_trajectories=2, seed=seed)
+        config = SamplerConfig(
+            obs_window, gcm_past, gcm_future, horizon, n_trajectories=2, seed=seed
+        )
         validated = obs_t[obs_t >= 5.0]
         validated = validated[rng.random(len(validated)) < 0.5][:8]
         with pytest.MonkeyPatch.context() as mp:
