@@ -5,7 +5,10 @@ daily grid: a left edge k, a right edge h between 60 and 360 steps later,
 and a prediction index j splitting observed context from targets, all
 1-based inclusive. Points are then dropped at random ("pruning") so the
 model cannot lean on a copy-yesterday shortcut, and per-point features are
-computed on whatever irregular grid survives.
+computed on whatever irregular grid survives. An example keeps its points
+in its :class:`FeatureBlock` alone, model block first, then observed context
+and targets, with the block sizes beside it: that block is the one record of
+each point's time and value.
 
 Features per point follow a local-expansion recipe around the nearest
 already-available point n(i): value difference delta, signed time offset
@@ -123,29 +126,23 @@ class FeatureBlock:
 
 @dataclass(frozen=True)
 class TrainingExample:
-    """One pruned window, split into model block, observed context and
-    targets, with its per-point features.
+    """One pruned window as its per-point features, which hold every point's
+    time and value: the first ``n_gcm`` rows are the model block, the last
+    ``n_tgt`` the targets and the rows between the observed context.
 
-    ``tgt_v`` is None for inference-time examples (single masked target).
+    ``window`` is the drawn window and ``tgt_v`` the targets' values; both
+    are None for inference-time examples (single masked target).
     """
 
-    run_id: int
     window: WindowSpec | None
-    ctx_gcm_t: np.ndarray
-    ctx_gcm_v: np.ndarray
-    ctx_obs_t: np.ndarray
-    ctx_obs_v: np.ndarray
-    tgt_t: np.ndarray
-    tgt_v: np.ndarray | None
     features: FeatureBlock
-
-    @property
-    def n_tgt(self) -> int:
-        return len(self.tgt_t)
+    n_gcm: int
+    n_tgt: int
+    tgt_v: np.ndarray | None
 
     @property
     def n_points(self) -> int:
-        return len(self.ctx_gcm_t) + len(self.ctx_obs_t) + self.n_tgt
+        return len(self.features.t)
 
 
 def _slope(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -181,7 +178,7 @@ def _nearest_within(times: np.ndarray, values: np.ndarray):
     return delta, dist, deriv, cv, ct
 
 
-def _target_features(tgt_t, tgt_v, ctx_obs_t, ctx_obs_v):
+def _target_features(tgt_t, tgt_v, obs_t, obs_v):
     """The targets' values, then their features anchored on the latest
     earlier available point.
 
@@ -192,14 +189,14 @@ def _target_features(tgt_t, tgt_v, ctx_obs_t, ctx_obs_v):
     simply the immediately preceding one.
     """
     n = len(tgt_t)
-    if len(ctx_obs_t) == 0:
+    if len(obs_t) == 0:
         raise DataError("targets need at least one observed context point")
     if tgt_v is None and n > 1:
         raise DataError("multi-target examples require target values")
     vals = np.zeros(n) if tgt_v is None else tgt_v
     cv = np.empty(n)
     ct = np.empty(n)
-    cv[0], ct[0] = ctx_obs_v[-1], ctx_obs_t[-1]
+    cv[0], ct[0] = obs_v[-1], obs_t[-1]
     if n > 1:
         cv[1:] = tgt_v[:-1]
         ct[1:] = tgt_t[:-1]
@@ -209,18 +206,11 @@ def _target_features(tgt_t, tgt_v, ctx_obs_t, ctx_obs_v):
     return vals, delta, dist, deriv, cv, ct
 
 
-def compute_features(
-    ctx_gcm_t,
-    ctx_gcm_v,
-    ctx_obs_t,
-    ctx_obs_v,
-    tgt_t,
-    tgt_v,
-) -> FeatureBlock:
+def compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v) -> FeatureBlock:
     """Per-point features over the model input order (GCM, OBS, targets);
     ``tgt_v`` is None for an inference example's one target."""
     gcm_t, gcm_v, obs_t, obs_v, tgt_t = (
-        np.asarray(x, float) for x in (ctx_gcm_t, ctx_gcm_v, ctx_obs_t, ctx_obs_v, tgt_t)
+        np.asarray(x, float) for x in (gcm_t, gcm_v, obs_t, obs_v, tgt_t)
     )
     tgt_v = None if tgt_v is None else np.asarray(tgt_v, float)
     # each block's columns in FeatureBlock's field order
@@ -235,7 +225,7 @@ def compute_features(
 
 
 def _example_from_window(
-    pair: AlignedPair, run_id: int, window: WindowSpec, rng, config: BatchConfig
+    pair: AlignedPair, window: WindowSpec, rng, config: BatchConfig
 ) -> TrainingExample:
     ctx = slice(window.k - 1, window.j)
     tgt = slice(window.j, window.h)
@@ -248,23 +238,14 @@ def _example_from_window(
     keep_obs = prune_indices(len(obs_t), config.retain_p, rng)
     keep_tgt = prune_indices(len(tgt_t), config.retain_p, rng)
     keep_gcm = prune_indices(len(gcm_t), config.retain_p, rng)
-    obs_t, obs_v = obs_t[keep_obs], obs_v[keep_obs]
-    tgt_t, tgt_v = tgt_t[keep_tgt], tgt_v[keep_tgt]
-    gcm_t, gcm_v = gcm_t[keep_gcm], gcm_v[keep_gcm]
+    tgt_v = tgt_v[keep_tgt]
+    gcm_v = gcm_v[keep_gcm]
     if config.ablate_gcm:
         gcm_v = np.zeros_like(gcm_v)
-    features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v)
-    return TrainingExample(
-        run_id=run_id,
-        window=window,
-        ctx_gcm_t=gcm_t,
-        ctx_gcm_v=gcm_v,
-        ctx_obs_t=obs_t,
-        ctx_obs_v=obs_v,
-        tgt_t=tgt_t,
-        tgt_v=tgt_v,
-        features=features,
+    features = compute_features(
+        gcm_t[keep_gcm], gcm_v, obs_t[keep_obs], obs_v[keep_obs], tgt_t[keep_tgt], tgt_v
     )
+    return TrainingExample(window, features, len(keep_gcm), len(keep_tgt), tgt_v)
 
 
 def make_batch(
@@ -284,8 +265,7 @@ def make_batch(
         raise DataError("no aligned run data to draw from")
     examples = []
     for _ in range(batch_size):
-        z = int(rng.integers(0, len(pairs)))
-        pair = pairs[z]
+        pair = pairs[int(rng.integers(0, len(pairs)))]
         window = draw_window(len(pair), rng, config.window_min, config.window_max)
-        examples.append(_example_from_window(pair, z, window, rng, config))
+        examples.append(_example_from_window(pair, window, rng, config))
     return examples

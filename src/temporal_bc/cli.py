@@ -44,6 +44,7 @@ from .timeseries import (
     OBS,
     TimeSeries,
     common_grid,
+    is_text_cell,
     load_csv,
     load_paired,
     load_samples_csv,
@@ -221,11 +222,28 @@ class _Outputs:
                 os.remove(target)
 
 
+def _check_daily_kernel(kernel: gp.Kernel) -> None:
+    """ConfigError unless ``kernel`` can vary on the daily grid: its Gram
+    matrix over days 0 and 1 must be finite with a lag-1 correlation below 1.
+    A correlation of exactly 1 draws one value for every day, up to the
+    Cholesky jitter (a periodic kernel whose period divides 1 day, or a
+    lengthscale or alpha so large that the kernel rounds to 1)."""
+    with np.errstate(all="ignore"):
+        k = gp.gram(kernel, [0.0, 1.0])
+    if not np.all(np.isfinite(k)):
+        raise ConfigError("kernel %s is not finite at lags 0 and 1 day" % (kernel,))
+    if k[0, 1] == k[0, 0]:  # the kernel is stationary, so k[1, 1] is k[0, 0]
+        raise ConfigError(
+            "kernel %s has correlation 1 at a lag of 1 day, so it draws a flat "
+            "series on the daily grid" % (kernel,)
+        )
+
+
 def _cmd_synth(args) -> int:
-    outputs = _Outputs(args.out_dir)
     kernel = gp.Kernel(
         args.kernel, lengthscale=args.lengthscale, period=args.period, alpha=args.alpha
     )
+    _check_daily_kernel(kernel)
     if args.n_days < 2:
         raise ConfigError("n-days must be >= 2")
     times = args.start_day + np.arange(args.n_days, dtype=np.float64)
@@ -238,6 +256,8 @@ def _cmd_synth(args) -> int:
         n_runs=args.n_runs,
         seed=args.seed,
     )
+    # the draw checks the remaining settings, so a rejected one writes nothing
+    outputs = _Outputs(args.out_dir)
     write_obs_csv(obs, outputs.path("obs.csv"))
     write_gcm_csv(runs, outputs.path("gcm.csv"))
     truth = {
@@ -420,6 +440,11 @@ def _cmd_report(args) -> int:
         if "=" not in spec:
             raise ConfigError("--baseline expects name=path, got %r" % spec)
         name, path = spec.split("=", 1)
+        if not is_text_cell(name):
+            raise ConfigError(
+                "--baseline name %r must be non-empty, with no comma, double quote "
+                "or line break: it is a cell of the report's CSV tables" % name
+            )
         if "baseline:%s" % name in inputs:
             raise ConfigError("--baseline name %r is given twice" % name)
         if name in ("model", "observed"):
@@ -597,10 +622,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ToolkitError, OSError) as exc:
+    except (ToolkitError, OSError, MemoryError) as exc:
         for outputs in _ACTIVE_OUTPUTS:
             outputs.discard_all()
-        if isinstance(exc, OSError):  # an output that could not be written
+        if isinstance(exc, MemoryError):
+            exc = NumericError("out of memory")
+        elif isinstance(exc, OSError):  # an output that could not be written
             exc = ConfigError("cannot write %s: %s" % (exc.filename or "an output", exc.strerror))
         if isinstance(exc, ConfigError):
             print("config error: %s" % exc, file=sys.stderr)

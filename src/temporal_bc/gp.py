@@ -125,16 +125,14 @@ class SyntheticPair:
     """Pseudo-observation / pseudo-model pair built from one latent draw.
 
     Both series are stamped on the same canonical grid. The observation value
-    at grid time t is the latent evaluated at t + true_time_shift (plus the
+    at grid time t is the latent evaluated at t + time_shift (plus the
     constant bias and noise), so the two series are the same signal up to a
-    bias, i.i.d. noise, and a temporal misalignment of true_time_shift days.
+    bias, i.i.d. noise, and a temporal misalignment of time_shift days. The
+    latent itself is kept on its grid, the union of t and t + time_shift.
     """
 
     obs: TimeSeries
     gcm: TimeSeries
-    true_mean_bias: float
-    true_time_shift: float
-    noise_std: float
     latent_times: np.ndarray
     latent_values: np.ndarray
 
@@ -180,15 +178,7 @@ def make_shifted_pair(
     grid, latent, obs, (gcm,) = _draw(
         kernel, times, mean_bias, time_shift, noise_std, seed, [("gcm",)]
     )
-    return SyntheticPair(
-        obs=obs,
-        gcm=gcm,
-        true_mean_bias=float(mean_bias),
-        true_time_shift=float(time_shift),
-        noise_std=float(noise_std),
-        latent_times=grid,
-        latent_values=latent,
-    )
+    return SyntheticPair(obs=obs, gcm=gcm, latent_times=grid, latent_values=latent)
 
 
 def make_run_ensemble(

@@ -2,12 +2,14 @@
 
 An example's points are its model block, its observed context and its
 targets, in that order: the order of the columns of
-:class:`temporal_bc.batching.FeatureBlock`, which :func:`embed` reads and in
-which a target of unknown value has the value 0. Each point enters as its
-local-expansion features (see :mod:`temporal_bc.batching`), a series
-one-hot and sinusoidal positional features of its own time and of its
-neighbour's time. Their width is :class:`ModelConfig`'s ``feature_dim``;
-their time scales are the constants :data:`T_MAX` and :data:`DELTA_T`.
+:class:`temporal_bc.batching.FeatureBlock`, the one record of each point's
+time and value, in which a target of unknown value has the value 0.
+:func:`embed` reads those columns and the example's target count. Each
+point enters as its local-expansion features (see
+:mod:`temporal_bc.batching`), a series one-hot and sinusoidal positional
+features of its own time and of its neighbour's time. Their width is
+:class:`ModelConfig`'s ``feature_dim``; their time scales are the
+constants :data:`T_MAX` and :data:`DELTA_T`.
 
 Two attention stacks run side by side. The main stack embeds each point's
 local-expansion features into queries, keys and values with two-layer

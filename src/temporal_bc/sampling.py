@@ -14,7 +14,10 @@ density forecasts on a held-out stretch. ``evaluate_nll``, training's
 validation score, forecasts its held-out days the same way through the same
 :func:`_one_step`.
 
-All three forecast each day through :func:`_predict_one`, the one caller of
+A day's conditioning points and target are one
+:func:`build_inference_example`, whose feature block alone holds each
+point's time and value (see :mod:`temporal_bc.batching`). All three forecast
+each day through :func:`_predict_one`, the one caller of
 :func:`temporal_bc.model.forecast`: plain NumPy in float32, on parameters
 that :func:`temporal_bc.model.forecast_params` casts once per forecaster,
 with the day as the one target and attention over the conditioning points
@@ -45,7 +48,7 @@ call rather than at every validation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,23 +88,8 @@ def build_inference_example(
     obs_t, obs_v, gcm_t, gcm_v, target_t: float
 ) -> TrainingExample:
     """Single-masked-target example from explicit conditioning arrays."""
-    obs_t = np.asarray(obs_t, dtype=np.float64)
-    obs_v = np.asarray(obs_v, dtype=np.float64)
-    gcm_t = np.asarray(gcm_t, dtype=np.float64)
-    gcm_v = np.asarray(gcm_v, dtype=np.float64)
-    tgt_t = np.array([float(target_t)])
-    features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, None)
-    return TrainingExample(
-        run_id=-1,
-        window=None,
-        ctx_gcm_t=gcm_t,
-        ctx_gcm_v=gcm_v,
-        ctx_obs_t=obs_t,
-        ctx_obs_v=obs_v,
-        tgt_t=tgt_t,
-        tgt_v=None,
-        features=features,
-    )
+    features = compute_features(gcm_t, gcm_v, obs_t, obs_v, [float(target_t)], None)
+    return TrainingExample(None, features, len(gcm_t), 1, None)
 
 
 # FeatureBlock's columns, each point's feature row
@@ -224,7 +212,7 @@ def _predict_one(params, example, memos, model_config):
     """
     f = example.features
     features = np.array([getattr(f, name) for name in _COLUMNS], dtype=np.float64)
-    n_gcm, n_cond = len(example.ctx_gcm_t), example.n_points - 1
+    n_gcm, n_cond = example.n_gcm, example.n_points - 1
     (gcm_memo, gcm_at), (hist_memo, hist_at) = memos
     held = np.concatenate(
         [gcm_memo.features[:, gcm_at : gcm_at + n_gcm],
@@ -238,9 +226,10 @@ def _predict_one(params, example, memos, model_config):
         stale[np.flatnonzero(~stale)[:short]] = True
     take = np.flatnonzero(np.append(stale, True))  # and the target
     sub = features[:, take]
-    emb = tf_model.embed(replace(example, features=FeatureBlock(*sub)), model_config)
+    split = int(np.searchsorted(take, n_gcm))
+    stale_rows = TrainingExample(None, FeatureBlock(*sub), split, 1, None)
+    emb = tf_model.embed(stale_rows, model_config)
     computed = tf_model.layer0_rows(params, emb)
-    split = np.searchsorted(take, n_gcm)
     gcm_memo.store(gcm_at + take[:split], sub[:, :split], computed[:, :split])
     hist_memo.store(
         hist_at - n_gcm + take[split:-1], sub[:, split:-1], computed[:, split:-1]

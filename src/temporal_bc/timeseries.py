@@ -223,8 +223,16 @@ def _fmt(x) -> str:
     return "" if x is None else x
 
 
+def is_text_cell(text: str) -> bool:
+    """Whether :func:`write_csv` writes ``text`` as one cell that reads back
+    as itself. Cells are written unquoted, so a text cell is not empty (an
+    empty cell is None) and holds no comma, double quote or line break."""
+    return text != "" and not any(char in text for char in ',"\r\n')
+
+
 def write_csv(path, header, rows) -> None:
-    """Write a header line, then one line per row of cells (see :func:`_fmt`)."""
+    """Write a header line, then one line per row of cells (see :func:`_fmt`
+    and :func:`is_text_cell`)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:

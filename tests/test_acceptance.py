@@ -63,11 +63,7 @@ def _tiny_example():
     tgt_t = np.array([4.0, 5.0, 6.0])
     tgt_v = np.array([1.5, 2.5, 0.5])
     features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v)
-    return TrainingExample(
-        run_id=0, window=None, ctx_gcm_t=gcm_t, ctx_gcm_v=gcm_v,
-        ctx_obs_t=obs_t, ctx_obs_v=obs_v, tgt_t=tgt_t, tgt_v=tgt_v,
-        features=features,
-    )
+    return TrainingExample(None, features, len(gcm_t), len(tgt_t), tgt_v)
 
 
 def test_01_every_op_and_the_full_nll_pass_gradient_checks():
@@ -527,11 +523,14 @@ def test_07_training_examples_satisfy_window_invariants():
             check(1 <= w.k <= n - cfg.window_max, "window start out of range", i)
             check(cfg.window_min <= w.h - w.k <= cfg.window_max, "window length", i)
             check(w.k + MARGIN <= w.j <= w.h - MARGIN, "prediction index", i)
+            # the feature rows hold the model block, observed context, targets
+            f, n_gcm, n_cond = ex.features, ex.n_gcm, ex.n_points - ex.n_tgt
+            obs_t, obs_v, tgt_t = f.t[n_gcm:n_cond], f.value[n_gcm:n_cond], f.t[n_cond:]
             # retained points are ordered subsequences of their window slices
             for name, times_kept, lo, hi in (
-                ("obs", ex.ctx_obs_t, w.k - 1, w.j),
-                ("tgt", ex.tgt_t, w.j, w.h),
-                ("gcm", ex.ctx_gcm_t, w.k - 1, w.h),
+                ("obs", obs_t, w.k - 1, w.j),
+                ("tgt", tgt_t, w.j, w.h),
+                ("gcm", f.t[:n_gcm], w.k - 1, w.h),
             ):
                 check(np.all(np.diff(times_kept) > 0), name + " not increasing", i)
                 check(np.all(np.isin(times_kept, t[lo:hi])), name + " outside window", i)
@@ -539,14 +538,14 @@ def test_07_training_examples_satisfy_window_invariants():
                     len(times_kept) >= min(MIN_KEEP, hi - lo),
                     name + " pruned below floor", i,
                 )
-            check(ex.n_tgt >= 1 and len(ex.ctx_obs_t) >= 1, "empty block", i)
-            check(ex.ctx_obs_t[-1] < ex.tgt_t[0], "targets precede context end", i)
+            check(ex.n_tgt >= 1 and len(obs_t) >= 1, "empty block", i)
+            check(obs_t[-1] < tgt_t[0], "targets precede context end", i)
             # teacher-forced anchor chain: last context point, then previous target
-            anchor_t = ex.features.closest_t[-ex.n_tgt:]
-            anchor_v = ex.features.closest_value[-ex.n_tgt:]
-            check(anchor_t[0] == ex.ctx_obs_t[-1], "first anchor time", i)
-            check(anchor_v[0] == ex.ctx_obs_v[-1], "first anchor value", i)
-            check(np.array_equal(anchor_t[1:], ex.tgt_t[:-1]), "anchor chain times", i)
+            anchor_t = f.closest_t[-ex.n_tgt:]
+            anchor_v = f.closest_value[-ex.n_tgt:]
+            check(anchor_t[0] == obs_t[-1], "first anchor time", i)
+            check(anchor_v[0] == obs_v[-1], "first anchor value", i)
+            check(np.array_equal(anchor_t[1:], tgt_t[:-1]), "anchor chain times", i)
             check(np.array_equal(anchor_v[1:], ex.tgt_v[:-1]), "anchor chain values", i)
 
     assert drawn == total

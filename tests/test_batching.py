@@ -226,26 +226,33 @@ class TestComputeFeatures:
 
 
 class TestFeatureColumns:
-    """``FeatureBlock.t`` and ``.value`` are the example's points in model
-    order: model block, observed context, targets."""
+    """An example's feature rows are its points in model order: ``n_gcm``
+    model-block rows, then the observed context, then ``n_tgt`` targets."""
 
-    def test_training_example(self):
-        for ex in make_batch([make_pair(n=96, seed=3)], 8, np.random.default_rng(4), tiny_config()):
-            f = ex.features
-            assert np.array_equal(f.t, np.concatenate([ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t]))
-            assert np.array_equal(
-                f.value, np.concatenate([ex.ctx_gcm_v, ex.ctx_obs_v, ex.tgt_v])
-            )
-
-    def test_inference_example(self):
+    def test_block_sizes_split_the_rows(self):
+        pair = make_pair(n=96, seed=3)
+        batch = make_batch([pair], 8, np.random.default_rng(4), tiny_config())
         rng = np.random.default_rng(6)
-        ex = build_inference_example(
-            np.arange(5.0), rng.normal(size=5), np.arange(2.0, 9.0), rng.normal(size=7), 5.0
-        )
-        f = ex.features
-        assert np.array_equal(f.t, np.concatenate([ex.ctx_gcm_t, ex.ctx_obs_t, [5.0]]))
+        obs_t, obs_v = np.arange(5.0), rng.normal(size=5)
+        gcm_t, gcm_v = np.arange(2.0, 9.0), rng.normal(size=7)
+        inference = build_inference_example(obs_t, obs_v, gcm_t, gcm_v, 5.0)
+        for ex in batch + [inference]:
+            f = ex.features
+            assert np.all(f.series_id[: ex.n_gcm] == SERIES_GCM)
+            assert np.all(f.series_id[ex.n_gcm :] == SERIES_OBS)
+            if ex.window is None:
+                n_obs = len(obs_t)
+            else:  # the observed rows up to the prediction index
+                last_ctx_t = pair.times[ex.window.j - 1]
+                n_obs = np.count_nonzero(f.t[ex.n_gcm :] <= last_ctx_t)
+            assert ex.n_points - ex.n_gcm - ex.n_tgt == n_obs
+        for ex in batch:
+            assert np.array_equal(ex.features.value[-ex.n_tgt :], ex.tgt_v)
+        f = inference.features
+        assert (inference.n_gcm, inference.n_tgt) == (7, 1)
+        assert np.array_equal(f.t, np.concatenate([gcm_t, obs_t, [5.0]]))
         # the target's value is unknown and enters as 0
-        assert np.array_equal(f.value, np.concatenate([ex.ctx_gcm_v, ex.ctx_obs_v, [0.0]]))
+        assert np.array_equal(f.value, np.concatenate([gcm_v, obs_v, [0.0]]))
 
 
 class TestMakeBatch:
@@ -257,7 +264,8 @@ class TestMakeBatch:
         assert len(a) == len(b) == 4
         for ea, eb in zip(a, b):
             assert ea.window == eb.window
-            assert np.array_equal(ea.ctx_obs_t, eb.ctx_obs_t)
+            assert (ea.n_gcm, ea.n_tgt) == (eb.n_gcm, eb.n_tgt)
+            assert np.array_equal(ea.features.t, eb.features.t)
             assert np.array_equal(ea.tgt_v, eb.tgt_v)
             assert np.array_equal(ea.features.delta, eb.features.delta)
 
@@ -267,20 +275,23 @@ class TestMakeBatch:
         rng = np.random.default_rng(7)
         for ex in make_batch([pair], 64, rng, cfg):
             w = ex.window
+            f, n_gcm, n_cond = ex.features, ex.n_gcm, ex.n_points - ex.n_tgt
+            gcm_t, gcm_v = f.t[:n_gcm], f.value[:n_gcm]
+            obs_t, tgt_t = f.t[n_gcm:n_cond], f.t[n_cond:]
             # context strictly precedes targets in time
-            assert ex.ctx_obs_t.max() < ex.tgt_t.min()
+            assert obs_t.max() < tgt_t.min()
             # every retained point's time sits inside the drawn window
             lo, hi = pair.times[w.k - 1], pair.times[w.h - 1]
-            for t in (ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t):
+            for t in (gcm_t, obs_t, tgt_t):
                 assert t.min() >= lo and t.max() <= hi
             # pruning floor
-            assert len(ex.ctx_obs_t) >= min(MIN_KEEP, w.j - w.k + 1)
+            assert len(obs_t) >= min(MIN_KEEP, w.j - w.k + 1)
             assert ex.n_tgt >= min(MIN_KEEP, w.h - w.j)
-            assert len(ex.ctx_gcm_t) >= min(MIN_KEEP, w.h - w.k + 1)
+            assert len(gcm_t) >= min(MIN_KEEP, w.h - w.k + 1)
             # values were taken from the right series
-            for t, v in zip(ex.tgt_t, ex.tgt_v):
+            for t, v in zip(tgt_t, ex.tgt_v):
                 assert v == pair.obs_values[int(t)]
-            for t, v in zip(ex.ctx_gcm_t, ex.ctx_gcm_v):
+            for t, v in zip(gcm_t, gcm_v):
                 assert v == pair.gcm_values[int(t)]
 
     def test_accepts_paired_dataset_and_tags_runs(self):
@@ -291,7 +302,13 @@ class TestMakeBatch:
         ds = PairedDataset(obs, runs)
         pairs = [align(ds, z) for z in range(ds.n_runs)]
         batch = make_batch(pairs, 32, np.random.default_rng(0), tiny_config())
-        seen = {ex.run_id for ex in batch}
+        seen = set()
+        for ex in batch:
+            # the run whose values the model block holds
+            days = ex.features.t[: ex.n_gcm].astype(int)
+            gcm_v = ex.features.value[: ex.n_gcm]
+            (z,) = [z for z, run in enumerate(runs) if np.array_equal(run.values[days], gcm_v)]
+            seen.add(z)
         assert seen <= {0, 1, 2}
         assert len(seen) > 1
 
@@ -299,10 +316,10 @@ class TestMakeBatch:
         pair = make_pair(n=96, seed=9)
         cfg = tiny_config(ablate_gcm=True)
         for ex in make_batch([pair], 8, np.random.default_rng(5), cfg):
-            assert np.all(ex.ctx_gcm_v == 0.0)
-            n_gcm = len(ex.ctx_gcm_t)
+            n_gcm = ex.n_gcm
+            assert np.all(ex.features.value[:n_gcm] == 0.0)
             assert n_gcm > 0
-            assert np.all(ex.ctx_gcm_t >= 0)
+            assert np.all(ex.features.t[:n_gcm] >= 0)
             # features for the model block reflect the zeroed values
             assert np.all(ex.features.delta[:n_gcm] == 0.0)
 

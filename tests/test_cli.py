@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,35 @@ class TestSynth:
         assert np.std(latent) > 0.1
         assert np.corrcoef(latent[:-7], latent[7:])[0, 1] == pytest.approx(1.0, abs=1e-6)
         assert np.corrcoef(latent[:-1], latent[1:])[0, 1] < 0.99
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-days", "1"], "n-days must be >= 2"),
+            (["--lengthscale", "-1"], "lengthscale must be positive"),
+            (["--n-runs", "0"], "n_runs must be at least 1"),
+            # kernels that cannot vary on the daily grid
+            (["--kernel", "periodic"], "correlation 1 at a lag of 1 day"),
+            (
+                ["--kernel", "rational_quadratic", "--alpha", "1e300"],
+                "correlation 1 at a lag of 1 day",
+            ),
+            (["--lengthscale", "1e-300"], "is not finite at lags 0 and 1 day"),
+        ],
+        ids=[
+            "one-day", "negative-lengthscale", "no-runs", "periodic-default-period",
+            "rational-quadratic-huge-alpha", "lengthscale-underflows",
+        ],
+    )
+    def test_rejected_settings_write_nothing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before NumPy warns
+            code = main(["synth", "--out-dir", str(out), "--n-days", "50"] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
 
     def test_bias_is_recovered_in_the_data(self, tmp_path):
         out = str(tmp_path / "s")
@@ -866,6 +896,19 @@ class TestReport:
         assert "%s: run 0 trajectories 0 and 1 cover different days" % samples in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a,b", "", 'say "eqm"', "eq\nm"])
+    def test_baseline_name_that_is_no_csv_cell_is_config_error(self, tmp_path, capsys, name):
+        self._write_inputs(tmp_path)
+        out = tmp_path / "r"
+        code = main([
+            "report", "--observed", str(tmp_path / "observed.csv"),
+            "--baseline", "%s=%s" % (name, tmp_path / "corrected.csv"),
+            "--threshold", "25.0", "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert "--baseline name %r must be non-empty" % name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_baseline_spec(self, tmp_path):
         self._write_inputs(tmp_path)
         code = main([
@@ -947,6 +990,22 @@ class TestErrorHandling:
         monkeypatch.setattr(cli, "_cmd_synth", explode)
         code = main(["synth", "--out-dir", str(tmp_path / "s")])
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "module, name", [(gp, "make_run_ensemble"), (cli, "write_gcm_csv")],
+        ids=["in-the-draw", "after-obs-csv-is-written"],
+    )
+    def test_out_of_memory_is_exit_4_and_discards_the_outputs(
+        self, tmp_path, monkeypatch, capsys, module, name
+    ):
+        def exhaust(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(module, name, exhaust)
+        out = tmp_path / "s"
+        assert main(["synth", "--out-dir", str(out), "--n-days", "10"]) == 4
+        assert capsys.readouterr().err == "numeric error: out of memory\n"
+        assert not out.exists() or os.listdir(out) == []
 
     def test_failed_command_cleans_partial_outputs(self, tmp_path):
         # projection month without reference data fails after corrected.csv

@@ -118,8 +118,6 @@ class TestShiftedPair:
         assert len(pair.gcm) == 100
         assert np.array_equal(pair.obs.times, t)
         assert np.array_equal(pair.gcm.times, t)
-        assert pair.true_mean_bias == 2.0
-        assert pair.true_time_shift == 1.0
 
     def test_zero_noise_zero_shift_recovers_bias_exactly(self):
         pair = make_shifted_pair(

@@ -74,27 +74,17 @@ def geometry_examples(geometry, n_batch=4, seed=17):
 
 
 def build_example(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v):
-    arrays = [np.asarray(a, dtype=float) for a in (gcm_t, gcm_v, obs_t, obs_v, tgt_t)]
+    features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v)
     tv = None if tgt_v is None else np.asarray(tgt_v, dtype=float)
-    features = compute_features(*arrays, tv)
-    return TrainingExample(
-        run_id=0,
-        window=None,
-        ctx_gcm_t=arrays[0],
-        ctx_gcm_v=arrays[1],
-        ctx_obs_t=arrays[2],
-        ctx_obs_v=arrays[3],
-        tgt_t=arrays[4],
-        tgt_v=tv,
-        features=features,
-    )
+    return TrainingExample(None, features, len(gcm_t), len(tgt_t), tv)
 
 
 def one_target(ex):
     """``ex`` with its first target alone, as a sampler's example has."""
+    f, n_gcm, n_cond = ex.features, ex.n_gcm, ex.n_points - ex.n_tgt
     return build_example(
-        ex.ctx_gcm_t, ex.ctx_gcm_v, ex.ctx_obs_t, ex.ctx_obs_v,
-        ex.tgt_t[:1], None if ex.tgt_v is None else ex.tgt_v[:1],
+        f.t[:n_gcm], f.value[:n_gcm], f.t[n_gcm:n_cond], f.value[n_gcm:n_cond],
+        f.t[n_cond : n_cond + 1], None if ex.tgt_v is None else ex.tgt_v[:1],
     )  # fmt: skip
 
 
@@ -146,7 +136,7 @@ class TestEmbed:
 
     def test_positional_blocks_follow_the_model_geometry(self):
         ex = default_example()
-        times = np.concatenate([ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t])
+        times = ex.features.t
         for config in (
             TINY,
             ModelConfig(n_layers=1, n_heads=2, model_dim=8, feature_dim=16),
@@ -213,7 +203,7 @@ def _two_call_inputs(ex, config):
     """q_in, kv_in and xqk_in concatenated from their blocks, with one
     positional call on the point times and one on the neighbour times."""
     f = ex.features
-    times = np.concatenate([ex.ctx_gcm_t, ex.ctx_obs_t, ex.tgt_t])
+    times = f.t
     pos_enc = positional_features(times, config.feature_dim)
     closest_pos_enc = positional_features(f.closest_t, config.feature_dim)
     n = len(times)
@@ -383,7 +373,8 @@ class TestPredict:
         params = forecast_params(ckpt)
 
         def predict():
-            memos = [(sampling._RowMemo(len(x)), 0) for x in (ex.ctx_gcm_t, ex.ctx_obs_t)]
+            n_obs = ex.n_points - ex.n_gcm - ex.n_tgt
+            memos = [(sampling._RowMemo(n), 0) for n in (ex.n_gcm, n_obs)]
             return sampling._predict_one(params, ex, memos, TINY)
 
         assert np.isfinite(predict()).all()

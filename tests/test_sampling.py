@@ -65,7 +65,7 @@ class TestBuildInferenceExample:
         )
         assert ex.tgt_v is None
         assert ex.n_tgt == 1
-        assert ex.run_id == -1
+        assert ex.window is None
         assert ex.features.closest_value[-1] == 2.0  # anchors on last obs
 
     def test_ordering_gcm_then_obs_then_masked(self):
@@ -74,8 +74,8 @@ class TestBuildInferenceExample:
         )
         # model block first, then observed context, then the masked target
         assert list(ex.features.series_id) == [SERIES_GCM] * 3 + [SERIES_OBS] * 3
-        assert list(ex.ctx_gcm_v) + list(ex.ctx_obs_v) == [5.0, 6.0, 7.0, 1.0, 2.0]
-        assert list(ex.tgt_t) == [2.5] and ex.tgt_v is None
+        assert list(ex.features.value[:-1]) == [5.0, 6.0, 7.0, 1.0, 2.0]
+        assert ex.features.t[-1] == 2.5 and ex.tgt_v is None
 
 
 class TestSampleTrajectories:
@@ -134,15 +134,16 @@ class TestSampleTrajectories:
         assert len(seen) == 3
         for step, ex in enumerate(seen):
             tau = 100.0 + step
-            assert ex.tgt_t[0] == tau
-            assert len(ex.ctx_obs_t) == 60
+            gcm_t, obs_t = ex.features.t[: ex.n_gcm], ex.features.t[ex.n_gcm : -1]
+            assert ex.features.t[-1] == tau
+            assert len(obs_t) == 60
             # trailing history: the last 60 of (observations + generated days)
-            assert ex.ctx_obs_t[-1] == tau - 1
-            assert ex.ctx_obs_t[0] == tau - 60
-            assert ex.ctx_gcm_t[0] >= tau - 60
-            assert ex.ctx_gcm_t[-1] < tau + 120
+            assert obs_t[-1] == tau - 1
+            assert obs_t[0] == tau - 60
+            assert gcm_t[0] >= tau - 60
+            assert gcm_t[-1] < tau + 120
             # the window is dense on the model grid
-            assert len(ex.ctx_gcm_t) == 180
+            assert len(gcm_t) == 180
 
     def test_gcm_outside_window_is_ignored(self):
         ds = make_dataset(seed=2)
@@ -316,10 +317,18 @@ class TestRowMemo:
     def checked(mp) -> list:
         """Spy on every forecast day: assert it equals the day's cold
         forecast, that every product over fresh rows has two rows or more
-        (or the window's one), and record (conditioning points, fresh
-        conditioning rows) per day."""
+        (or the window's one), that the fresh rows' example counts their
+        model-block rows as its ``n_gcm``, and record (conditioning points,
+        fresh conditioning rows) per day."""
         days, fresh = [], []
-        real_predict, real_rows = sampling._predict_one, model.layer0_rows
+        real_predict, real_rows, real_embed = (
+            sampling._predict_one, model.layer0_rows, model.embed
+        )
+
+        def embed_spy(example, config):
+            n_gcm_rows = np.count_nonzero(example.features.series_id == SERIES_GCM)
+            assert example.n_gcm == n_gcm_rows
+            return real_embed(example, config)
 
         def rows_spy(params, emb):
             fresh.append(emb.n_conditioning)
@@ -330,12 +339,14 @@ class TestRowMemo:
             got = real_predict(params, example, memos, config)
             (n_fresh,) = fresh
             assert n_fresh >= min(2, n_cond)
-            cold = [(sampling._RowMemo(len(x)), 0) for x in (example.ctx_gcm_t, example.ctx_obs_t)]
+            sizes = (example.n_gcm, n_cond - example.n_gcm)
+            cold = [(sampling._RowMemo(n), 0) for n in sizes]
             assert got == real_predict(params, example, cold, config)
             del fresh[:]
             days.append((n_cond, n_fresh))
             return got
 
+        mp.setattr(model, "embed", embed_spy)
         mp.setattr(model, "layer0_rows", rows_spy)
         mp.setattr(sampling, "_predict_one", predict_spy)
         return days
