@@ -229,27 +229,29 @@ class TestFeatureColumns:
     """An example's feature rows are its points in model order: ``n_gcm``
     model-block rows, then the observed context, then ``n_tgt`` targets."""
 
-    def test_block_sizes_split_the_rows(self):
+    def test_training_example(self):
         pair = make_pair(n=96, seed=3)
-        batch = make_batch([pair], 8, np.random.default_rng(4), tiny_config())
-        rng = np.random.default_rng(6)
-        obs_t, obs_v = np.arange(5.0), rng.normal(size=5)
-        gcm_t, gcm_v = np.arange(2.0, 9.0), rng.normal(size=7)
-        inference = build_inference_example(obs_t, obs_v, gcm_t, gcm_v, 5.0)
-        for ex in batch + [inference]:
+        for ex in make_batch([pair], 8, np.random.default_rng(4), tiny_config()):
             f = ex.features
             assert np.all(f.series_id[: ex.n_gcm] == SERIES_GCM)
             assert np.all(f.series_id[ex.n_gcm :] == SERIES_OBS)
-            if ex.window is None:
-                n_obs = len(obs_t)
-            else:  # the observed rows up to the prediction index
-                last_ctx_t = pair.times[ex.window.j - 1]
-                n_obs = np.count_nonzero(f.t[ex.n_gcm :] <= last_ctx_t)
+            # the observed rows up to the prediction index
+            last_ctx_t = pair.times[ex.window.j - 1]
+            n_obs = np.count_nonzero(f.t[ex.n_gcm :] <= last_ctx_t)
             assert ex.n_points - ex.n_gcm - ex.n_tgt == n_obs
-        for ex in batch:
-            assert np.array_equal(ex.features.value[-ex.n_tgt :], ex.tgt_v)
-        f = inference.features
-        assert (inference.n_gcm, inference.n_tgt) == (7, 1)
+            assert np.array_equal(f.value[-ex.n_tgt :], ex.tgt_v)
+
+    def test_inference_example(self):
+        rng = np.random.default_rng(6)
+        obs_t, obs_v = np.arange(5.0), rng.normal(size=5)
+        gcm_t, gcm_v = np.arange(2.0, 9.0), rng.normal(size=7)
+        ex = build_inference_example(obs_t, obs_v, gcm_t, gcm_v, 5.0)
+        f = ex.features
+        assert ex.window is None
+        assert (ex.n_gcm, ex.n_tgt) == (7, 1)
+        assert ex.n_points - ex.n_gcm - ex.n_tgt == len(obs_t)
+        assert np.all(f.series_id[: ex.n_gcm] == SERIES_GCM)
+        assert np.all(f.series_id[ex.n_gcm :] == SERIES_OBS)
         assert np.array_equal(f.t, np.concatenate([gcm_t, obs_t, [5.0]]))
         # the target's value is unknown and enters as 0
         assert np.array_equal(f.value, np.concatenate([gcm_v, obs_v, [0.0]]))
