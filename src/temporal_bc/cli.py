@@ -196,10 +196,17 @@ class _Outputs:
     so failures can clean them up.
 
     ``keep = True`` marks outputs that must survive an error exit (for
-    example the last good checkpoint of an aborted training run).
+    example the last good checkpoint of an aborted training run). Otherwise
+    a failure also removes the directories this created, once they are
+    empty, and never one that existed before.
     """
 
     def __init__(self, out_dir: str):
+        self.made_dirs: list[str] = []  # deepest first
+        head = os.path.abspath(out_dir)
+        while not os.path.exists(head):
+            self.made_dirs.append(head)
+            head = os.path.dirname(head)
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
@@ -220,6 +227,11 @@ class _Outputs:
             target = os.path.join(self.out_dir, name)
             if os.path.isfile(target):
                 os.remove(target)
+        for made in self.made_dirs:
+            try:
+                os.rmdir(made)
+            except OSError:  # not empty, so neither is any parent
+                break
 
 
 def _check_daily_kernel(kernel: gp.Kernel) -> None:
@@ -240,9 +252,11 @@ def _check_daily_kernel(kernel: gp.Kernel) -> None:
 
 
 def _cmd_synth(args) -> int:
-    kernel = gp.Kernel(
-        args.kernel, lengthscale=args.lengthscale, period=args.period, alpha=args.alpha
-    )
+    if args.kernel == gp.PERIODIC and args.period is None:
+        raise ConfigError("--kernel periodic needs --period")
+    # the other kernels ignore the period, and truth.json records 1.0 for them
+    period = 1.0 if args.period is None else args.period
+    kernel = gp.Kernel(args.kernel, lengthscale=args.lengthscale, period=period, alpha=args.alpha)
     _check_daily_kernel(kernel)
     if args.n_days < 2:
         raise ConfigError("n-days must be >= 2")
@@ -263,7 +277,7 @@ def _cmd_synth(args) -> int:
     truth = {
         "kernel": args.kernel,
         "lengthscale": args.lengthscale,
-        "period": args.period,
+        "period": period,
         "alpha": args.alpha,
         "mean_bias": args.mean_bias,
         "time_shift": args.time_shift,
@@ -562,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-day", type=_finite_float, default=0.0)
     p.add_argument("--kernel", choices=gp.KINDS, default=gp.RBF)
     p.add_argument("--lengthscale", type=_finite_float, default=10.0)
-    p.add_argument("--period", type=_finite_float, default=1.0)
+    p.add_argument("--period", type=_finite_float)
     p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.add_argument("--mean-bias", type=_finite_float, default=0.0)
     p.add_argument("--time-shift", type=_finite_float, default=0.0)

@@ -44,7 +44,10 @@ dtype, one target, no mask, with each perceptron computed by
 :func:`temporal_bc.autodiff.perceptron`, the arithmetic of training's
 :func:`temporal_bc.autodiff.mlp` node. That target sees every conditioning
 point and nothing else, and so does each conditioning point, so each
-attention runs over the conditioning rows' keys and values alone.
+attention runs over the conditioning rows' keys and values alone. Its
+softmax takes exponents of the raw logits, with no row max subtracted,
+and subtracts each row's max only in a call whose exponent sums or value
+product leave the dtype's normal range (see :func:`_attend`).
 :func:`layer0_rows` runs the six input perceptrons over embedded points,
 each as one product; :func:`forecast` takes those rows from layer 0's
 attention to the head. A point's layer-0 rows depend on its own inputs
@@ -320,21 +323,37 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.nda
     width) views, and each output row divided by its sum of exponents after
     the value product (the deferred normalisation of Dao et al. 2022).
 
+    The exponents are of the raw logits: no row max is subtracted, since
+    logits within about +-87 (+-708 in float64) keep every exponent normal.
+    The call starts again with each row's max subtracted (the safe softmax
+    of Milakov & Gimelshein 2018) only when some sum of exponents is not
+    finite or is below the dtype's ``tiny / eps``, or the value product is
+    not finite: an overflow, or a row whose exponents went subnormal or to
+    zero. That choice depends on this call's arrays alone.
+
     The logits are laid out key-major, (heads, keys, rows), as ``k @ q.T``
-    gives them, so the max and the sum over keys run as elementwise passes
-    down whole rows of queries rather than as one short reduction per query.
+    gives them, so the exponent and the sum over keys run as elementwise
+    passes down whole rows of queries rather than as one short reduction
+    per query.
     """
     n_rows, d = q.shape
     width = d // n_heads
-    logits = np.matmul(
-        k.reshape(-1, n_heads, width).transpose(1, 0, 2),
-        q.reshape(n_rows, n_heads, width).transpose(1, 2, 0),
-    )
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    denom = logits.sum(axis=1)
-    out = np.matmul(logits.transpose(0, 2, 1), v.reshape(-1, n_heads, width).transpose(1, 0, 2))
-    out /= denom[:, :, None]
+    keys = k.reshape(-1, n_heads, width).transpose(1, 0, 2)
+    queries = q.reshape(n_rows, n_heads, width).transpose(1, 2, 0)
+    values = v.reshape(-1, n_heads, width).transpose(1, 0, 2)
+    info = np.finfo(q.dtype)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for shift in (False, True):
+            weights = np.matmul(keys, queries)
+            if shift:
+                weights -= weights.max(axis=1, keepdims=True)
+            np.exp(weights, out=weights)
+            denom = weights.sum(axis=1)
+            out = np.matmul(weights.transpose(0, 2, 1), values)
+            in_range = denom.min() >= info.tiny / info.eps and np.isfinite(denom.max())
+            if in_range and np.isfinite(out).all():
+                break
+        out /= denom[:, :, None]
     return out.transpose(1, 0, 2).reshape(n_rows, d)
 
 

@@ -165,7 +165,7 @@ class TestSynth:
             (["--lengthscale", "-1"], "lengthscale must be positive"),
             (["--n-runs", "0"], "n_runs must be at least 1"),
             # kernels that cannot vary on the daily grid
-            (["--kernel", "periodic"], "correlation 1 at a lag of 1 day"),
+            (["--kernel", "periodic"], "--kernel periodic needs --period"),
             (
                 ["--kernel", "rational_quadratic", "--alpha", "1e300"],
                 "correlation 1 at a lag of 1 day",
@@ -321,7 +321,7 @@ class TestTrainSample:
         ])
         assert code == 3
         assert "held-out tail" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_unknown_config_key_is_config_error(self, tmp_path):
         obs_path, gcm_path = write_pair(str(tmp_path))
@@ -561,7 +561,7 @@ class TestTrainSample:
         else:
             argv = ["sample", "--checkpoint", str(ckpt_path), *common, "--horizon", "2"]
         assert main(argv) == code
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
 
 
 class TestBaseline:
@@ -819,7 +819,7 @@ class TestReport:
                 "--threshold", "25.0", "--out-dir", str(tmp_path / "r"),
             ])
             assert code == 3
-            assert os.listdir(tmp_path / "r") == []
+            assert not (tmp_path / "r").exists()
 
     def test_duplicate_baseline_name_is_config_error(self, tmp_path):
         self._write_inputs(tmp_path)
@@ -875,7 +875,7 @@ class TestReport:
         assert code == 3
         err = capsys.readouterr().err
         assert "%s: run 0 trajectory 1 has a non-daily step" % samples in err
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
 
     def test_trajectories_on_different_days_name_file_run_and_trajectories(
         self, tmp_path, capsys
@@ -1005,7 +1005,28 @@ class TestErrorHandling:
         out = tmp_path / "s"
         assert main(["synth", "--out-dir", str(out), "--n-days", "10"]) == 4
         assert capsys.readouterr().err == "numeric error: out of memory\n"
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["new-out-dir", "existing-out-dir"])
+    def test_failed_train_removes_only_the_directories_it_made(
+        self, tmp_path, monkeypatch, config_path, existed
+    ):
+        def exhaust(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "train", exhaust)
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        out = tmp_path / "runs" / "train"
+        if existed:
+            out.mkdir(parents=True)
+        code = main([
+            "train", "--obs", obs_path, "--gcm", gcm_path,
+            "--out-dir", str(out), "--config", config_path,
+        ])
+        assert code == 4
+        assert out.exists() == existed and (tmp_path / "runs").exists() == existed
+        if existed:
+            assert os.listdir(out) == []
 
     def test_failed_command_cleans_partial_outputs(self, tmp_path):
         # projection month without reference data fails after corrected.csv

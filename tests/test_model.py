@@ -527,8 +527,10 @@ class TestInferenceRows:
 
 
 class TestUntapedAttention:
-    """A forecast's attention against the taped op under embed's mask, in
-    float64."""
+    """A forecast's attention against the taped float64 op under embed's
+    mask, in float32 and float64: at ordinary logits, whose raw exponents
+    stay in range, and at logits whose raw exponents overflow or all
+    underflow, which take the max-shifted fallback."""
 
     @given(
         n_gcm=st.integers(0, 12),
@@ -536,8 +538,14 @@ class TestUntapedAttention:
         n_heads=st.integers(1, 4),
         target_only=st.booleans(),
         seed=st.integers(0, 2**16),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        # 0 for ordinary logits, 1 and -1 to send every raw exponent over
+        # or under the dtype's range
+        logit_sign=st.sampled_from([0, 1, -1]),
     )
-    def test_matches_autodiff_attention(self, n_gcm, n_obs, n_heads, target_only, seed):
+    def test_matches_autodiff_attention(
+        self, n_gcm, n_obs, n_heads, target_only, seed, dtype, logit_sign
+    ):
         rng = np.random.default_rng(seed)
         ex = build_example(
             gcm_t=np.arange(float(n_gcm)),
@@ -550,13 +558,25 @@ class TestUntapedAttention:
         emb = embed(ex, TINY)
         n, n_cond = ex.n_points, emb.n_conditioning
         q, k, v = (3.0 * rng.standard_normal((n, 3 * n_heads)) for _ in range(3))
+        if logit_sign:
+            # each head's first slot is 1 in every key and, in every query, a
+            # shift that takes every logit's raw exp past the dtype's largest
+            # exponent (overflow) or below its smallest (underflow)
+            k[:, 0::3], q[:, 0::3] = 1.0, 0.0
+            logits = np.einsum("rhw,khw->hrk", q.reshape(n, n_heads, 3), k.reshape(n, n_heads, 3))
+            reach = np.abs(logits).max() + np.log(np.finfo(dtype).max)
+            q[:, 0::3] = logit_sign * reach
+        q, k, v = (x.astype(dtype) for x in (q, k, v))
         rows = slice(n_cond if target_only else 0, None)
         got = model._attend(q[rows], k[:n_cond], v[:n_cond], n_heads)
         bias = emb.blocked[rows] * ad.MASK_FILL
-        want = ad.attention(Tensor(q[rows]), Tensor(k), Tensor(v), bias, n_heads).data
-        assert got.dtype == np.float64 and got.shape == want.shape
-        scale = np.abs(want).max()
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        q, k, v = (Tensor(x.astype(np.float64)) for x in (q[rows], k, v))
+        want = ad.attention(q, k, v, bias, n_heads).data
+        assert got.dtype == dtype and got.shape == want.shape
+        # 1e-12 of the largest output in float64, and as many of its eps in
+        # float32
+        tol = 1e-12 * np.finfo(dtype).eps / np.finfo(np.float64).eps
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
 
 
 @functools.lru_cache(maxsize=None)

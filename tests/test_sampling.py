@@ -390,6 +390,35 @@ class TestRowMemo:
                 evaluate_nll(ckpt, ds, validated, config)
         assert len(forecasts) == 2 * (2 * 2 * horizon + 6) + 2 * len(validated)
 
+    def test_memoized_forecasts_equal_cold_ones_across_the_max_shift_fallback(self):
+        # q and k weights scaled by 5.5 scale the main stack's logits by
+        # 30.25: on some scored days a raw exp overflows float32 (a logit
+        # above 88.7), so that day's attention subtracts each row's max,
+        # and on others every row's largest logit lies within (-69, 69),
+        # whose exponents are normal, so it does not
+        ds = make_dataset(n_obs=200)
+        ckpt = value_sensitive_checkpoint(ds, seed=0)
+        for name in ("q.w2", "q.b2", "k.w2", "k.b2"):
+            ckpt.params[name] *= 5.5
+        row_peaks = []  # each call's largest logit per query row
+        real_attend = model._attend
+
+        def attend_spy(q, k, v, n_heads):
+            heads = (q.reshape(len(q), n_heads, -1), k.reshape(len(k), n_heads, -1))
+            logits = np.einsum("rhw,khw->hrk", *(x.astype(np.float64) for x in heads))
+            row_peaks.append(logits.max(axis=-1))
+            return real_attend(q, k, v, n_heads)
+
+        with pytest.MonkeyPatch.context() as mp:
+            days = self.checked(mp)
+            mp.setattr(model, "_attend", attend_spy)
+            predictive_nll(ckpt, ds, 0, start_t=150.0, n_days=20)
+        calls_per_day = len(row_peaks) // len(days)
+        by_day = [row_peaks[i : i + calls_per_day] for i in range(0, len(row_peaks), calls_per_day)]
+        overflows = [any(p.max() > 90 for p in day) for day in by_day]
+        in_range = [all(-69 < p.min() and p.max() < 69 for p in day) for day in by_day]
+        assert len(days) == 20 and any(overflows) and any(in_range)
+
     def test_a_warm_day_on_a_daily_grid_computes_the_rows_that_changed(self):
         # as the windows slide one day, the points whose neighbour changes are
         # the model block's new first and last and the history's new first
