@@ -124,4 +124,4 @@ def correct(
         )
         out[idx[: len(values)]] = values
         keep[idx[: len(values)]] = True
-    return TimeSeries(gcm_proj.times[keep], out[keep], gcm_proj.source_tag)
+    return TimeSeries(gcm_proj.times[keep], out[keep])

@@ -7,17 +7,16 @@ and a prediction index j splitting observed context from targets, all
 model cannot lean on a copy-yesterday shortcut, and per-point features are
 computed on whatever irregular grid survives. An example keeps its points
 in its :class:`FeatureBlock` alone, model block first, then observed context
-and targets, with the block sizes beside it: that block is the one record of
-each point's time and value.
+and targets: that block is the one record of each point's time and value,
+and the block sizes beside it the one record of each point's series.
 
-Features per point follow a local-expansion recipe around the nearest
-already-available point n(i): value difference delta, signed time offset
-dist, their ratio deriv (a finite-difference slope), and the neighbour's
-value and time (the model adds positional features of both times, see
-:func:`temporal_bc.model.embed`). For observed points n(i)
-is the nearest other point of the same series; for targets it is the latest
-earlier point among observed context and preceding targets, never a later
-target and never a model point.
+A point's four feature columns are its time and value and those of its
+anchor n(i), the point it takes a local expansion around. The model
+derives the expansion (offsets and slope) from them, see
+:func:`temporal_bc.model.embed`. For observed points n(i) is the nearest
+other point of the same series; for targets it is the latest earlier point
+among observed context and preceding targets, never a later target and
+never a model point.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ _PRUNE_RETRIES = 100
 MARGIN = 5
 # pruning keeps at least this many points of each block (all, if it has fewer)
 MIN_KEEP = 5
-
-# series_id codes of the feature block
-SERIES_OBS = 1
-SERIES_GCM = 2
 
 
 @dataclass(frozen=True)
@@ -107,19 +102,13 @@ def prune_indices(n: int, retain_p: float, rng: np.random.Generator) -> np.ndarr
 class FeatureBlock:
     """Columnar per-point features in model input order (GCM, OBS, targets).
 
-    Every array is length-N: series_id (SERIES_OBS or SERIES_GCM), t and
-    value (the point itself; a target of unknown value has value 0), delta
-    (value minus neighbour value), dist (time minus neighbour time, signed),
-    deriv (delta/dist, 0 when the offset is 0), closest_value and closest_t
-    (the neighbour itself).
+    Every array is length-N: t and value (the point itself; a target of
+    unknown value has value 0), closest_value and closest_t (its anchor).
+    Which block a row belongs to is the example's to say.
     """
 
-    series_id: np.ndarray
     t: np.ndarray
     value: np.ndarray
-    delta: np.ndarray
-    dist: np.ndarray
-    deriv: np.ndarray
     closest_value: np.ndarray
     closest_t: np.ndarray
 
@@ -130,57 +119,39 @@ class TrainingExample:
     time and value: the first ``n_gcm`` rows are the model block, the last
     ``n_tgt`` the targets and the rows between the observed context.
 
-    ``window`` is the drawn window and ``tgt_v`` the targets' values; both
-    are None for inference-time examples (single masked target).
+    ``window`` is the drawn window, None for inference-time examples (a
+    single target of unknown value).
     """
 
     window: WindowSpec | None
     features: FeatureBlock
     n_gcm: int
     n_tgt: int
-    tgt_v: np.ndarray | None
 
     @property
     def n_points(self) -> int:
         return len(self.features.t)
 
 
-def _slope(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Finite-difference slope delta/dist, 0 where the offset is 0."""
-    return np.where(dist != 0.0, delta / np.where(dist != 0.0, dist, 1.0), 0.0)
-
-
 def _nearest_within(times: np.ndarray, values: np.ndarray):
-    """Closest-other-point features inside one fully observed series.
+    """Each point's anchor (value, time) inside one fully observed series:
+    its closest other point.
 
     Ties between the left and right neighbour go to the earlier one. A
-    singleton series anchors on itself with zero offsets.
+    singleton series anchors on itself.
     """
     m = len(times)
-    if m == 0:
-        return (np.empty(0),) * 5
-    if m == 1:
-        zero = np.zeros(1)
-        return zero, zero, zero, values.copy(), times.copy()
-    left = np.empty(m)
-    right = np.empty(m)
-    left[0] = np.inf
-    left[1:] = times[1:] - times[:-1]
-    right[-1] = np.inf
-    right[:-1] = times[1:] - times[:-1]
-    take_left = left <= right
+    if m < 2:
+        return values.copy(), times.copy()
+    gap = np.diff(times)
+    take_left = np.r_[np.inf, gap] <= np.r_[gap, np.inf]
     neighbour = np.where(take_left, np.arange(m) - 1, np.arange(m) + 1)
-    cv = values[neighbour]
-    ct = times[neighbour]
-    delta = values - cv
-    dist = times - ct
-    deriv = _slope(delta, dist)
-    return delta, dist, deriv, cv, ct
+    return values[neighbour], times[neighbour]
 
 
 def _target_features(tgt_t, tgt_v, obs_t, obs_v):
-    """The targets' values, then their features anchored on the latest
-    earlier available point.
+    """The targets' values, then their anchors' values and times: each
+    target's latest earlier available point.
 
     ``tgt_v`` None marks one target of unknown value (an inference example),
     which takes the value 0. Candidates are the observed context and
@@ -200,10 +171,7 @@ def _target_features(tgt_t, tgt_v, obs_t, obs_v):
     if n > 1:
         cv[1:] = tgt_v[:-1]
         ct[1:] = tgt_t[:-1]
-    delta = vals - cv
-    dist = tgt_t - ct
-    deriv = _slope(delta, dist)
-    return vals, delta, dist, deriv, cv, ct
+    return vals, cv, ct
 
 
 def compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v) -> FeatureBlock:
@@ -214,14 +182,10 @@ def compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v) -> FeatureBlock:
     )
     tgt_v = None if tgt_v is None else np.asarray(tgt_v, float)
     # each block's columns in FeatureBlock's field order
-    gcm = (np.full(len(gcm_t), SERIES_GCM), gcm_t, gcm_v, *_nearest_within(gcm_t, gcm_v))
-    obs = (np.full(len(obs_t), SERIES_OBS), obs_t, obs_v, *_nearest_within(obs_t, obs_v))
-    tgt = (
-        np.full(len(tgt_t), SERIES_OBS),
-        tgt_t,
-        *_target_features(tgt_t, tgt_v, obs_t, obs_v),
-    )
-    return FeatureBlock(*(np.concatenate([gcm[i], obs[i], tgt[i]]) for i in range(8)))
+    gcm = (gcm_t, gcm_v, *_nearest_within(gcm_t, gcm_v))
+    obs = (obs_t, obs_v, *_nearest_within(obs_t, obs_v))
+    tgt = (tgt_t, *_target_features(tgt_t, tgt_v, obs_t, obs_v))
+    return FeatureBlock(*(np.concatenate([gcm[i], obs[i], tgt[i]]) for i in range(4)))
 
 
 def _example_from_window(
@@ -245,7 +209,7 @@ def _example_from_window(
     features = compute_features(
         gcm_t[keep_gcm], gcm_v, obs_t[keep_obs], obs_v[keep_obs], tgt_t[keep_tgt], tgt_v
     )
-    return TrainingExample(window, features, len(keep_gcm), len(keep_tgt), tgt_v)
+    return TrainingExample(window, features, len(keep_gcm), len(keep_tgt))
 
 
 def make_batch(

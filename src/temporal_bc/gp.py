@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .rng import substream
-from .timeseries import GCM, OBS, TimeSeries
+from .timeseries import TimeSeries
 
 RBF = "rbf"
 PERIODIC = "periodic"
@@ -61,13 +61,12 @@ def rbf(lengthscale: float = 1.0) -> Kernel:
     return Kernel(RBF, lengthscale=lengthscale)
 
 
-def gram(kernel: Kernel, times_a, times_b=None) -> np.ndarray:
-    """Gram matrix K[i, j] = k(times_a[i], times_b[j])."""
-    ta = np.asarray(times_a, dtype=np.float64)
-    tb = ta if times_b is None else np.asarray(times_b, dtype=np.float64)
+def gram(kernel: Kernel, times) -> np.ndarray:
+    """Gram matrix K[i, j] = k(times[i], times[j])."""
+    t = np.asarray(times, dtype=np.float64)
     # every step works in place on the one buffer of distances: an n x n
     # temporary per step would cost more than the arithmetic
-    r = ta[:, None] - tb[None, :]
+    r = t[:, None] - t[None, :]
     if kernel.kind == RBF:  # exp(-r^2 / (2 l^2)); the square needs no abs
         np.square(r, out=r)
         r /= -2.0 * kernel.lengthscale**2
@@ -161,8 +160,8 @@ def _draw(kernel, times, mean_bias, time_shift, noise_std, seed, gcm_keys):
         draw = substream(int(seed), "noise", *key).standard_normal(len(times))
         return noise_std * draw
 
-    runs = [TimeSeries(times, latent[idx_base] + noise(*key), GCM) for key in gcm_keys]
-    obs = TimeSeries(times, latent[idx_shift] + mean_bias + noise("obs"), OBS)
+    runs = [TimeSeries(times, latent[idx_base] + noise(*key)) for key in gcm_keys]
+    obs = TimeSeries(times, latent[idx_shift] + mean_bias + noise("obs"))
     return grid, latent, obs, runs
 
 

@@ -4,10 +4,11 @@ An example's points are its model block, its observed context and its
 targets, in that order: the order of the columns of
 :class:`temporal_bc.batching.FeatureBlock`, the one record of each point's
 time and value, in which a target of unknown value has the value 0.
-:func:`embed` reads those columns and the example's target count. Each
-point enters as its local-expansion features (see
-:mod:`temporal_bc.batching`), a series one-hot and sinusoidal positional
-features of its own time and of its neighbour's time. Their width is
+:func:`embed` reads those columns and the example's block sizes. Each
+point enters as a local expansion around its anchor (see
+:mod:`temporal_bc.batching`), which :func:`embed` computes from the
+columns, a one-hot of its block's series and sinusoidal positional
+features of its own time and of its anchor's time. Their width is
 :class:`ModelConfig`'s ``feature_dim``; their time scales are the
 constants :data:`T_MAX` and :data:`DELTA_T`.
 
@@ -50,11 +51,11 @@ and subtracts each row's max only in a call whose exponent sums or value
 product leave the dtype's normal range (see :func:`_attend`).
 :func:`layer0_rows` runs the six input perceptrons over embedded points,
 each as one product; :func:`forecast` takes those rows from layer 0's
-attention to the head. A point's layer-0 rows depend on its own inputs
-alone, and a product over two or more rows gives each row the bits that
-the product over the whole window gives it (a one-row product takes
-another BLAS kernel and does not), so the sampler may compute the rows of
-a few points and gather the rest from earlier days (see
+attention to the head. A point's layer-0 rows depend on its own feature
+row and its block alone, and a product over two or more rows gives each
+row the bits that the product over the whole window gives it (a one-row
+product takes another BLAS kernel and does not), so the sampler may
+compute the rows of a few points and gather the rest from earlier days (see
 :mod:`temporal_bc.sampling`) with every bit unchanged. The arithmetic
 rounds differently from :func:`forward`'s (about 1e-15 of the largest
 output in float64). Sampling passes the float32 copies of
@@ -65,18 +66,17 @@ largest mean), not bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .batching import SERIES_GCM, SERIES_OBS, TrainingExample
+from .batching import TrainingExample
 from .errors import ConfigError, DataError, NumericError, config_from_dict
 from .metrics import LOG_2PI
 from .timeseries import NormStats, read_json, write_json
-
-_SERIES_CODES = (SERIES_OBS, SERIES_GCM)  # one-hot slots
 
 # the floor under every predicted std, and the positional features' longest
 # period and time unit
@@ -113,8 +113,8 @@ class ModelConfig:
 
     @property
     def point_dim(self) -> int:
-        """Positional features plus the series one-hot."""
-        return self.feature_dim + len(_SERIES_CODES)
+        """Positional features plus the series one-hot (observed, model)."""
+        return self.feature_dim + 2
 
     @property
     def qkv_in_dim(self) -> int:
@@ -220,15 +220,22 @@ class EmbeddedExample:
         return blocked
 
 
+def _slope(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Finite-difference slope delta/dist, 0 where the offset is 0."""
+    return np.where(dist != 0.0, delta / np.where(dist != 0.0, dist, 1.0), 0.0)
+
+
 def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     """Assemble per-point input vectors from the example's feature columns,
     which hold its points in model order; the attention mask is
     :attr:`EmbeddedExample.blocked`, built only when read.
 
     Key/value inputs hold, side by side, positional features, the series
-    one-hot, (delta, dist, deriv, closest_value), the neighbour's positional
-    features and the one-hot again, each positional block
-    ``config.feature_dim`` wide. Query inputs are identical except the
+    one-hot (the first ``n_gcm`` points are the model block), the local
+    expansion around the anchor (delta, the value minus the anchor's; dist,
+    the signed time offset; deriv, their slope; and the anchor's value),
+    the anchor's positional features and the one-hot again, each positional
+    block ``config.feature_dim`` wide. Query inputs are identical except the
     value-bearing slots (delta and deriv) are zeroed: a query may know where
     it sits and where its anchor sits, but not what value it carries.
     """
@@ -237,17 +244,19 @@ def embed(example: TrainingExample, config: ModelConfig) -> EmbeddedExample:
     # the features (elementwise in t) are evaluated once per distinct time
     distinct = np.unique(np.concatenate([f.t, f.closest_t]))
     enc = positional_features(distinct, config.feature_dim)
-    n = len(f.series_id)
+    n = len(f.t)
     n_tgt = example.n_tgt
     n_cond = n - n_tgt
     d = config.feature_dim
+    delta = f.value - f.closest_value
+    dist = f.t - f.closest_t
     # the neighbour n(i) is always same-series, so it reuses the one-hot
     kv_in = np.empty((n, config.qkv_in_dim))
     kv_in[:, :d] = enc[np.searchsorted(distinct, f.t)]
-    kv_in[:, d : d + 2] = f.series_id[:, None] == _SERIES_CODES
-    kv_in[:, d + 2] = f.delta
-    kv_in[:, d + 3] = f.dist
-    kv_in[:, d + 4] = f.deriv
+    kv_in[:, d : d + 2] = (np.arange(n) < example.n_gcm)[:, None] == (False, True)
+    kv_in[:, d + 2] = delta
+    kv_in[:, d + 3] = dist
+    kv_in[:, d + 4] = _slope(delta, dist)
     kv_in[:, d + 5] = f.closest_value
     kv_in[:, d + 6 : 2 * d + 6] = enc[np.searchsorted(distinct, f.closest_t)]
     kv_in[:, 2 * d + 6 :] = kv_in[:, d : d + 2]
@@ -498,10 +507,13 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise DataError("checkpoint %s has malformed fields: %s" % (path, exc))
     window_max = meta.get("window_max")  # read by the sampler
     if window_max is not None and (
-        isinstance(window_max, bool) or not isinstance(window_max, (int, float))
+        isinstance(window_max, bool)
+        or not isinstance(window_max, (int, float))
+        or not 1 <= window_max < math.inf
     ):
         raise DataError(
-            "checkpoint %s: meta window_max must be a number, got %r" % (path, window_max)
+            "checkpoint %s: meta window_max must be a finite number of at least 1, got %r"
+            % (path, window_max)
         )
     ablate_gcm = meta.get("ablate_gcm", False)  # obeyed by the sampler
     if not isinstance(ablate_gcm, bool):

@@ -27,18 +27,19 @@ forward at float32 rounding, while a sampled, a scored and a validated
 forecast of the same day and windows agree bit for bit.
 
 Days reuse layer-0 rows. A conditioning point's six layer-0 perceptron rows
-(:func:`temporal_bc.model.layer0_rows`) depend on its feature row alone, and
-as the windows slide one day most points keep theirs: only the new points,
-those whose nearest neighbour changed and the target need new rows. A
+(:func:`temporal_bc.model.layer0_rows`) depend on its feature row (the four
+columns of its time, value and anchor) and its block alone, and as the
+windows slide one day most points keep theirs: only the new points, those
+whose nearest neighbour changed and the target need new rows. A
 :class:`_RowMemo` keeps each point's rows by its index in its series, beside
 the feature row they came from: one memo per model run and stretch, shared
-by the run's trajectories, and one per observed or sampled history. A day
-takes a point's rows from the memo only where the point's feature row is
-bit for bit the stored one, and embeds and computes the rest with the
-target, in one product per perceptron of at least two rows (a one-row
-product may take another BLAS kernel and round differently). So a day that
-reuses rows gives the same bits as one that computes every row, as a
-stretch's first day does.
+by the run's trajectories, and one per observed or sampled history, so a
+memo's points share one block. A day takes a point's rows from the memo
+only where the point's feature row is bit for bit the stored one, and
+embeds and computes the rest with the target, in one product per
+perceptron of at least two rows (a one-row product may take another BLAS
+kernel and round differently). So a day that reuses rows gives the same
+bits as one that computes every row, as a stretch's first day does.
 
 A sampled or scored stretch logs each window warning at most once
 (:func:`warn_about_windows`), and training checks them once per ``train``
@@ -58,7 +59,7 @@ from .errors import ConfigError, DataError, NumericError
 from .metrics import gaussian_nll_points
 from .model import ModelCheckpoint
 from .rng import substream
-from .timeseries import OBS, PairedDataset, TimeSeries
+from .timeseries import PairedDataset, TimeSeries
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +90,7 @@ def build_inference_example(
 ) -> TrainingExample:
     """Single-masked-target example from explicit conditioning arrays."""
     features = compute_features(gcm_t, gcm_v, obs_t, obs_v, [float(target_t)], None)
-    return TrainingExample(None, features, len(gcm_t), 1, None)
+    return TrainingExample(None, features, len(gcm_t), 1)
 
 
 # FeatureBlock's columns, each point's feature row
@@ -227,7 +228,7 @@ def _predict_one(params, example, memos, model_config):
     take = np.flatnonzero(np.append(stale, True))  # and the target
     sub = features[:, take]
     split = int(np.searchsorted(take, n_gcm))
-    stale_rows = TrainingExample(None, FeatureBlock(*sub), split, 1, None)
+    stale_rows = TrainingExample(None, FeatureBlock(*sub), split, 1)
     emb = tf_model.embed(stale_rows, model_config)
     computed = tf_model.layer0_rows(params, emb)
     gcm_memo.store(gcm_at + take[:split], sub[:, :split], computed[:, :split])
@@ -269,7 +270,7 @@ def sample_trajectories(
         for step in range(config.horizon):
             m, s = one_day(hist_t[: window + step], hist_v[: window + step], memo, times[step])
             hist_v[window + step] = m if config.deterministic else rng.normal(m, s)
-        out.append(TimeSeries(times, ckpt.norm_stats.from_z(hist_v[window:]), OBS))
+        out.append(TimeSeries(times, ckpt.norm_stats.from_z(hist_v[window:])))
     return out
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DataError
 
+# the two file layouts of load_csv
 OBS = "OBS"
 GCM = "GCM"
 
@@ -45,13 +46,10 @@ class TimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    source_tag: str = OBS
 
     def __post_init__(self):
         object.__setattr__(self, "times", _freeze(self.times))
         object.__setattr__(self, "values", _freeze(self.values))
-        if self.source_tag not in (OBS, GCM):
-            raise DataError("unknown source_tag %r" % (self.source_tag,))
         if self.times.ndim != 1 or self.values.ndim != 1:
             raise DataError("times and values must be one-dimensional")
         if len(self.times) != len(self.values):
@@ -72,7 +70,7 @@ class TimeSeries:
     def window(self, t_start: float, t_end: float) -> "TimeSeries":
         """Sub-series with t_start <= t <= t_end (inclusive both ends)."""
         keep = (self.times >= t_start) & (self.times <= t_end)
-        return TimeSeries(self.times[keep], self.values[keep], self.source_tag)
+        return TimeSeries(self.times[keep], self.values[keep])
 
     def non_daily_step(self) -> int | None:
         """Position of the first time whose step to the next is not one day,
@@ -130,13 +128,9 @@ class PairedDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "runs", tuple(self.runs))
-        if self.obs.source_tag != OBS:
-            raise DataError("obs series must be tagged %s" % OBS)
         if not self.runs:
             raise DataError("dataset needs at least one model run")
         for z, run in enumerate(self.runs):
-            if run.source_tag != GCM:
-                raise DataError("run %d must be tagged %s" % (z, GCM))
             if not np.array_equal(run.times, self.runs[0].times):
                 raise DataError("run %d is on a different time grid than run 0" % z)
         if (
@@ -290,7 +284,7 @@ def _parse_id(raw: str, path, line_no: int, column: str) -> int:
     return val
 
 
-def _read_series(path, header: list[str], source_tag: str) -> dict:
+def _read_series(path, header: list[str]) -> dict:
     """Read a CSV file with exactly the columns ``header`` into series.
 
     ``t`` and ``value`` are finite floats and every other column is a
@@ -336,7 +330,7 @@ def _read_series(path, header: list[str], source_tag: str) -> dict:
     for key, (times, values) in groups.items():
         where = "".join(": %s %d" % (name, k) for (_, name), k in zip(id_cols, key))
         try:
-            out[key] = TimeSeries(np.array(times), np.array(values), source_tag)
+            out[key] = TimeSeries(np.array(times), np.array(values))
         except DataError as exc:
             raise DataError("%s%s: %s" % (path, where, exc))
     return out
@@ -353,20 +347,21 @@ def _check_daily(series: TimeSeries, path, what: str) -> None:
         )
 
 
-def load_csv(path, source_tag: str):
-    """Read an OBS file (``t,value``) or a GCM file (``t,run,value``).
+def load_csv(path, kind: str):
+    """Read an OBS file (``t,value``) or a GCM file (``t,run,value``), as
+    ``kind`` names it.
 
     Returns a :class:`TimeSeries` for OBS input, or a list of per-run
     :class:`TimeSeries` (run ids must be exactly 0..R-1) for GCM input.
     Each series must sit on a contiguous daily grid.
     """
-    if source_tag == OBS:
-        series = _read_series(path, ["t", "value"], OBS)[()]
+    if kind == OBS:
+        series = _read_series(path, ["t", "value"])[()]
         _check_daily(series, path, "observation series")
         return series
-    if source_tag != GCM:
-        raise DataError("source_tag must be %s or %s" % (OBS, GCM))
-    by_run = _read_series(path, ["t", "run", "value"], GCM)
+    if kind != GCM:
+        raise DataError("file kind must be %s or %s" % (OBS, GCM))
+    by_run = _read_series(path, ["t", "run", "value"])
     if sorted(by_run) != [(z,) for z in range(len(by_run))]:
         raise DataError(
             "%s: run ids must be dense 0..R-1, got %s"
@@ -388,7 +383,7 @@ def load_paired(obs_path, gcm_path) -> PairedDataset:
 def load_samples_csv(path) -> dict[int, dict[int, TimeSeries]]:
     """Read a samples file (``run,trajectory,t,value``) as
     ``{run: {trajectory: series}}``, both in order of first appearance."""
-    by_key = _read_series(path, ["run", "trajectory", "t", "value"], OBS)
+    by_key = _read_series(path, ["run", "trajectory", "t", "value"])
     out: dict[int, dict[int, TimeSeries]] = {}
     for (run, traj), series in by_key.items():
         _check_daily(series, path, "run %d trajectory %d" % (run, traj))

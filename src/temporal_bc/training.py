@@ -163,7 +163,8 @@ def _batch_loss(params, example: TrainingExample, config: ModelConfig):
     batch order, times one over the batch's target count.
     """
     mu, sigma = tf_model.forward(params, tf_model.embed(example, config), config)
-    return tf_model.gaussian_nll(mu, sigma, example.tgt_v) * float(example.n_tgt)
+    targets = example.features.value[-example.n_tgt :]
+    return tf_model.gaussian_nll(mu, sigma, targets) * float(example.n_tgt)
 
 
 def _validation_days(tail: np.ndarray) -> np.ndarray:

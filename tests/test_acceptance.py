@@ -31,8 +31,6 @@ from temporal_bc.model import ModelConfig, embed, forward, gaussian_nll, init_pa
 from temporal_bc.rng import substream
 from temporal_bc.sampling import SamplerConfig
 from temporal_bc.timeseries import (
-    GCM,
-    OBS,
     PairedDataset,
     TimeSeries,
     align,
@@ -63,7 +61,7 @@ def _tiny_example():
     tgt_t = np.array([4.0, 5.0, 6.0])
     tgt_v = np.array([1.5, 2.5, 0.5])
     features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v)
-    return TrainingExample(None, features, len(gcm_t), len(tgt_t), tgt_v)
+    return TrainingExample(None, features, len(gcm_t), len(tgt_t))
 
 
 def test_01_every_op_and_the_full_nll_pass_gradient_checks():
@@ -137,7 +135,7 @@ def test_01_every_op_and_the_full_nll_pass_gradient_checks():
     def loss_fn(*leaves):
         p = dict(zip(names, leaves))
         mu, sigma = forward(p, emb, config)
-        return gaussian_nll(mu, sigma, example.tgt_v)
+        return gaussian_nll(mu, sigma, example.features.value[-example.n_tgt :])
 
     model_rep = gradcheck(loss_fn, tensors, tol=1e-3)
     elapsed = time.time() - t0
@@ -159,8 +157,8 @@ def test_02_baseline_corrections_match_oracles(tmp_path):
 
     # (a) mean shift equals the SSE-minimizing constant per month, to 1e-10
     t = np.arange(120.0)
-    o = TimeSeries(t, 10.0 + rng.normal(size=120), OBS)
-    g = TimeSeries(t, 7.0 + rng.normal(size=120), GCM)
+    o = TimeSeries(t, 10.0 + rng.normal(size=120))
+    g = TimeSeries(t, 7.0 + rng.normal(size=120))
     corrected = baselines.correct("mean", o, g, g, EPOCH, monthly=True)
     month = np.array([(EPOCH + dt.timedelta(days=int(d))).month for d in t])
     worst_mean = 0.0
@@ -204,8 +202,8 @@ def test_02_baseline_corrections_match_oracles(tmp_path):
 
     # (d) EC-BC output ranks equal the observation ranks exactly
     t31 = np.arange(31.0)
-    o31 = TimeSeries(t31, rng.permutation(31).astype(float), OBS)
-    g31 = TimeSeries(t31, np.sort(rng.normal(size=31)) * 3.0, GCM)
+    o31 = TimeSeries(t31, rng.permutation(31).astype(float))
+    g31 = TimeSeries(t31, np.sort(rng.normal(size=31)) * 3.0)
     out = baselines.correct("ecbc", o31, g31, g31, EPOCH, monthly=False)
     ranks = lambda v: np.argsort(np.argsort(v, kind="stable"), kind="stable")
     assert np.array_equal(ranks(out.values), ranks(o31.values))
@@ -465,8 +463,8 @@ def test_06_identical_seeds_give_byte_identical_artefacts(tmp_path):
     rng = np.random.default_rng(0)
     t = np.arange(480.0)
     base = 15.0 + 3.0 * np.sin(2 * np.pi * t / 40.0)
-    obs = TimeSeries(t, base + 2.0 + 0.2 * rng.normal(size=480), OBS)
-    run = TimeSeries(t, base + 0.2 * rng.normal(size=480), GCM)
+    obs = TimeSeries(t, base + 2.0 + 0.2 * rng.normal(size=480))
+    run = TimeSeries(t, base + 0.2 * rng.normal(size=480))
     obs_train = str(tmp_path / "obs_train.csv")
     obs_eval = str(tmp_path / "obs_eval.csv")
     gcm_path = str(tmp_path / "gcm.csv")
@@ -500,8 +498,8 @@ def test_07_training_examples_satisfy_window_invariants():
     n = 500
     t = np.arange(float(n))
     dataset = PairedDataset(
-        TimeSeries(t, rng_data.normal(size=n), OBS),
-        [TimeSeries(t, rng_data.normal(size=n), GCM)],
+        TimeSeries(t, rng_data.normal(size=n)),
+        [TimeSeries(t, rng_data.normal(size=n))],
     )
     pair = align(dataset, 0)
     cfg = BatchConfig()  # default window geometry and pruning
@@ -525,7 +523,8 @@ def test_07_training_examples_satisfy_window_invariants():
             check(w.k + MARGIN <= w.j <= w.h - MARGIN, "prediction index", i)
             # the feature rows hold the model block, observed context, targets
             f, n_gcm, n_cond = ex.features, ex.n_gcm, ex.n_points - ex.n_tgt
-            obs_t, obs_v, tgt_t = f.t[n_gcm:n_cond], f.value[n_gcm:n_cond], f.t[n_cond:]
+            obs_t, obs_v = f.t[n_gcm:n_cond], f.value[n_gcm:n_cond]
+            tgt_t, tgt_v = f.t[n_cond:], f.value[n_cond:]
             # retained points are ordered subsequences of their window slices
             for name, times_kept, lo, hi in (
                 ("obs", obs_t, w.k - 1, w.j),
@@ -546,7 +545,7 @@ def test_07_training_examples_satisfy_window_invariants():
             check(anchor_t[0] == obs_t[-1], "first anchor time", i)
             check(anchor_v[0] == obs_v[-1], "first anchor value", i)
             check(np.array_equal(anchor_t[1:], tgt_t[:-1]), "anchor chain times", i)
-            check(np.array_equal(anchor_v[1:], ex.tgt_v[:-1]), "anchor chain values", i)
+            check(np.array_equal(anchor_v[1:], tgt_v[:-1]), "anchor chain values", i)
 
     assert drawn == total
     assert not violations, "%d violations, first: %s" % (

@@ -11,7 +11,7 @@ from temporal_bc import model, training
 from temporal_bc.autodiff import Tape, Tensor, backward
 from temporal_bc.batching import BatchConfig
 from temporal_bc.errors import NumericError
-from temporal_bc.timeseries import GCM, OBS, PairedDataset, TimeSeries
+from temporal_bc.timeseries import PairedDataset, TimeSeries
 
 from reference import gradcheck
 
@@ -550,8 +550,8 @@ def _train_one_step(monkeypatch, attention_layer):
     t = np.arange(200.0)
     signal = 10.0 + 3.0 * np.sin(2.0 * np.pi * t / 30.0)
     dataset = PairedDataset(
-        TimeSeries(t, signal + 2.0 + 0.3 * rng.normal(size=200), OBS),
-        (TimeSeries(t, signal + 0.3 * rng.normal(size=200), GCM),),
+        TimeSeries(t, signal + 2.0 + 0.3 * rng.normal(size=200)),
+        (TimeSeries(t, signal + 0.3 * rng.normal(size=200)),),
     )
     seen = {"grads": {}, "refs": [], "stale": 0}
     real_backward, real_step = training.backward, training.Adam.step

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from temporal_bc.baselines import METHODS, correct
 from temporal_bc.errors import ConfigError, DataError
-from temporal_bc.timeseries import GCM, OBS, TimeSeries
+from temporal_bc.timeseries import TimeSeries
 
 EPOCH = dt.date(2001, 1, 1)  # non-leap: Jan=0..30, Feb=31..58, Mar=59..89
 
@@ -16,11 +16,11 @@ finite_floats = st.floats(min_value=-100.0, max_value=100.0)
 
 
 def obs(times, values):
-    return TimeSeries(np.asarray(times, float), np.asarray(values, float), OBS)
+    return TimeSeries(np.asarray(times, float), np.asarray(values, float))
 
 
 def gcm(times, values):
-    return TimeSeries(np.asarray(times, float), np.asarray(values, float), GCM)
+    return TimeSeries(np.asarray(times, float), np.asarray(values, float))
 
 
 def naive_eqm(obs_ref_v, gcm_ref_v, proj_v):

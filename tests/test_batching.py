@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from temporal_bc.batching import (
     MARGIN,
     MIN_KEEP,
-    SERIES_GCM,
-    SERIES_OBS,
     BatchConfig,
     compute_features,
     draw_window,
@@ -18,8 +16,6 @@ from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.model import positional_features
 from temporal_bc.sampling import build_inference_example
 from temporal_bc.timeseries import (
-    GCM,
-    OBS,
     AlignedPair,
     PairedDataset,
     TimeSeries,
@@ -171,23 +167,19 @@ class TestComputeFeatures:
         tgt_t = np.array([3.0, 5.0])
         tgt_v = np.array([7.0, 9.0])
         f = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v)
-        assert list(f.series_id) == [SERIES_GCM] * 3 + [SERIES_OBS] * 4
-        assert (SERIES_OBS, SERIES_GCM) == (1, 2)
+        assert list(f.t) == [0.0, 1.0, 3.0, 0.0, 2.0, 3.0, 5.0]
+        assert list(f.value) == [10.0, 11.0, 14.0, 5.0, 6.0, 7.0, 9.0]
         # model point 0 anchors right (t=1), point 1 ties -> earlier (t=0),
         # point 2 anchors left (t=1)
         assert list(f.closest_t[:3]) == [1.0, 0.0, 1.0]
-        assert list(f.delta[:3]) == [-1.0, 1.0, 3.0]
-        assert list(f.dist[:3]) == [-1.0, 1.0, 2.0]
-        assert list(f.deriv[:3]) == [1.0, 1.0, 1.5]
+        assert list(f.closest_value[:3]) == [11.0, 10.0, 11.0]
         # the two observed points anchor on each other
         assert list(f.closest_t[3:5]) == [2.0, 0.0]
-        assert list(f.delta[3:5]) == [-1.0, 1.0]
+        assert list(f.closest_value[3:5]) == [6.0, 5.0]
         # first target anchors on the last observed point, second on the
         # (teacher-forced) first target
         assert list(f.closest_t[5:]) == [2.0, 3.0]
         assert list(f.closest_value[5:]) == [6.0, 7.0]
-        assert list(f.delta[5:]) == [1.0, 2.0]
-        assert list(f.dist[5:]) == [1.0, 2.0]
 
     def test_singleton_series_self_anchor(self):
         f = compute_features(
@@ -195,8 +187,9 @@ class TestComputeFeatures:
             np.array([1.0]), np.array([3.0]),
             np.array([2.0]), np.array([5.0]),
         )
-        assert f.delta[0] == 0.0 and f.dist[0] == 0.0 and f.deriv[0] == 0.0
-        assert f.closest_value[0] == 2.0
+        # a one-point block anchors on itself
+        assert (f.closest_value[0], f.closest_t[0]) == (2.0, 4.0)
+        assert (f.closest_value[1], f.closest_t[1]) == (3.0, 1.0)
 
     def test_masked_single_target(self):
         f = compute_features(
@@ -204,9 +197,10 @@ class TestComputeFeatures:
             np.array([0.0, 1.0]), np.array([3.0, 4.0]),
             np.array([2.0]), None,
         )
-        # masked target: delta measured from a zero placeholder value
-        assert f.closest_value[-1] == 4.0
-        assert f.delta[-1] == -4.0
+        # masked target: a zero placeholder value, anchored on the last
+        # observed point
+        assert f.value[-1] == 0.0
+        assert (f.closest_value[-1], f.closest_t[-1]) == (4.0, 1.0)
 
     def test_masked_multi_target_rejected(self):
         with pytest.raises(DataError, match="target values"):
@@ -233,13 +227,10 @@ class TestFeatureColumns:
         pair = make_pair(n=96, seed=3)
         for ex in make_batch([pair], 8, np.random.default_rng(4), tiny_config()):
             f = ex.features
-            assert np.all(f.series_id[: ex.n_gcm] == SERIES_GCM)
-            assert np.all(f.series_id[ex.n_gcm :] == SERIES_OBS)
             # the observed rows up to the prediction index
             last_ctx_t = pair.times[ex.window.j - 1]
             n_obs = np.count_nonzero(f.t[ex.n_gcm :] <= last_ctx_t)
             assert ex.n_points - ex.n_gcm - ex.n_tgt == n_obs
-            assert np.array_equal(f.value[-ex.n_tgt :], ex.tgt_v)
 
     def test_inference_example(self):
         rng = np.random.default_rng(6)
@@ -250,8 +241,6 @@ class TestFeatureColumns:
         assert ex.window is None
         assert (ex.n_gcm, ex.n_tgt) == (7, 1)
         assert ex.n_points - ex.n_gcm - ex.n_tgt == len(obs_t)
-        assert np.all(f.series_id[: ex.n_gcm] == SERIES_GCM)
-        assert np.all(f.series_id[ex.n_gcm :] == SERIES_OBS)
         assert np.array_equal(f.t, np.concatenate([gcm_t, obs_t, [5.0]]))
         # the target's value is unknown and enters as 0
         assert np.array_equal(f.value, np.concatenate([gcm_v, obs_v, [0.0]]))
@@ -267,9 +256,8 @@ class TestMakeBatch:
         for ea, eb in zip(a, b):
             assert ea.window == eb.window
             assert (ea.n_gcm, ea.n_tgt) == (eb.n_gcm, eb.n_tgt)
-            assert np.array_equal(ea.features.t, eb.features.t)
-            assert np.array_equal(ea.tgt_v, eb.tgt_v)
-            assert np.array_equal(ea.features.delta, eb.features.delta)
+            for name, column in vars(ea.features).items():
+                assert np.array_equal(column, getattr(eb.features, name))
 
     def test_structural_invariants(self):
         pair = make_pair(n=128, seed=1)
@@ -291,7 +279,7 @@ class TestMakeBatch:
             assert ex.n_tgt >= min(MIN_KEEP, w.h - w.j)
             assert len(gcm_t) >= min(MIN_KEEP, w.h - w.k + 1)
             # values were taken from the right series
-            for t, v in zip(tgt_t, ex.tgt_v):
+            for t, v in zip(tgt_t, f.value[n_cond:]):
                 assert v == pair.obs_values[int(t)]
             for t, v in zip(gcm_t, gcm_v):
                 assert v == pair.gcm_values[int(t)]
@@ -299,8 +287,8 @@ class TestMakeBatch:
     def test_accepts_paired_dataset_and_tags_runs(self):
         t = np.arange(64.0)
         rng = np.random.default_rng(2)
-        obs = TimeSeries(t, rng.normal(size=64), OBS)
-        runs = tuple(TimeSeries(t, rng.normal(size=64), GCM) for _ in range(3))
+        obs = TimeSeries(t, rng.normal(size=64))
+        runs = tuple(TimeSeries(t, rng.normal(size=64)) for _ in range(3))
         ds = PairedDataset(obs, runs)
         pairs = [align(ds, z) for z in range(ds.n_runs)]
         batch = make_batch(pairs, 32, np.random.default_rng(0), tiny_config())
@@ -322,8 +310,8 @@ class TestMakeBatch:
             assert np.all(ex.features.value[:n_gcm] == 0.0)
             assert n_gcm > 0
             assert np.all(ex.features.t[:n_gcm] >= 0)
-            # features for the model block reflect the zeroed values
-            assert np.all(ex.features.delta[:n_gcm] == 0.0)
+            # the model block's anchors hold the zeroed values too
+            assert np.all(ex.features.closest_value[:n_gcm] == 0.0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError, match="no aligned"):

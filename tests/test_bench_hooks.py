@@ -18,7 +18,7 @@ from temporal_bc import sampling
 from temporal_bc.batching import BatchConfig
 from temporal_bc.model import ModelConfig, checkpoint_from_params, init_params
 from temporal_bc.sampling import SamplerConfig
-from temporal_bc.timeseries import GCM, OBS, NormStats, PairedDataset, TimeSeries
+from temporal_bc.timeseries import NormStats, PairedDataset, TimeSeries
 from temporal_bc.training import TrainConfig, train
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -73,8 +73,8 @@ def test_each_step_is_marked_once_and_traced_per_example():
 
 def _dataset(n_obs=100, n_gcm=300):
     rng = np.random.default_rng(0)
-    obs = TimeSeries(np.arange(float(n_obs)), rng.normal(size=n_obs), OBS)
-    gcm = TimeSeries(np.arange(float(n_gcm)), rng.normal(size=n_gcm), GCM)
+    obs = TimeSeries(np.arange(float(n_obs)), rng.normal(size=n_obs))
+    gcm = TimeSeries(np.arange(float(n_gcm)), rng.normal(size=n_gcm))
     return PairedDataset(obs, (gcm,))
 
 

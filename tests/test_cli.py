@@ -49,8 +49,8 @@ def write_pair(dirpath, n_obs=450, n_gcm=480, seed=0, n_runs=1):
     obs_t = np.arange(float(n_obs))
     gcm_t = np.arange(float(n_gcm))
     base = 15.0 + 3.0 * np.sin(2 * np.pi * gcm_t / 40.0)
-    obs = TimeSeries(obs_t, base[:n_obs] + 2.0 + 0.2 * rng.normal(size=n_obs), OBS)
-    runs = [TimeSeries(gcm_t, base + 0.2 * rng.normal(size=n_gcm), GCM) for _ in range(n_runs)]
+    obs = TimeSeries(obs_t, base[:n_obs] + 2.0 + 0.2 * rng.normal(size=n_obs))
+    runs = [TimeSeries(gcm_t, base + 0.2 * rng.normal(size=n_gcm)) for _ in range(n_runs)]
     obs_path = os.path.join(dirpath, "obs.csv")
     gcm_path = os.path.join(dirpath, "gcm.csv")
     write_obs_csv(obs, obs_path)
@@ -644,7 +644,7 @@ class TestReport:
         rng = np.random.default_rng(1)
         t = np.arange(450.0, 460.0)
         obs_v = 20.0 + rng.normal(size=10)
-        write_obs_csv(TimeSeries(t, obs_v, OBS), tmp_path / "observed.csv")
+        write_obs_csv(TimeSeries(t, obs_v), tmp_path / "observed.csv")
         with open(tmp_path / "samples.csv", "w") as handle:
             handle.write("run,trajectory,t,value\n")
             for run in (0, 1):
@@ -696,13 +696,13 @@ class TestReport:
         rng = np.random.default_rng(0)
         t = np.arange(200.0)
         obs_v = 15.0 + 5.0 * np.sin(2 * np.pi * t / 50.0) + rng.normal(size=200)
-        write_obs_csv(TimeSeries(t, obs_v, OBS), tmp_path / "observed.csv")
+        write_obs_csv(TimeSeries(t, obs_v), tmp_path / "observed.csv")
         # baseline run 0 tracks the observations, run 1 is constant
         runs = [obs_v + 0.5 * rng.normal(size=200), np.full(200, 18.5)]
-        write_gcm_csv([TimeSeries(t, v, GCM) for v in runs], tmp_path / "corrected.csv")
+        write_gcm_csv([TimeSeries(t, v) for v in runs], tmp_path / "corrected.csv")
         trajs = [obs_v + rng.normal(size=200) for _ in range(2)]
         write_samples_csv(
-            {0: [TimeSeries(t, v, OBS) for v in trajs]}, tmp_path / "samples.csv"
+            {0: [TimeSeries(t, v) for v in trajs]}, tmp_path / "samples.csv"
         )
         out = tmp_path / "report"
         for argv in (
@@ -768,12 +768,12 @@ class TestReport:
         traj_1 = [L, L, L, L, H, H, H, L, H, H, H, L, L, L, L, L]
         corrected = [H, H, H, L, H, H, H, L, H, H, H, L, L, L, L, L]
         write_samples_csv(
-            {0: [TimeSeries(t, traj_0, OBS), TimeSeries(t, traj_1, OBS)]},
+            {0: [TimeSeries(t, traj_0), TimeSeries(t, traj_1)]},
             tmp_path / "samples.csv",
         )
-        write_gcm_csv([TimeSeries(t, corrected, GCM)], tmp_path / "corrected.csv")
+        write_gcm_csv([TimeSeries(t, corrected)], tmp_path / "corrected.csv")
         for name, obs_v in (("two", observed), ("none", [L] * 16)):
-            write_obs_csv(TimeSeries(t, obs_v, OBS), tmp_path / "observed.csv")
+            write_obs_csv(TimeSeries(t, obs_v), tmp_path / "observed.csv")
             code = main([
                 "report", "--observed", str(tmp_path / "observed.csv"),
                 "--samples", str(tmp_path / "samples.csv"),
@@ -808,7 +808,7 @@ class TestReport:
         self._write_inputs(tmp_path)
         short_t = np.arange(450.0, 455.0)
         write_obs_csv(
-            TimeSeries(short_t, np.full(5, 20.0), OBS), tmp_path / "short.csv"
+            TimeSeries(short_t, np.full(5, 20.0)), tmp_path / "short.csv"
         )
         for candidate in (
             ["--samples", str(tmp_path / "samples.csv")],
@@ -862,7 +862,7 @@ class TestReport:
         assert not (tmp_path / "r" / "report.json").exists()
 
     def test_samples_off_the_daily_grid_name_file_run_and_trajectory(self, tmp_path, capsys):
-        write_obs_csv(TimeSeries(np.arange(4.0), np.full(4, 20.0), OBS), tmp_path / "o.csv")
+        write_obs_csv(TimeSeries(np.arange(4.0), np.full(4, 20.0)), tmp_path / "o.csv")
         samples = tmp_path / "gappy_samples.csv"
         samples.write_text(
             "run,trajectory,t,value\n0,1,0.0,20.0\n0,1,1.0,20.0\n0,1,3.0,20.0\n"
@@ -881,7 +881,7 @@ class TestReport:
         self, tmp_path, capsys
     ):
         t = np.arange(10.0)
-        write_obs_csv(TimeSeries(t, np.full(10, 20.0), OBS), tmp_path / "o.csv")
+        write_obs_csv(TimeSeries(t, np.full(10, 20.0)), tmp_path / "o.csv")
         samples = tmp_path / "ragged_samples.csv"
         # trajectory 0 on days 0-8, trajectory 1 on days 0-9
         short, full = TimeSeries(t[:9], np.full(9, 20.0)), TimeSeries(t, np.full(10, 21.0))
@@ -1032,9 +1032,9 @@ class TestErrorHandling:
         # projection month without reference data fails after corrected.csv
         # has been opened; the partial file and manifest must be removed
         t = np.arange(31.0)
-        write_obs_csv(TimeSeries(t, np.ones(31) * 2, OBS), tmp_path / "o.csv")
+        write_obs_csv(TimeSeries(t, np.ones(31) * 2), tmp_path / "o.csv")
         write_gcm_csv(
-            [TimeSeries(np.arange(90.0), np.ones(90), GCM)], tmp_path / "g.csv"
+            [TimeSeries(np.arange(90.0), np.ones(90))], tmp_path / "g.csv"
         )
         out = tmp_path / "out"
         code = main([
@@ -1054,8 +1054,8 @@ class TestErrorHandling:
         ids=["day-1e12", "epoch-9999-12-31"],
     )
     def test_day_outside_the_calendar_is_data_error(self, tmp_path, capsys, day, epoch):
-        write_obs_csv(TimeSeries([day], [1.0], OBS), tmp_path / "o.csv")
-        write_gcm_csv([TimeSeries([day], [2.0], GCM)], tmp_path / "g.csv")
+        write_obs_csv(TimeSeries([day], [1.0]), tmp_path / "o.csv")
+        write_gcm_csv([TimeSeries([day], [2.0])], tmp_path / "g.csv")
         out = tmp_path / "out"
         code = main([
             "baseline", "--method", "mean",

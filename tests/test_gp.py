@@ -54,11 +54,6 @@ class TestKernels:
         g_rbf = gram(rbf(1.0), t)
         assert np.allclose(g_rq, g_rbf, atol=1e-6)
 
-    def test_rectangular_gram(self):
-        g = gram(rbf(1.0), np.array([0.0, 1.0, 2.0]), np.array([0.5]))
-        assert g.shape == (3, 1)
-        assert g[0, 0] == pytest.approx(np.exp(-0.125))
-
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
             rbf(0.0)

@@ -12,12 +12,12 @@ from temporal_bc.metrics import (
     relative_heatwave_error,
     score,
 )
-from temporal_bc.timeseries import OBS, TimeSeries
+from temporal_bc.timeseries import TimeSeries
 
 
 def daily(values):
     values = np.asarray(values, dtype=float)
-    return TimeSeries(np.arange(float(len(values))), values, OBS)
+    return TimeSeries(np.arange(float(len(values))), values)
 
 
 def naive_heatwaves(values, threshold):
@@ -73,7 +73,7 @@ class TestHeatwaveCount:
 
     def test_gap_in_grid_rejected(self):
         t = np.array([0.0, 1.0, 3.0, 4.0])
-        series = TimeSeries(t, np.ones(4), OBS)
+        series = TimeSeries(t, np.ones(4))
         with pytest.raises(DataError, match="daily"):
             heatwave_count(series, 0.0)
 

@@ -10,8 +10,6 @@ from temporal_bc import autodiff as ad
 from temporal_bc.autodiff import Tape, Tensor, backward
 from temporal_bc import model, sampling, training
 from temporal_bc.batching import (
-    SERIES_GCM,
-    SERIES_OBS,
     BatchConfig,
     TrainingExample,
     compute_features,
@@ -75,8 +73,12 @@ def geometry_examples(geometry, n_batch=4, seed=17):
 
 def build_example(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v):
     features = compute_features(gcm_t, gcm_v, obs_t, obs_v, tgt_t, tgt_v)
-    tv = None if tgt_v is None else np.asarray(tgt_v, dtype=float)
-    return TrainingExample(None, features, len(gcm_t), len(tgt_t), tv)
+    return TrainingExample(None, features, len(gcm_t), len(tgt_t))
+
+
+def targets(ex):
+    """The values of ``ex``'s targets, its last ``n_tgt`` points."""
+    return ex.features.value[-ex.n_tgt :]
 
 
 def one_target(ex):
@@ -84,7 +86,7 @@ def one_target(ex):
     f, n_gcm, n_cond = ex.features, ex.n_gcm, ex.n_points - ex.n_tgt
     return build_example(
         f.t[:n_gcm], f.value[:n_gcm], f.t[n_gcm:n_cond], f.value[n_gcm:n_cond],
-        f.t[n_cond : n_cond + 1], None if ex.tgt_v is None else ex.tgt_v[:1],
+        f.t[n_cond : n_cond + 1], f.value[n_cond : n_cond + 1],
     )  # fmt: skip
 
 
@@ -186,10 +188,10 @@ class TestEmbed:
         # on the point times and one on the neighbour times. They must be
         # C-contiguous float64 too, as the concatenation's are, since a
         # product can round differently on another memory layout. The last
-        # example is a sampler's, with no target values
+        # example is a sampler's, whose target's value is unknown (0)
         config = GEOMETRIES[geometry][0]
         examples = geometry_examples(geometry)
-        assert examples[-1].tgt_v is None
+        assert examples[-1].window is None and examples[-1].features.value[-1] == 0.0
         for ex in examples:
             emb = embed(ex, config)
             for got, want in zip(
@@ -197,6 +199,27 @@ class TestEmbed:
             ):
                 assert np.array_equal(got, want)
                 assert got.dtype == np.float64 and got.flags.c_contiguous
+
+
+def _per_block_columns(ex):
+    """The series one-hot and the (delta, dist, deriv) offsets of every
+    point, shape (points, 5), built one block at a time: each block's series
+    code filled in, its values less its anchors' values, its times less its
+    anchors' times, and the slope of those two, 0 where the time offset is
+    0. Codes are 1 for observed points and 2 for the model block."""
+    f = ex.features
+    n_gcm, n_cond = ex.n_gcm, ex.n_points - ex.n_tgt
+    blocks = []
+    for lo, hi, code in ((0, n_gcm, 2), (n_gcm, n_cond, 1), (n_cond, ex.n_points, 1)):
+        rows = slice(lo, hi)
+        values, times = f.value[rows], f.t[rows]
+        cv, ct = f.closest_value[rows], f.closest_t[rows]
+        series = np.full(len(times), code)
+        delta = values - cv
+        dist = times - ct
+        deriv = np.where(dist != 0.0, delta / np.where(dist != 0.0, dist, 1.0), 0.0)
+        blocks.append(np.stack([series == 1, series == 2, delta, dist, deriv], axis=1))
+    return np.concatenate(blocks)
 
 
 def _two_call_inputs(ex, config):
@@ -207,18 +230,85 @@ def _two_call_inputs(ex, config):
     pos_enc = positional_features(times, config.feature_dim)
     closest_pos_enc = positional_features(f.closest_t, config.feature_dim)
     n = len(times)
-    onehot = np.stack([f.series_id == SERIES_OBS, f.series_id == SERIES_GCM], axis=1)
-    onehot = onehot.astype(float)
+    columns = _per_block_columns(ex)
+    onehot, delta, dist, deriv = columns[:, :2], *columns[:, 2:].T
 
     def stack(delta, deriv):
-        scalars = np.stack([delta, f.dist, deriv, f.closest_value], axis=1)
+        scalars = np.stack([delta, dist, deriv, f.closest_value], axis=1)
         return np.concatenate([pos_enc, onehot, scalars, closest_pos_enc, onehot], axis=1)
 
     return (
         stack(np.zeros(n), np.zeros(n)),
-        stack(f.delta, f.deriv),
+        stack(delta, deriv),
         np.concatenate([pos_enc, onehot], axis=1),
     )
+
+
+class TestEmbedOffsets:
+    """:func:`model.embed` derives each point's series one-hot from the
+    example's block sizes and its local expansion from its four feature
+    columns: kv_in columns d..d+1 hold the one-hot (observed, model run),
+    d+2..d+4 the delta, dist and deriv."""
+
+    @staticmethod
+    def columns(ex):
+        d = TINY.feature_dim
+        return embed(ex, TINY).kv_in[:, d : d + 5]
+
+    def test_hand_worked_example(self):
+        ex = build_example(
+            gcm_t=[0.0, 1.0, 3.0], gcm_v=[10.0, 11.0, 14.0],
+            obs_t=[0.0, 2.0], obs_v=[5.0, 6.0],
+            tgt_t=[3.0, 5.0], tgt_v=[7.0, 9.0],
+        )  # fmt: skip
+        onehot, delta, dist, deriv = np.split(self.columns(ex), [2, 3, 4], axis=1)
+        assert onehot.tolist() == [[0.0, 1.0]] * 3 + [[1.0, 0.0]] * 4
+        # model points anchor right (t=1), tie -> earlier (t=0) and left (t=1)
+        assert list(delta[:3, 0]) == [-1.0, 1.0, 3.0]
+        assert list(dist[:3, 0]) == [-1.0, 1.0, 2.0]
+        assert list(deriv[:3, 0]) == [1.0, 1.0, 1.5]
+        # the two observed points anchor on each other
+        assert list(delta[3:5, 0]) == [-1.0, 1.0]
+        # the targets anchor on the last observed point, then the first target
+        assert list(delta[5:, 0]) == [1.0, 2.0]
+        assert list(dist[5:, 0]) == [1.0, 2.0]
+
+    def test_singleton_series_self_anchor(self):
+        ex = build_example([4.0], [2.0], [1.0], [3.0], [2.0], [5.0])
+        # the one model point and the one observed point have zero offsets
+        assert np.all(self.columns(ex)[:2, 2:] == 0.0)
+
+    def test_masked_single_target(self):
+        ex = build_example([0.0, 1.0], [1.0, 2.0], [0.0, 1.0], [3.0, 4.0], [2.0], None)
+        # masked target: delta measured from a zero placeholder value
+        assert self.columns(ex)[-1, 2] == -4.0
+
+    @given(
+        n_gcm=st.integers(0, 5),
+        n_obs=st.integers(1, 5),
+        n_tgt=st.integers(1, 4),
+        inference=st.booleans(),
+        data=st.data(),
+    )
+    def test_columns_equal_a_per_block_oracle(self, n_gcm, n_obs, n_tgt, inference, data):
+        # days one to three apart and values from a short list (0 among
+        # them), so one-point blocks, zero offsets and equal values all occur
+        def draw(n):
+            steps = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+            values = st.lists(st.sampled_from([0.0, 1.5, -2.0]), min_size=n, max_size=n)
+            return np.cumsum(steps).astype(float), np.array(data.draw(values))
+
+        gcm_t, gcm_v = draw(n_gcm)
+        obs_t, obs_v = draw(n_obs)
+        tgt_t, tgt_v = draw(1 if inference else n_tgt)
+        ex = build_example(
+            gcm_t, gcm_v, obs_t, obs_v, obs_t[-1] + tgt_t, None if inference else tgt_v
+        )
+        d = TINY.feature_dim
+        kv_in = embed(ex, TINY).kv_in
+        oracle = _per_block_columns(ex)
+        assert np.array_equal(kv_in[:, d : d + 5], oracle)
+        assert np.array_equal(kv_in[:, 2 * d + 6 :], oracle[:, :2])
 
 
 class TestForward:
@@ -317,7 +407,7 @@ class TestGradients:
         def loss_fn(*leaves):
             p = dict(zip(names, leaves))
             mu, sigma = forward(p, emb, TINY)
-            return gaussian_nll(mu, sigma, ex.tgt_v)
+            return gaussian_nll(mu, sigma, targets(ex))
 
         report = gradcheck(loss_fn, tensors, tol=1e-3, step=1e-5)
         assert report.passed, "max grad error %g" % report.max_error
@@ -411,7 +501,7 @@ class TestTapeSize:
         params = init_params(config, rng)
         with Tape() as tape:
             mu, sigma = forward(params, embed(example, config), config)
-            gaussian_nll(mu, sigma, example.tgt_v)
+            gaussian_nll(mu, sigma, targets(example))
         # 11 perceptrons, 4 attention layers, the head's two slices and
         # concat, mu's slice and anchor, sigma's slice, softplus and floor,
         # and the NLL
@@ -449,7 +539,7 @@ class TestInferenceRows:
         config = replace(GEOMETRIES[geometry][0], n_layers=n_layers)
         params = trained_like_params(seed=n_layers, config=config)
         examples = geometry_examples(geometry, n_batch=2)
-        assert examples[-1].n_tgt == 1 and examples[-1].tgt_v is None
+        assert examples[-1].n_tgt == 1 and examples[-1].window is None
         for ex in examples[-1:] + [one_target(ex) for ex in examples[:-1]]:
             self._assert_matches_forward(params, ex, config, 1e-12)
 
@@ -769,7 +859,9 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="non-finite"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("window_max", ["360", True, [360]])
+    @pytest.mark.parametrize(
+        "window_max", ["360", True, [360], float("nan"), float("inf"), 0, -5]
+    )
     def test_non_numeric_window_max_rejected(self, tmp_path, window_max):
         params = init_params(TINY, np.random.default_rng(0))
         meta = {"window_max": window_max}

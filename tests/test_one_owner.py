@@ -53,8 +53,15 @@ OWNED = {
     # model.EmbeddedExample.blocked: the attention mask of training and the
     # tracer's counts, built from the example's block sizes when read
     "attention-mask-rule": re.escape("np.triu("),
-    # batching._slope: the finite-difference slope of every point feature
+    # model._slope: the finite-difference slope of every point's local
+    # expansion, computed where the model embeds the point
     "finite-difference-slope": re.escape("delta / np.where(dist != 0.0"),
+    # model.embed: the value offset from each point's anchor, computed from
+    # the feature columns where the model embeds the point
+    "anchor-offsets": r"\bvalue - [\w.]*closest_value\b",
+    # model.embed: a point's series one-hot comes from its example's block
+    # sizes, the first n_gcm points being the model block
+    "series-one-hot-from-block-size": r"arange\(\w+\) < [\w.]*n_gcm\b",
     # batching.compute_features: points take the model order (model block,
     # observed context, targets) in one concatenation of three blocks, and
     # the model reads the columns it returns

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from temporal_bc import model, sampling
 from temporal_bc.autodiff import Tensor
-from temporal_bc.batching import SERIES_GCM, SERIES_OBS
 from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.metrics import LOG_2PI
 from temporal_bc.model import (
@@ -26,7 +25,7 @@ from temporal_bc.sampling import (
     predictive_nll,
     sample_trajectories,
 )
-from temporal_bc.timeseries import GCM, OBS, NormStats, PairedDataset, TimeSeries
+from temporal_bc.timeseries import NormStats, PairedDataset, TimeSeries
 
 TINY = ModelConfig(n_layers=1, n_heads=2, model_dim=8, feature_dim=8, hidden_dim=8)
 
@@ -35,9 +34,9 @@ def make_dataset(n_obs=100, n_gcm=300, n_runs=1, seed=0):
     rng = np.random.default_rng(seed)
     obs_t = np.arange(float(n_obs))
     gcm_t = np.arange(float(n_gcm))
-    obs = TimeSeries(obs_t, 15.0 + rng.normal(size=n_obs), OBS)
+    obs = TimeSeries(obs_t, 15.0 + rng.normal(size=n_obs))
     runs = tuple(
-        TimeSeries(gcm_t, 13.0 + rng.normal(size=n_gcm), GCM)
+        TimeSeries(gcm_t, 13.0 + rng.normal(size=n_gcm))
         for _ in range(n_runs)
     )
     return PairedDataset(obs, runs)
@@ -63,9 +62,9 @@ class TestBuildInferenceExample:
         ex = build_inference_example(
             [0.0, 1.0], [1.0, 2.0], [0.0, 1.0, 2.0], [0.1, 0.2, 0.3], 2.0
         )
-        assert ex.tgt_v is None
         assert ex.n_tgt == 1
         assert ex.window is None
+        assert ex.features.value[-1] == 0.0  # the unknown value enters as 0
         assert ex.features.closest_value[-1] == 2.0  # anchors on last obs
 
     def test_ordering_gcm_then_obs_then_masked(self):
@@ -73,9 +72,9 @@ class TestBuildInferenceExample:
             [0.0, 1.0], [1.0, 2.0], [0.0, 1.0, 2.0], [5.0, 6.0, 7.0], 2.5
         )
         # model block first, then observed context, then the masked target
-        assert list(ex.features.series_id) == [SERIES_GCM] * 3 + [SERIES_OBS] * 3
-        assert list(ex.features.value[:-1]) == [5.0, 6.0, 7.0, 1.0, 2.0]
-        assert ex.features.t[-1] == 2.5 and ex.tgt_v is None
+        assert (ex.n_gcm, ex.n_tgt) == (3, 1)
+        assert list(ex.features.value) == [5.0, 6.0, 7.0, 1.0, 2.0, 0.0]
+        assert ex.features.t[-1] == 2.5
 
 
 class TestSampleTrajectories:
@@ -152,7 +151,7 @@ class TestSampleTrajectories:
         bumped_values = np.array(ds.runs[0].values)
         bumped_values[:30] += 50.0
         ds2 = PairedDataset(
-            ds.obs, (TimeSeries(ds.runs[0].times, bumped_values, GCM),)
+            ds.obs, (TimeSeries(ds.runs[0].times, bumped_values),)
         )
         ckpt = value_sensitive_checkpoint(ds)
         cfg = SamplerConfig(horizon=10, n_trajectories=1, seed=4)
@@ -165,7 +164,7 @@ class TestSampleTrajectories:
         bumped_values = np.array(ds.runs[0].values)
         bumped_values[100:140] += 5.0
         ds2 = PairedDataset(
-            ds.obs, (TimeSeries(ds.runs[0].times, bumped_values, GCM),)
+            ds.obs, (TimeSeries(ds.runs[0].times, bumped_values),)
         )
         ckpt = value_sensitive_checkpoint(ds)
         cfg = SamplerConfig(horizon=5, n_trajectories=1, seed=4)
@@ -177,7 +176,7 @@ class TestSampleTrajectories:
         ds = make_dataset(seed=7)
         shifted = PairedDataset(
             ds.obs,
-            (TimeSeries(ds.runs[0].times, ds.runs[0].values + 100.0, GCM),),
+            (TimeSeries(ds.runs[0].times, ds.runs[0].values + 100.0),),
         )
         ckpt = value_sensitive_checkpoint(ds, meta={"ablate_gcm": True})
         cfg = SamplerConfig(horizon=4, n_trajectories=1, seed=0)
@@ -189,8 +188,8 @@ class TestSampleTrajectories:
         # model run ends the day generation starts: no room for the horizon
         rng = np.random.default_rng(0)
         t = np.arange(100.0)
-        obs = TimeSeries(t, rng.normal(size=100), OBS)
-        gcm = TimeSeries(t, rng.normal(size=100), GCM)
+        obs = TimeSeries(t, rng.normal(size=100))
+        gcm = TimeSeries(t, rng.normal(size=100))
         ds = PairedDataset(obs, (gcm,))
         ckpt = anchor_checkpoint(ds)
         with pytest.raises(DataError, match="coverage"):
@@ -266,8 +265,8 @@ class TestPredictiveNll:
     def test_needs_gcm_coverage(self):
         # the run starts 20 days before the stretch, short of gcm_past = 60
         rng = np.random.default_rng(0)
-        obs = TimeSeries(np.arange(200.0), rng.normal(size=200), OBS)
-        gcm = TimeSeries(np.arange(130.0, 300.0), rng.normal(size=170), GCM)
+        obs = TimeSeries(np.arange(200.0), rng.normal(size=200))
+        gcm = TimeSeries(np.arange(130.0, 300.0), rng.normal(size=170))
         ds = PairedDataset(obs, (gcm,))
         ckpt = anchor_checkpoint(ds)
         with pytest.raises(DataError, match="coverage"):
@@ -317,18 +316,10 @@ class TestRowMemo:
     def checked(mp) -> list:
         """Spy on every forecast day: assert it equals the day's cold
         forecast, that every product over fresh rows has two rows or more
-        (or the window's one), that the fresh rows' example counts their
-        model-block rows as its ``n_gcm``, and record (conditioning points,
-        fresh conditioning rows) per day."""
+        (or the window's one), and record (conditioning points, fresh
+        conditioning rows) per day."""
         days, fresh = [], []
-        real_predict, real_rows, real_embed = (
-            sampling._predict_one, model.layer0_rows, model.embed
-        )
-
-        def embed_spy(example, config):
-            n_gcm_rows = np.count_nonzero(example.features.series_id == SERIES_GCM)
-            assert example.n_gcm == n_gcm_rows
-            return real_embed(example, config)
+        real_predict, real_rows = sampling._predict_one, model.layer0_rows
 
         def rows_spy(params, emb):
             fresh.append(emb.n_conditioning)
@@ -346,7 +337,6 @@ class TestRowMemo:
             days.append((n_cond, n_fresh))
             return got
 
-        mp.setattr(model, "embed", embed_spy)
         mp.setattr(model, "layer0_rows", rows_spy)
         mp.setattr(sampling, "_predict_one", predict_spy)
         return days
@@ -371,8 +361,8 @@ class TestRowMemo:
         n_gcm = 30 + horizon + int(rng.integers(0, gcm_future + 1))
         gcm_t = np.flatnonzero(rng.random(n_gcm) < keep)
         gcm_t = np.union1d(gcm_t, [0, n_gcm - 1]).astype(float)
-        obs = TimeSeries(obs_t, 15.0 + rng.normal(size=len(obs_t)), OBS)
-        runs = [TimeSeries(gcm_t, 13.0 + rng.normal(size=len(gcm_t)), GCM) for _ in range(2)]
+        obs = TimeSeries(obs_t, 15.0 + rng.normal(size=len(obs_t)))
+        runs = [TimeSeries(gcm_t, 13.0 + rng.normal(size=len(gcm_t))) for _ in range(2)]
         ds = PairedDataset(obs, runs)
         ckpt = value_sensitive_checkpoint(ds, seed=seed % 7)
         config = SamplerConfig(

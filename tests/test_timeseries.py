@@ -25,16 +25,15 @@ from temporal_bc.timeseries import (
 )
 
 
-def series(values, start=0.0, tag=OBS):
+def series(values, start=0.0):
     values = np.asarray(values, dtype=float)
-    return TimeSeries(start + np.arange(len(values)), values, tag)
+    return TimeSeries(start + np.arange(len(values)), values)
 
 
 class TestTimeSeries:
     def test_basic_construction(self):
         ts = series([1.0, 2.0, 3.0])
         assert len(ts) == 3
-        assert ts.source_tag == OBS
         assert ts.non_daily_step() is None
 
     def test_arrays_are_read_only(self):
@@ -55,10 +54,6 @@ class TestTimeSeries:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):
             TimeSeries(np.array([0.0, 1.0]), np.array([0.0]))
-
-    def test_rejects_bad_tag(self):
-        with pytest.raises(DataError, match="source_tag"):
-            TimeSeries(np.array([0.0]), np.array([0.0]), "SAT")
 
     def test_window(self):
         ts = series([10.0, 11.0, 12.0, 13.0])
@@ -118,20 +113,20 @@ class TestNormalization:
 class TestPairedDataset:
     def test_runs_must_share_grid(self):
         obs = series([1.0] * 4 + [2.0])
-        r0 = series([0.0] * 5, tag=GCM)
-        r1 = series([0.0] * 5, start=1.0, tag=GCM)
+        r0 = series([0.0] * 5)
+        r1 = series([0.0] * 5, start=1.0)
         with pytest.raises(DataError, match="grid"):
             PairedDataset(obs, (r0, r1))
 
     def test_needs_overlap(self):
         obs = series([1.0, 2.0])
-        run = series([0.0, 0.0], start=100.0, tag=GCM)
+        run = series([0.0, 0.0], start=100.0)
         with pytest.raises(DataError, match="overlap"):
             PairedDataset(obs, (run,))
 
     def test_align_intersects_exactly(self):
         obs = series(np.arange(10.0))
-        run = series(np.arange(8.0) + 100.0, start=5.0, tag=GCM)
+        run = series(np.arange(8.0) + 100.0, start=5.0)
         ds = PairedDataset(obs, (run,))
         pair = align(ds, 0)
         assert list(pair.times) == [5.0, 6.0, 7.0, 8.0, 9.0]
@@ -140,7 +135,7 @@ class TestPairedDataset:
 
     def test_align_bad_run_id(self):
         obs = series([1.0, 2.0])
-        ds = PairedDataset(obs, (series([0.0, 0.0], tag=GCM),))
+        ds = PairedDataset(obs, (series([0.0, 0.0]),))
         with pytest.raises(DataError, match="range"):
             align(ds, 3)
 
@@ -171,7 +166,7 @@ class TestCsv:
         assert np.array_equal(back.values, ts.values)
 
     def test_gcm_round_trip(self, tmp_path):
-        runs = [series([1.0, 2.0], tag=GCM), series([3.0, 4.0], tag=GCM)]
+        runs = [series([1.0, 2.0]), series([3.0, 4.0])]
         path = tmp_path / "gcm.csv"
         write_gcm_csv(runs, path)
         back = load_csv(path, GCM)
@@ -214,7 +209,7 @@ class TestCsv:
 
     def test_load_paired(self, tmp_path):
         write_obs_csv(series([1.0, 2.0, 3.0]), tmp_path / "obs.csv")
-        write_gcm_csv([series([4.0, 5.0, 6.0], tag=GCM)], tmp_path / "gcm.csv")
+        write_gcm_csv([series([4.0, 5.0, 6.0])], tmp_path / "gcm.csv")
         ds = load_paired(tmp_path / "obs.csv", tmp_path / "gcm.csv")
         assert ds.n_runs == 1
 

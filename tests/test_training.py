@@ -10,7 +10,7 @@ from temporal_bc.errors import ConfigError, DataError
 from temporal_bc.model import ModelConfig, init_params
 from temporal_bc.rng import substream
 from temporal_bc.sampling import SamplerConfig
-from temporal_bc.timeseries import GCM, OBS, NormStats, PairedDataset, TimeSeries, align
+from temporal_bc.timeseries import NormStats, PairedDataset, TimeSeries, align
 from temporal_bc.training import (
     Adam,
     MetricsRow,
@@ -32,7 +32,7 @@ def toy_dataset(n=200, bias=2.0, noise=0.3, seed=0):
     obs = signal + bias + noise * rng.normal(size=n)
     gcm = signal + noise * rng.normal(size=n)
     return PairedDataset(
-        TimeSeries(t, obs, OBS), (TimeSeries(t, gcm, GCM),)
+        TimeSeries(t, obs), (TimeSeries(t, gcm),)
     )
 
 
