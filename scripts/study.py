@@ -15,6 +15,10 @@ the sequence model, and scores it on withheld days:
   one-step predictive NLL. If conditioning on the simulation carries signal,
   the intact model must win despite the timing mismatch.
 
+A :class:`Case` holds a study's settings and :func:`score` fits and scores
+it. The defaults, ``SYNTHETIC`` and ``ASYNCHRONY``, are the recipes of
+acceptance tests 04 and 05.
+
 Run from the repository root:
 
     python scripts/study.py synthetic
@@ -24,13 +28,15 @@ Run from the repository root:
 
 import argparse
 import datetime as dt
+import os
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from temporal_bc import baselines, gp, metrics, sampling
 from temporal_bc.batching import BatchConfig
+from temporal_bc.cli import numeric_environment
 from temporal_bc.model import ModelConfig
 from temporal_bc.sampling import SamplerConfig
 from temporal_bc.timeseries import PairedDataset
@@ -40,137 +46,183 @@ MODEL_CONFIG = ModelConfig(
     n_layers=2, n_heads=2, model_dim=32, feature_dim=16, hidden_dim=32
 )
 
-# flag, type, then its default for the synthetic and the asynchrony study
-SHARED_FLAGS = (
-    ("--n-train", int, 2000, 800),
-    ("--lengthscale", float, 2.0, 1.5),
-    ("--mean-bias", float, 2.0, 1.0),
-    ("--time-shift", float, 0.0, 1.0),
-    ("--noise-std", float, 0.3, 0.1),
-    ("--data-seed", int, 101, 202),
-    ("--steps", int, 800, 1000),
-    ("--train-seed", int, 3, 5),
-)
+
+@dataclass(frozen=True)
+class Case:
+    """One study: the pair drawn, the settings the model is fitted with, and
+    the held-out stretch it is scored on."""
+
+    n_days: int  # of the pair, from day 0
+    n_train: int  # the leading days fitted
+    lengthscale: float
+    mean_bias: float
+    time_shift: float
+    noise_std: float
+    data_seed: int
+    batch: BatchConfig
+    train: TrainConfig
+    sampler: SamplerConfig
+    eval_gap: int  # days between the fitted days and the held-out stretch
+    n_eval: int  # held-out days scored
 
 
-def shifted_pair(args, n_days: int) -> gp.SyntheticPair:
-    return gp.make_shifted_pair(
-        gp.rbf(lengthscale=args.lengthscale),
-        np.arange(n_days, dtype=np.float64),
-        mean_bias=args.mean_bias,
-        time_shift=args.time_shift,
-        noise_std=args.noise_std,
-        seed=args.data_seed,
-    )
+# days the synthetic pair runs past its generated stretch, more than the
+# sampler's gcm_future reads ahead
+SPARE_DAYS = 120
+HEAT_THRESHOLD = 1.5
+
+SYNTHETIC = Case(
+    n_days=2000 + 500 + SPARE_DAYS, n_train=2000, lengthscale=2.0, mean_bias=2.0,
+    time_shift=0.0, noise_std=0.3, data_seed=101,
+    batch=BatchConfig(window_min=30, window_max=60, retain_p=0.8),
+    train=TrainConfig(
+        steps=800, batch_size=8, learning_rate=3e-3, seed=3,
+        eval_interval=100, plateau_patience=49,
+    ),
+    # the sampler's per-step windows mirror the training geometry (a GCM span
+    # wider than any training window dilutes the learned attention pattern),
+    # and validation forecasts at the same windows
+    sampler=SamplerConfig(n_trajectories=16, seed=11, obs_window=30, gcm_past=30, gcm_future=30),
+    eval_gap=0, n_eval=500,
+)  # fmt: skip
+
+ASYNCHRONY = Case(
+    n_days=1000, n_train=800, lengthscale=1.5, mean_bias=1.0,
+    time_shift=1.0, noise_std=0.1, data_seed=202,
+    batch=BatchConfig(window_min=60, window_max=120),
+    train=TrainConfig(
+        steps=1000, batch_size=8, learning_rate=3e-3, seed=5,
+        eval_interval=100, plateau_patience=10,
+    ),
+    sampler=SamplerConfig(),
+    eval_gap=10, n_eval=100,
+)  # fmt: skip
 
 
-def synthetic(args) -> None:
-    pair = shifted_pair(args, args.n_train + args.n_gen + 120)
-    obs_train = pair.obs.window(0, args.n_train - 1)
-    dataset = PairedDataset(obs_train, [pair.gcm])
-    truth_series = pair.obs.window(args.n_train, args.n_train + args.n_gen - 1)
-    truth = truth_series.values
-
-    batch_cfg = BatchConfig(window_min=30, window_max=60, retain_p=0.8)
-    train_cfg = TrainConfig(
-        steps=args.steps, batch_size=args.batch_size, learning_rate=args.learning_rate,
-        seed=args.train_seed, eval_interval=100, plateau_patience=49,
-    )
-
-    # per-step windows mirror the training geometry; a wider GCM span than
-    # the trained window_max dilutes the learned attention pattern.
-    # Validation forecasts at the same windows
-    sampler_cfg = SamplerConfig(
-        horizon=args.n_gen, n_trajectories=args.n_trajectories,
-        seed=args.sample_seed, obs_window=30, gcm_past=30, gcm_future=30,
-    )
-    t0 = time.time()
-    result = train(dataset, MODEL_CONFIG, train_cfg, batch_cfg, sampler_cfg)
-    val_nll = [m.val_nll for m in result.metrics if m.val_nll is not None][-1]
-    print("trained %d steps in %.0fs (stop=%s, last one-step validation NLL %.3f, "
-          "z units)" % (result.metrics[-1].step, time.time() - t0, result.stop_reason,
-                        val_nll))  # fmt: skip
-    trajs = sampling.sample_trajectories(result.checkpoint, dataset, 0, sampler_cfg)
-    ens_mean = np.stack([t.values for t in trajs]).mean(axis=0)
-
+def score(case: Case) -> tuple:
+    """Draw the case's pair, fit its first ``n_train`` days, and score the
+    one-step predictive NLL of its held-out stretch; returns the pair, the
+    training result and that NLL per day."""
+    pair = gp.make_shifted_pair(
+        gp.rbf(lengthscale=case.lengthscale), np.arange(case.n_days, dtype=np.float64),
+        mean_bias=case.mean_bias, time_shift=case.time_shift,
+        noise_std=case.noise_std, seed=case.data_seed,
+    )  # fmt: skip
+    fitted = PairedDataset(pair.obs.window(0, case.n_train - 1), [pair.gcm])
+    result = train(fitted, MODEL_CONFIG, case.train, case.batch, case.sampler)
     predictive = sampling.predictive_nll(
         result.checkpoint, PairedDataset(pair.obs, [pair.gcm]), 0,
-        start_t=float(args.n_train), n_days=args.n_gen, config=sampler_cfg,
-    )
+        start_t=float(case.n_train + case.eval_gap), n_days=case.n_eval,
+        config=case.sampler,
+    )  # fmt: skip
+    return pair, result, predictive.mean_nll
+
+
+def synthetic(case: Case, heat_threshold: float = HEAT_THRESHOLD) -> dict:
+    """The model against mean shift on the held-out stretch, which the
+    sampler also generates; so it must follow the fitted days (``eval_gap``
+    0). Returns the numbers printed, by name."""
+    t0 = time.time()
+    pair, result, model_nll = score(case)
+    seconds = time.time() - t0
+    n_train, n_gen = case.n_train, case.n_eval
+    obs_train = pair.obs.window(0, n_train - 1)
+    trajs = sampling.sample_trajectories(
+        result.checkpoint, PairedDataset(obs_train, [pair.gcm]), 0,
+        replace(case.sampler, horizon=n_gen),
+    )  # fmt: skip
+    truth = pair.obs.window(n_train, n_train + n_gen - 1)
     corrected = baselines.correct(
-        "mean", obs_train, pair.gcm.window(0, args.n_train - 1),
-        pair.gcm.window(args.n_train, args.n_train + args.n_gen - 1),
-        epoch=dt.date(2001, 1, 1),
-    )
-    base = metrics.score(corrected.values, truth)
+        "mean", obs_train, pair.gcm.window(0, n_train - 1),
+        pair.gcm.window(n_train, n_train + n_gen - 1), epoch=dt.date(2001, 1, 1),
+    )  # fmt: skip
+    counts = [metrics.heatwave_count(t, heat_threshold).count for t in trajs]
+    got = {
+        "steps": result.metrics[-1].step,
+        "val_nll": [m.val_nll for m in result.metrics if m.val_nll is not None][-1],
+        "model_nll": model_nll,
+        "baseline_nll": -metrics.score(corrected.values, truth.values).loglik,
+        "bias": float(np.mean(np.mean([t.values for t in trajs], axis=0) - truth.values)),
+        # in the truth, the sampler's mean and std, and mean shift
+        "heatwaves": (
+            metrics.heatwave_count(truth, heat_threshold).count, float(np.mean(counts)),
+            float(np.std(counts)), metrics.heatwave_count(corrected, heat_threshold).count,
+        ),
+    }
+    print("trained %d steps in %.0fs (stop=%s, last one-step validation NLL %.3f, "
+          "z units)" % (got["steps"], seconds, result.stop_reason, got["val_nll"]))
+    print("one-step predictive NLL  model %(model_nll).4f   mean shift %(baseline_nll).4f"
+          % got)
+    print("ensemble-mean bias       %+.3f degC over %d generated days" % (got["bias"], n_gen))
+    print("heatwaves above %.1f      truth %d   sampler %.1f±%.1f   mean shift %d"
+          % (heat_threshold, *got["heatwaves"]))
+    return got
 
-    print("one-step predictive NLL  model %.4f   mean shift %.4f" % (
-        predictive.mean_nll, -base.loglik))
-    print("ensemble-mean bias       %+.3f degC over %d generated days" % (
-        float(np.mean(ens_mean - truth)), args.n_gen))
-    obs_count = metrics.heatwave_count(truth_series, args.heat_threshold).count
-    samp_counts = [
-        metrics.heatwave_count(t, args.heat_threshold).count for t in trajs
-    ]
-    base_count = metrics.heatwave_count(corrected, args.heat_threshold).count
-    print("heatwaves above %.1f      truth %d   sampler %.1f±%.1f   mean shift %d" % (
-        args.heat_threshold, obs_count,
-        float(np.mean(samp_counts)), float(np.std(samp_counts)), base_count))
 
-
-def asynchrony(args) -> None:
-    pair = shifted_pair(args, args.n_days)
-    train_ds = PairedDataset(pair.obs.window(0, args.n_train - 1), [pair.gcm])
-    eval_ds = PairedDataset(pair.obs, [pair.gcm])
-
-    batch_cfg = BatchConfig(window_min=60, window_max=120)
-    train_cfg = TrainConfig(
-        steps=args.steps, batch_size=8, learning_rate=3e-3,
-        seed=args.train_seed, eval_interval=100, plateau_patience=10,
-    )
-
+def asynchrony(case: Case) -> dict:
+    """The held-out NLL of the model and of its GCM-ablated twin, by label."""
+    nll = {}
     for label, ablate in (("with simulation", False), ("simulation zeroed", True)):
-        result = train(
-            train_ds, MODEL_CONFIG, train_cfg, replace(batch_cfg, ablate_gcm=ablate)
-        )
-        score = sampling.predictive_nll(
-            result.checkpoint, eval_ds, 0,
-            start_t=float(args.n_train) + 10, n_days=args.n_eval,
-        )
-        print(
-            "%-18s held-out NLL %.4f  (trained %d steps, stop=%s)"
-            % (label, score.mean_nll, result.metrics[-1].step, result.stop_reason)
-        )
+        twin = replace(case, batch=replace(case.batch, ablate_gcm=ablate))
+        _, result, nll[label] = score(twin)
+        print("%-18s held-out NLL %.4f  (trained %d steps, stop=%s)"
+              % (label, nll[label], result.metrics[-1].step, result.stop_reason))
+    return nll
+
+
+def environment_line() -> str:
+    """The BLAS library and its thread settings, which decide the bits of every
+    matrix product and so the asynchrony verdict at its defaults."""
+    env = numeric_environment()
+    threads = ["%s=%s" % item for item in env["threads"].items() if item[1] is not None]
+    if not threads:
+        threads = ["unset, so the BLAS picks its own count (%d CPUs)" % os.cpu_count()]
+    return "numeric environment: BLAS %s; threads %s" % (env["blas"], ", ".join(threads))
+
+
+# the pair settings both sub-commands take as flags, each named after its field
+PAIR_FIELDS = ("n_train", "lengthscale", "mean_bias", "time_shift", "noise_std", "data_seed")
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="study", required=True)
-    studies = (
-        sub.add_parser("synthetic", help="model against mean shift on withheld days"),
-        sub.add_parser("asynchrony", help="model against its GCM-ablated twin"),
-    )
-    for column, p in enumerate(studies):
-        for flag, kind, *defaults in SHARED_FLAGS:
-            p.add_argument(flag, type=kind, default=defaults[column])
-    p = studies[0]
-    p.set_defaults(run=synthetic)
-    p.add_argument("--n-gen", type=int, default=500)
-    p.add_argument("--learning-rate", type=float, default=3e-3)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--n-trajectories", type=int, default=16)
-    p.add_argument("--sample-seed", type=int, default=11)
-    p.add_argument("--heat-threshold", type=float, default=1.5)
-    p = studies[1]
-    p.set_defaults(run=asynchrony)
-    p.add_argument("--n-days", type=int, default=1000)
-    p.add_argument("--n-eval", type=int, default=100)
+    syn = sub.add_parser("synthetic", help="model against mean shift on withheld days")
+    asy = sub.add_parser("asynchrony", help="model against its GCM-ablated twin")
+    for p, case in ((syn, SYNTHETIC), (asy, ASYNCHRONY)):
+        for name in PAIR_FIELDS:
+            flag, kind = "--" + name.replace("_", "-"), Case.__annotations__[name]
+            p.add_argument(flag, type=kind, default=getattr(case, name))
+        p.add_argument("--steps", type=int, default=case.train.steps)
+        p.add_argument("--train-seed", type=int, default=case.train.seed)
+    syn.add_argument("--n-gen", type=int, default=SYNTHETIC.n_eval)
+    syn.add_argument("--learning-rate", type=float, default=SYNTHETIC.train.learning_rate)
+    syn.add_argument("--batch-size", type=int, default=SYNTHETIC.train.batch_size)
+    syn.add_argument("--n-trajectories", type=int, default=SYNTHETIC.sampler.n_trajectories)
+    syn.add_argument("--sample-seed", type=int, default=SYNTHETIC.sampler.seed)
+    syn.add_argument("--heat-threshold", type=float, default=HEAT_THRESHOLD)
+    asy.add_argument("--n-days", type=int, default=ASYNCHRONY.n_days)
+    asy.add_argument("--n-eval", type=int, default=ASYNCHRONY.n_eval)
     return parser.parse_args(argv)
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> dict:
+    """Print the numeric environment, then run one sub-command; returns the
+    numbers it prints."""
     args = parse_args(argv)
-    args.run(args)
+    print(environment_line())
+    case = SYNTHETIC if args.study == "synthetic" else ASYNCHRONY
+    case = replace(
+        case, **{name: getattr(args, name) for name in PAIR_FIELDS},
+        train=replace(case.train, steps=args.steps, seed=args.train_seed),
+    )  # fmt: skip
+    if args.study == "asynchrony":
+        return asynchrony(replace(case, n_days=args.n_days, n_eval=args.n_eval))
+    return synthetic(replace(
+        case, n_days=args.n_train + args.n_gen + SPARE_DAYS, n_eval=args.n_gen,
+        train=replace(case.train, learning_rate=args.learning_rate, batch_size=args.batch_size),
+        sampler=replace(case.sampler, n_trajectories=args.n_trajectories, seed=args.sample_seed),
+    ), args.heat_threshold)  # fmt: skip
 
 
 if __name__ == "__main__":

@@ -91,7 +91,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _numeric_environment() -> dict:
+def numeric_environment() -> dict:
     """Python, NumPy and BLAS versions plus the BLAS/OpenMP thread settings,
     which decide the bits of every matrix product, and the SIMD kernel NumPy
     dispatches ``exp`` and ``tanh`` to on this CPU for float32 (``ff``) and
@@ -134,7 +134,7 @@ def _write_manifest(outputs: "_Outputs", command, settings, seeds, inputs) -> No
         },
         "outputs": sorted(outputs.names),
         "version": __version__,
-        "environment": _numeric_environment(),
+        "environment": numeric_environment(),
     }
     write_json(os.path.join(outputs.out_dir, "manifest.json"), manifest)
 
@@ -176,8 +176,8 @@ def _load_config_file(path) -> dict:
     for name, cls in _CONFIG_SECTIONS.items():
         try:
             configs[name] = config_from_dict(cls, cfg.get(name, {}))
-        except TypeError as exc:
-            raise ConfigError("config section %r is invalid: %s" % (name, exc))
+        except (TypeError, ConfigError) as exc:
+            raise ConfigError("config section %r is invalid in %s: %s" % (name, path, exc))
     return configs
 
 
@@ -261,6 +261,8 @@ def _cmd_synth(args) -> int:
     if args.n_days < 2:
         raise ConfigError("n-days must be >= 2")
     times = args.start_day + np.arange(args.n_days, dtype=np.float64)
+    if not np.all(np.diff(times) > 0):
+        raise ConfigError("start-day %r is too large to tell its days apart" % args.start_day)
     obs, runs = gp.make_run_ensemble(
         kernel,
         times,

@@ -151,6 +151,14 @@ def _draw(kernel, times, mean_bias, time_shift, noise_std, seed, gcm_keys):
     if len(times) == 0:
         raise DataError("need at least one time stamp")
     shifted = times + time_shift
+    # a grid float64 rounds to fewer distinct values would draw fewer days
+    if not np.all(np.diff(times) > 0):
+        raise ConfigError("times must be strictly increasing")
+    if not np.all(np.diff(shifted) > 0):
+        raise ConfigError(
+            "time_shift %r merges days: times + time_shift holds %d distinct float64 "
+            "values among %d" % (time_shift, len(np.unique(shifted)), len(times))
+        )
     grid = np.union1d(times, shifted)
     idx_base = np.searchsorted(grid, times)
     idx_shift = np.searchsorted(grid, shifted)

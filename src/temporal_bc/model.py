@@ -493,9 +493,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
         for key in sorted(_RETIRED_FIELDS.keys() & raw_config.keys()):
             stored = raw_config.pop(key)
             if type(stored) not in (int, float) or stored != _RETIRED_FIELDS[key]:
-                raise DataError(
-                    "checkpoint %s: config %s is %r, but it is now the constant %r"
-                    % (path, key, stored, _RETIRED_FIELDS[key])
+                raise ValueError(
+                    "config %s is %r, but it is now the constant %r"
+                    % (key, stored, _RETIRED_FIELDS[key])
                 )
         config = config_from_dict(ModelConfig, raw_config)
         stats = config_from_dict(NormStats, payload["norm_stats"])
@@ -503,7 +503,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
         meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise TypeError("meta must be a JSON object, got %r" % (meta,))
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
         raise DataError("checkpoint %s has malformed fields: %s" % (path, exc))
     window_max = meta.get("window_max")  # read by the sampler
     if window_max is not None and (

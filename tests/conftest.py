@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -13,17 +14,19 @@ settings.register_profile(
 )
 settings.load_profile("deterministic")
 
+# scripts/<name>.py imports as the module <name>
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
+import study as study_script  # noqa: E402
+
 
 def pytest_report_header(config):
-    """The BLAS library and its thread settings, which decide the bits of
-    every matrix product; acceptance test 05's outcome depends on them."""
-    from temporal_bc.cli import _numeric_environment
+    """The numeric environment; acceptance test 05's outcome depends on it."""
+    return study_script.environment_line()
 
-    env = _numeric_environment()
-    threads = ["%s=%s" % item for item in env["threads"].items() if item[1] is not None]
-    if not threads:
-        threads = ["unset, so the BLAS picks its own count (%d CPUs)" % os.cpu_count()]
-    return "numeric environment: BLAS %s; threads %s" % (env["blas"], ", ".join(threads))
+
+@pytest.fixture
+def study():
+    return study_script
 
 
 @pytest.fixture

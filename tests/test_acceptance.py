@@ -2,21 +2,21 @@
 
 Every test prints a single summary line with the measured numbers (visible
 with ``pytest -v -s``); the test name doubles as the criterion label. The two
-tests that train models from scratch (04 and 05) take a few minutes of
-single-core time each; everything else runs in seconds.
+tests that train models from scratch (04 and 05) run the two cases of
+``scripts/study.py`` (the ``study`` fixture of ``conftest.py``) and take
+tens of seconds each; everything else runs in seconds.
 """
 
 import datetime as dt
 import json
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from temporal_bc import autodiff as ad
-from temporal_bc import baselines, gp, metrics, sampling
+from temporal_bc import baselines, metrics
 from temporal_bc.autodiff import Tensor
 from temporal_bc.batching import (
     MARGIN,
@@ -29,7 +29,6 @@ from temporal_bc.batching import (
 from temporal_bc.cli import main as cli_main
 from temporal_bc.model import ModelConfig, embed, forward, gaussian_nll, init_params
 from temporal_bc.rng import substream
-from temporal_bc.sampling import SamplerConfig
 from temporal_bc.timeseries import (
     PairedDataset,
     TimeSeries,
@@ -37,7 +36,6 @@ from temporal_bc.timeseries import (
     write_gcm_csv,
     write_obs_csv,
 )
-from temporal_bc.training import TrainConfig, train
 
 from reference import gradcheck
 
@@ -284,75 +282,23 @@ def test_03_climate_metrics_match_oracles():
 # 4. synthetic end-to-end: learn a 2 °C bias and beat the mean-shift baseline
 
 
-def test_04_synthetic_pipeline_beats_mean_shift_baseline():
+def test_04_synthetic_pipeline_beats_mean_shift_baseline(study):
     t0 = time.time()
-    n_train, n_gen = 2000, 500
-    times = np.arange(n_train + n_gen + 120, dtype=np.float64)
-    pair = gp.make_shifted_pair(
-        gp.rbf(lengthscale=2.0), times,
-        mean_bias=2.0, time_shift=0.0, noise_std=0.3, seed=101,
-    )
-    obs_train = pair.obs.window(0, n_train - 1)
-    dataset = PairedDataset(obs_train, [pair.gcm])
-
-    model_config = ModelConfig(
-        n_layers=2, n_heads=2, model_dim=32, feature_dim=16, hidden_dim=32
-    )
-    batch_config = BatchConfig(window_min=30, window_max=60, retain_p=0.8)
-    train_config = TrainConfig(
-        steps=800, batch_size=8, learning_rate=3e-3, seed=3,
-        eval_interval=100, plateau_patience=49,
-    )
-    # the sampler's per-step windows mirror the training geometry (a GCM span
-    # wider than any training window dilutes the learned attention pattern),
-    # and validation forecasts at the same windows
-    sampler = SamplerConfig(
-        horizon=n_gen, n_trajectories=16, seed=11,
-        obs_window=30, gcm_past=30, gcm_future=30,
-    )
-    result = train(dataset, model_config, train_config, batch_config, sampler)
-    steps_run = result.metrics[-1].step
-    assert steps_run <= 5000
-
-    trajectories = sampling.sample_trajectories(result.checkpoint, dataset, 0, sampler)
-    ensemble = np.stack([traj.values for traj in trajectories])
-    ens_mean = ensemble.mean(axis=0)
-    truth = pair.obs.window(n_train, n_train + n_gen - 1).values
-    bias = float(np.mean(ens_mean - truth))
-
-    # held-out per-point NLL: the model under its own one-step predictive
-    # distribution, the baseline under a Normal with constant variance = MSE
-    predictive = sampling.predictive_nll(
-        result.checkpoint,
-        PairedDataset(pair.obs, [pair.gcm]),
-        0,
-        start_t=float(n_train),
-        n_days=n_gen,
-        config=replace(sampler, n_trajectories=1),
-    )
-    model_nll = predictive.mean_nll
-
-    corrected = baselines.correct(
-        "mean",
-        obs_train,
-        pair.gcm.window(0, n_train - 1),
-        pair.gcm.window(n_train, n_train + n_gen - 1),
-        EPOCH,
-        monthly=True,
-    )
-    baseline_nll = -metrics.score(corrected.values, truth).loglik
-
+    got = study.synthetic(study.SYNTHETIC)
+    assert got["steps"] <= 5000
     elapsed = time.time() - t0
     assert elapsed < 1800.0, "end-to-end run took %.0fs (budget 30 min)" % elapsed
-    assert model_nll < baseline_nll, (
-        "held-out NLL %.4f does not beat mean-shift baseline %.4f"
-        % (model_nll, baseline_nll)
+    assert got["model_nll"] < got["baseline_nll"], (
+        "held-out NLL %(model_nll).4f does not beat mean-shift baseline %(baseline_nll).4f"
+        % got
     )
-    assert abs(bias) <= 0.5, "ensemble-mean bias %.3f °C over %d days" % (bias, n_gen)
+    assert abs(got["bias"]) <= 0.5, "ensemble-mean bias %.3f °C over %d days" % (
+        got["bias"], study.SYNTHETIC.n_eval
+    )
     _report(
         "synthetic end-to-end",
         "held-out NLL %.4f < baseline %.4f, |bias| %.3f ≤ 0.5 °C, %d steps, %.0fs"
-        % (model_nll, baseline_nll, abs(bias), steps_run, elapsed),
+        % (got["model_nll"], got["baseline_nll"], abs(got["bias"]), got["steps"], elapsed),
     )
 
 
@@ -360,44 +306,13 @@ def test_04_synthetic_pipeline_beats_mean_shift_baseline():
 # 5. asynchrony: a 1-day time shift still lets the model exploit the GCM
 
 
-def test_05_shifted_pair_model_beats_its_gcm_ablated_twin():
-    n_train, n_eval = 800, 100
-    times = np.arange(1000, dtype=np.float64)
-    pair = gp.make_shifted_pair(
-        gp.rbf(lengthscale=1.5), times,
-        mean_bias=1.0, time_shift=1.0, noise_std=0.1, seed=202,
-    )
-    train_ds = PairedDataset(pair.obs.window(0, n_train - 1), [pair.gcm])
-    eval_ds = PairedDataset(pair.obs, [pair.gcm])
-
-    model_config = ModelConfig(
-        n_layers=2, n_heads=2, model_dim=32, feature_dim=16, hidden_dim=32
-    )
-    batch_config = BatchConfig(window_min=60, window_max=120)
-    train_config = TrainConfig(
-        steps=1000, batch_size=8, learning_rate=3e-3, seed=5,
-        eval_interval=100, plateau_patience=10,
-    )
-
-    scores = {}
-    for label, ablate in (("full", False), ("ablated", True)):
-        result = train(
-            train_ds, model_config, train_config,
-            replace(batch_config, ablate_gcm=ablate),
-        )
-        scores[label] = sampling.predictive_nll(
-            result.checkpoint, eval_ds, 0,
-            start_t=float(n_train) + 10, n_days=n_eval,
-        ).mean_nll
-
-    assert scores["full"] < scores["ablated"], (
-        "held-out NLL %.4f (with GCM) vs %.4f (ablated)"
-        % (scores["full"], scores["ablated"])
-    )
+def test_05_shifted_pair_model_beats_its_gcm_ablated_twin(study):
+    nll = study.asynchrony(study.ASYNCHRONY)
+    full, ablated = nll["with simulation"], nll["simulation zeroed"]
+    assert full < ablated, "held-out NLL %.4f (with GCM) vs %.4f (ablated)" % (full, ablated)
     _report(
         "asynchrony",
-        "held-out NLL %.4f with GCM < %.4f ablated (1-day shift)"
-        % (scores["full"], scores["ablated"]),
+        "held-out NLL %.4f with GCM < %.4f ablated (1-day shift)" % (full, ablated),
     )
 
 

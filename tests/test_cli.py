@@ -171,10 +171,13 @@ class TestSynth:
                 "correlation 1 at a lag of 1 day",
             ),
             (["--lengthscale", "1e-300"], "is not finite at lags 0 and 1 day"),
+            (["--time-shift", "1e17"], "time_shift 1e+17 merges days"),
+            (["--start-day", "1e17"], "start-day 1e+17 is too large"),
         ],
         ids=[
             "one-day", "negative-lengthscale", "no-runs", "periodic-default-period",
             "rational-quadratic-huge-alpha", "lengthscale-underflows",
+            "time-shift-collapses-grid", "start-day-collapses-grid",
         ],
     )
     def test_rejected_settings_write_nothing(self, tmp_path, capsys, flags, message):
@@ -418,6 +421,46 @@ class TestTrainSample:
         ])
         assert code == 2
         assert "config section %r is invalid" % section in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"obs_window": 0}, "obs_window must be >= 1"), ({"obs_window": "wide"}, "must be int")],
+        ids=["value", "type"],
+    )
+    def test_bad_config_value_names_the_file_and_section(self, tmp_path, capsys, bad, message):
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({**TINY_CONFIG, "sampler": bad}))
+        out = tmp_path / "t"
+        code = main([
+            "train", "--obs", obs_path, "--gcm", gcm_path, "--out-dir", str(out),
+            "--config", str(config_file),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config section 'sampler' is invalid in %s: " % config_file in err
+        assert message in err
+        assert not out.exists()
+
+    def test_bad_normalization_stats_name_the_checkpoint(self, tmp_path, capsys):
+        obs_path, gcm_path = write_pair(str(tmp_path))
+        config = ModelConfig(**TINY_CONFIG["model"])
+        params = init_params(config, np.random.default_rng(0))
+        ckpt_path = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint_from_params(config, params, NormStats(15.0, 3.0)), ckpt_path)
+        payload = json.loads(ckpt_path.read_text())
+        payload["norm_stats"]["std"] = 0.0
+        ckpt_path.write_text(json.dumps(payload))
+        out = tmp_path / "samples"
+        code = main([
+            "sample", "--checkpoint", str(ckpt_path), "--obs", obs_path,
+            "--gcm", gcm_path, "--out-dir", str(out), "--horizon", "2",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "checkpoint %s has malformed fields: " % ckpt_path in err
+        assert "normalization std must be positive, got 0.0" in err
         assert not out.exists()
 
     def test_checkpoint_storing_the_retired_model_fields_samples_the_same(self, tmp_path):

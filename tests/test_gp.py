@@ -151,6 +151,16 @@ class TestShiftedPair:
         with pytest.raises(ConfigError):
             make_shifted_pair(rbf(1.0), np.arange(10.0), noise_std=-0.1)
 
+    def test_a_grid_float64_cannot_hold_is_rejected_before_the_draw(self):
+        # float64 steps by 16 near 1e17 and by 2 near 1e16, so a shift there
+        # rounds 100 days to 7 and 51 values, and a start there to fewer days
+        days = np.arange(100.0)
+        for shift, distinct in ((1e17, 7), (1e16, 51)):
+            with pytest.raises(ConfigError, match="holds %d distinct" % distinct):
+                make_shifted_pair(rbf(1.0), days, time_shift=shift)
+        with pytest.raises(ConfigError, match="times must be strictly increasing"):
+            make_run_ensemble(rbf(1.0), 1e17 + days)
+
 
 class TestRunEnsemble:
     def test_runs_share_latent_differ_in_noise(self):
