@@ -159,6 +159,15 @@ def _draw(kernel, times, mean_bias, time_shift, noise_std, seed, gcm_keys):
             "time_shift %r merges days: times + time_shift holds %d distinct float64 "
             "values among %d" % (time_shift, len(np.unique(shifted)), len(times))
         )
+    # a shift that float64 rounds by more than a millionth of itself on some day
+    # (say 0.3 on day 2**52, which rounds to 0) does not shift that day
+    lost = np.flatnonzero(np.abs((shifted - times) - time_shift) > 1e-6 * abs(time_shift))
+    if len(lost):
+        t = float(times[lost[0]])
+        raise ConfigError(
+            "time_shift %r is lost to float64 rounding: at day %r, (t + time_shift) - t "
+            "is %r" % (time_shift, t, float(shifted[lost[0]]) - t)
+        )
     grid = np.union1d(times, shifted)
     idx_base = np.searchsorted(grid, times)
     idx_shift = np.searchsorted(grid, shifted)

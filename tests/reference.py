@@ -1,8 +1,11 @@
-"""Test-side reference tools for the autodiff engine.
+"""Test-side reference tools, one copy each.
 
 :func:`gradcheck` compares an op's reverse-mode gradients with central
-finite differences; the acceptance suite and the op tests judge every op
-and the full model loss with it.
+finite differences; acceptance test 01 judges every op and the full model
+loss with it, and ``test_autodiff.py`` the fused ops' special cases.
+:func:`heatwave_runs` is the day-by-day scan that the
+heatwave counter is checked against, and :func:`simulate_ar` draws the
+autoregressive series whose partial autocorrelations are known.
 """
 
 from __future__ import annotations
@@ -71,3 +74,32 @@ def gradcheck(
         rel = np.where(scale > 1e-6, diff / np.where(scale > 1e-6, scale, 1.0), diff)
         errors.append(float(rel.max()) if rel.size else 0.0)
     return GradCheckReport(errors=errors, tol=tol, step=step)
+
+
+def heatwave_runs(values, threshold) -> list[int]:
+    """Lengths of the runs of 3 or more days strictly above ``threshold``,
+    scanned one day at a time."""
+    runs = []
+    run = 0
+    for v in values:
+        if v > threshold:
+            run += 1
+        else:
+            if run >= 3:
+                runs.append(run)
+            run = 0
+    if run >= 3:
+        runs.append(run)
+    return runs
+
+
+def simulate_ar(coeffs, n: int, seed: int, burn: int = 500) -> np.ndarray:
+    """``n`` days of x[i] = sum_k coeffs[k] * x[i - 1 - k] + N(0, 1) noise,
+    after ``burn`` days that forget the zero start."""
+    rng = np.random.default_rng(seed)
+    p = len(coeffs)
+    x = np.zeros(n + burn)
+    eps = rng.normal(size=n + burn)
+    for i in range(p, n + burn):
+        x[i] = np.dot(coeffs, x[i - p : i][::-1]) + eps[i]
+    return x[burn:]

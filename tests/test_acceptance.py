@@ -37,7 +37,7 @@ from temporal_bc.timeseries import (
     write_obs_csv,
 )
 
-from reference import gradcheck
+from reference import gradcheck, heatwave_runs, simulate_ar
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 EPOCH = dt.date(2001, 1, 1)
@@ -108,6 +108,15 @@ def test_01_every_op_and_the_full_nll_pass_gradient_checks():
          [T(4, 3), T(3, 5), T(5), T(5, 6), T(6)]),
         ("gaussian_nll", lambda m, s: ad.gaussian_nll(m, s, nll_targets, 0.9),
          [T(4, 1), Tpos(4, 1)]),
+        # broadcasts, keepdims, a full reduction and a column slice
+        ("sub_broadcast", lambda x, y: ad.reduce_mean(ad.sub(x, y)), [T(3, 4), T(4)]),
+        ("mul_broadcast", lambda x, y: ad.reduce_sum(x * y), [T(3, 4), T(1, 4)]),
+        ("matmul_broadcast_batch", lambda x, y: ad.reduce_sum(ad.matmul(x, y)),
+         [T(2, 3, 4), T(4, 2)]),
+        ("reduce_sum_keepdims",
+         lambda x: ad.reduce_sum(ad.reduce_sum(x, axis=1, keepdims=True)), [T(3, 4)]),
+        ("reduce_mean_all", lambda x: ad.reduce_mean(x), [T(3, 4)]),
+        ("index_column", lambda x: ad.reduce_mean(x[:, 0:1]), [T(5, 6)]),
     ]
     failures = []
     worst = 0.0
@@ -150,33 +159,47 @@ def test_01_every_op_and_the_full_nll_pass_gradient_checks():
 # 2. baseline correction oracles
 
 
+def _months(times):
+    """One day mask per calendar month that ``times`` (days after EPOCH) touch."""
+    month = np.array([(EPOCH + dt.timedelta(days=int(d))).month for d in times])
+    return [month == m for m in np.unique(month)]
+
+
 def test_02_baseline_corrections_match_oracles(tmp_path):
     rng = np.random.default_rng(42)
 
-    # (a) mean shift equals the SSE-minimizing constant per month, to 1e-10
+    # (a) mean shift equals the SSE-minimizing constant per month, to 1e-10,
+    # applied to the reference stretch and to the same months a year later
     t = np.arange(120.0)
     o = TimeSeries(t, 10.0 + rng.normal(size=120))
     g = TimeSeries(t, 7.0 + rng.normal(size=120))
-    corrected = baselines.correct("mean", o, g, g, EPOCH, monthly=True)
-    month = np.array([(EPOCH + dt.timedelta(days=int(d))).month for d in t])
+    later = TimeSeries(t + 365.0, rng.normal(size=120))
     worst_mean = 0.0
-    for m in np.unique(month):
-        sel = month == m
-        closed_form = np.mean(o.values[sel]) - np.mean(g.values[sel])
-        applied = corrected.values[sel] - g.values[sel]
-        worst_mean = max(worst_mean, float(np.max(np.abs(applied - closed_form))))
+    for proj in (g, later):
+        corrected = baselines.correct("mean", o, g, proj, EPOCH, monthly=True)
+        for sel in _months(t):
+            closed_form = np.mean(o.values[sel]) - np.mean(g.values[sel])
+            applied = corrected.values[sel] - proj.values[sel]
+            worst_mean = max(worst_mean, float(np.max(np.abs(applied - closed_form))))
     assert worst_mean <= 1e-10
 
-    # (b) mean+variance correction reproduces observed monthly moments to 1e-10
-    corrected = baselines.correct("meanvar", o, g, g, EPOCH, monthly=True)
+    # (b) mean+variance correction reproduces observed monthly moments to 1e-10,
+    # also where both series change their mean and spread from month to month
+    rng_b = np.random.default_rng(2)
+    t59 = t[:59]  # January and February
+    o59 = TimeSeries(t59, np.concatenate(
+        [5 + 2 * rng_b.normal(size=31), 9 + 0.5 * rng_b.normal(size=28)]))
+    g59 = TimeSeries(t59, np.concatenate(
+        [1 + 4 * rng_b.normal(size=31), 2 + 3 * rng_b.normal(size=28)]))
     worst_moment = 0.0
-    for m in np.unique(month):
-        sel = month == m
-        worst_moment = max(
-            worst_moment,
-            abs(np.mean(corrected.values[sel]) - np.mean(o.values[sel])),
-            abs(np.std(corrected.values[sel]) - np.std(o.values[sel])),
-        )
+    for obs, run in ((o, g), (o59, g59)):
+        corrected = baselines.correct("meanvar", obs, run, run, EPOCH, monthly=True)
+        for sel in _months(run.times):
+            worst_moment = max(
+                worst_moment,
+                abs(np.mean(corrected.values[sel]) - np.mean(obs.values[sel])),
+                abs(np.std(corrected.values[sel]) - np.std(obs.values[sel])),
+            )
     assert worst_moment <= 1e-10
 
     # (c) EQM and EC-BC reproduce the golden hand-trace files byte-exactly
@@ -198,18 +221,21 @@ def test_02_baseline_corrections_match_oracles(tmp_path):
         ).read()
         assert got == golden, "%s output differs from golden file" % method
 
-    # (d) EC-BC output ranks equal the observation ranks exactly
+    # (d) EC-BC on its own reference period hands back the observed values,
+    # in the observations' rank order, as one group and grouped by month
     t31 = np.arange(31.0)
     o31 = TimeSeries(t31, rng.permutation(31).astype(float))
     g31 = TimeSeries(t31, np.sort(rng.normal(size=31)) * 3.0)
-    out = baselines.correct("ecbc", o31, g31, g31, EPOCH, monthly=False)
     ranks = lambda v: np.argsort(np.argsort(v, kind="stable"), kind="stable")
-    assert np.array_equal(ranks(out.values), ranks(o31.values))
+    for monthly in (False, True):
+        out = baselines.correct("ecbc", o31, g31, g31, EPOCH, monthly=monthly)
+        assert np.array_equal(ranks(out.values), ranks(o31.values))
+        assert np.array_equal(np.sort(out.values), np.sort(o31.values))
 
     _report(
         "baseline oracles",
-        "closed form %.1e, moments %.1e, eqm+ecbc golden bytes equal, ranks equal"
-        % (worst_mean, worst_moment),
+        "closed form %.1e, moments %.1e, eqm+ecbc golden bytes equal, "
+        "ecbc ranks and values equal" % (worst_mean, worst_moment),
     )
 
 
@@ -217,64 +243,48 @@ def test_02_baseline_corrections_match_oracles(tmp_path):
 # 3. climate metric oracles
 
 
-def _brute_force_heatwaves(values, threshold):
-    count, run = 0, 0
-    for v in values:
-        if v > threshold:
-            run += 1
-        else:
-            if run >= 3:
-                count += 1
-            run = 0
-    if run >= 3:
-        count += 1
-    return count
-
-
-def _simulate_ar1(phi, n, seed, burn=500):
-    rng = np.random.default_rng(seed)
-    x = 0.0
-    out = np.empty(n)
-    for i in range(n + burn):
-        x = phi * x + rng.standard_normal()
-        if i >= burn:
-            out[i - burn] = x
-    return out
-
-
 def test_03_climate_metrics_match_oracles():
-    # heatwave counter vs brute-force scan on 10^4 random series
+    # heatwave runs vs the day-by-day scan on 10^4 integer-valued series,
+    # which force plenty of exact threshold ties, and 300 random walks
     rng = np.random.default_rng(3)
-    n_series = 10_000
-    disagreements = 0
-    for _ in range(n_series):
+    walk_rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(10_000):
         n = int(rng.integers(1, 80))
-        # integer-valued series force plenty of exact threshold ties
-        values = rng.integers(-3, 4, size=n).astype(float)
-        threshold = float(rng.integers(-2, 3))
-        t = np.arange(float(n))
-        got = metrics.heatwave_count(TimeSeries(t, values), threshold).count
-        if got != _brute_force_heatwaves(values, threshold):
+        cases.append((rng.integers(-3, 4, size=n).astype(float), float(rng.integers(-2, 3))))
+    for _ in range(300):
+        n = int(walk_rng.integers(3, 60))
+        cases.append((walk_rng.normal(size=n).cumsum(), float(walk_rng.normal())))
+    disagreements = 0
+    for values, threshold in cases:
+        series = TimeSeries(np.arange(float(len(values))), values)
+        got = metrics.heatwave_count(series, threshold).run_lengths
+        if list(got) != heatwave_runs(values, threshold):
             disagreements += 1
-    assert disagreements == 0, "%d/%d series disagree" % (disagreements, n_series)
+    assert disagreements == 0, "%d/%d series disagree" % (disagreements, len(cases))
 
     # PACF on AR(1) recovers phi at lag 1 and ~0 beyond (index 0 is lag 1)
-    x = _simulate_ar1(0.6, 20_000, seed=9)
-    p = metrics.pacf(x, max_lag=14)
-    assert abs(p[0] - 0.6) <= 0.05, "lag-1 PACF %.4f" % p[0]
-    tail = float(np.max(np.abs(p[1:])))
-    assert tail <= 0.05, "max |PACF| at lags 2..14 is %.4f" % tail
+    pacf_figures = []
+    for seed in (9, 3):
+        p = metrics.pacf(simulate_ar([0.6], 20_000, seed=seed), max_lag=14)
+        assert abs(p[0] - 0.6) <= 0.05, "seed %d: lag-1 PACF %.4f" % (seed, p[0])
+        tail = float(np.max(np.abs(p[1:])))
+        assert tail < 0.05, "seed %d: max |PACF| at lags 2..14 is %.4f" % (seed, tail)
+        pacf_figures.append("lag1 %.3f tail %.3f" % (p[0], tail))
 
     # score() at mse == 1 reproduces the analytic constant-variance loglik
-    observed = np.tile([1.0, -1.0], 50)
-    rep = metrics.score(np.zeros(100), observed)
-    assert rep.mse == 1.0
-    assert rep.loglik == pytest.approx(-1.418939, abs=1e-6)
+    for candidate, observed in (
+        (np.zeros(100), np.tile([1.0, -1.0], 50)),
+        (np.ones(100), np.zeros(100)),
+    ):
+        rep = metrics.score(candidate, observed)
+        assert rep.mse == 1.0
+        assert rep.loglik == pytest.approx(-1.4189385332046727, abs=1e-6)
 
     _report(
         "metric oracles",
-        "heatwaves %d/%d agree, pacf lag1 %.3f tail %.3f, loglik(mse=1) %.7f"
-        % (n_series, n_series, p[0], tail, rep.loglik),
+        "heatwave runs %d/%d agree, pacf %s, loglik(mse=1) %.7f"
+        % (len(cases), len(cases), " and ".join(pacf_figures), rep.loglik),
     )
 
 
@@ -408,17 +418,22 @@ def test_06_identical_seeds_give_byte_identical_artefacts(tmp_path):
 # 7. batch pipeline invariants over 10^4 drawn examples
 
 
-def test_07_training_examples_satisfy_window_invariants():
-    rng_data = np.random.default_rng(1)
-    n = 500
+def _aligned_pair(n):
+    """``n`` days of unrelated standard-normal observations and model run."""
+    rng = np.random.default_rng(1)
     t = np.arange(float(n))
-    dataset = PairedDataset(
-        TimeSeries(t, rng_data.normal(size=n)),
-        [TimeSeries(t, rng_data.normal(size=n))],
-    )
-    pair = align(dataset, 0)
-    cfg = BatchConfig()  # default window geometry and pruning
-    rng = substream(11, "batchgen")
+    obs, run = TimeSeries(t, rng.normal(size=n)), TimeSeries(t, rng.normal(size=n))
+    return align(PairedDataset(obs, [run]), 0)
+
+
+def test_07_training_examples_satisfy_window_invariants():
+    # 10^4 examples at the default window geometry and pruning, and 64 from
+    # a short series with 10-20-day windows that keep half their points
+    geometries = (
+        (500, BatchConfig(), substream(11, "batchgen"), 100, 100),
+        (128, BatchConfig(retain_p=0.5, window_min=10, window_max=20),
+         np.random.default_rng(7), 1, 64),
+    )  # fmt: skip
 
     violations = []
 
@@ -426,47 +441,60 @@ def test_07_training_examples_satisfy_window_invariants():
         if not cond:
             violations.append("example %d: %s" % (example_no, label))
 
-    total = 10_000
     drawn = 0
-    for _ in range(100):
-        for ex in make_batch([pair], 100, rng, cfg):
-            i = drawn
-            drawn += 1
-            w = ex.window
-            check(1 <= w.k <= n - cfg.window_max, "window start out of range", i)
-            check(cfg.window_min <= w.h - w.k <= cfg.window_max, "window length", i)
-            check(w.k + MARGIN <= w.j <= w.h - MARGIN, "prediction index", i)
-            # the feature rows hold the model block, observed context, targets
-            f, n_gcm, n_cond = ex.features, ex.n_gcm, ex.n_points - ex.n_tgt
-            obs_t, obs_v = f.t[n_gcm:n_cond], f.value[n_gcm:n_cond]
-            tgt_t, tgt_v = f.t[n_cond:], f.value[n_cond:]
-            # retained points are ordered subsequences of their window slices
-            for name, times_kept, lo, hi in (
-                ("obs", obs_t, w.k - 1, w.j),
-                ("tgt", tgt_t, w.j, w.h),
-                ("gcm", f.t[:n_gcm], w.k - 1, w.h),
-            ):
-                check(np.all(np.diff(times_kept) > 0), name + " not increasing", i)
-                check(np.all(np.isin(times_kept, t[lo:hi])), name + " outside window", i)
-                check(
-                    len(times_kept) >= min(MIN_KEEP, hi - lo),
-                    name + " pruned below floor", i,
-                )
-            check(ex.n_tgt >= 1 and len(obs_t) >= 1, "empty block", i)
-            check(obs_t[-1] < tgt_t[0], "targets precede context end", i)
-            # teacher-forced anchor chain: last context point, then previous target
-            anchor_t = f.closest_t[-ex.n_tgt:]
-            anchor_v = f.closest_value[-ex.n_tgt:]
-            check(anchor_t[0] == obs_t[-1], "first anchor time", i)
-            check(anchor_v[0] == obs_v[-1], "first anchor value", i)
-            check(np.array_equal(anchor_t[1:], tgt_t[:-1]), "anchor chain times", i)
-            check(np.array_equal(anchor_v[1:], tgt_v[:-1]), "anchor chain values", i)
+    for n, cfg, rng, n_batches, batch_size in geometries:
+        pair = _aligned_pair(n)
+        t = pair.times
+        for _ in range(n_batches):
+            for ex in make_batch([pair], batch_size, rng, cfg):
+                i = drawn
+                drawn += 1
+                w = ex.window
+                check(1 <= w.k <= n - cfg.window_max, "window start out of range", i)
+                check(cfg.window_min <= w.h - w.k <= cfg.window_max, "window length", i)
+                check(w.k + MARGIN <= w.j <= w.h - MARGIN, "prediction index", i)
+                # the feature rows hold the model block, observed context, targets
+                f, n_gcm, n_cond = ex.features, ex.n_gcm, ex.n_points - ex.n_tgt
+                gcm_t, gcm_v = f.t[:n_gcm], f.value[:n_gcm]
+                obs_t, obs_v = f.t[n_gcm:n_cond], f.value[n_gcm:n_cond]
+                tgt_t, tgt_v = f.t[n_cond:], f.value[n_cond:]
+                # retained points are ordered subsequences of their window slices
+                for name, times_kept, lo, hi in (
+                    ("obs", obs_t, w.k - 1, w.j),
+                    ("tgt", tgt_t, w.j, w.h),
+                    ("gcm", gcm_t, w.k - 1, w.h),
+                ):
+                    check(np.all(np.diff(times_kept) > 0), name + " not increasing", i)
+                    check(np.all(np.isin(times_kept, t[lo:hi])), name + " outside window", i)
+                    check(
+                        len(times_kept) >= min(MIN_KEEP, hi - lo),
+                        name + " pruned below floor", i,
+                    )
+                check(ex.n_tgt >= 1 and len(obs_t) >= 1, "empty block", i)
+                check(obs_t[-1] < tgt_t[0], "targets precede context end", i)
+                # each value is its own series' value on its day
+                for name, times_kept, values, series in (
+                    ("gcm", gcm_t, gcm_v, pair.gcm_values),
+                    ("obs", obs_t, obs_v, pair.obs_values),
+                    ("tgt", tgt_t, tgt_v, pair.obs_values),
+                ):
+                    check(
+                        np.array_equal(values, series[times_kept.astype(int)]),
+                        name + " values from the wrong series or day", i,
+                    )
+                # teacher-forced anchor chain: last context point, then previous target
+                anchor_t = f.closest_t[-ex.n_tgt:]
+                anchor_v = f.closest_value[-ex.n_tgt:]
+                check(anchor_t[0] == obs_t[-1], "first anchor time", i)
+                check(anchor_v[0] == obs_v[-1], "first anchor value", i)
+                check(np.array_equal(anchor_t[1:], tgt_t[:-1]), "anchor chain times", i)
+                check(np.array_equal(anchor_v[1:], tgt_v[:-1]), "anchor chain values", i)
 
-    assert drawn == total
+    assert drawn == 10_064
     assert not violations, "%d violations, first: %s" % (
         len(violations), violations[0]
     )
     _report(
         "pipeline invariants",
-        "%d examples drawn, 0 violations" % total,
+        "%d examples drawn in two window geometries, 0 violations" % drawn,
     )

@@ -1,4 +1,8 @@
-"""Gradient correctness of every op against central finite differences."""
+"""The autodiff engine's values, graph rules and fused ops.
+
+Acceptance test 01 gradchecks every op against central finite differences;
+the gradchecks here cover compositions and the fused ops' special cases.
+"""
 
 import gc
 import weakref
@@ -22,44 +26,6 @@ def make(rng, *shape):
     return Tensor(rng.standard_normal(shape))
 
 
-def test_add_grad(rng):
-    a, b = make(rng, 3, 4), make(rng, 3, 4)
-    assert gradcheck(lambda x, y: ad.reduce_sum(x + y), [a, b]).passed
-
-
-def test_sub_grad(rng):
-    a, b = make(rng, 3, 4), make(rng, 4)
-    assert gradcheck(lambda x, y: ad.reduce_mean(ad.sub(x, y)), [a, b]).passed
-
-
-def test_mul_broadcast_grad(rng):
-    a, b = make(rng, 3, 4), make(rng, 1, 4)
-    assert gradcheck(lambda x, y: ad.reduce_sum(x * y), [a, b]).passed
-
-
-def test_div_grad(rng):
-    a = make(rng, 5)
-    b = Tensor(rng.uniform(0.5, 2.0, size=5))
-    assert gradcheck(lambda x, y: ad.reduce_sum(ad.div(x, y)), [a, b]).passed
-
-
-def test_matmul_grad(rng):
-    a, b = make(rng, 4, 5), make(rng, 5, 3)
-    report = gradcheck(lambda x, y: ad.reduce_sum(ad.matmul(x, y)), [a, b])
-    assert report.passed
-    assert report.max_error <= 1e-4
-
-
-def test_matmul_batched_grad(rng):
-    a, b = make(rng, 2, 3, 4), make(rng, 2, 4, 2)
-    assert gradcheck(lambda x, y: ad.reduce_sum(ad.matmul(x, y)), [a, b]).passed
-
-
-def test_matmul_broadcast_batch_grad(rng):
-    a, b = make(rng, 2, 3, 4), make(rng, 4, 2)
-    assert gradcheck(lambda x, y: ad.reduce_sum(ad.matmul(x, y)), [a, b]).passed
-
-
 def test_matmul_shape_error(rng):
     with pytest.raises(NumericError, match="matmul"):
         ad.matmul(make(rng, 3, 4), make(rng, 3, 4))
@@ -67,51 +33,7 @@ def test_matmul_shape_error(rng):
         ad.matmul(make(rng, 4), make(rng, 4, 2))
 
 
-def test_concat_grad(rng):
-    a, b, c = make(rng, 3, 2), make(rng, 3, 4), make(rng, 3, 1)
-    assert gradcheck(lambda x, y, z: ad.reduce_sum(ad.concat([x, y, z], axis=-1)), [a, b, c]).passed
-
-
-def test_index_grad(rng):
-    a = make(rng, 5, 6)
-    assert gradcheck(lambda x: ad.reduce_sum(x[1:4, 2:5]), [a]).passed
-    assert gradcheck(lambda x: ad.reduce_mean(x[:, 0:1]), [a]).passed
-
-
-def test_index_fancy_grad(rng):
-    a = make(rng, 6)
-    idx = np.array([0, 2, 2, 5])  # repeated index must accumulate
-    assert gradcheck(lambda x: ad.reduce_sum(x[idx]), [a]).passed
-
-
-def test_transpose_grad(rng):
-    a = make(rng, 3, 4)
-    assert gradcheck(lambda x: ad.reduce_sum(ad.matmul(x, ad.transpose_last_two(x))), [a]).passed
-
-
-def test_reduce_sum_axis_grad(rng):
-    a = make(rng, 3, 4)
-    assert gradcheck(lambda x: ad.reduce_sum(ad.reduce_sum(x, axis=0)), [a]).passed
-    assert gradcheck(lambda x: ad.reduce_sum(ad.reduce_sum(x, axis=1, keepdims=True)), [a]).passed
-
-
-def test_reduce_mean_grad(rng):
-    a = make(rng, 3, 4)
-    assert gradcheck(lambda x: ad.reduce_mean(x), [a]).passed
-    assert gradcheck(lambda x: ad.reduce_sum(ad.reduce_mean(x, axis=-1)), [a]).passed
-
-
-def test_exp_log_tanh_grad(rng):
-    a = make(rng, 7)
-    b = Tensor(rng.uniform(0.2, 3.0, size=7))
-    assert gradcheck(lambda x: ad.reduce_sum(ad.exp(x)), [a]).passed
-    assert gradcheck(lambda x: ad.reduce_sum(ad.log(x)), [b]).passed
-    assert gradcheck(lambda x: ad.reduce_sum(ad.tanh(x)), [a]).passed
-
-
-def test_softplus_grad_and_value(rng):
-    a = make(rng, 9)
-    assert gradcheck(lambda x: ad.reduce_sum(ad.softplus(x)), [a]).passed
+def test_softplus_value_and_tails():
     assert float(ad.softplus(Tensor(0.0)).data) == pytest.approx(np.log(2.0))
     # stable on both tails
     big = ad.softplus(Tensor([50.0, -50.0]))

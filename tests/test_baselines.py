@@ -38,16 +38,6 @@ def naive_eqm(obs_ref_v, gcm_ref_v, proj_v):
 
 
 class TestMeanShift:
-    def test_matches_closed_form_offset(self):
-        rng = np.random.default_rng(0)
-        t = np.arange(31.0)
-        o = obs(t, 15.0 + rng.normal(size=31))
-        g = gcm(t, 12.0 + rng.normal(size=31))
-        proj = gcm(t + 365.0, rng.normal(size=31))  # January one year later
-        got = correct("mean", o, g, proj, EPOCH)
-        c = np.mean(o.values) - np.mean(g.values)
-        assert np.allclose(got.values, proj.values + c, atol=1e-10)
-
     def test_offset_minimizes_reference_squared_error(self):
         # the applied shift is the least-squares optimal constant offset
         rng = np.random.default_rng(1)
@@ -80,16 +70,6 @@ class TestMeanShift:
 
 
 class TestMeanVarShift:
-    def test_reproduces_observed_moments_exactly(self):
-        rng = np.random.default_rng(2)
-        t = np.arange(59.0)
-        o = obs(t, np.concatenate([5 + 2 * rng.normal(size=31), 9 + 0.5 * rng.normal(size=28)]))
-        g = gcm(t, np.concatenate([1 + 4 * rng.normal(size=31), 2 + 3 * rng.normal(size=28)]))
-        got = correct("meanvar", o, g, g, EPOCH)
-        for sl in (slice(0, 31), slice(31, 59)):
-            assert np.mean(got.values[sl]) == pytest.approx(np.mean(o.values[sl]), abs=1e-10)
-            assert np.std(got.values[sl]) == pytest.approx(np.std(o.values[sl]), abs=1e-10)
-
     def test_formula(self):
         t = np.arange(31.0)
         o_v = np.linspace(0.0, 3.0, 31)
@@ -166,21 +146,6 @@ class TestEqm:
 
 
 class TestEcbc:
-    def test_rank_sequence_matches_observed_template(self):
-        # projecting the reference model month onto itself makes the
-        # corrected values a permutation of the (distinct) observed values,
-        # so the rank comparison is free of ties
-        rng = np.random.default_rng(5)
-        t = np.arange(31.0)
-        o_v = rng.normal(size=31)
-        o = obs(t, o_v)
-        g = gcm(t, rng.normal(size=31))
-        got = correct("ecbc", o, g, g, EPOCH)
-        ranks_obs = np.argsort(np.argsort(o_v, kind="stable"))
-        ranks_out = np.argsort(np.argsort(got.values, kind="stable"))
-        assert np.array_equal(ranks_out, ranks_obs)
-        assert np.array_equal(np.sort(got.values), np.sort(o_v))
-
     def test_output_is_template_ranked_quantile_map(self):
         # general identity: each day receives the eqm value whose sorted
         # position equals the observed template's rank on that day

@@ -259,31 +259,6 @@ class TestMakeBatch:
             for name, column in vars(ea.features).items():
                 assert np.array_equal(column, getattr(eb.features, name))
 
-    def test_structural_invariants(self):
-        pair = make_pair(n=128, seed=1)
-        cfg = tiny_config()
-        rng = np.random.default_rng(7)
-        for ex in make_batch([pair], 64, rng, cfg):
-            w = ex.window
-            f, n_gcm, n_cond = ex.features, ex.n_gcm, ex.n_points - ex.n_tgt
-            gcm_t, gcm_v = f.t[:n_gcm], f.value[:n_gcm]
-            obs_t, tgt_t = f.t[n_gcm:n_cond], f.t[n_cond:]
-            # context strictly precedes targets in time
-            assert obs_t.max() < tgt_t.min()
-            # every retained point's time sits inside the drawn window
-            lo, hi = pair.times[w.k - 1], pair.times[w.h - 1]
-            for t in (gcm_t, obs_t, tgt_t):
-                assert t.min() >= lo and t.max() <= hi
-            # pruning floor
-            assert len(obs_t) >= min(MIN_KEEP, w.j - w.k + 1)
-            assert ex.n_tgt >= min(MIN_KEEP, w.h - w.j)
-            assert len(gcm_t) >= min(MIN_KEEP, w.h - w.k + 1)
-            # values were taken from the right series
-            for t, v in zip(tgt_t, f.value[n_cond:]):
-                assert v == pair.obs_values[int(t)]
-            for t, v in zip(gcm_t, gcm_v):
-                assert v == pair.gcm_values[int(t)]
-
     def test_accepts_paired_dataset_and_tags_runs(self):
         t = np.arange(64.0)
         rng = np.random.default_rng(2)

@@ -1,21 +1,10 @@
 """The verdicts of scripts/bench_pairs.py, on made-up runs (no subprocess)."""
 
-import importlib.util
 import json
-import os
 
 import pytest
 
-SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_pairs.py")
-
-
-@pytest.fixture(scope="module")
-def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+import bench_pairs  # conftest.py puts scripts/ on the import path
 
 TIGHT = [10.0, 10.1, 9.9, 10.0, 10.05, 9.95, 10.0, 10.1, 9.9, 10.0]
 # interquartile range 8.5..14 around a median of 11, wider than a 25 % bound
@@ -37,14 +26,12 @@ WIDE = [8.0, 14.0, 9.0, 15.0, 8.5, 14.5, 11.0, 11.0, 8.0, 16.0]
     ids=["tight-within", "tight-beyond", "wide-within", "wide-beyond",
          "wide-all-better", "higher-all-better", "higher-wide-within"],  # fmt: skip
 )
-def test_summarise_verdict(bench_pairs, capsys, better, base, change, verdict):
+def test_summarise_verdict(capsys, better, base, change, verdict):
     assert bench_pairs.summarise("m", better, 0.25, base, change) == verdict
     assert capsys.readouterr().out.rstrip().endswith("bound: %s" % verdict)
 
 
-def test_last_line_names_worse_and_unresolved_medians(
-    bench_pairs, tmp_path, monkeypatch, capsys
-):
+def test_last_line_names_worse_and_unresolved_medians(tmp_path, monkeypatch, capsys):
     spec = {"end_to_end": [
         {"name": name, "better": "lower", "bound": 0.25}
         for name in ("steady", "worse", "noisy")
@@ -76,7 +63,7 @@ def test_last_line_names_worse_and_unresolved_medians(
 
 
 def test_one_valued_base_metrics_say_whether_each_change_run_reads_that_value(
-    bench_pairs, tmp_path, monkeypatch, capsys
+    tmp_path, monkeypatch, capsys
 ):
     spec = {"end_to_end": [
         {"name": name, "better": "lower", "bound": 0.01}
@@ -112,7 +99,7 @@ def test_one_valued_base_metrics_say_whether_each_change_run_reads_that_value(
 
 
 def test_several_workloads_alternate_per_seed_and_share_the_last_line(
-    bench_pairs, tmp_path, monkeypatch, capsys
+    tmp_path, monkeypatch, capsys
 ):
     spec = {"end_to_end": [{"name": "day", "better": "lower", "bound": 0.25}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))

@@ -160,6 +160,13 @@ class TestShiftedPair:
                 make_shifted_pair(rbf(1.0), days, time_shift=shift)
         with pytest.raises(ConfigError, match="times must be strictly increasing"):
             make_run_ensemble(rbf(1.0), 1e17 + days)
+        # float64 steps by 1 from 2**52, where every t + 0.3 rounds back to t,
+        # and by 2**-19 from 2**33, where t + 0.3 - t misses 0.3 by 2.5e-6 of it
+        for start in (2.0**52, 2.0**33):
+            with pytest.raises(ConfigError, match="time_shift 0.3 is lost"):
+                make_shifted_pair(rbf(1.0), start + np.arange(50.0), time_shift=0.3)
+        # from 2**29 it misses by 1.6e-7 of it, within the millionth allowed
+        make_shifted_pair(rbf(1.0), 2.0**29 + np.arange(50.0), time_shift=0.3)
 
 
 class TestRunEnsemble:

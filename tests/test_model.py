@@ -36,8 +36,6 @@ from temporal_bc.model import (
 from temporal_bc.sampling import SamplerConfig
 from temporal_bc.timeseries import AlignedPair, NormStats
 
-from reference import gradcheck
-
 TINY = ModelConfig(
     n_layers=2, n_heads=2, model_dim=8, feature_dim=8, hidden_dim=8
 )
@@ -390,27 +388,6 @@ class TestCausality:
         mu_a, _ = forward(params, embed(a, TINY), TINY)
         mu_b, _ = forward(params, embed(b, TINY), TINY)
         assert not np.array_equal(mu_a.data, mu_b.data)
-
-
-class TestGradients:
-    def test_full_model_gradcheck(self):
-        ex = default_example()
-        emb = embed(ex, TINY)
-        params = init_params(TINY, np.random.default_rng(7))
-        # nudge the head off its zero init so its gradient path is generic
-        params["head.w2"] = Tensor(
-            0.05 * np.random.default_rng(8).standard_normal(params["head.w2"].shape)
-        )
-        names = sorted(params)
-        tensors = [params[n] for n in names]
-
-        def loss_fn(*leaves):
-            p = dict(zip(names, leaves))
-            mu, sigma = forward(p, emb, TINY)
-            return gaussian_nll(mu, sigma, targets(ex))
-
-        report = gradcheck(loss_fn, tensors, tol=1e-3, step=1e-5)
-        assert report.passed, "max grad error %g" % report.max_error
 
 
 class TestLikelihood:

@@ -1,4 +1,5 @@
-"""Each decision below has one owner in the package source.
+"""Each decision below has one owner in the package source, and each
+test-side oracle one copy in ``tests/reference.py``.
 
 Each pattern marks the one place that decides a file format, a constant or
 a rule; a second match means a second copy of that decision has appeared,
@@ -11,7 +12,8 @@ import re
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "temporal_bc")
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, os.pardir, "src", "temporal_bc")
 
 OWNED = {
     # timeseries.write_json
@@ -79,9 +81,23 @@ OWNED = {
 }
 
 
-def _matches(pattern: str) -> list[str]:
+# test modules hold none of these: the one copy of each oracle lives in
+# tests/reference.py, and a script is imported by name from scripts/, which
+# conftest.py puts on the import path
+TEST_SIDE = {
+    "script-loader": r"\bimportlib\b",
+    # reference.heatwave_runs: a run closes as a heatwave at 3 days or more
+    "heatwave-scan": r"\bif \w+ >= 3:",
+    # reference.simulate_ar: the days an autoregressive series drops first
+    "ar-simulator-burn-in": r"\bburn\b",
+}
+
+
+def _matches(pattern: str, directory: str = SRC, skip=()) -> list[str]:
     found = []
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
+        if os.path.basename(path) in skip:
+            continue
         with open(path, encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
                 if re.search(pattern, line):
@@ -93,3 +109,9 @@ def _matches(pattern: str) -> list[str]:
 def test_decision_has_one_owner(decision):
     found = _matches(OWNED[decision])
     assert len(found) == 1, "%s found at %s" % (decision, found)
+
+
+@pytest.mark.parametrize("oracle", sorted(TEST_SIDE))
+def test_no_test_module_holds_a_second_copy(oracle):
+    found = _matches(TEST_SIDE[oracle], TESTS, skip=("reference.py", "test_one_owner.py"))
+    assert not found, "%s found at %s" % (oracle, found)

@@ -1,20 +1,8 @@
 """The file comparison of scripts/same_artefacts.py, on made-up trees."""
 
-import importlib.util
-import os
-
 import numpy as np
-import pytest
 
-SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "same_artefacts.py")
-
-
-@pytest.fixture(scope="module")
-def same_artefacts():
-    spec = importlib.util.spec_from_file_location("same_artefacts", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import same_artefacts  # conftest.py puts scripts/ on the import path
 
 
 def _tree(root, files):
@@ -36,7 +24,7 @@ SAME = {
 }
 
 
-def test_identical_trees_differ_nowhere_once_manifests_are_masked(same_artefacts, tmp_path):
+def test_identical_trees_differ_nowhere_once_manifests_are_masked(tmp_path):
     # the two roots have different lengths, so unmasked manifests differ
     base = _tree(tmp_path / "base", SAME)
     change = _tree(tmp_path / "change", SAME)
@@ -46,7 +34,7 @@ def test_identical_trees_differ_nowhere_once_manifests_are_masked(same_artefacts
     assert same_artefacts.differing_files(base, change) == []
 
 
-def test_every_difference_is_named(same_artefacts, tmp_path):
+def test_every_difference_is_named(tmp_path):
     base = _tree(tmp_path / "base", dict(SAME, **{"out/report/only_base.csv": "x\n"}))
     change = _tree(tmp_path / "change", dict(SAME, **{
         # one bit of one float, a manifest input that is not the root, and
@@ -63,7 +51,7 @@ def test_every_difference_is_named(same_artefacts, tmp_path):
     ]
 
 
-def test_a_masked_path_in_any_other_file_still_counts(same_artefacts, tmp_path):
+def test_a_masked_path_in_any_other_file_still_counts(tmp_path):
     # only manifests record input paths; elsewhere a run's root is content
     files = {"out/report/report.json": '{"observed": "{root}/setup/obs.csv"}\n'}
     base = _tree(tmp_path / "base", files)
@@ -71,7 +59,7 @@ def test_a_masked_path_in_any_other_file_still_counts(same_artefacts, tmp_path):
     assert same_artefacts.differing_files(base, change) == ["out/report/report.json"]
 
 
-def test_each_difference_is_sized(same_artefacts, tmp_path):
+def test_each_difference_is_sized(tmp_path):
     base = _tree(tmp_path / "base", {
         "metrics.csv": "step,train_nll,val_nll\n0,,1.5\n10,2.0,\n",
         "checkpoint.json": '{"w": [1.0, 2.0], "meta": {"ok": true, "best": 4.0}}\n',
